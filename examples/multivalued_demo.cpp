@@ -1,7 +1,8 @@
 // Multivalued consensus demo: seven processes propose seven DIFFERENT
 // 16-bit values; the bit-by-bit reduction over embedded hybrid binary
-// instances decides one of them — never a frankenstein bit pattern — and
-// it still works when six of the seven processes crash (one-for-all).
+// instances agrees on the index of one proposer (3 bits for 7 processes)
+// and decides that proposer's value — never a frankenstein bit pattern —
+// and it still works when six of the seven processes crash (one-for-all).
 //
 // Run: ./build/examples/multivalued_demo [--seed=N]
 #include <iostream>
@@ -28,7 +29,8 @@ int main(int argc, char** argv) {
             << " (a proposed value: " << (r.validity_ok ? "yes" : "NO")
             << "), agreement " << (r.agreement_ok ? "ok" : "VIOLATED")
             << "\nconsensus objects used: " << r.consensus_objects
-            << " across " << cfg.width << " bit instances, "
+            << " across " << MultiValuedProcess::index_bits(layout.n())
+            << " proposer-index bit instances, "
             << r.net.unicasts_sent << " messages\n\n";
 
   // Same, with 6 of 7 processes crashed (survivor in the majority cluster).

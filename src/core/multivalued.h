@@ -4,21 +4,21 @@
 // computing problems", Section V), built entirely on the paper's own
 // primitives.
 //
-// Construction (bit-by-bit reduction, in the style of Mostéfaoui–Raynal):
-//  1. Every process uniform-reliably broadcasts its W-bit proposal
-//     (VALUE messages; URB = re-broadcast on first delivery, so any value
+// Construction (bit-by-bit reduction in the style of Mostéfaoui–Raynal,
+// applied to the proposer's index rather than to the value):
+//  1. Every process uniform-reliably broadcasts its proposal (VALUE
+//     messages; URB = re-broadcast on first delivery, so any value
 //     delivered anywhere is eventually delivered by every correct process).
-//  2. Bits are decided MSB-first by W sequential instances of the hybrid
-//     common-coin binary consensus (Algorithm 3), multiplexed over the same
-//     network via per-message instance ids. At bit k a process proposes
-//     bit k of the SMALLEST delivered candidate matching the k-bit decided
-//     prefix — so every decided bit is the bit of some URB-delivered value
-//     matching the prefix, and by induction the decided W-bit string IS a
-//     proposed value (validity). A process with no matching candidate
-//     simply waits: the matching value is URB-delivered eventually.
-//  3. The decided bitstring is the decision; MULTIDECIDE gossip (plus the
-//     embedded per-bit DECIDE gossip) lets stragglers catch up after the
-//     fast majority has returned.
+//  2. The winning origin's index is decided MSB-first by B = max(1,
+//     bit_width(n - 1)) sequential instances of the hybrid common-coin
+//     binary consensus (Algorithm 3), multiplexed via per-message instance
+//     ids. At bit k a process proposes bit k of the SMALLEST delivered
+//     origin index matching the decided prefix, so by induction the decided
+//     index d names an origin whose VALUE some process delivered; a process
+//     with no matching origin waits for URB to deliver one.
+//  3. The decision is d's proposed value (validity), taken once URB has
+//     delivered VALUE(d) here; MULTIDECIDE gossip carries it and, with the
+//     per-bit DECIDE gossip, lets stragglers catch up.
 //
 // Fault tolerance is inherited unchanged: the one-for-all property holds
 // per embedded instance, so multivalued consensus also survives a majority
@@ -29,7 +29,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "coin/coin.h"
@@ -86,21 +85,23 @@ class MemoryPool {
 /// processes: the runner feeds every delivered message to on_message().
 class MultiValuedProcess {
  public:
-  /// `width` in [1, 64]: number of bits of the value domain. `pool` and
-  /// `coin` are shared by all processes of the run. `instance_base`
-  /// reserves the instance-id block [base, base + width] for this
-  /// instance's traffic (VALUE/MULTIDECIDE at `base`, bit k at
-  /// `base + 1 + k`), so several multivalued instances — e.g. the slots of
-  /// the total-order broadcast — can share one network.
+  /// Index bits per instance at `n` processes: max(1, bit_width(n - 1)).
+  [[nodiscard]] static int index_bits(ProcId n);
+
+  /// `pool` and `coin` are shared by all processes of the run.
+  /// `instance_base` reserves the instance-id block [base, base +
+  /// index_bits(n)] (VALUE/MULTIDECIDE at `base`, bit k at `base + 1 + k`),
+  /// so several instances — e.g. the slots of the total-order broadcast —
+  /// can share one network.
   MultiValuedProcess(ProcId self, const ClusterLayout& layout, INetwork& net,
-                     MemoryPool& pool, ICommonCoin& coin, int width,
+                     MemoryPool& pool, ICommonCoin& coin,
                      Round max_rounds_per_bit, InstanceId instance_base = 0);
   ~MultiValuedProcess();
 
   MultiValuedProcess(const MultiValuedProcess&) = delete;
   MultiValuedProcess& operator=(const MultiValuedProcess&) = delete;
 
-  /// Proposes a W-bit value (must fit in `width` bits).
+  /// Proposes any 64-bit value.
   void start(std::uint64_t proposal);
 
   void on_message(ProcId from, const Message& m);
@@ -109,38 +110,30 @@ class MultiValuedProcess {
   [[nodiscard]] std::optional<std::uint64_t> decision() const {
     return decision_;
   }
-  /// Bits decided so far (== width once decided).
-  [[nodiscard]] int bits_decided() const { return bit_; }
-  /// Candidate values URB-delivered so far.
-  [[nodiscard]] const std::set<std::uint64_t>& candidates() const {
-    return candidates_;
-  }
 
  private:
   void urb_deliver(ProcId origin, std::uint64_t value);
   void maybe_start_bit();
   void poll_embedded();
   void decide_multi(std::uint64_t value);
-  [[nodiscard]] bool matches_prefix(std::uint64_t v) const;
-  [[nodiscard]] std::optional<std::uint64_t> min_matching_candidate() const;
+  [[nodiscard]] std::optional<std::uint64_t> min_matching_origin() const;
 
   ProcId self_;
   const ClusterLayout& layout_;
   INetwork& net_;
   MemoryPool& pool_;
   ICommonCoin& coin_;
-  int width_;
+  int bits_;
   Round max_rounds_per_bit_;
   InstanceId instance_base_;
   InstanceNetwork base_net_;  ///< stamps VALUE/MULTIDECIDE with the base id
 
   bool started_ = false;
-  std::uint64_t proposal_ = 0;
-  std::set<std::uint64_t> candidates_;
-  DynamicBitset urb_seen_;  ///< origins whose VALUE we already relayed
+  /// URB-delivered VALUE per origin index (empty = not delivered yet).
+  std::vector<std::optional<std::uint64_t>> values_;
 
-  int bit_ = 0;                     ///< next bit index to decide
-  std::uint64_t prefix_ = 0;        ///< decided bits, MSB-aligned low word
+  int bit_ = 0;                     ///< next index bit to decide
+  std::uint64_t prefix_ = 0;        ///< decided index bits, MSB-aligned
   std::unique_ptr<InstanceNetwork> inst_net_;
   std::unique_ptr<CommonCoinProcess> embedded_;
   std::map<InstanceId, std::vector<std::pair<ProcId, Message>>> backlog_;

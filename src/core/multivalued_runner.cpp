@@ -10,18 +10,23 @@ namespace hyco {
 MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   HYCO_CHECK_MSG(cfg.width >= 1 && cfg.width <= 64, "bad width");
+  const std::uint64_t mask = cfg.width == 64
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << cfg.width) - 1;
 
   std::vector<std::uint64_t> inputs = cfg.inputs;
   if (inputs.empty()) {
     Rng rng(mix64(cfg.seed, 0x3A1E));
     inputs.resize(static_cast<std::size_t>(n));
-    const std::uint64_t mask = cfg.width == 64
-                                   ? ~std::uint64_t{0}
-                                   : (std::uint64_t{1} << cfg.width) - 1;
     for (auto& v : inputs) v = rng.next_u64() & mask;
   }
   HYCO_CHECK_MSG(inputs.size() == static_cast<std::size_t>(n),
                  "inputs size mismatch");
+  for (const std::uint64_t v : inputs) {
+    HYCO_CHECK_MSG((v & ~mask) == 0,
+                   "input " << v << " does not fit in " << cfg.width
+                            << " bits");
+  }
 
   Simulator sim(cfg.seed);
   sim.reserve_all_to_all(n);
@@ -38,7 +43,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<MultiValuedProcess>(
-        p, cfg.layout, net, pool, coin, cfg.width, cfg.max_rounds_per_bit));
+        p, cfg.layout, net, pool, coin, cfg.max_rounds_per_bit));
   }
 
   net.set_deliver([&](ProcId to, ProcId from, const Message& m) {

@@ -21,7 +21,9 @@ struct MultiRunConfig {
   explicit MultiRunConfig(ClusterLayout l) : layout(std::move(l)) {}
 
   ClusterLayout layout;
-  int width = 16;                     ///< bits of the value domain
+  /// Bits of the input domain: generated inputs are drawn from it, given
+  /// inputs must fit in it. The run's cost does not depend on it.
+  int width = 16;
   std::vector<std::uint64_t> inputs;  ///< empty = pseudorandom per process
   std::uint64_t seed = 1;
   DelayConfig delays = DelayConfig::uniform(50, 150);

@@ -7,21 +7,17 @@ namespace hyco {
 
 TobProcess::TobProcess(ProcId self, const ClusterLayout& layout,
                        INetwork& net, MemoryPool& pool, ICommonCoin& coin,
-                       Round max_rounds_per_bit, int width)
+                       Round max_rounds_per_bit)
     : self_(self),
       layout_(layout),
       net_(net),
       pool_(pool),
       coin_(coin),
       max_rounds_per_bit_(max_rounds_per_bit),
-      width_(width) {
-  HYCO_CHECK_MSG(width >= 1 && width <= 64, "TOB width must be in [1, 64]");
-}
+      stride_(MultiValuedProcess::index_bits(layout.n()) + 1) {}
 
 void TobProcess::submit(std::uint64_t payload) {
   HYCO_CHECK_MSG(payload != kNoop, "payload 0 is reserved for NOOP");
-  HYCO_CHECK_MSG(width_ == 64 || (payload >> width_) == 0,
-                 "TOB payload does not fit the configured width");
   gossip(self_, payload);
   maybe_start_slot(/*saw_traffic=*/false);
 }
@@ -44,7 +40,7 @@ void TobProcess::maybe_start_slot(bool saw_traffic) {
   // machinery has all live processes on board).
   if (pending_.empty() && !saw_traffic) return;
   current_ = std::make_unique<MultiValuedProcess>(
-      self_, layout_, net_, pool_, coin_, width_, max_rounds_per_bit_,
+      self_, layout_, net_, pool_, coin_, max_rounds_per_bit_,
       slot_base(slot_));
   if (slot_start_hook_) slot_start_hook_(slot_);
   const std::uint64_t proposal =

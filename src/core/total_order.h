@@ -47,21 +47,17 @@ class TobProcess {
   /// values and verify gap-free sequencing.
   using DeliverHook = std::function<void(int slot, std::uint64_t payload)>;
 
-  /// `width` is the payload bit width of every slot's multivalued instance
-  /// (default 64 — the historical behavior). Narrow widths make slots far
-  /// cheaper: each slot runs `width` embedded binary consensus instances,
-  /// so a service layer whose payloads are small sequential batch ids
-  /// should size the width to them.
+  /// Each slot's multivalued instance agrees on a proposer index, so a
+  /// slot costs MultiValuedProcess::index_bits(n) embedded binary
+  /// instances whatever the payloads are.
   TobProcess(ProcId self, const ClusterLayout& layout, INetwork& net,
-             MemoryPool& pool, ICommonCoin& coin, Round max_rounds_per_bit,
-             int width = 64);
+             MemoryPool& pool, ICommonCoin& coin, Round max_rounds_per_bit);
 
   TobProcess(const TobProcess&) = delete;
   TobProcess& operator=(const TobProcess&) = delete;
 
-  /// Submits a payload for total-order delivery (must be nonzero, unique
-  /// across the run, and fit in `width` bits). May be called at any time,
-  /// repeatedly.
+  /// Submits a payload for total-order delivery (must be nonzero and unique
+  /// across the run). May be called at any time, repeatedly.
   void submit(std::uint64_t payload);
 
   void on_message(ProcId from, const Message& m);
@@ -87,16 +83,11 @@ class TobProcess {
   [[nodiscard]] int current_slot() const { return slot_; }
 
  private:
-  /// Instances reserved per slot: 1 (VALUE/MULTIDECIDE) + width bit
-  /// instances.
-  [[nodiscard]] InstanceId stride() const {
-    return static_cast<InstanceId>(width_) + 1;
-  }
   [[nodiscard]] InstanceId slot_base(int slot) const {
-    return static_cast<InstanceId>(slot) * stride();
+    return static_cast<InstanceId>(slot) * stride_;
   }
   [[nodiscard]] int slot_of_instance(InstanceId inst) const {
-    return static_cast<int>(inst / stride());
+    return static_cast<int>(inst / stride_);
   }
 
   void gossip(ProcId origin, std::uint64_t payload);
@@ -109,7 +100,8 @@ class TobProcess {
   MemoryPool& pool_;
   ICommonCoin& coin_;
   Round max_rounds_per_bit_;
-  int width_;
+  /// Instances reserved per slot: 1 (VALUE/MULTIDECIDE) + the index bits.
+  InstanceId stride_;
   DeliverHook deliver_hook_;
   SlotStartHook slot_start_hook_;
 

@@ -44,6 +44,11 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string format_percentile(const obs::LogHistogram& hist,
+                              const ExactMoments& mo, double q) {
+  return format_number(std::clamp(hist.percentile(q), mo.min(), mo.max()));
+}
+
 namespace {
 
 void append_summary_fields(std::vector<std::string>& fields,
@@ -183,16 +188,17 @@ void write_csv_row(CsvWriter& w, const CellResult& r,
     fields.push_back(format_number(svc.batches.mean()));
     fields.push_back(format_number(svc.slots.mean()));
     fields.push_back(format_number(svc.latency.mean()));
-    fields.push_back(format_number(svc.latency_hist.percentile(50)));
-    fields.push_back(format_number(svc.latency_hist.percentile(99)));
-    fields.push_back(format_number(svc.latency_hist.percentile(99.9)));
+    const auto& pct = format_percentile;
+    fields.push_back(pct(svc.latency_hist, svc.latency, 50));
+    fields.push_back(pct(svc.latency_hist, svc.latency, 99));
+    fields.push_back(pct(svc.latency_hist, svc.latency, 99.9));
     fields.push_back(format_number(svc.latency.max()));
     fields.push_back(format_number(svc.batch_wait.mean()));
-    fields.push_back(format_number(svc.batch_wait_hist.percentile(99)));
+    fields.push_back(pct(svc.batch_wait_hist, svc.batch_wait, 99));
     fields.push_back(format_number(svc.seq_wait.mean()));
-    fields.push_back(format_number(svc.seq_wait_hist.percentile(99)));
+    fields.push_back(pct(svc.seq_wait_hist, svc.seq_wait, 99));
     fields.push_back(format_number(svc.consensus.mean()));
-    fields.push_back(format_number(svc.consensus_hist.percentile(99)));
+    fields.push_back(pct(svc.consensus_hist, svc.consensus, 99));
   }
   if (opts.profile) {
     fields.push_back(
@@ -310,13 +316,14 @@ void write_cell_json(std::ostream& out, const std::string& experiment_name,
       write_summary_json(out, "batches", svc.batches);
       out << ',';
       write_summary_json(out, "slots", svc.slots);
+      const auto& pct = format_percentile;
       out << ",\"latency_ns\":{\"count\":" << svc.latency.count()
           << ",\"mean\":" << format_number(svc.latency.mean())
           << ",\"sd\":" << format_number(svc.latency.stddev())
           << ",\"min\":" << format_number(svc.latency.min())
-          << ",\"p50\":" << format_number(svc.latency_hist.percentile(50))
-          << ",\"p99\":" << format_number(svc.latency_hist.percentile(99))
-          << ",\"p999\":" << format_number(svc.latency_hist.percentile(99.9))
+          << ",\"p50\":" << pct(svc.latency_hist, svc.latency, 50)
+          << ",\"p99\":" << pct(svc.latency_hist, svc.latency, 99)
+          << ",\"p999\":" << pct(svc.latency_hist, svc.latency, 99.9)
           << ",\"max\":" << format_number(svc.latency.max()) << '}';
       const struct {
         const char* name;
@@ -330,9 +337,9 @@ void write_cell_json(std::ostream& out, const std::string& experiment_name,
       for (const auto& c : comps) {
         out << ",\"" << c.name << "\":{\"count\":" << c.mo->count()
             << ",\"mean\":" << format_number(c.mo->mean())
-            << ",\"p50\":" << format_number(c.hist->percentile(50))
-            << ",\"p99\":" << format_number(c.hist->percentile(99))
-            << ",\"p999\":" << format_number(c.hist->percentile(99.9))
+            << ",\"p50\":" << pct(*c.hist, *c.mo, 50)
+            << ",\"p99\":" << pct(*c.hist, *c.mo, 99)
+            << ",\"p999\":" << pct(*c.hist, *c.mo, 99.9)
             << ",\"max\":" << format_number(c.mo->max()) << '}';
       }
       out << '}';

@@ -64,4 +64,10 @@ void write_cell_json(std::ostream& out, const std::string& experiment_name,
 /// locale"), shared by both emitters so documents stay byte-stable.
 [[nodiscard]] std::string format_number(double v);
 
+/// format_number of `hist.percentile(q)` clamped to the exact [min, max] of
+/// the moments kept beside it: interpolating inside a power-of-two bucket
+/// can otherwise land above the largest sample.
+[[nodiscard]] std::string format_percentile(const obs::LogHistogram& hist,
+                                            const ExactMoments& mo, double q);
+
 }  // namespace hyco

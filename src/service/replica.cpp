@@ -9,13 +9,13 @@ ServiceReplica::ServiceReplica(ProcId self, const ClusterLayout& layout,
                                ICommonCoin& coin, Simulator& sim,
                                const CrashTracker& tracker,
                                BatchRegistry& registry,
-                               Round max_rounds_per_bit, int width,
+                               Round max_rounds_per_bit,
                                std::size_t batch_max, SimTime batch_delay)
     : self_(self),
       sim_(sim),
       tracker_(tracker),
       registry_(registry),
-      tob_(self, layout, net, pool, coin, max_rounds_per_bit, width),
+      tob_(self, layout, net, pool, coin, max_rounds_per_bit),
       batcher_(sim, batch_max, batch_delay,
                [this](std::vector<std::uint64_t> ops) {
                  // A deadline timer may fire after this replica crashed;

@@ -34,7 +34,7 @@ class ServiceReplica {
   ServiceReplica(ProcId self, const ClusterLayout& layout, INetwork& net,
                  MemoryPool& pool, ICommonCoin& coin, Simulator& sim,
                  const CrashTracker& tracker, BatchRegistry& registry,
-                 Round max_rounds_per_bit, int width, std::size_t batch_max,
+                 Round max_rounds_per_bit, std::size_t batch_max,
                  SimTime batch_delay);
 
   ServiceReplica(const ServiceReplica&) = delete;

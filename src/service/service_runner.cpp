@@ -1,7 +1,6 @@
 #include "service/service_runner.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <string>
 
@@ -59,21 +58,13 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
     coin = std::make_unique<CommonCoin>(coin_seed);
   }
 
-  // Consensus orders compact batch ids, so the multivalued width only needs
-  // to cover the largest possible id (every batch holds >= 1 op). Narrow
-  // widths keep per-slot cost down: a slot runs width embedded binary
-  // instances.
-  const std::uint64_t total_ops = cfg.clients * cfg.ops_per_client;
-  const int width = std::clamp(
-      static_cast<int>(std::bit_width(total_ops)), 1, 64);
-
   BatchRegistry registry;
   std::vector<std::unique_ptr<ServiceReplica>> replicas;
   replicas.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     replicas.push_back(std::make_unique<ServiceReplica>(
         p, cfg.layout, net, pool, *coin, sim, tracker, registry,
-        cfg.max_rounds_per_bit, width, cfg.batch_max, cfg.batch_delay));
+        cfg.max_rounds_per_bit, cfg.batch_max, cfg.batch_delay));
   }
   net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
     replicas[static_cast<std::size_t>(to)]->on_message(from, m);

@@ -1,9 +1,12 @@
-// Tests of the multivalued consensus extension (bit-by-bit reduction over
-// embedded hybrid binary instances): agreement, validity (the decided
-// value must be a proposed value — the acid test of the prefix-filtered
-// reduction), termination, inherited one-for-all fault tolerance, and the
+// Tests of the multivalued consensus extension (bit-by-bit reduction of the
+// proposer's index over embedded hybrid binary instances): agreement,
+// validity (the decided value must be a proposed value — the acid test of
+// the prefix-filtered reduction), termination, inherited one-for-all fault
+// tolerance, the wait for VALUE(d) after the index is decided, and the
 // instance-multiplexing plumbing.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/multivalued_runner.h"
 #include "util/assert.h"
@@ -11,6 +14,70 @@
 
 namespace hyco {
 namespace {
+
+/// INetwork stub that records broadcasts instead of delivering them, so a
+/// test can hand-feed one process the messages it chooses.
+class RecordingNetwork final : public INetwork {
+ public:
+  explicit RecordingNetwork(ProcId n) : n_(n) {}
+  void send(ProcId /*from*/, ProcId /*to*/, const Message& /*m*/) override {}
+  void broadcast(ProcId /*from*/, const Message& m) override {
+    broadcasts.push_back(m);
+  }
+  [[nodiscard]] ProcId n() const override { return n_; }
+
+  std::vector<Message> broadcasts;
+
+ private:
+  ProcId n_;
+};
+
+Message decide_bit(InstanceId instance, int bit) {
+  Message m = Message::decide_msg(estimate_from_bit(bit));
+  m.instance = instance;
+  return m;
+}
+
+TEST(MultiValued, IndexBitsCoverEveryProcess) {
+  EXPECT_EQ(MultiValuedProcess::index_bits(1), 1);
+  EXPECT_EQ(MultiValuedProcess::index_bits(2), 1);
+  EXPECT_EQ(MultiValuedProcess::index_bits(3), 2);
+  EXPECT_EQ(MultiValuedProcess::index_bits(4), 2);
+  EXPECT_EQ(MultiValuedProcess::index_bits(5), 3);
+  EXPECT_EQ(MultiValuedProcess::index_bits(8), 3);
+  EXPECT_EQ(MultiValuedProcess::index_bits(9), 4);
+}
+
+TEST(MultiValued, DecidedIndexWaitsForItsValue) {
+  // n = 4: two index bits, VALUE/MULTIDECIDE at instance 0, bit k at k + 1.
+  const auto layout = ClusterLayout::from_sizes({2, 2});
+  RecordingNetwork net(4);
+  MemoryPool pool(4, ConsensusImpl::Cas);
+  CommonCoin coin(1);
+  MultiValuedProcess p(0, layout, net, pool, coin, /*max_rounds_per_bit=*/100);
+  p.start(100);  // p0 knows only origin 0, so it proposes index bit 0
+
+  // The peers decide MSB = 1: index 2 or 3, neither delivered here yet.
+  p.on_message(3, decide_bit(1, 1));
+  // The LSB instance cannot start without a matching origin; its DECIDE
+  // waits in the backlog.
+  p.on_message(3, decide_bit(2, 1));
+  EXPECT_FALSE(p.decided());
+
+  // VALUE(2) matches the prefix: p0 runs the LSB instance, proposing 0,
+  // and the backlogged DECIDE settles it at 1 — index 3, still unknown.
+  p.on_message(2, Message::value_msg(2, 222));
+  EXPECT_FALSE(p.decided()) << "decided before VALUE(3) arrived";
+
+  p.on_message(1, Message::value_msg(3, 333));
+  ASSERT_TRUE(p.decided());
+  EXPECT_EQ(*p.decision(), 333u);
+  ASSERT_FALSE(net.broadcasts.empty());
+  const Message& last = net.broadcasts.back();
+  EXPECT_EQ(last.kind, MsgKind::MultiDecide);
+  EXPECT_EQ(last.instance, 0);
+  EXPECT_EQ(last.value, 333u);
+}
 
 TEST(MultiValued, UnanimousDecidesProposal) {
   MultiRunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
@@ -69,6 +136,8 @@ TEST(MultiValued, FullWidth64) {
 }
 
 TEST(MultiValued, ProposalMustFitWidth) {
+  // run_multivalued checks given inputs against the input domain before
+  // any process starts.
   MultiRunConfig cfg(ClusterLayout::from_sizes({2, 2}));
   cfg.width = 4;
   cfg.inputs = {16, 0, 0, 0};  // 16 needs 5 bits
@@ -77,7 +146,7 @@ TEST(MultiValued, ProposalMustFitWidth) {
 
 TEST(MultiValued, OneForAllSurvivesMajorityCrash) {
   // The inherited paper property: 6 of 7 crash, the lone survivor of the
-  // majority cluster still drives all W bits to decision.
+  // majority cluster still drives every index bit to decision.
   const auto layout = ClusterLayout::fig1_right();
   Rng rng(42);
   const auto scenario =
@@ -114,9 +183,18 @@ TEST(MultiValued, UsesOneMemoryNamespacePerBit) {
   cfg.seed = 8;
   const auto r = run_multivalued(cfg);
   ASSERT_TRUE(r.success());
-  // 8 bit-instances, each unanimous -> 1 round each, m=2 memories per
-  // instance, 1 object per memory-round.
-  EXPECT_GE(r.consensus_objects, 8u * 2u);
+  // bit_width(n - 1) = 2 index-bit instances, m = 2 memories per instance,
+  // at least 1 object per memory-round.
+  EXPECT_GE(r.consensus_objects, 2u * 2u);
+
+  // The instances decide the proposer index, so the value domain does not
+  // change the run: the same inputs at width 64 replay it exactly.
+  cfg.width = 64;
+  const auto wide = run_multivalued(cfg);
+  ASSERT_TRUE(wide.success());
+  EXPECT_EQ(wide.consensus_objects, r.consensus_objects);
+  EXPECT_EQ(wide.events, r.events);
+  EXPECT_EQ(wide.decided_value, r.decided_value);
 }
 
 class MultiValuedSweep

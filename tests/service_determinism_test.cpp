@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,6 +98,50 @@ TEST(ServiceDeterminism, LatencyHistogramMergeIsOrderInvariant) {
   for (double q : {50.0, 99.0, 99.9}) {
     EXPECT_EQ(fwd.percentile(q), rev.percentile(q));
   }
+}
+
+TEST(ServiceDeterminism, ReportedPercentilesNeverExceedTheMaximum) {
+  // A skewed sample: most ops fast, a tail just above 2^20 ns. Interpolating
+  // inside the tail's [2^20, 2^21) bucket lands far above the largest
+  // sample; the report clamps to the exact moments kept beside the
+  // histogram.
+  obs::LogHistogram hist;
+  ExactMoments mo;
+  for (int i = 0; i < 1000; ++i) {
+    hist.add(100);
+    mo.add(100);
+  }
+  for (int i = 0; i < 50; ++i) {
+    hist.add(1'100'000);
+    mo.add(1'100'000);
+  }
+  ASSERT_GT(hist.percentile(99), mo.max());  // the overshoot guarded here
+  for (const double q : {99.0, 99.9}) {
+    const std::string text = format_percentile(hist, mo, q);
+    const double v = std::strtod(text.c_str(), nullptr);
+    EXPECT_LE(v, mo.max()) << "q=" << q;
+    EXPECT_GE(v, mo.min()) << "q=" << q;
+  }
+
+  // Every service object of a real report: p99 <= p999 <= max.
+  const std::string doc = artifacts(service_spec(), 1, 1024);
+  const auto number_after = [&doc](const std::string& key, std::size_t& at) {
+    at = doc.find(key, at);
+    EXPECT_NE(at, std::string::npos) << key;
+    at += key.size();
+    return std::strtod(doc.c_str() + at, nullptr);
+  };
+  int objects = 0;
+  for (std::size_t at = doc.find("\"p99\":"); at != std::string::npos;
+       at = doc.find("\"p99\":", at)) {
+    const double p99 = number_after("\"p99\":", at);
+    const double p999 = number_after("\"p999\":", at);
+    const double max = number_after("\"max\":", at);
+    EXPECT_LE(p99, p999);
+    EXPECT_LE(p999, max);
+    ++objects;
+  }
+  EXPECT_GT(objects, 0);
 }
 
 TEST(ServiceDeterminism, ServiceAggMergeIsOrderInvariant) {

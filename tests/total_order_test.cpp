@@ -5,8 +5,12 @@
 // concurrent submissions.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/total_order_runner.h"
+#include "service/checker.h"
 #include "util/assert.h"
+#include "workload/failure_patterns.h"
 
 namespace hyco {
 namespace {
@@ -115,6 +119,59 @@ TEST_P(TobSweep, RandomizedRunsAgreeAndDeliver) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TobSweep,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+TEST(TotalOrder, ProposerCrashingMidUrbKeepsLogsIdentical) {
+  // Every process submits at t = 0, so its broadcast 0 is the TOBSUBMIT
+  // gossip and broadcast 1 the URB of its slot-0 VALUE. mid_broadcast
+  // crashes two random proposers inside that URB, each reaching a strict
+  // subset. A slot may still decide a crashed proposer's index; the
+  // processes it did not reach wait for the relayed VALUE.
+  const auto layout = ClusterLayout::from_sizes({3, 3, 3});
+  int crashed_proposer_decided = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(mix64(seed, 0x70C));
+    const auto scenario = failure_patterns::mid_broadcast(layout, 2, 1, rng);
+    TobRunConfig cfg(layout);
+    cfg.crashes = scenario.plan;
+    cfg.seed = seed;
+    for (ProcId p = 0; p < layout.n(); ++p) {
+      cfg.submissions.push_back({p, 0, static_cast<std::uint64_t>(100 + p)});
+    }
+    const auto r = run_tob(cfg);
+    ASSERT_TRUE(r.success()) << "seed " << seed << ": "
+                             << (r.violations.empty() ? "?" : r.violations[0]);
+    ASSERT_EQ(r.crashed, 2u) << "seed " << seed;
+
+    std::vector<std::vector<SlotRecord>> slot_logs;
+    const std::vector<std::uint64_t>* first = nullptr;
+    for (ProcId p = 0; p < layout.n(); ++p) {
+      const auto& log = r.logs[static_cast<std::size_t>(p)];
+      if (scenario.plan.specs[static_cast<std::size_t>(p)].kind ==
+          CrashSpec::Kind::OnBroadcast) {
+        continue;
+      }
+      if (first == nullptr) first = &log;
+      EXPECT_EQ(log, *first) << "seed " << seed << ", p" << p;
+      std::vector<SlotRecord> slots;
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        slots.push_back({static_cast<int>(i), log[i]});
+      }
+      slot_logs.push_back(std::move(slots));
+    }
+    const ServiceCheckReport check = check_service_logs(slot_logs);
+    EXPECT_TRUE(check.ok) << "seed " << seed << ": "
+                          << (check.violations.empty() ? ""
+                                                       : check.violations[0]);
+    ASSERT_NE(first, nullptr);
+    ASSERT_FALSE(first->empty());
+    const auto winner = static_cast<std::size_t>((*first)[0] - 100);
+    if (scenario.plan.specs[winner].kind == CrashSpec::Kind::OnBroadcast) {
+      ++crashed_proposer_decided;
+    }
+  }
+  // The grid exercises the case this test is about.
+  EXPECT_GT(crashed_proposer_decided, 0);
+}
 
 TEST(TotalOrder, RejectsNoopPayload) {
   TobRunConfig cfg(ClusterLayout::from_sizes({2, 2}));
