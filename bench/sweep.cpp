@@ -13,9 +13,6 @@
 //   --m=1,4         cluster counts (cells with m > n skip) [1]
 //   --runs=N        seeds per cell                         [40]
 //   --threads=K     workers; 0 = hardware concurrency      [0]
-//   --lanes=K       independent runs interleaved per worker [1]
-//                   tick-by-tick (consensus cells only);
-//                   artifacts are byte-identical at any K
 //   --seed=S        base seed                              [1]
 //   --eps=0,0.25    common-coin corruption probabilities   [0]
 //   --inputs=KIND   split | all0 | all1                    [split]
@@ -411,7 +408,7 @@ DistFlags parse_dist_flags(const Options& opts) {
                              " coordinator)");
     }
     for (const char* banned :
-         {"threads", "chunk", "stream", "max-records", "progress", "lanes"}) {
+         {"threads", "chunk", "stream", "max-records", "progress"}) {
       HYCO_CHECK_MSG(!opts.has(banned),
                      "--" << banned << " cannot combine with --connect"
                           << " (worker parallelism is --workers=N; the"
@@ -422,7 +419,7 @@ DistFlags parse_dist_flags(const Options& opts) {
     // These shape the *local* executor, which never runs in coordinator
     // mode — reject them so a silently dead knob can't mislead anyone.
     for (const char* banned :
-         {"threads", "chunk", "stream", "max-records", "lanes"}) {
+         {"threads", "chunk", "stream", "max-records"}) {
       HYCO_CHECK_MSG(!opts.has(banned),
                      "--" << banned << " cannot combine with --serve"
                           << " (workers execute the runs; use --lease to"
@@ -508,9 +505,6 @@ int main(int argc, char** argv) {
       HYCO_CHECK_MSG(!opts.has("phase-metrics"),
                      "--phase-metrics cannot combine with --service (service"
                      " runs do not instrument consensus phases)");
-      HYCO_CHECK_MSG(!opts.has("lanes"),
-                     "--lanes cannot combine with --service (service runs"
-                     " always execute one at a time per worker)");
       for (const auto& c : opts.get_string_list("crash", {"none"})) {
         HYCO_CHECK_MSG(c != "mid-broadcast",
                        "--crash=mid-broadcast cannot combine with --service"
@@ -591,10 +585,6 @@ int main(int argc, char** argv) {
     HYCO_CHECK_MSG(chunk_flag >= 1,
                    "--chunk must be >= 1, got " << chunk_flag);
     exec_opts.chunk_size = static_cast<std::uint64_t>(chunk_flag);
-    const auto lanes_flag = opts.get_int("lanes", 1);
-    HYCO_CHECK_MSG(lanes_flag >= 1,
-                   "--lanes must be >= 1, got " << lanes_flag);
-    exec_opts.lanes = static_cast<std::uint64_t>(lanes_flag);
 
     const auto cells = spec.expand();
     const std::uint64_t total = spec.total_runs();

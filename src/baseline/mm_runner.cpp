@@ -1,9 +1,7 @@
 #include "baseline/mm_runner.h"
 
-#include <algorithm>
-#include <sstream>
-
 #include "baseline/mm_process.h"
+#include "core/world.h"
 #include "util/assert.h"
 
 namespace hyco {
@@ -15,98 +13,34 @@ RunResult run_mm(const MmRunConfig& cfg) {
   HYCO_CHECK_MSG(inputs.size() == static_cast<std::size_t>(n),
                  "inputs size mismatch");
 
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  CrashTracker tracker(static_cast<std::size_t>(n));
-  auto delays = make_delay_model(cfg.delays);
-  SimNetwork net(sim, *delays, tracker, n, &plan, nullptr);
-
+  World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
   MmMemories memories(cfg.domain, cfg.shm_impl);
 
-  std::vector<std::unique_ptr<MmProcess>> procs;
+  std::vector<std::unique_ptr<IConsensusProcess>> procs;
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<MmProcess>(
-        p, cfg.domain, memories, net,
+        p, cfg.domain, memories, world.net(),
         mix64(cfg.seed, 0x33A7 + static_cast<std::uint64_t>(p)),
         cfg.max_rounds));
   }
 
   RunResult result;
-  result.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
-  result.decision_rounds.assign(static_cast<std::size_t>(n), 0);
-
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
-    auto& proc = *procs[static_cast<std::size_t>(to)];
-    const bool was_decided = proc.decided();
-    proc.on_message(from, m);
-    if (!was_decided && proc.decided()) {
-      result.last_decision_time = sim.now();
-    }
+  world.net().set_deliver(
+      decision_timing_deliver(procs, world.sim(), result));
+  world.schedule_crashes();
+  world.schedule_starts(50, [&](ProcId p) {
+    procs[static_cast<std::size_t>(p)]->start(
+        inputs[static_cast<std::size_t>(p)]);
   });
 
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    }
-  }
-  Rng start_rng(mix64(cfg.seed, 0x57A7));
-  for (ProcId p = 0; p < n; ++p) {
-    sim.schedule_at(start_rng.uniform(0, 50), [&, p] {
-      if (tracker.is_crashed(p)) return;
-      procs[static_cast<std::size_t>(p)]->start(
-          inputs[static_cast<std::size_t>(p)]);
-    });
-  }
-
-  result.stop = sim.run(cfg.max_events);
-  result.end_time = sim.now();
-  result.events = sim.events_executed();
-  result.crashed = tracker.crashed_count();
-
-  bool all_correct_decided = true;
-  for (ProcId p = 0; p < n; ++p) {
-    const auto& proc = *procs[static_cast<std::size_t>(p)];
-    const auto idx = static_cast<std::size_t>(p);
-    result.proc_stats.push_back(proc.stats());
-    result.max_round = std::max(result.max_round, proc.current_round());
-    if (proc.decided()) {
-      result.decisions[idx] = proc.decision();
-      result.decision_rounds[idx] = proc.decision_round();
-      result.max_decision_round =
-          std::max(result.max_decision_round, proc.decision_round());
-      if (!result.decided_value.has_value()) {
-        result.decided_value = proc.decision();
-      } else if (*result.decided_value != *proc.decision()) {
-        result.agreement_ok = false;
-        result.violations.push_back("AGREEMENT violated in m&m run");
-      }
-    } else if (!tracker.is_crashed(p)) {
-      all_correct_decided = false;
-    }
-  }
-  result.all_correct_decided = all_correct_decided;
-
-  if (result.decided_value.has_value()) {
-    const bool proposed = std::find(inputs.begin(), inputs.end(),
-                                    *result.decided_value) != inputs.end();
-    if (!proposed) {
-      result.validity_ok = false;
-      result.violations.push_back("VALIDITY violated in m&m run");
-    }
-  }
-
+  result.stop = world.sim().run(cfg.max_events);
+  result.end_time = world.sim().now();
+  result.events = world.sim().events_executed();
+  result.crashed = world.tracker().crashed_count();
+  harvest_decisions(procs, inputs, world.tracker(), result);
   result.shm = memories.total();
-  result.net = net.stats();
+  result.net = world.net().stats();
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/world.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -28,14 +29,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
                             << " bits");
   }
 
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  CrashTracker tracker(static_cast<std::size_t>(n));
-  auto delays = make_delay_model(cfg.delays);
-  SimNetwork net(sim, *delays, tracker, n, &plan, nullptr);
-
+  World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
   MemoryPool pool(n, cfg.shm_impl);
   CommonCoin coin(mix64(cfg.seed, 0xC01C02));
 
@@ -43,39 +37,23 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<MultiValuedProcess>(
-        p, cfg.layout, net, pool, coin, cfg.max_rounds_per_bit));
+        p, cfg.layout, world.net(), pool, coin, cfg.max_rounds_per_bit));
   }
 
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
+  world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
     procs[static_cast<std::size_t>(to)]->on_message(from, m);
   });
-
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    }
-  }
-  Rng start_rng(mix64(cfg.seed, 0x57A7));
-  for (ProcId p = 0; p < n; ++p) {
-    sim.schedule_at(start_rng.uniform(0, 50), [&, p] {
-      if (tracker.is_crashed(p)) return;
-      procs[static_cast<std::size_t>(p)]->start(
-          inputs[static_cast<std::size_t>(p)]);
-    });
-  }
+  world.schedule_crashes();
+  world.schedule_starts(50, [&](ProcId p) {
+    procs[static_cast<std::size_t>(p)]->start(
+        inputs[static_cast<std::size_t>(p)]);
+  });
 
   MultiRunResult result;
-  result.stop = sim.run(cfg.max_events);
-  result.end_time = sim.now();
-  result.events = sim.events_executed();
-  result.crashed = tracker.crashed_count();
+  result.stop = world.sim().run(cfg.max_events);
+  result.end_time = world.sim().now();
+  result.events = world.sim().events_executed();
+  result.crashed = world.tracker().crashed_count();
   result.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
 
   bool all_correct_decided = true;
@@ -89,7 +67,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
       } else if (*result.decided_value != *proc.decision()) {
         result.agreement_ok = false;
       }
-    } else if (!tracker.is_crashed(p)) {
+    } else if (!world.tracker().is_crashed(p)) {
       all_correct_decided = false;
     }
   }
@@ -100,7 +78,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   }
   result.shm = pool.total();
   result.consensus_objects = pool.objects_created();
-  result.net = net.stats();
+  result.net = world.net().stats();
   return result;
 }
 

@@ -1,7 +1,6 @@
 #include "core/runner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "baseline/ben_or.h"
@@ -12,7 +11,6 @@
 #include "obs/observer.h"
 #include "obs/phase_timings.h"
 #include "obs/trace_observer.h"
-#include "scenario/engine.h"
 #include "shm/cluster_memory.h"
 #include "sim/trace.h"
 #include "util/assert.h"
@@ -45,41 +43,24 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
     : cfg_(std::move(cfg)),
       inputs_(cfg_.inputs.empty() ? split_inputs(cfg_.layout.n())
                                   : cfg_.inputs),
-      sim_(cfg_.seed),
-      plan_(cfg_.crashes),
-      tracker_(static_cast<std::size_t>(cfg_.layout.n())) {
+      // Record into the caller's ring when one is supplied (structured
+      // export keeps the records); otherwise a run-local ring backs
+      // trace_dump. With tracing off the network gets no trace at all, so
+      // call sites skip even the detail-string formatting.
+      local_trace_(cfg_.enable_trace && cfg_.trace_sink == nullptr
+                       ? std::make_unique<Trace>()
+                       : nullptr),
+      trace_(!cfg_.enable_trace           ? nullptr
+             : cfg_.trace_sink != nullptr ? cfg_.trace_sink
+                                          : local_trace_.get()),
+      world_(cfg_.layout.n(), cfg_.seed, cfg_.crashes,
+             cfg_.delay_factory ? cfg_.delay_factory()
+                                : make_delay_model(cfg_.delays),
+             trace_, cfg_.scenario, &cfg_.layout) {
   const ProcId n = cfg_.layout.n();
   HYCO_CHECK_MSG(inputs_.size() == static_cast<std::size_t>(n),
                  "inputs size " << inputs_.size() << " != n " << n);
-
-  sim_.reserve_all_to_all(n);
-  if (plan_.specs.empty()) plan_ = CrashPlan::none(static_cast<std::size_t>(n));
-  HYCO_CHECK_MSG(plan_.specs.size() == static_cast<std::size_t>(n),
-                 "crash plan size mismatch");
-
-  delays_ =
-      cfg_.delay_factory ? cfg_.delay_factory() : make_delay_model(cfg_.delays);
-
-  // Scenario faults wrap the delay model in a FaultyChannel and give the
-  // network its partition/loss/duplication hooks. Empty scenario = the
-  // legacy path, bit for bit.
-  DelayModel* channel = delays_.get();
-  if (!cfg_.scenario.empty()) {
-    scenario_ = std::make_unique<ScenarioEngine>(cfg_.scenario, cfg_.layout,
-                                                 std::move(delays_));
-    channel = &scenario_->channel();
-  }
-
-  // Record into the caller's ring when one is supplied (structured export
-  // keeps the records); otherwise a run-local ring backs trace_dump. With
-  // tracing off the network gets no trace at all, so call sites skip even
-  // the detail-string formatting.
-  local_trace_ = std::make_unique<Trace>();
-  trace_ = cfg_.trace_sink != nullptr ? cfg_.trace_sink : local_trace_.get();
-  trace_->enable(cfg_.enable_trace);
-  net_ = std::make_unique<SimNetwork>(sim_, *channel, tracker_, n, &plan_,
-                                      cfg_.enable_trace ? trace_ : nullptr);
-  if (scenario_ != nullptr) net_->set_scenario(scenario_.get());
+  SimNetwork& net = world_.net();
 
   checker_ = std::make_unique<InvariantChecker>(cfg_.layout);
   checker_->set_inputs(inputs_);
@@ -115,7 +96,7 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
         auto& mem = *memories_[static_cast<std::size_t>(
             cfg_.layout.cluster_of(p))];
         procs_.push_back(std::make_unique<LocalCoinProcess>(
-            p, cfg_.layout, *net_, mem, coin_seed, checker_.get(),
+            p, cfg_.layout, net, mem, coin_seed, checker_.get(),
             cfg_.max_rounds));
         break;
       }
@@ -123,13 +104,13 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
         auto& mem = *memories_[static_cast<std::size_t>(
             cfg_.layout.cluster_of(p))];
         procs_.push_back(std::make_unique<CommonCoinProcess>(
-            p, cfg_.layout, *net_, mem, *common_coin_, checker_.get(),
+            p, cfg_.layout, net, mem, *common_coin_, checker_.get(),
             cfg_.max_rounds));
         break;
       }
       case Algorithm::BenOr:
         procs_.push_back(std::make_unique<BenOrProcess>(
-            p, n, *net_, coin_seed, cfg_.max_rounds));
+            p, n, net, coin_seed, cfg_.max_rounds));
         break;
     }
   }
@@ -138,13 +119,12 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
   // sim.now() but never mutate simulation state, so instrumented runs are
   // byte-identical. When both are requested they share the processes'
   // single observer slot through a fanout.
+  const auto now = [this] { return world_.sim().now(); };
   if (cfg_.collect_obs) {
-    timings_ = std::make_unique<obs::PhaseTimings>(
-        n, [this] { return sim_.now(); });
+    timings_ = std::make_unique<obs::PhaseTimings>(n, now);
   }
-  if (cfg_.enable_trace) {
-    trace_obs_ = std::make_unique<obs::TraceObserver>(
-        *trace_, [this] { return sim_.now(); });
+  if (trace_ != nullptr) {
+    trace_obs_ = std::make_unique<obs::TraceObserver>(*trace_, now);
   }
   obs::IRunObserver* observer = nullptr;
   if (timings_ != nullptr && trace_obs_ != nullptr) {
@@ -160,97 +140,46 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
     for (auto& proc : procs_) proc->set_observer(observer);
   }
 
-  result_.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
-  result_.decision_rounds.assign(static_cast<std::size_t>(n), 0);
+  net.set_deliver(decision_timing_deliver(procs_, world_.sim(), result_));
 
-  // Deliveries run through here; newly-made decisions are timestamped.
-  net_->set_deliver([this](ProcId to, ProcId from, const Message& m) {
-    auto& proc = *procs_[static_cast<std::size_t>(to)];
-    const bool was_decided = proc.decided();
-    proc.on_message(from, m);
-    if (!was_decided && proc.decided()) {
-      result_.last_decision_time = sim_.now();
-    }
-  });
-
-  // Scripted AtTime crashes.
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan_.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker_.crash(p, 0);  // initially dead
-      } else {
-        sim_.schedule_at(spec.time, [this, p, t = spec.time] {
-          tracker_.crash(p, t);
-        });
-      }
-    }
-  }
+  world_.schedule_crashes();
 
   // Crash-recovery cycles (scenario). A process that was down at its start
   // time proposes on rejoin instead; `started_` guards the double-start.
   started_.assign(static_cast<std::size_t>(n), 0);
-  if (scenario_ != nullptr) {
-    for (const ScenarioEngine::Rejoin& rj : scenario_->rejoins()) {
-      const ProcId p = rj.proc;
-      if (rj.down_at <= 0) {
-        tracker_.crash(p, 0);  // down from the start
-      } else {
-        sim_.schedule_at(rj.down_at, [this, p, t = rj.down_at] {
-          tracker_.crash(p, t);
-        });
-      }
-      if (rj.up_at == kSimTimeNever) continue;
-      sim_.schedule_at(rj.up_at, [this, p, t = rj.up_at] {
-        const auto idx = static_cast<std::size_t>(p);
-        tracker_.recover(p, t);
-        // Announce the rejoin first: replies peers sent into the down
-        // window were lost, so their per-peer reply guards must reset
-        // before the rejoiner's retransmit reaches them.
-        for (auto& proc : procs_) proc->on_peer_recover(p);
-        if (started_[idx] == 0) {
-          started_[idx] = 1;
-          procs_[idx]->start(inputs_[idx]);
-        } else {
-          procs_[idx]->on_recover();
-        }
-      });
-    }
-  }
+  world_.schedule_rejoins([this](ProcId p) {
+    // Announce the rejoin first: replies peers sent into the down window
+    // were lost, so their per-peer reply guards must reset before the
+    // rejoiner's retransmit reaches them.
+    for (auto& proc : procs_) proc->on_peer_recover(p);
+    if (!start_once(p)) procs_[static_cast<std::size_t>(p)]->on_recover();
+  });
 
   // Decide-reply and catch-up gossip keep scenario runs live (see
   // RunConfig::scenario).
-  if (scenario_ != nullptr) {
+  if (world_.scenario() != nullptr) {
     for (auto& proc : procs_) proc->set_scenario_assist(true);
   }
 
-  // Every live process invokes propose(v_p) at its own start time. Clock
-  // skew (scenario) stretches a slow process's start the same way it
-  // stretches its per-message handling.
-  Rng start_rng(mix64(cfg_.seed, 0x57A7));
-  for (ProcId p = 0; p < n; ++p) {
-    SimTime at =
-        cfg_.start_jitter > 0 ? start_rng.uniform(0, cfg_.start_jitter) : 0;
-    if (scenario_ != nullptr) {
-      const double f = scenario_->speed_factor(p);
-      if (f != 1.0) {
-        at = static_cast<SimTime>(std::llround(static_cast<double>(at) * f));
-      }
-    }
-    sim_.schedule_at(at, [this, p] {
-      const auto idx = static_cast<std::size_t>(p);
-      if (tracker_.is_crashed(p) || started_[idx] != 0) return;
-      started_[idx] = 1;
-      procs_[idx]->start(inputs_[idx]);
-    });
-  }
+  // Every live process invokes propose(v_p) at its own start time.
+  world_.schedule_starts(cfg_.start_jitter,
+                         [this](ProcId p) { start_once(p); });
+}
+
+bool ConsensusRun::start_once(ProcId p) {
+  const auto idx = static_cast<std::size_t>(p);
+  if (started_[idx] != 0) return false;
+  started_[idx] = 1;
+  procs_[idx]->start(inputs_[idx]);
+  return true;
 }
 
 ConsensusRun::~ConsensusRun() = default;
 
 bool ConsensusRun::tick() {
   HYCO_CHECK_MSG(!stopped_, "tick() after the run stopped");
-  const std::optional<StopReason> stop = sim_.run_tick(cfg_.max_events);
+  const std::optional<StopReason> stop =
+      world_.sim().run_tick(cfg_.max_events);
   if (!stop) return false;
   result_.stop = *stop;
   stopped_ = true;
@@ -262,48 +191,12 @@ RunResult ConsensusRun::finish() {
   HYCO_CHECK_MSG(!finished_, "finish() called twice");
   finished_ = true;
 
-  const ProcId n = cfg_.layout.n();
-  result_.end_time = sim_.now();
-  result_.events = sim_.events_executed();
-  result_.crashed = tracker_.crashed_count();
-  result_.recovered = tracker_.recovered_count();
-
-  // Harvest per-process outcomes.
-  bool all_correct_decided = true;
-  for (ProcId p = 0; p < n; ++p) {
-    const auto& proc = *procs_[static_cast<std::size_t>(p)];
-    const auto idx = static_cast<std::size_t>(p);
-    result_.proc_stats.push_back(proc.stats());
-    result_.max_round = std::max(result_.max_round, proc.current_round());
-    if (proc.decided()) {
-      result_.decisions[idx] = proc.decision();
-      result_.decision_rounds[idx] = proc.decision_round();
-      result_.max_decision_round =
-          std::max(result_.max_decision_round, proc.decision_round());
-      if (!result_.decided_value.has_value()) {
-        result_.decided_value = proc.decision();
-      } else if (*result_.decided_value != *proc.decision()) {
-        result_.agreement_ok = false;
-        std::ostringstream os;
-        os << "AGREEMENT violated: p" << p << " decided " << *proc.decision()
-           << " vs earlier " << *result_.decided_value;
-        result_.violations.push_back(os.str());
-      }
-    } else if (!tracker_.is_crashed(p)) {
-      all_correct_decided = false;
-    }
-  }
-  result_.all_correct_decided = all_correct_decided;
-
-  if (result_.decided_value.has_value()) {
-    const bool proposed = std::find(inputs_.begin(), inputs_.end(),
-                                    *result_.decided_value) != inputs_.end();
-    if (!proposed) {
-      result_.validity_ok = false;
-      result_.violations.push_back("VALIDITY violated: decided value "
-                                   "was never proposed");
-    }
-  }
+  const Simulator& sim = world_.sim();
+  result_.end_time = sim.now();
+  result_.events = sim.events_executed();
+  result_.crashed = world_.tracker().crashed_count();
+  result_.recovered = world_.tracker().recovered_count();
+  harvest_decisions(procs_, inputs_, world_.tracker(), result_);
 
   if (!checker_->ok()) {
     result_.invariants_ok = false;
@@ -316,7 +209,7 @@ RunResult ConsensusRun::finish() {
     result_.shm += mem->counts();
     result_.consensus_objects += mem->objects_created();
   }
-  result_.net = net_->stats();
+  result_.net = world_.net().stats();
 
   // Message-class counters are free (already tallied by the network and the
   // processes); phase timings only exist under collect_obs.
@@ -335,7 +228,7 @@ RunResult ConsensusRun::finish() {
       static_cast<std::uint64_t>(result_.max_decision_round);
   if (timings_ != nullptr) timings_->fill(result_.obs);
 
-  if (cfg_.enable_trace) {
+  if (trace_ != nullptr) {
     std::ostringstream os;
     trace_->dump(os);
     result_.trace_dump = os.str();
@@ -348,6 +241,59 @@ RunResult run_consensus(const RunConfig& cfg) {
   while (!run.tick()) {
   }
   return run.finish();
+}
+
+SimNetwork::DeliverFn decision_timing_deliver(
+    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
+    const Simulator& sim, RunResult& r) {
+  return [&procs, &sim, &r](ProcId to, ProcId from, const Message& m) {
+    IConsensusProcess& proc = *procs[static_cast<std::size_t>(to)];
+    const bool was_decided = proc.decided();
+    proc.on_message(from, m);
+    if (!was_decided && proc.decided()) r.last_decision_time = sim.now();
+  };
+}
+
+void harvest_decisions(
+    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
+    const std::vector<Estimate>& inputs, const CrashTracker& tracker,
+    RunResult& r) {
+  const std::size_t n = procs.size();
+  r.decisions.assign(n, std::nullopt);
+  r.decision_rounds.assign(n, 0);
+  r.proc_stats.reserve(n);
+  bool all_correct_decided = true;
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    const IConsensusProcess& proc = *procs[idx];
+    r.proc_stats.push_back(proc.stats());
+    r.max_round = std::max(r.max_round, proc.current_round());
+    if (proc.decided()) {
+      r.decisions[idx] = proc.decision();
+      r.decision_rounds[idx] = proc.decision_round();
+      r.max_decision_round =
+          std::max(r.max_decision_round, proc.decision_round());
+      if (!r.decided_value.has_value()) {
+        r.decided_value = proc.decision();
+      } else if (*r.decided_value != *proc.decision()) {
+        r.agreement_ok = false;
+        std::ostringstream os;
+        os << "AGREEMENT violated: p" << idx << " decided "
+           << *proc.decision() << " vs earlier " << *r.decided_value;
+        r.violations.push_back(os.str());
+      }
+    } else if (!tracker.is_crashed(static_cast<ProcId>(idx))) {
+      all_correct_decided = false;
+    }
+  }
+  r.all_correct_decided = all_correct_decided;
+
+  if (r.decided_value.has_value() &&
+      std::find(inputs.begin(), inputs.end(), *r.decided_value) ==
+          inputs.end()) {
+    r.validity_ok = false;
+    r.violations.push_back(
+        "VALIDITY violated: decided value was never proposed");
+  }
 }
 
 }  // namespace hyco

@@ -1,9 +1,8 @@
-// One-call simulation driver: builds the simulator, network, cluster
-// memories, coins and processes for a configuration, runs to quiescence (or
-// a limit), and returns decisions plus full instrumentation. Every test,
-// example, and experiment harness goes through run_consensus(), which is a
-// thin loop over the resumable ConsensusRun (construct → tick → finish) the
-// multi-lane executor interleaves.
+// One-call simulation driver: builds the run's World (core/world.h), then
+// the cluster memories, coins and processes for a configuration, runs to
+// quiescence (or a limit), and returns decisions plus full instrumentation.
+// Every test, example, and experiment harness goes through run_consensus(),
+// a thin loop over ConsensusRun (construct → tick → finish).
 #pragma once
 
 #include <cstdint>
@@ -16,6 +15,7 @@
 #include "core/cluster_layout.h"
 #include "core/consensus_process.h"
 #include "core/types.h"
+#include "core/world.h"
 #include "net/delay_model.h"
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -149,19 +149,14 @@ class TraceObserver;
 class ClusterMemory;
 class ICommonCoin;
 class InvariantChecker;
-class ScenarioEngine;
 
-/// run_consensus() decomposed into resumable pieces: the constructor does
-/// every piece of setup (simulator, network, memories, coins, processes,
-/// scheduled crashes/rejoins/starts), tick() advances the simulation by at
-/// most one virtual-time tick, and finish() harvests the RunResult once
-/// tick() reports the run stopped.
-///
-/// The point of the split is the multi-lane executor: K independent runs
-/// per worker interleave tick-by-tick to hide the memory latency one deep
-/// event queue exposes. Each run's simulator is fully self-contained, so
-/// interleaving cannot change any run's behavior — run_consensus() and a
-/// lane cohort produce bit-identical results.
+/// run_consensus() in three pieces: the constructor does every piece of
+/// setup (the World, memories, coins, processes, scheduled
+/// crashes/rejoins/starts), tick() advances the simulation by at most one
+/// virtual-time tick, and finish() harvests the RunResult once tick()
+/// reports the run stopped. The split lets a caller time set-up, the event
+/// loop and the harvest apart (hyco_bench's traced mode reports them as
+/// core.setup, sim.run and core.finish).
 ///
 /// Not copyable or movable: scheduled closures capture `this`.
 class ConsensusRun {
@@ -180,16 +175,15 @@ class ConsensusRun {
   RunResult finish();
 
  private:
+  /// Starts p unless it already started; returns whether it did.
+  bool start_once(ProcId p);
+
   RunConfig cfg_;
   std::vector<Estimate> inputs_;
-  Simulator sim_;
-  CrashPlan plan_;
-  CrashTracker tracker_;
-  std::unique_ptr<DelayModel> delays_;
-  std::unique_ptr<ScenarioEngine> scenario_;
+  /// Backs trace_dump when tracing is on without a caller's trace_sink.
   std::unique_ptr<Trace> local_trace_;
-  Trace* trace_ = nullptr;
-  std::unique_ptr<SimNetwork> net_;
+  Trace* trace_;  ///< the ring being recorded into; null when untraced
+  World world_;
   std::unique_ptr<InvariantChecker> checker_;
   std::vector<std::unique_ptr<ClusterMemory>> memories_;
   std::unique_ptr<ICommonCoin> common_coin_;
@@ -205,6 +199,22 @@ class ConsensusRun {
 
 /// Builds and runs one simulation (ConsensusRun ticked to completion).
 RunResult run_consensus(const RunConfig& cfg);
+
+/// The deliver hook run_consensus and run_mm share: hands each message to
+/// its process and stamps r.last_decision_time when the delivery makes
+/// that process decide.
+SimNetwork::DeliverFn decision_timing_deliver(
+    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
+    const Simulator& sim, RunResult& r);
+
+/// The decision harvest run_consensus and run_mm share: fills r's
+/// per-process decisions, decision rounds and stats, its deepest rounds,
+/// and its termination, agreement and validity verdicts (a decided value
+/// must be one of `inputs`).
+void harvest_decisions(
+    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
+    const std::vector<Estimate>& inputs, const CrashTracker& tracker,
+    RunResult& r);
 
 /// Helper: split input vector (process i proposes i % 2).
 std::vector<Estimate> split_inputs(ProcId n);

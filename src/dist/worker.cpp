@@ -10,8 +10,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/runner.h"
-#include "service/service_runner.h"
 #include "util/rng.h"
 
 namespace hyco::dist {
@@ -157,14 +155,7 @@ Epoch run_epoch(int fd, const std::vector<ExperimentCell>& cells,
         result.acc = CellAccumulator(opts.reservoir_capacity,
                                      opts.failure_capacity);
         for (std::uint64_t k = lease.begin; k < lease.end; ++k) {
-          if (cell.service.enabled) {
-            const ServiceRunConfig cfg = cell.service_run_config(k);
-            result.acc.add(
-                extract_service_record(k, cfg.seed, run_service(cfg)));
-          } else {
-            const RunConfig cfg = cell.run_config(k);
-            result.acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
-          }
+          result.acc.add(cell.run_record(k));
         }
         if (!send_frame(fd, MsgType::kResult, encode_result(result))) {
           // The grid may have completed without this chunk (an expired

@@ -9,8 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/runner.h"
-#include "service/service_runner.h"
 #include "util/assert.h"
 
 namespace hyco {
@@ -60,7 +58,6 @@ void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
                            RunSink& sink) const {
   if (cells.empty() || spans.empty()) return;
   HYCO_CHECK_MSG(opts_.chunk_size >= 1, "chunk_size must be >= 1");
-  HYCO_CHECK_MSG(opts_.lanes >= 1, "lanes must be >= 1");
 
   const std::size_t n_cells = cells.size();
   const std::size_t n_spans = spans.size();
@@ -137,57 +134,15 @@ void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
       std::uint64_t chunk_ops = 0;
       const auto wall_start = std::chrono::steady_clock::now();
       const std::uint64_t cpu_start = opts_.profile ? thread_cpu_ns() : 0;
-      const auto fold = [&](const RunRecord& rec) {
+      for (std::uint64_t k = begin; k < end; ++k) {
+        RunRecord rec = cell.run_record(k);
         if (opts_.profile) {
           prof.msgs += rec.msgs;
           prof.events += rec.events;
         }
         chunk_ops += rec.service.ops;
         acc.add(rec);
-        if (keep_records) records.push_back(rec);
-      };
-      if (cell.service.enabled) {
-        for (std::uint64_t k = begin; k < end; ++k) {
-          const ServiceRunConfig cfg = cell.service_run_config(k);
-          fold(extract_service_record(k, cfg.seed, run_service(cfg)));
-        }
-      } else if (opts_.lanes <= 1) {
-        for (std::uint64_t k = begin; k < end; ++k) {
-          const RunConfig cfg = cell.run_config(k);
-          fold(extract_record(k, cfg.seed, run_consensus(cfg)));
-        }
-      } else {
-        // Multi-lane mode: a cohort of independent runs advances
-        // round-robin, one virtual-time tick per turn, so a cache miss in
-        // one simulator's queue overlaps another's work. Each run is
-        // self-contained and results fold in run-index order, so the
-        // artifacts are byte-identical to the sequential loop above.
-        for (std::uint64_t k = begin; k < end;) {
-          const std::size_t width = static_cast<std::size_t>(
-              std::min<std::uint64_t>(opts_.lanes, end - k));
-          std::vector<std::unique_ptr<ConsensusRun>> cohort;
-          cohort.reserve(width);
-          for (std::size_t l = 0; l < width; ++l) {
-            cohort.push_back(std::make_unique<ConsensusRun>(
-                cell.run_config(k + static_cast<std::uint64_t>(l))));
-          }
-          std::vector<char> stopped(width, 0);
-          std::size_t live = width;
-          while (live > 0) {
-            for (std::size_t l = 0; l < width; ++l) {
-              if (stopped[l] == 0 && cohort[l]->tick()) {
-                stopped[l] = 1;
-                --live;
-              }
-            }
-          }
-          for (std::size_t l = 0; l < width; ++l) {
-            const std::uint64_t run = k + static_cast<std::uint64_t>(l);
-            const RunConfig cfg = cell.run_config(run);
-            fold(extract_record(run, cfg.seed, cohort[l]->finish()));
-          }
-          k += width;
-        }
+        if (keep_records) records.push_back(std::move(rec));
       }
       if (opts_.profile) {
         prof.wall_ns = static_cast<std::uint64_t>(

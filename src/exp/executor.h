@@ -1,15 +1,16 @@
 // Multi-threaded grid execution over a streaming sink.
 //
 // Each run of each cell is an independent, single-threaded, seed-determined
-// run_consensus() call. The executor divides every cell's 64-bit run index
-// range into fixed chunks and lets worker threads pull chunks from an
-// atomic cursor (work stealing without materializing per-run task lists —
-// the work queue is index arithmetic over prefix sums, O(cells) state for
-// grids of any run count). A worker folds its chunk into a fresh
-// CellAccumulator and hands it to the RunSink; because every accumulator
-// component is merge-order-invariant (see exp/sink.h), the per-cell
-// statistics — and any report rendered from them — are bit-identical
-// whether the grid ran on 1 thread or 64, streamed or batched.
+// ExperimentCell::run_record() call. The executor divides every cell's
+// 64-bit run index range into fixed chunks and lets worker threads pull
+// chunks from an atomic cursor (work stealing without materializing
+// per-run task lists — the work queue is index arithmetic over prefix
+// sums, O(cells) state for grids of any run count). A worker folds its
+// chunk into a fresh CellAccumulator and hands it to the RunSink; because
+// every accumulator component is merge-order-invariant (see exp/sink.h),
+// the per-cell statistics — and any report rendered from them — are
+// bit-identical whether the grid ran on 1 thread or 64, streamed or
+// batched.
 #pragma once
 
 #include <cstdint>
@@ -52,14 +53,6 @@ class ParallelExecutor {
     /// Measure per-chunk wall/CPU time and feed RunSink::absorb_profile.
     /// Host-side timing only — simulation results are unaffected.
     bool profile = false;
-    /// Independent runs interleaved per worker thread (consensus cells
-    /// only; service cells always run one at a time). Lanes > 1 advance a
-    /// cohort of simulators round-robin, tick by tick, to overlap the
-    /// memory latency a single deep event queue exposes. Results are
-    /// byte-identical at any lane count: each run's simulator is
-    /// self-contained and cohort results fold in run-index order. Must be
-    /// >= 1.
-    std::uint64_t lanes = 1;
   };
 
   ParallelExecutor() = default;

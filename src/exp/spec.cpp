@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "exp/sink.h"
 #include "service/service_runner.h"
 #include "util/assert.h"
 #include "util/rng.h"
@@ -207,6 +208,15 @@ ServiceRunConfig ExperimentCell::service_run_config(std::uint64_t run) const {
   cfg.batch_delay = service.batch_delay;
   cfg.load = service.load;
   return cfg;
+}
+
+RunRecord ExperimentCell::run_record(std::uint64_t run) const {
+  if (service.enabled) {
+    const ServiceRunConfig cfg = service_run_config(run);
+    return extract_service_record(run, cfg.seed, run_service(cfg));
+  }
+  const RunConfig cfg = run_config(run);
+  return extract_record(run, cfg.seed, run_consensus(cfg));
 }
 
 std::string ExperimentCell::label() const {

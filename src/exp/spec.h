@@ -83,6 +83,7 @@ struct ServiceAxis {
                         double load);
 };
 
+struct RunRecord;
 struct ServiceRunConfig;
 
 /// How proposals are assigned across processes.
@@ -166,6 +167,10 @@ struct ExperimentCell {
 
   /// Mints the ServiceRunConfig of run k; service.enabled must hold.
   [[nodiscard]] ServiceRunConfig service_run_config(std::uint64_t run) const;
+
+  /// Executes run k — run_service() on service cells, run_consensus()
+  /// otherwise — and extracts its RunRecord.
+  [[nodiscard]] RunRecord run_record(std::uint64_t run) const;
 
   /// "hybrid-CC n=16 m=4 delay=uniform(50,150) crash=none scn=none eps=0" —
   /// stable across runs; used in tables, CSV, and JSON. Service cells

@@ -1,5 +1,5 @@
-// One-call driver for the replicated service: builds the simulator,
-// network, scenario faults, coin, replicas, batchers, and the closed-loop
+// One-call driver for the replicated service: builds the run's World
+// (core/world.h), then the coin, replicas, batchers, and the closed-loop
 // traffic engine for a configuration; runs to quiescence (or a limit); and
 // returns the decided slot logs plus throughput/latency instrumentation.
 // The service analogue of run_consensus() — every service test and the

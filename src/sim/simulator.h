@@ -113,8 +113,8 @@ class Simulator {
   /// Executes at most one virtual-time tick (all events at the minimum
   /// time, bounded by max_events) and returns the stop reason if the run
   /// is over, std::nullopt if there is more to do. run() is exactly this
-  /// in a loop; multi-lane executors interleave several simulators by
-  /// calling it round-robin.
+  /// in a loop; ConsensusRun::tick() calls it so a caller can time the
+  /// event loop apart from a run's set-up and harvest.
   std::optional<StopReason> run_tick(
       std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max(),
       SimTime time_limit = std::numeric_limits<SimTime>::max());

@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 
+#include "core/world.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -87,13 +88,9 @@ bool check_register_atomicity(const std::vector<RegOpRecord>& history,
 
 RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  CrashTracker tracker(static_cast<std::size_t>(n));
-  auto delays = make_delay_model(cfg.delays);
-  SimNetwork net(sim, *delays, tracker, n, &plan, nullptr);
+  World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
+  Simulator& sim = world.sim();
+  const CrashTracker& tracker = world.tracker();
 
   std::vector<std::unique_ptr<ClusterRegState>> cluster_state;
   for (ClusterId x = 0; x < cfg.layout.m(); ++x) {
@@ -103,7 +100,7 @@ RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
   std::vector<std::unique_ptr<RegisterProcess>> procs;
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<RegisterProcess>(
-        p, cfg.layout, net,
+        p, cfg.layout, world.net(),
         *cluster_state[static_cast<std::size_t>(cfg.layout.cluster_of(p))]));
   }
 
@@ -112,7 +109,7 @@ RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
   std::vector<SimTime> op_invoked(static_cast<std::size_t>(n), 0);
   Rng wl_rng(mix64(cfg.seed, 0x4E6));
 
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
+  world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
     procs[static_cast<std::size_t>(to)]->on_message(from, m);
   });
 
@@ -142,26 +139,14 @@ RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
     }
   };
 
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    }
-  }
-  for (ProcId p = 0; p < n; ++p) {
-    sim.schedule_at(0, [&, p] { issue_next(p); });
-  }
+  world.schedule_crashes();
+  // Every process issues its first operation at time 0.
+  world.schedule_starts(0, issue_next);
 
   sim.run(cfg.max_events);
   result.end_time = sim.now();
   result.crashed = tracker.crashed_count();
-  result.net = net.stats();
+  result.net = world.net().stats();
 
   result.all_correct_completed = true;
   for (ProcId p = 0; p < n; ++p) {

@@ -163,5 +163,11 @@ TEST(HybridRegister, RejectsConcurrentOpsFromOneProcess) {
   EXPECT_THROW(proc.read(nullptr), ContractViolation);
 }
 
+TEST(HybridRegister, RejectsCrashPlanOfTheWrongSize) {
+  RegisterRunConfig cfg(ClusterLayout::even(8, 2));
+  cfg.crashes = CrashPlan::none(3);
+  EXPECT_THROW(run_register_workload(cfg), ContractViolation);
+}
+
 }  // namespace
 }  // namespace hyco

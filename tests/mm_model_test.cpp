@@ -131,5 +131,11 @@ TEST(MmConsensus, NoOneForAllClosure) {
   EXPECT_TRUE(r.agreement_ok && r.validity_ok);
 }
 
+TEST(MmConsensus, RejectsCrashPlanOfTheWrongSize) {
+  MmRunConfig cfg(MmDomain::fig2());
+  cfg.crashes = CrashPlan::none(3);
+  EXPECT_THROW(run_mm(cfg), ContractViolation);
+}
+
 }  // namespace
 }  // namespace hyco

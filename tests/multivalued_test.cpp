@@ -236,5 +236,11 @@ TEST(MultiValued, MidBroadcastCrashesStaySafe) {
   }
 }
 
+TEST(MultiValued, RejectsCrashPlanOfTheWrongSize) {
+  MultiRunConfig cfg(ClusterLayout::even(8, 2));
+  cfg.crashes = CrashPlan::none(3);
+  EXPECT_THROW(run_multivalued(cfg), ContractViolation);
+}
+
 }  // namespace
 }  // namespace hyco

@@ -179,5 +179,12 @@ TEST(TotalOrder, RejectsNoopPayload) {
   EXPECT_THROW(run_tob(cfg), ContractViolation);
 }
 
+TEST(TotalOrder, RejectsCrashPlanOfTheWrongSize) {
+  TobRunConfig cfg(ClusterLayout::even(8, 2));
+  cfg.submissions = {{0, 0, 7}};
+  cfg.crashes = CrashPlan::none(3);
+  EXPECT_THROW(run_tob(cfg), ContractViolation);
+}
+
 }  // namespace
 }  // namespace hyco
