@@ -3,9 +3,9 @@
 // compared against a recorded constant. The cases cover scripted crashes
 // (down from the start and mid-run), every scenario fault (loss,
 // duplication, reordering, a healing cut, crash-recovery rejoins, clock
-// skew), trace record identities, and all six drivers. Any change to how a
-// run is wired — event order, seed streams, crash or rejoin scheduling,
-// start times — moves a digest.
+// skew), trace records of every kind the writers emit, and all six
+// drivers. Any change to how a run is wired — event order, seed streams,
+// crash or rejoin scheduling, start times — moves a digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -128,7 +128,7 @@ std::uint64_t digest(const Trace& trace) {
   Digest d;
   d.add(trace.recorded());
   trace.for_each([&d](const TraceRecord& rec) {
-    d.add(static_cast<std::uint64_t>(rec.kind));
+    d.add(std::string_view(to_cstring(rec.kind)));
     d.add_signed(rec.at);
     d.add_signed(rec.proc);
     d.add(rec.mid);
@@ -288,8 +288,32 @@ TEST(WorldPin, ConsensusTracedIntoCallersTrace) {
   const RunResult r = run_consensus(cfg);
   EXPECT_GT(trace.size(), 0u);
   EXPECT_EQ(trace.recorded(), trace.size());  // the ring never wrapped
-  expect_digest(digest(trace), 0xad1fa5f08172fcc9ULL);
+  expect_digest(digest(trace), 0x01e7d56744e6ff9aULL);
   expect_digest(digest(r), 0x6b920ed10e2af7cfULL);
+}
+
+/// Every network and observer record shape: lost, partitioned and
+/// receiver-crashed drops, a mid-broadcast crash, phases, quorums, decides.
+TEST(WorldPin, ConsensusTracedUnderFaults) {
+  RunConfig cfg(ClusterLayout::even(8, 4));
+  cfg.alg = Algorithm::HybridLocalCoin;
+  cfg.seed = 0x7FA7;
+  cfg.crashes = CrashPlan::none(8);
+  cfg.crashes.specs[2] = CrashSpec::on_broadcast(1, 3);
+  cfg.crashes.specs[6] = CrashSpec::at_time(150);
+  cfg.scenario.link.loss = 0.05;
+  cfg.scenario.partitions.push_back(parse_partition_spec("procs:7@300..never"));
+  Trace trace(1 << 16);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &trace;
+  const RunResult r = run_consensus(cfg);
+  EXPECT_GT(r.net.dropped_lost, 0u);
+  EXPECT_GT(r.net.dropped_partitioned, 0u);
+  EXPECT_GT(r.net.dropped_receiver_crashed, 0u);
+  EXPECT_TRUE(r.decided_value.has_value());
+  EXPECT_EQ(trace.recorded(), trace.size());
+  expect_digest(digest(trace), 0xca8a10e9965ce913ULL);
+  expect_digest(digest(r), 0x4b4276bfaf8a7c0fULL);
 }
 
 TEST(WorldPin, ConsensusTracedIntoItsOwnRing) {
@@ -359,6 +383,24 @@ TEST(WorldPin, ServiceWithRejoin) {
   const ServiceRunResult r = run_service(cfg);
   EXPECT_TRUE(r.safe_ok);
   expect_digest(digest(r), 0x8c0606bc8020e575ULL);
+}
+
+/// The four service record kinds: op submitted, batch flushed, slot
+/// started, batch delivered.
+TEST(WorldPin, ServiceTraced) {
+  ServiceRunConfig cfg(ClusterLayout::even(4, 2));
+  cfg.seed = 0x5E8;
+  cfg.clients = 40;
+  cfg.ops_per_client = 2;
+  cfg.batch_max = 8;
+  Trace trace(1 << 16);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &trace;
+  const ServiceRunResult r = run_service(cfg);
+  EXPECT_TRUE(r.safe_ok);
+  EXPECT_EQ(trace.recorded(), trace.size());
+  expect_digest(digest(trace), 0x6b9ffba14db59fe1ULL);
+  expect_digest(digest(r), 0xbec053860f4274c4ULL);
 }
 
 }  // namespace
