@@ -1,4 +1,4 @@
-// hyco-trace: offline forensics over exported run traces ("hyco-trace/2",
+// hyco-trace: offline forensics over exported run traces ("hyco-trace/3",
 // JSONL or binary — auto-detected). Subcommands:
 //
 //   stats         record counts, ring accounting, quorum-wait summary
@@ -26,6 +26,7 @@
 #include "obs/causal.h"
 #include "obs/trace_export.h"
 #include "sim/trace.h"
+#include "util/csv.h"
 
 namespace {
 
@@ -58,9 +59,12 @@ bool load_trace(const std::string& path, TraceMeta& meta,
     }
     char magic[8] = {};
     in.read(magic, sizeof(magic));
-    if (in.gcount() == 8 && magic[0] == 'H' && magic[1] == 'Y' &&
-        magic[2] == 'T' && magic[3] == 'R' && magic[4] == 'C' &&
-        magic[5] == 'B') {
+    if (in.gcount() == 8 && std::string(magic, 6) == "HYTRCB") {
+      if (magic[6] != '3') {
+        std::cerr << "hyco-trace: " << path << ": binary trace version "
+                  << magic[6] << ", this build reads hyco-trace/3 only\n";
+        return false;
+      }
       in.seekg(0);
       if (hyco::obs::read_trace_binary(in, meta, records)) return true;
       std::cerr << "hyco-trace: " << path << ": malformed binary trace\n";
@@ -70,7 +74,7 @@ bool load_trace(const std::string& path, TraceMeta& meta,
   std::ifstream in(path);
   if (hyco::obs::read_trace_jsonl(in, meta, records)) return true;
   std::cerr << "hyco-trace: " << path
-            << ": not a hyco-trace/2 file (jsonl or binary)\n";
+            << ": not a hyco-trace/3 file (jsonl or binary)\n";
   return false;
 }
 
@@ -87,7 +91,8 @@ std::string describe(const CausalGraph& g, std::size_t i) {
   const TraceRecord& r = g.records()[i];
   std::ostringstream os;
   os << "#" << i << " t=" << r.at << " p" << r.proc << " "
-     << hyco::to_cstring(r.kind) << " " << r.detail;
+     << hyco::to_cstring(r.kind) << " ";
+  hyco::write_detail(os, r);
   if (r.mid != 0) os << " [m" << r.mid << "]";
   return os.str();
 }
@@ -244,7 +249,7 @@ int cmd_anomalies(const CausalGraph& g, Round round_bound,
   // algorithms decide in a small constant expected number of rounds; a
   // decision far past the bound marks a pathological seed worth replaying.
   for (const std::size_t d : g.decides()) {
-    const Round r = g.info(d).round;
+    const Round r = g.records()[d].round;
     if (r > round_bound) {
       ++warnings;
       std::cout << "warning: excess-rounds: p" << g.records()[d].proc
@@ -258,15 +263,15 @@ int cmd_anomalies(const CausalGraph& g, Round round_bound,
     if (!w.stalled) continue;
     ++warnings;
     std::cout << "warning: stalled-quorum: p" << w.proc << " r=" << w.round
-              << " ph=" << w.phase << " open since t=" << w.begin << " ("
-              << w.arrivals_total << " arrivals)\n";
+              << " ph=" << static_cast<int>(w.phase) << " open since t="
+              << w.begin << " (" << w.arrivals_total << " arrivals)\n";
   }
 
   // Message storms: a round whose Send count dwarfs the median round's.
   std::map<Round, std::uint64_t> sends_per_round;
-  for (std::size_t i = 0; i < g.records().size(); ++i) {
-    if (g.records()[i].kind == TraceKind::Send && g.info(i).is_phase_msg) {
-      ++sends_per_round[g.info(i).round];
+  for (const TraceRecord& r : g.records()) {
+    if (r.kind == TraceKind::Send && r.msg.kind == hyco::MsgKind::Phase) {
+      ++sends_per_round[r.msg.round];
     }
   }
   if (sends_per_round.size() >= 3) {
@@ -326,25 +331,11 @@ int cmd_anomalies(const CausalGraph& g, Round round_bound,
 
 // ---- export --chrome -------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+/// A record's rendered detail, escaped for a JSON string.
+std::string detail_json(const TraceRecord& r) {
+  std::ostringstream os;
+  hyco::write_detail(os, r);
+  return hyco::json_escape(os.str());
 }
 
 /// Sim-time ns -> trace-event microseconds.
@@ -358,8 +349,8 @@ int cmd_export_chrome(const CausalGraph& g, std::ostream& out) {
     first = false;
   };
   out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":"
-         "\"hyco-trace/2\",\"label\":\""
-      << json_escape(g.meta().label) << "\",\"seed\":" << g.meta().seed
+         "\"hyco-trace/3\",\"label\":\""
+      << hyco::json_escape(g.meta().label) << "\",\"seed\":" << g.meta().seed
       << "},\"traceEvents\":[";
 
   // Track names: one tid per process under pid 0.
@@ -380,7 +371,7 @@ int cmd_export_chrome(const CausalGraph& g, std::ostream& out) {
     const TraceRecord& b = g.records()[begin_idx];
     std::snprintf(buf, sizeof(buf), "%.3f", ts_us(b.at));
     std::ostringstream os;
-    os << "{\"name\":\"" << json_escape(b.detail) << "\",\"cat\":\"phase\","
+    os << "{\"name\":\"" << detail_json(b) << "\",\"cat\":\"phase\","
        << "\"ph\":\"X\",\"ts\":" << buf << ",\"dur\":";
     std::snprintf(buf, sizeof(buf), "%.3f", ts_us(end_at - b.at));
     os << buf << ",\"pid\":0,\"tid\":" << b.proc << "}";
@@ -406,7 +397,7 @@ int cmd_export_chrome(const CausalGraph& g, std::ostream& out) {
     {
       std::ostringstream os;
       os << "{\"name\":\"" << hyco::to_cstring(r.kind) << ": "
-         << json_escape(r.detail) << "\",\"cat\":\""
+         << detail_json(r) << "\",\"cat\":\""
          << hyco::to_cstring(r.kind) << "\",\"ph\":\"i\",\"ts\":" << buf
          << ",\"pid\":0,\"tid\":" << tid << ",\"s\":\"t\"}";
       emit(os.str());

@@ -46,7 +46,7 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
       // Record into the caller's ring when one is supplied (structured
       // export keeps the records); otherwise a run-local ring backs
       // trace_dump. With tracing off the network gets no trace at all, so
-      // call sites skip even the detail-string formatting.
+      // call sites skip even building the records.
       local_trace_(cfg_.enable_trace && cfg_.trace_sink == nullptr
                        ? std::make_unique<Trace>()
                        : nullptr),

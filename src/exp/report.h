@@ -57,9 +57,6 @@ void write_cell_json(std::ostream& out, const std::string& experiment_name,
 [[nodiscard]] Table to_table(const std::string& title,
                              const std::vector<CellResult>& results);
 
-/// Escapes a string for embedding in a JSON document (quotes not included).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 /// Shortest-round-trip double formatting ("17 significant digits max, no
 /// locale"), shared by both emitters so documents stay byte-stable.
 [[nodiscard]] std::string format_number(double v);

@@ -1,44 +1,41 @@
 #include "net/message.h"
 
-#include <sstream>
-
 namespace hyco {
 
-std::string Message::to_string() const {
-  std::ostringstream os;
-  switch (kind) {
+std::ostream& operator<<(std::ostream& os, const Message& m) {
+  switch (m.kind) {
     case MsgKind::Phase:
-      os << "PHASE(r=" << round << ',' << phase << ",est=" << est;
-      if (instance != 0) os << ",inst=" << instance;
+      os << "PHASE(r=" << m.round << ',' << m.phase << ",est=" << m.est;
+      if (m.instance != 0) os << ",inst=" << m.instance;
       os << ')';
       break;
     case MsgKind::Decide:
-      os << "DECIDE(" << est;
-      if (instance != 0) os << ",inst=" << instance;
+      os << "DECIDE(" << m.est;
+      if (m.instance != 0) os << ",inst=" << m.instance;
       os << ')';
       break;
     case MsgKind::Value:
-      os << "VALUE(origin=p" << origin << ",v=" << value << ')';
+      os << "VALUE(origin=p" << m.origin << ",v=" << m.value << ')';
       break;
     case MsgKind::MultiDecide:
-      os << "MULTIDECIDE(v=" << value << ')';
+      os << "MULTIDECIDE(v=" << m.value << ')';
       break;
     case MsgKind::RegQuery:
-      os << "REGQUERY(op=" << instance << ')';
+      os << "REGQUERY(op=" << m.instance << ')';
       break;
     case MsgKind::RegStore:
-      os << "REGSTORE(op=" << instance << ",ts=" << round << '.' << origin
-         << ",v=" << value << ')';
+      os << "REGSTORE(op=" << m.instance << ",ts=" << m.round << '.'
+         << m.origin << ",v=" << m.value << ')';
       break;
     case MsgKind::RegAck:
-      os << "REGACK(op=" << instance << ",ts=" << round << '.' << origin
-         << ",v=" << value << ')';
+      os << "REGACK(op=" << m.instance << ",ts=" << m.round << '.'
+         << m.origin << ",v=" << m.value << ')';
       break;
     case MsgKind::TobSubmit:
-      os << "TOBSUBMIT(origin=p" << origin << ",payload=" << value << ')';
+      os << "TOBSUBMIT(origin=p" << m.origin << ",payload=" << m.value << ')';
       break;
   }
-  return os.str();
+  return os;
 }
 
 namespace {
@@ -77,7 +74,9 @@ std::array<std::uint8_t, kMessageWireSize> encode(const Message& m) {
 std::optional<Message> decode(std::span<const std::uint8_t> bytes) {
   if (bytes.size() != kMessageWireSize) return std::nullopt;
   const auto kind = bytes[0];
-  if (kind < 1 || kind > 8) return std::nullopt;
+  if (kind < 1 || kind > static_cast<std::uint8_t>(kMsgKindLast)) {
+    return std::nullopt;
+  }
   const auto phase = bytes[9];
   if (phase != 1 && phase != 2) return std::nullopt;
   const auto est = bytes[10];

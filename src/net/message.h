@@ -19,8 +19,8 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <span>
-#include <string>
 
 #include "core/types.h"
 
@@ -83,9 +83,13 @@ struct Message {
   }
 
   bool operator==(const Message&) const = default;
-
-  [[nodiscard]] std::string to_string() const;
 };
+
+/// Highest valid MsgKind — the serialization bound for decoders.
+inline constexpr MsgKind kMsgKindLast = MsgKind::TobSubmit;
+
+/// Human-readable form, e.g. "PHASE(r=2,ph1,est=0)" or "DECIDE(1)".
+std::ostream& operator<<(std::ostream& os, const Message& m);
 
 /// Number of bytes of the fixed-width encoding.
 inline constexpr std::size_t kMessageWireSize = 23;

@@ -30,6 +30,13 @@ SimNetwork::SimNetwork(Simulator& sim, DelayModel& delays,
 
 SimNetwork::~SimNetwork() { sim_.clear_deliver_sink(this); }
 
+void SimNetwork::trace_message(TraceKind kind, ProcId proc, ProcId peer,
+                               const Message& m, std::uint64_t mid,
+                               DropCause cause) {
+  trace_->record({.at = sim_.now(), .kind = kind, .cause = cause,
+                  .proc = proc, .peer = peer, .mid = mid, .msg = m});
+}
+
 void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
   SimTime hold = 0;
   int copies = 1;
@@ -40,9 +47,7 @@ void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
     if (release == kSimTimeNever) {
       ++stats_.dropped_partitioned;
       if (trace_ != nullptr) {
-        trace_->record(sim_.now(), TraceKind::Drop, from,
-                       "partitioned; " + m.to_string() + " -> p" +
-                           std::to_string(to));
+        trace_message(TraceKind::Drop, from, to, m, 0, DropCause::Partitioned);
       }
       return;
     }
@@ -52,9 +57,7 @@ void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
     if (copies == 0) {
       ++stats_.dropped_lost;
       if (trace_ != nullptr) {
-        trace_->record(sim_.now(), TraceKind::Drop, from,
-                       "lost; " + m.to_string() + " -> p" +
-                           std::to_string(to));
+        trace_message(TraceKind::Drop, from, to, m, 0, DropCause::Lost);
       }
       return;
     }
@@ -69,8 +72,7 @@ void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
     // unconditional in the queue, so reading it never perturbs the run.
     const std::uint64_t seq = sim_.schedule_deliver(hold + d, from, to, m);
     if (trace_ != nullptr) {
-      trace_->record(sim_.now(), TraceKind::Send, from,
-                     m.to_string() + " -> p" + std::to_string(to), seq + 1);
+      trace_message(TraceKind::Send, from, to, m, seq + 1, DropCause::None);
     }
   }
 }
@@ -80,15 +82,14 @@ void SimNetwork::deliver_event(ProcId from, ProcId to, const Message& m,
   if (crashes_.is_crashed(to)) {
     ++stats_.dropped_receiver_crashed;
     if (trace_ != nullptr) {
-      trace_->record(sim_.now(), TraceKind::Drop, to,
-                     "receiver crashed; " + m.to_string(), seq + 1);
+      trace_message(TraceKind::Drop, to, from, m, seq + 1,
+                    DropCause::ReceiverCrashed);
     }
     return;
   }
   ++stats_.delivered;
   if (trace_ != nullptr) {
-    trace_->record(sim_.now(), TraceKind::Deliver, to,
-                   m.to_string() + " from p" + std::to_string(from), seq + 1);
+    trace_message(TraceKind::Deliver, to, from, m, seq + 1, DropCause::None);
     // Causal context window: everything the handler records — the Sends it
     // emits, phase starts, decides — is a consequence of this delivery.
     trace_->set_context(seq + 1);
@@ -165,9 +166,9 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
       }
       crashes_.crash(from, sim_.now());
       if (trace_ != nullptr) {
-        trace_->record(sim_.now(), TraceKind::Crash, from,
-                       "mid-broadcast, delivered to " + std::to_string(k) +
-                           " of " + std::to_string(n_));
+        trace_->record({.at = sim_.now(), .kind = TraceKind::Crash,
+                        .proc = from,
+                        .args = {k, static_cast<std::uint64_t>(n_)}});
       }
       return;
     }

@@ -91,6 +91,9 @@ class SimNetwork final : public INetwork, private DeliverSink {
 
  private:
   void schedule_delivery(ProcId from, ProcId to, const Message& m);
+  /// Records a Send/Deliver/Drop of `m` at `proc` (see sim/trace.h).
+  void trace_message(TraceKind kind, ProcId proc, ProcId peer,
+                     const Message& m, std::uint64_t mid, DropCause cause);
 
   /// DeliverSink: a Deliver event fired — apply receiver-crash semantics and
   /// hand the message to the wired-in deliver function. When tracing, the

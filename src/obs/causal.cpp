@@ -1,8 +1,6 @@
 #include "obs/causal.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "util/assert.h"
 
@@ -10,101 +8,21 @@ namespace hyco::obs {
 
 namespace {
 
-/// Parses a decimal integer starting at `s[i]`; advances `i` past it.
-bool scan_int(const std::string& s, std::size_t& i, long long& out) {
-  const char* start = s.c_str() + i;
-  char* end = nullptr;
-  const long long v = std::strtoll(start, &end, 10);
-  if (end == start) return false;
-  i += static_cast<std::size_t>(end - start);
-  out = v;
-  return true;
-}
-
-/// Parses an estimate token ("0", "1", "bot") at `s[i]`.
-bool scan_est(const std::string& s, std::size_t i, int& out) {
-  if (s.compare(i, 3, "bot") == 0) {
-    out = -1;
-    return true;
-  }
-  if (i < s.size() && (s[i] == '0' || s[i] == '1')) {
-    out = s[i] - '0';
-    return true;
-  }
-  return false;
+/// The binary value a DECIDE message carries; nullopt for anything else.
+std::optional<int> decided_bit(const Message& m) {
+  if (m.kind != MsgKind::Decide || !is_binary(m.est)) return std::nullopt;
+  return estimate_to_bit(m.est);
 }
 
 }  // namespace
-
-RecordInfo parse_record_detail(const TraceRecord& r) {
-  RecordInfo out;
-  const std::string& d = r.detail;
-
-  // Milestone records from the trace observer: "r=<round> ph=<1|2>" and
-  // Decide's "r=<round>".
-  if (r.kind == TraceKind::PhaseStart || r.kind == TraceKind::Quorum ||
-      r.kind == TraceKind::Decide) {
-    std::size_t i = d.find("r=");
-    long long v = 0;
-    if (i != std::string::npos) {
-      i += 2;
-      if (scan_int(d, i, v)) out.round = static_cast<Round>(v);
-    }
-    i = d.find("ph=");
-    if (i != std::string::npos) {
-      i += 3;
-      if (scan_int(d, i, v) && (v == 1 || v == 2)) {
-        out.phase = static_cast<int>(v);
-      }
-    }
-    return out;
-  }
-
-  // Message-bearing records (Send/Deliver/Drop): the detail embeds
-  // Message::to_string(), possibly prefixed ("lost; ", "partitioned; ",
-  // "receiver crashed; ") and suffixed (" -> pN" / " from pN").
-  std::size_t at = d.find("PHASE(r=");
-  if (at != std::string::npos) {
-    out.is_phase_msg = true;
-    std::size_t i = at + 8;
-    long long v = 0;
-    if (scan_int(d, i, v)) out.round = static_cast<Round>(v);
-    const std::size_t ph = d.find(",ph", at);
-    if (ph != std::string::npos && ph + 3 < d.size() &&
-        (d[ph + 3] == '1' || d[ph + 3] == '2')) {
-      out.phase = d[ph + 3] - '0';
-    }
-    const std::size_t est = d.find(",est=", at);
-    if (est != std::string::npos) scan_est(d, est + 5, out.est);
-  } else if ((at = d.find("DECIDE(")) != std::string::npos) {
-    out.is_decide_msg = true;
-    scan_est(d, at + 7, out.est);
-  }
-
-  // Peer: the trailing " -> pN" (Send/Drop) or " from pN" (Deliver).
-  std::size_t p = d.rfind(" -> p");
-  std::size_t skip = 5;
-  if (p == std::string::npos) {
-    p = d.rfind(" from p");
-    skip = 7;
-  }
-  if (p != std::string::npos) {
-    std::size_t i = p + skip;
-    long long v = 0;
-    if (scan_int(d, i, v)) out.peer = static_cast<ProcId>(v);
-  }
-  return out;
-}
 
 CausalGraph CausalGraph::build(TraceMeta meta,
                                std::vector<TraceRecord> records) {
   CausalGraph g;
   g.meta_ = std::move(meta);
   g.records_ = std::move(records);
-  g.info_.reserve(g.records_.size());
   for (std::size_t i = 0; i < g.records_.size(); ++i) {
     const TraceRecord& r = g.records_[i];
-    g.info_.push_back(parse_record_detail(r));
     if (r.mid == 0) continue;
     if (r.kind == TraceKind::Send) {
       g.mid_send_.emplace(r.mid, i);
@@ -196,14 +114,13 @@ std::vector<CausalGraph::QuorumWait> CausalGraph::quorum_waits() const {
   std::unordered_map<ProcId, std::size_t> open;
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const TraceRecord& r = records_[i];
-    const RecordInfo& fi = info_[i];
     switch (r.kind) {
       case TraceKind::PhaseStart: {
         open.erase(r.proc);
         QuorumWait w;
         w.proc = r.proc;
-        w.round = fi.round;
-        w.phase = fi.phase;
+        w.round = r.round;
+        w.phase = r.phase;
         w.begin = r.at;
         open[r.proc] = out.size();
         out.push_back(w);
@@ -213,7 +130,7 @@ std::vector<CausalGraph::QuorumWait> CausalGraph::quorum_waits() const {
         const auto it = open.find(r.proc);
         if (it == open.end()) break;
         QuorumWait& w = out[it->second];
-        if (!w.satisfied && fi.round == w.round && fi.phase == w.phase) {
+        if (!w.satisfied && r.round == w.round && r.phase == w.phase) {
           w.satisfied = true;
           w.quorum = r.at;
           w.arrivals_at_quorum = w.arrivals_total;
@@ -224,7 +141,8 @@ std::vector<CausalGraph::QuorumWait> CausalGraph::quorum_waits() const {
         const auto it = open.find(r.proc);
         if (it == open.end()) break;
         QuorumWait& w = out[it->second];
-        if (fi.is_phase_msg && fi.round == w.round && fi.phase == w.phase) {
+        if (r.msg.kind == MsgKind::Phase && r.msg.round == w.round &&
+            r.msg.phase == w.phase) {
           ++w.arrivals_total;
           w.last_arrival = r.at;
         }
@@ -254,20 +172,19 @@ CausalGraph::Provenance CausalGraph::provenance(
   Provenance p;
   p.decide_index = decide_index;
   p.proc = dec.proc;
-  p.round = info_[decide_index].round;
+  p.round = dec.round;
   p.at = dec.at;
   p.slice = backward_slice(decide_index);
 
   for (const std::size_t i : p.slice) {
     const TraceRecord& r = records_[i];
-    const RecordInfo& fi = info_[i];
     if (r.kind != TraceKind::Deliver) continue;
     p.support.push_back(i);
-    if (fi.is_phase_msg && fi.phase == 1 && fi.round == p.round &&
-        fi.peer >= 0) {
+    if (r.msg.kind == MsgKind::Phase && r.msg.phase == Phase::One &&
+        r.msg.round == p.round && r.peer >= 0) {
       if (std::find(p.phase1_senders.begin(), p.phase1_senders.end(),
-                    fi.peer) == p.phase1_senders.end()) {
-        p.phase1_senders.push_back(fi.peer);
+                    r.peer) == p.phase1_senders.end()) {
+        p.phase1_senders.push_back(r.peer);
       }
     }
   }
@@ -279,19 +196,15 @@ CausalGraph::Provenance CausalGraph::provenance(
   // scanning forward from the decide).
   if (dec.parent != 0) {
     const std::size_t trigger = consume_of(dec.parent);
-    if (trigger != npos && info_[trigger].is_decide_msg &&
-        info_[trigger].est >= 0) {
-      p.decided_est = info_[trigger].est;
-    }
+    if (trigger != npos) p.decided_est = decided_bit(records_[trigger].msg);
   }
   if (!p.decided_est.has_value()) {
     for (std::size_t i = decide_index + 1; i < records_.size(); ++i) {
       const TraceRecord& r = records_[i];
       if (r.at != dec.at) break;  // the broadcast happens at decide time
-      if (r.kind == TraceKind::Send && r.proc == dec.proc &&
-          info_[i].is_decide_msg && info_[i].est >= 0) {
-        p.decided_est = info_[i].est;
-        break;
+      if (r.kind == TraceKind::Send && r.proc == dec.proc) {
+        p.decided_est = decided_bit(r.msg);
+        if (p.decided_est.has_value()) break;
       }
     }
   }
@@ -301,9 +214,10 @@ CausalGraph::Provenance CausalGraph::provenance(
   // support for the other value, which a correct run cannot produce.
   if (p.decided_est.has_value()) {
     for (const std::size_t i : p.support) {
-      const RecordInfo& fi = info_[i];
-      if (fi.is_phase_msg && fi.phase == 2 && fi.round == p.round &&
-          fi.est >= 0 && fi.est != *p.decided_est) {
+      const Message& m = records_[i].msg;
+      if (m.kind == MsgKind::Phase && m.phase == Phase::Two &&
+          m.round == p.round && is_binary(m.est) &&
+          estimate_to_bit(m.est) != *p.decided_est) {
         p.est_consistent = false;
         break;
       }

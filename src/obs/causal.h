@@ -1,4 +1,4 @@
-// Causal forensics over an exported trace ("hyco-trace/2"): rebuilds the
+// Causal forensics over an exported trace ("hyco-trace/3"): rebuilds the
 // happens-before DAG from the mid/parent ids sim/trace.h stamps on every
 // record, and answers the questions a failing or slow seed raises —
 //
@@ -27,21 +27,6 @@
 
 namespace hyco::obs {
 
-/// Structured fields recovered from a record's detail string. Every field is
-/// optional — a Note or a service record simply parses to "nothing".
-struct RecordInfo {
-  bool is_phase_msg = false;   ///< detail carries a PHASE(...) message
-  bool is_decide_msg = false;  ///< detail carries a DECIDE(...) message
-  Round round = -1;            ///< message/phase round; -1 = n/a
-  int phase = 0;               ///< 1 or 2; 0 = n/a
-  int est = -2;                ///< 0/1, -1 = bot; -2 = n/a
-  ProcId peer = -1;            ///< "-> pN" target or "from pN" source; -1 = n/a
-};
-
-/// Parses the writer-side detail formats (net/network.cpp message records,
-/// obs/trace_observer.h "r=<round> ph=<phase>" milestones).
-RecordInfo parse_record_detail(const TraceRecord& r);
-
 class CausalGraph {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -51,9 +36,6 @@ class CausalGraph {
   [[nodiscard]] const TraceMeta& meta() const { return meta_; }
   [[nodiscard]] const std::vector<TraceRecord>& records() const {
     return records_;
-  }
-  [[nodiscard]] const RecordInfo& info(std::size_t i) const {
-    return info_[i];
   }
 
   /// Record index of the Send / consuming Deliver-or-Drop carrying `mid`.
@@ -84,7 +66,7 @@ class CausalGraph {
   struct QuorumWait {
     ProcId proc = -1;
     Round round = -1;
-    int phase = 0;
+    Phase phase = Phase::One;
     SimTime begin = 0;
     SimTime quorum = -1;        ///< Quorum record time; -1 = never satisfied
     SimTime last_arrival = -1;  ///< last matching PHASE delivery; -1 = none
@@ -121,7 +103,6 @@ class CausalGraph {
  private:
   TraceMeta meta_;
   std::vector<TraceRecord> records_;
-  std::vector<RecordInfo> info_;
   std::unordered_map<std::uint64_t, std::size_t> mid_send_;
   std::unordered_map<std::uint64_t, std::size_t> mid_consume_;
 };

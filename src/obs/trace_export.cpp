@@ -1,42 +1,77 @@
 #include "obs/trace_export.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
+#include <limits>
+#include <string_view>
+#include <type_traits>
+
+#include "util/csv.h"
 
 namespace hyco::obs {
 
 namespace {
 
-constexpr const char* kSchema = "hyco-trace/2";
-constexpr char kBinaryMagic[8] = {'H', 'Y', 'T', 'R', 'C', 'B', '2', '\n'};
+constexpr const char* kSchema = "hyco-trace/3";
+constexpr char kBinaryMagic[8] = {'H', 'Y', 'T', 'R', 'C', 'B', '3', '\n'};
 
-// Local JSON string escape/unescape: the exporter must not depend on the
-// report layer, and the reader only needs to invert this exact writer.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+using TraceTuple = std::array<std::int64_t, kTraceFields.size()>;
+
+template <typename E>
+constexpr std::int64_t as_int(E v) {
+  return static_cast<std::int64_t>(v);
 }
 
+/// The record as its tuple, in kTraceFields order.
+TraceTuple to_tuple(const TraceRecord& r) {
+  const auto bits = [](std::uint64_t v) {
+    return static_cast<std::int64_t>(v);
+  };
+  return {r.at,           as_int(r.kind),      r.proc,
+          bits(r.mid),    bits(r.parent),      r.peer,
+          as_int(r.cause), as_int(r.msg.kind), r.msg.instance,
+          r.msg.round,    as_int(r.msg.phase), as_int(r.msg.est),
+          r.msg.origin,   bits(r.msg.value),   r.round,
+          as_int(r.phase), bits(r.args[0]),    bits(r.args[1]),
+          bits(r.args[2])};
+}
+
+/// Inverse of to_tuple(): false when an enum or a 32-bit field is out of
+/// range (`r` is then partly written).
+bool from_tuple(const TraceTuple& t, TraceRecord& r) {
+  constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  std::size_t i = 0;
+  // Takes the next entry into `field` if it lies in [lo, hi].
+  const auto take = [&](auto& field, std::int64_t lo, std::int64_t hi) {
+    const std::int64_t v = t[i++];
+    if (v < lo || v > hi) return false;
+    field = static_cast<std::remove_reference_t<decltype(field)>>(v);
+    return true;
+  };
+  // Takes the next entry's bits into an unsigned 64-bit field.
+  const auto bits = [&](std::uint64_t& field) {
+    field = static_cast<std::uint64_t>(t[i++]);
+    return true;
+  };
+  r.at = t[i++];
+  return take(r.kind, 0, as_int(kTraceKindLast)) &&
+         take(r.proc, kMin32, kMax32) && bits(r.mid) && bits(r.parent) &&
+         take(r.peer, kMin32, kMax32) &&
+         take(r.cause, 0, as_int(kDropCauseLast)) &&
+         take(r.msg.kind, as_int(MsgKind::Phase), as_int(kMsgKindLast)) &&
+         take(r.msg.instance, kMin32, kMax32) &&
+         take(r.msg.round, kMin32, kMax32) &&
+         take(r.msg.phase, as_int(Phase::One), as_int(Phase::Two)) &&
+         take(r.msg.est, as_int(Estimate::Zero), as_int(Estimate::Bot)) &&
+         take(r.msg.origin, kMin32, kMax32) && bits(r.msg.value) &&
+         take(r.round, kMin32, kMax32) &&
+         take(r.phase, as_int(Phase::One), as_int(Phase::Two)) &&
+         bits(r.args[0]) && bits(r.args[1]) && bits(r.args[2]);
+}
+
+/// Inverts json_escape() (util/csv.h) for the header's label.
 bool unescape(const std::string& s, std::string& out) {
   out.clear();
   out.reserve(s.size());
@@ -105,17 +140,33 @@ bool find_raw_value(const std::string& line, const char* key,
   return !out.empty();
 }
 
+/// Consumes `token` from the front of `s`.
+bool eat(std::string_view& s, std::string_view token) {
+  if (!s.starts_with(token)) return false;
+  s.remove_prefix(token.size());
+  return true;
+}
+
+/// Parses one JSONL record line: the tuple's entries under their
+/// kTraceFields keys, in order, exactly as write_trace_jsonl() emits them.
+bool parse_record_line(std::string_view line, TraceTuple& t) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (!eat(line, i == 0 ? "{\"" : ",\"") || !eat(line, kTraceFields[i]) ||
+        !eat(line, "\":")) {
+      return false;
+    }
+    const auto [end, ec] =
+        std::from_chars(line.data(), line.data() + line.size(), t[i]);
+    if (ec != std::errc()) return false;
+    line.remove_prefix(static_cast<std::size_t>(end - line.data()));
+  }
+  return line == "}";
+}
+
 bool parse_u64(const std::string& s, std::uint64_t& out) {
   if (s.empty()) return false;
   char* end = nullptr;
   out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
-}
-
-bool parse_i64(const std::string& s, std::int64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
   return end == s.c_str() + s.size();
 }
 
@@ -143,17 +194,6 @@ bool get_string(std::istream& in, std::string& s) {
 
 }  // namespace
 
-bool trace_kind_from_name(const std::string& name, TraceKind& out) {
-  for (int k = 0; k <= static_cast<int>(kTraceKindLast); ++k) {
-    const auto kind = static_cast<TraceKind>(k);
-    if (name == to_cstring(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 void write_trace_jsonl(std::ostream& out, const TraceMeta& meta,
                        const Trace& trace) {
   // Ring accounting is stamped from the trace itself, so the header is
@@ -162,14 +202,15 @@ void write_trace_jsonl(std::ostream& out, const TraceMeta& meta,
   const bool truncated = recorded > trace.size();
   out << "{\"schema\":\"" << kSchema << "\",\"cell\":" << meta.cell
       << ",\"run\":" << meta.run << ",\"seed\":" << meta.seed
-      << ",\"label\":\"" << escape(meta.label)
+      << ",\"label\":\"" << json_escape(meta.label)
       << "\",\"records\":" << trace.size() << ",\"recorded\":" << recorded
       << ",\"truncated\":" << (truncated ? "true" : "false") << "}\n";
   trace.for_each([&](const TraceRecord& r) {
-    out << "{\"at\":" << r.at << ",\"kind\":\"" << to_cstring(r.kind)
-        << "\",\"proc\":" << r.proc << ",\"mid\":" << r.mid
-        << ",\"parent\":" << r.parent << ",\"detail\":\"" << escape(r.detail)
-        << "\"}\n";
+    const TraceTuple t = to_tuple(r);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      out << (i == 0 ? "{\"" : ",\"") << kTraceFields[i] << "\":" << t[i];
+    }
+    out << "}\n";
   });
 }
 
@@ -204,24 +245,10 @@ bool read_trace_jsonl(std::istream& in, TraceMeta& meta,
       count, kMaxStringBytes)));
   while (std::getline(in, line)) {
     if (line.empty()) continue;
+    TraceTuple t;
     TraceRecord r;
-    std::int64_t at = 0;
-    if (!(find_raw_value(line, "at", v) && parse_i64(v, at))) return false;
-    r.at = at;
-    if (!find_raw_value(line, "kind", v) || !trace_kind_from_name(v, r.kind)) {
-      return false;
-    }
-    std::int64_t proc = 0;
-    if (!(find_raw_value(line, "proc", v) && parse_i64(v, proc))) return false;
-    r.proc = static_cast<ProcId>(proc);
-    if (!(find_raw_value(line, "mid", v) && parse_u64(v, r.mid))) return false;
-    if (!(find_raw_value(line, "parent", v) && parse_u64(v, r.parent))) {
-      return false;
-    }
-    if (!find_raw_value(line, "detail", v) || !unescape(v, r.detail)) {
-      return false;
-    }
-    records.push_back(std::move(r));
+    if (!parse_record_line(line, t) || !from_tuple(t, r)) return false;
+    records.push_back(r);
   }
   return records.size() == count;
 }
@@ -239,16 +266,7 @@ void write_trace_binary(std::ostream& out, const TraceMeta& meta,
   put_raw(out, recorded);
   put_raw(out, static_cast<std::uint8_t>(recorded > trace.size() ? 1 : 0));
   put_raw(out, static_cast<std::uint64_t>(trace.size()));
-  trace.for_each([&](const TraceRecord& r) {
-    put_raw(out, static_cast<std::int64_t>(r.at));
-    put_raw(out, static_cast<std::uint8_t>(r.kind));
-    put_raw(out, static_cast<std::int32_t>(r.proc));
-    put_raw(out, r.mid);
-    put_raw(out, r.parent);
-    put_raw(out, static_cast<std::uint32_t>(r.detail.size()));
-    out.write(r.detail.data(),
-              static_cast<std::streamsize>(r.detail.size()));
-  });
+  trace.for_each([&](const TraceRecord& r) { put_raw(out, to_tuple(r)); });
 }
 
 bool read_trace_binary(std::istream& in, TraceMeta& meta,
@@ -275,20 +293,10 @@ bool read_trace_binary(std::istream& in, TraceMeta& meta,
   records.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
       count, kMaxStringBytes)));
   for (std::uint64_t i = 0; i < count; ++i) {
+    TraceTuple t;
     TraceRecord r;
-    std::int64_t at = 0;
-    std::uint8_t kind = 0;
-    std::int32_t proc = 0;
-    if (!get_raw(in, at) || !get_raw(in, kind) || !get_raw(in, proc) ||
-        kind > static_cast<std::uint8_t>(kTraceKindLast) ||
-        !get_raw(in, r.mid) || !get_raw(in, r.parent) ||
-        !get_string(in, r.detail)) {
-      return false;
-    }
-    r.at = at;
-    r.kind = static_cast<TraceKind>(kind);
-    r.proc = proc;
-    records.push_back(std::move(r));
+    if (!get_raw(in, t) || !from_tuple(t, r)) return false;
+    records.push_back(r);
   }
   return true;
 }

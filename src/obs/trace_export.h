@@ -1,22 +1,27 @@
-// Structured trace export: promotes the human-readable trace ring to a
-// schema'd, machine-parseable artifact so a failing seed's full event
-// timeline feeds replay tooling instead of grep.
+// Structured trace export: promotes the trace ring to a schema'd,
+// machine-parseable artifact so a failing seed's full event timeline feeds
+// replay tooling instead of grep.
 //
-// Two formats, same logical schema ("hyco-trace/2"):
-//  * JSONL — a header line {"schema":"hyco-trace/2","cell":..,"run":..,
-//    "seed":..,"label":"..","recorded":..,"truncated":..} followed by one
-//    record object per line {"at":..,"kind":"send","proc":..,"mid":..,
-//    "parent":..,"detail":".."};
-//  * compact binary — a magic tag, the same header fields, then
-//    length-prefixed records (host-endian; a local replay format, not a
-//    portable archive).
-// v2 adds the causal ids (mid/parent, see sim/trace.h) and honest ring
-// accounting: `recorded` is the total number of records the run produced and
+// Every record travels as one fixed tuple of integers (kTraceFields below):
+// the typed fields of sim/trace.h, enums as their underlying values. Two
+// formats carry that tuple under one schema ("hyco-trace/3"):
+//  * JSONL — a header line {"schema":"hyco-trace/3","cell":..,"run":..,
+//    "seed":..,"label":"..","records":..,"recorded":..,"truncated":..}
+//    followed by one object per record naming the tuple's entries in order,
+//    {"at":..,"kind":..,"proc":..,...};
+//  * compact binary — magic "HYTRCB3\n", the same header fields, then each
+//    record as the tuple's kTraceFields.size() int64 values: fixed-size, no
+//    per-record length or padding (host-endian; a local replay format, not
+//    a portable archive).
+// `recorded` is the total number of records the run produced and
 // `truncated` flags that the ring wrapped, so the file holds only the
 // trailing window. Both formats round-trip exactly through the readers
-// below, which only accept what the writers emit.
+// below, which only accept what the writers emit: a record whose kind,
+// drop cause, message kind, phase or estimate is out of range is rejected,
+// and so are hyco-trace/1 and /2 files (v2 carried free-text details).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -26,6 +31,13 @@
 #include "sim/trace.h"
 
 namespace hyco::obs {
+
+/// The record tuple's entries in file order, named as the JSONL keys.
+inline constexpr std::array<const char*, 19> kTraceFields = {
+    "at",        "kind",      "proc",         "mid",       "parent",
+    "peer",      "cause",     "msg_kind",     "msg_inst",  "msg_round",
+    "msg_phase", "msg_est",   "msg_origin",   "msg_value", "round",
+    "phase",     "arg0",      "arg1",         "arg2"};
 
 /// Identity of the traced run, stamped into the export header so a trace
 /// file is self-describing (which cell, which run index, which seed).
@@ -52,8 +64,5 @@ bool read_trace_jsonl(std::istream& in, TraceMeta& meta,
                       std::vector<TraceRecord>& records);
 bool read_trace_binary(std::istream& in, TraceMeta& meta,
                        std::vector<TraceRecord>& records);
-
-/// Inverse of to_cstring(TraceKind); false for unknown names.
-bool trace_kind_from_name(const std::string& name, TraceKind& out);
 
 }  // namespace hyco::obs

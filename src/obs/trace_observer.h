@@ -1,13 +1,12 @@
 // IRunObserver that mirrors consensus phase structure into the trace ring:
 // phase begins, quorum satisfactions, and decides become PhaseStart/Quorum/
-// Decide records with structured "r=<round> ph=<phase>" details. Records
-// inherit the trace's causal context (the delivery being dispatched), so a
-// Decide chains back to the message whose arrival triggered it. Strictly
-// passive — reads the clock, writes the trace, touches nothing else.
+// Decide records carrying the round (and phase). Records inherit the
+// trace's causal context (the delivery being dispatched), so a Decide
+// chains back to the message whose arrival triggered it. Strictly passive —
+// reads the clock, writes the trace, touches nothing else.
 #pragma once
 
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "core/types.h"
@@ -22,21 +21,21 @@ class TraceObserver final : public IRunObserver {
       : trace_(trace), now_(std::move(now)) {}
 
   void on_phase_begin(ProcId p, Round r, Phase ph) override {
-    trace_.record(now_(), TraceKind::PhaseStart, p, detail(r, ph));
+    record(TraceKind::PhaseStart, p, r, ph);
   }
 
   void on_decide(ProcId p, Round r) override {
-    trace_.record(now_(), TraceKind::Decide, p, "r=" + std::to_string(r));
+    record(TraceKind::Decide, p, r, Phase::One);
   }
 
   void on_quorum_satisfied(ProcId p, Round r, Phase ph) override {
-    trace_.record(now_(), TraceKind::Quorum, p, detail(r, ph));
+    record(TraceKind::Quorum, p, r, ph);
   }
 
  private:
-  static std::string detail(Round r, Phase ph) {
-    return "r=" + std::to_string(r) +
-           " ph=" + (ph == Phase::One ? "1" : "2");
+  void record(TraceKind kind, ProcId p, Round r, Phase ph) {
+    trace_.record({.at = now_(), .kind = kind, .phase = ph, .proc = p,
+                   .round = r});
   }
 
   Trace& trace_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 
 #include "coin/coin.h"
 #include "core/multivalued.h"
@@ -65,8 +64,8 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
       sim, tracker, tcfg, cfg.seed, n,
       [&replicas, &sim, trace](ProcId origin, std::uint64_t op_id) {
         if (trace != nullptr) {
-          trace->record(sim.now(), TraceKind::SvcOp, origin,
-                        "op=" + std::to_string(op_id));
+          trace->record({.at = sim.now(), .kind = TraceKind::SvcOp,
+                         .proc = origin, .args = {op_id}});
         }
         replicas[static_cast<std::size_t>(origin)]->submit_op(op_id);
       });
@@ -87,10 +86,10 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
     ServiceReplica& rep = *replicas[static_cast<std::size_t>(p)];
     rep.set_on_deliver([&, p](const Batch& batch, int slot) {
       if (trace != nullptr) {
-        trace->record(sim.now(), TraceKind::SvcDeliver, p,
-                      "slot=" + std::to_string(slot) +
-                          " batch=" + std::to_string(batch.id) +
-                          " ops=" + std::to_string(batch.ops.size()));
+        trace->record({.at = sim.now(), .kind = TraceKind::SvcDeliver,
+                       .proc = p,
+                       .args = {static_cast<std::uint64_t>(slot), batch.id,
+                                batch.ops.size()}});
       }
       for (const std::uint64_t op_id : batch.ops) {
         if (!traffic.on_op_completed(op_id, sim.now())) continue;
@@ -113,13 +112,12 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
     });
     if (trace != nullptr) {
       rep.set_on_flush([trace, &sim, p](const Batch& batch) {
-        trace->record(sim.now(), TraceKind::SvcFlush, p,
-                      "batch=" + std::to_string(batch.id) +
-                          " ops=" + std::to_string(batch.ops.size()));
+        trace->record({.at = sim.now(), .kind = TraceKind::SvcFlush,
+                       .proc = p, .args = {batch.id, batch.ops.size()}});
       });
       rep.set_on_slot_start([trace, &sim, p](int slot) {
-        trace->record(sim.now(), TraceKind::SvcSlot, p,
-                      "slot=" + std::to_string(slot));
+        trace->record({.at = sim.now(), .kind = TraceKind::SvcSlot,
+                       .proc = p, .args = {static_cast<std::uint64_t>(slot)}});
       });
     }
   }

@@ -8,10 +8,8 @@ const char* to_cstring(TraceKind k) {
     case TraceKind::Deliver: return "deliver";
     case TraceKind::Drop: return "drop";
     case TraceKind::Crash: return "crash";
-    case TraceKind::ConsPropose: return "cons";
     case TraceKind::PhaseStart: return "phase";
     case TraceKind::Decide: return "decide";
-    case TraceKind::Note: return "note";
     case TraceKind::Quorum: return "quorum";
     case TraceKind::SvcOp: return "svc_op";
     case TraceKind::SvcFlush: return "svc_flush";
@@ -21,31 +19,68 @@ const char* to_cstring(TraceKind k) {
   return "?";
 }
 
-void Trace::record(SimTime at, TraceKind kind, ProcId proc,
-                   std::string_view detail, std::uint64_t mid) {
+void write_detail(std::ostream& os, const TraceRecord& r) {
+  switch (r.kind) {
+    case TraceKind::Send:
+      os << r.msg << " -> p" << r.peer;
+      break;
+    case TraceKind::Deliver:
+      os << r.msg << " from p" << r.peer;
+      break;
+    case TraceKind::Drop:
+      if (r.cause == DropCause::ReceiverCrashed) {
+        os << "receiver crashed; " << r.msg;
+      } else {
+        os << (r.cause == DropCause::Lost ? "lost; " : "partitioned; ")
+           << r.msg << " -> p" << r.peer;
+      }
+      break;
+    case TraceKind::Crash:
+      os << "mid-broadcast, delivered to " << r.args[0] << " of "
+         << r.args[1];
+      break;
+    case TraceKind::PhaseStart:
+    case TraceKind::Quorum:
+      os << "r=" << r.round << " ph=" << static_cast<int>(r.phase);
+      break;
+    case TraceKind::Decide:
+      os << "r=" << r.round;
+      break;
+    case TraceKind::SvcOp:
+      os << "op=" << r.args[0];
+      break;
+    case TraceKind::SvcFlush:
+      os << "batch=" << r.args[0] << " ops=" << r.args[1];
+      break;
+    case TraceKind::SvcSlot:
+      os << "slot=" << r.args[0];
+      break;
+    case TraceKind::SvcDeliver:
+      os << "slot=" << r.args[0] << " batch=" << r.args[1]
+         << " ops=" << r.args[2];
+      break;
+  }
+}
+
+void Trace::record(const TraceRecord& r) {
   if (!enabled_) return;
   std::size_t idx;
   if (size_ < slots_.size()) {
     idx = (head_ + size_) % slots_.size();
     ++size_;
   } else {
-    idx = head_;  // overwrite the oldest slot, reusing its string capacity
+    idx = head_;  // overwrite the oldest slot
     head_ = (head_ + 1) % slots_.size();
   }
-  TraceRecord& slot = slots_[idx];
-  slot.at = at;
-  slot.kind = kind;
-  slot.proc = proc;
-  slot.mid = mid;
-  slot.parent = context_;
-  slot.detail.assign(detail.data(), detail.size());
+  slots_[idx] = r;
+  slots_[idx].parent = context_;
   ++recorded_;
 }
 
 void Trace::dump(std::ostream& os) const {
   for_each([&](const TraceRecord& r) {
-    os << r.at << "ns\t" << to_cstring(r.kind) << "\tp" << r.proc << '\t'
-       << r.detail;
+    os << r.at << "ns\t" << to_cstring(r.kind) << "\tp" << r.proc << '\t';
+    write_detail(os, r);
     if (r.mid != 0) os << "\t[m" << r.mid << ']';
     if (r.parent != 0) os << "\t[<m" << r.parent << ']';
     os << '\n';

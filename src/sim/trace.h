@@ -13,15 +13,20 @@
 // to it. Sequence numbers are assigned unconditionally by the event queue,
 // tracing on or off, so recording them is strictly out of band: metrics-on
 // and metrics-off runs stay byte-identical.
+//
+// Records are typed: each kind fills a fixed set of integer fields, so
+// recording is a plain store and analysis reads fields. Text exists only
+// when a person asks for it, through write_detail().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <ostream>
-#include <string>
-#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/types.h"
+#include "net/message.h"
 
 namespace hyco {
 
@@ -32,10 +37,8 @@ enum class TraceKind : std::uint8_t {
   Deliver,
   Drop,
   Crash,
-  ConsPropose,
   PhaseStart,
   Decide,
-  Note,
   Quorum,      ///< a phase exchange crossed its quorum threshold
   SvcOp,       ///< service: client op submitted to its origin replica
   SvcFlush,    ///< service: a batch flushed into the consensus pipeline
@@ -48,23 +51,60 @@ inline constexpr TraceKind kTraceKindLast = TraceKind::SvcDeliver;
 
 const char* to_cstring(TraceKind k);
 
-/// One trace record.
+/// Why the network dropped a message (Drop records only).
+enum class DropCause : std::uint8_t {
+  None,             ///< not a drop
+  Partitioned,      ///< a permanent cut separates sender and receiver
+  Lost,             ///< the lossy link ate it
+  ReceiverCrashed,  ///< the receiver was down when it arrived
+};
+
+inline constexpr DropCause kDropCauseLast = DropCause::ReceiverCrashed;
+
+/// One trace record. Every kind sets at/kind/proc; parent comes from the
+/// trace's context. The other fields, per kind (unlisted ones keep their
+/// defaults):
+///
+///   kind         proc      fields
+///   send         sender    msg, peer = receiver, mid
+///   deliver      receiver  msg, peer = sender, mid
+///   drop         sender    msg, peer = receiver, cause = partitioned|lost
+///   drop         receiver  msg, peer = sender, mid, cause = receiver crashed
+///   crash        crasher   args = {deliveries made, n} (mid-broadcast)
+///   phase        process   round, phase
+///   quorum       process   round, phase
+///   decide       process   round
+///   svc_op       origin    args = {op}
+///   svc_flush    replica   args = {batch, ops}
+///   svc_slot     replica   args = {slot}
+///   svc_deliver  replica   args = {slot, batch, ops}
 struct TraceRecord {
   SimTime at = 0;
-  TraceKind kind = TraceKind::Note;
+  TraceKind kind = TraceKind::Send;
+  DropCause cause = DropCause::None;
+  Phase phase = Phase::One;
   ProcId proc = -1;
+  ProcId peer = -1;
+  Round round = 0;
   std::uint64_t mid = 0;     ///< message id (event seq + 1); 0 = none
   std::uint64_t parent = 0;  ///< mid of the delivery this record ran under
-  std::string detail;
+  Message msg{};
+  std::array<std::uint64_t, 3> args{};
+
+  bool operator==(const TraceRecord&) const = default;
 };
+
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
+
+/// Renders a record's payload as the one-line text of the table above
+/// (e.g. "PHASE(r=2,ph1,est=0) -> p5", "r=3 ph=2", "slot=4 batch=7 ops=12").
+void write_detail(std::ostream& os, const TraceRecord& r);
 
 /// Bounded in-memory trace. Disabled by default.
 ///
-/// Storage is a preallocated ring of records whose detail strings are reused
-/// in place (assign into the slot's retained capacity), so a warmed-up trace
-/// records without allocating — enabling tracing does not distort the
-/// timings it measures with deque node churn or per-record string
-/// allocations.
+/// Storage is a preallocated ring of fixed-size records, so recording is a
+/// copy into a slot — enabling tracing does not distort the timings it
+/// measures with allocations.
 class Trace {
  public:
   /// `capacity` bounds memory; older records are discarded first.
@@ -74,8 +114,8 @@ class Trace {
   void enable(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  void record(SimTime at, TraceKind kind, ProcId proc,
-              std::string_view detail, std::uint64_t mid = 0);
+  /// Stores `r` with its parent set to the current context.
+  void record(const TraceRecord& r);
 
   /// Causal context window: records made while a context is set inherit it
   /// as their parent id. The network sets the delivered message's mid around
@@ -105,7 +145,7 @@ class Trace {
   void clear();
 
  private:
-  std::vector<TraceRecord> slots_;  ///< fixed ring; details pooled in place
+  std::vector<TraceRecord> slots_;  ///< fixed ring
   std::size_t head_ = 0;            ///< index of the oldest record
   std::size_t size_ = 0;
   std::uint64_t recorded_ = 0;

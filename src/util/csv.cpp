@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <cstdio>
 #include <sstream>
 
 #include "util/assert.h"
@@ -48,6 +49,30 @@ std::string CsvWriter::escape(const std::string& field) {
     else out += c;
   }
   out += '"';
+  return out;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
   return out;
 }
 

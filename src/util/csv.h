@@ -1,5 +1,6 @@
 // Minimal CSV emitter used by the experiment harnesses so results can be
-// post-processed (plotting, regression diffing) outside the binary.
+// post-processed (plotting, regression diffing) outside the binary, and the
+// JSON string escaper every JSON writer shares.
 #pragma once
 
 #include <initializer_list>
@@ -57,6 +58,9 @@ class CsvWriter {
   std::size_t rows_ = 0;
   bool header_written_ = false;
 };
+
+/// Escapes a string for embedding in a JSON document (quotes not included).
+[[nodiscard]] std::string json_escape(const std::string& s);
 
 template <typename T>
 std::string CsvWriter::to_string_via_stream(const T& v) {

@@ -1,14 +1,16 @@
 // Tests for the causal forensics layer (src/obs/causal.{h,cpp}) and the
-// robustness of the trace readers it feeds: detail parsing, happens-before
-// reconstruction, quorum-wait windows, critical paths, decision provenance,
-// reader fuzz (truncated / garbage / hostile inputs must fail cleanly, never
-// crash or over-allocate), and the JSONL-vs-binary identity of everything
-// the graph derives. Also pins the service-run latency attribution:
+// trace readers it feeds: happens-before reconstruction, quorum-wait
+// windows, critical paths, decision provenance, hyco-trace/3 round trips of
+// real runs in both formats, version and enum-range rejection, reader fuzz
+// (truncated / garbage / hostile inputs must fail cleanly, never crash or
+// over-allocate), and the JSONL-vs-binary identity of everything the graph
+// derives. Also pins the service-run latency attribution:
 // components sum exactly to the client latency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,65 +19,28 @@
 #include "core/runner.h"
 #include "obs/causal.h"
 #include "obs/trace_export.h"
+#include "scenario/scenario.h"
 #include "service/service_runner.h"
 #include "sim/trace.h"
 
 namespace hyco {
 namespace {
 
-// ---- detail parsing ---------------------------------------------------------
+// ---- hand-built records -----------------------------------------------------
 
-TraceRecord rec(TraceKind kind, std::string detail, ProcId proc = 0,
-                SimTime at = 0, std::uint64_t mid = 0,
-                std::uint64_t parent = 0) {
-  TraceRecord r;
-  r.at = at;
-  r.kind = kind;
-  r.proc = proc;
-  r.mid = mid;
-  r.parent = parent;
-  r.detail = std::move(detail);
-  return r;
+TraceRecord msg_rec(TraceKind kind, ProcId proc, ProcId peer, SimTime at,
+                    std::uint64_t mid, Message m, std::uint64_t parent = 0) {
+  return {.at = at,
+          .kind = kind,
+          .proc = proc,
+          .peer = peer,
+          .mid = mid,
+          .parent = parent,
+          .msg = m};
 }
 
-TEST(RecordInfo, ParsesPhaseMessageSends) {
-  const obs::RecordInfo i = obs::parse_record_detail(
-      rec(TraceKind::Send, "PHASE(r=2,ph1,est=1) -> p5"));
-  EXPECT_TRUE(i.is_phase_msg);
-  EXPECT_FALSE(i.is_decide_msg);
-  EXPECT_EQ(i.round, 2);
-  EXPECT_EQ(i.phase, 1);
-  EXPECT_EQ(i.est, 1);
-  EXPECT_EQ(i.peer, 5);
-}
-
-TEST(RecordInfo, ParsesPhaseDeliveriesAndBotEstimates) {
-  const obs::RecordInfo i = obs::parse_record_detail(
-      rec(TraceKind::Deliver, "PHASE(r=7,ph2,est=bot) from p3"));
-  EXPECT_TRUE(i.is_phase_msg);
-  EXPECT_EQ(i.round, 7);
-  EXPECT_EQ(i.phase, 2);
-  EXPECT_EQ(i.est, -1);
-  EXPECT_EQ(i.peer, 3);
-}
-
-TEST(RecordInfo, ParsesDecideMessagesAndMilestones) {
-  const obs::RecordInfo d = obs::parse_record_detail(
-      rec(TraceKind::Send, "DECIDE(1) -> p3"));
-  EXPECT_TRUE(d.is_decide_msg);
-  EXPECT_EQ(d.est, 1);
-  EXPECT_EQ(d.peer, 3);
-
-  const obs::RecordInfo m = obs::parse_record_detail(
-      rec(TraceKind::PhaseStart, "r=4 ph=2"));
-  EXPECT_EQ(m.round, 4);
-  EXPECT_EQ(m.phase, 2);
-
-  const obs::RecordInfo n =
-      obs::parse_record_detail(rec(TraceKind::Note, "free text"));
-  EXPECT_FALSE(n.is_phase_msg);
-  EXPECT_EQ(n.round, -1);
-  EXPECT_EQ(n.peer, -1);
+Message phase(Round r, Phase ph) {
+  return Message::phase_msg(r, ph, Estimate::Zero);
 }
 
 // ---- hand-built graph edges -------------------------------------------------
@@ -84,14 +49,18 @@ TEST(CausalGraph, LinksSendsToConsumersAndParents) {
   // p0 sends (mid 5) -> p1 delivers it and, under that context, sends
   // (mid 9) -> p0 delivers that and decides.
   std::vector<TraceRecord> rs;
-  rs.push_back(rec(TraceKind::Send, "PHASE(r=1,ph1,est=0) -> p1", 0, 10, 5));
+  rs.push_back(msg_rec(TraceKind::Send, 0, 1, 10, 5, phase(1, Phase::One)));
   rs.push_back(
-      rec(TraceKind::Deliver, "PHASE(r=1,ph1,est=0) from p0", 1, 20, 5));
+      msg_rec(TraceKind::Deliver, 1, 0, 20, 5, phase(1, Phase::One)));
   rs.push_back(
-      rec(TraceKind::Send, "PHASE(r=1,ph2,est=0) -> p0", 1, 20, 9, 5));
+      msg_rec(TraceKind::Send, 1, 0, 20, 9, phase(1, Phase::Two), 5));
   rs.push_back(
-      rec(TraceKind::Deliver, "PHASE(r=1,ph2,est=0) from p1", 0, 30, 9));
-  rs.push_back(rec(TraceKind::Decide, "r=1", 0, 30, 0, 9));
+      msg_rec(TraceKind::Deliver, 0, 1, 30, 9, phase(1, Phase::Two)));
+  rs.push_back({.at = 30,
+                .kind = TraceKind::Decide,
+                .proc = 0,
+                .round = 1,
+                .parent = 9});
 
   const obs::CausalGraph g = obs::CausalGraph::build({}, rs);
   EXPECT_EQ(g.send_of(5), 0u);
@@ -121,63 +90,198 @@ TEST(CausalGraph, LinksSendsToConsumersAndParents) {
   EXPECT_TRUE(prov.est_consistent);
 }
 
-// ---- reader fuzz ------------------------------------------------------------
+// ---- readers: v3 round trips, version and range checks, fuzz ---------------
+
+std::vector<TraceRecord> held(const Trace& t) {
+  std::vector<TraceRecord> out;
+  t.for_each([&](const TraceRecord& r) { out.push_back(r); });
+  return out;
+}
+
+std::string jsonl_of(const Trace& t) {
+  std::ostringstream os;
+  obs::write_trace_jsonl(os, {}, t);
+  return os.str();
+}
+
+std::string binary_of(const Trace& t) {
+  std::ostringstream os(std::ios::out | std::ios::binary);
+  obs::write_trace_binary(os, {}, t);
+  return os.str();
+}
+
+bool read_jsonl(const std::string& text, std::vector<TraceRecord>& records) {
+  std::istringstream in(text);
+  obs::TraceMeta meta;
+  return obs::read_trace_jsonl(in, meta, records);
+}
+
+bool read_binary(const std::string& bytes,
+                 std::vector<TraceRecord>& records) {
+  std::istringstream in(bytes, std::ios::in | std::ios::binary);
+  obs::TraceMeta meta;
+  return obs::read_trace_binary(in, meta, records);
+}
+
+/// Records every network and observer shape: lost, partitioned and
+/// receiver-crashed drops, a mid-broadcast crash, phases, quorums, decides.
+Trace faulty_consensus_trace() {
+  RunConfig cfg(ClusterLayout::even(8, 4));
+  cfg.alg = Algorithm::HybridLocalCoin;
+  cfg.seed = 0x7FA7;
+  cfg.crashes = CrashPlan::none(8);
+  cfg.crashes.specs[2] = CrashSpec::on_broadcast(1, 3);
+  cfg.crashes.specs[6] = CrashSpec::at_time(150);
+  cfg.scenario.link.loss = 0.05;
+  cfg.scenario.partitions.push_back(parse_partition_spec("procs:7@300..never"));
+  Trace trace(1 << 16);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &trace;
+  (void)run_consensus(cfg);
+  return trace;
+}
+
+/// Records the four service kinds.
+Trace service_trace() {
+  ServiceRunConfig cfg(ClusterLayout::even(4, 2));
+  cfg.seed = 0x5E8;
+  cfg.clients = 40;
+  cfg.ops_per_client = 2;
+  cfg.batch_max = 8;
+  Trace trace(1 << 16);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &trace;
+  (void)run_service(cfg);
+  return trace;
+}
+
+TEST(TraceReaders, JsonlAndBinaryDecodeRealRunsToEqualRecords) {
+  std::set<TraceKind> kinds;
+  std::set<DropCause> causes;
+  for (const Trace& trace : {faulty_consensus_trace(), service_trace()}) {
+    const std::vector<TraceRecord> want = held(trace);
+    ASSERT_FALSE(want.empty());
+    std::vector<TraceRecord> jr, br;
+    ASSERT_TRUE(read_jsonl(jsonl_of(trace), jr));
+    ASSERT_TRUE(read_binary(binary_of(trace), br));
+    EXPECT_EQ(jr, want);
+    EXPECT_EQ(br, want);
+    for (const TraceRecord& r : want) {
+      kinds.insert(r.kind);
+      causes.insert(r.cause);
+    }
+  }
+  // Between them the two runs exercise every kind and every drop cause.
+  EXPECT_EQ(kinds.size(), static_cast<std::size_t>(kTraceKindLast) + 1);
+  EXPECT_EQ(causes.size(), static_cast<std::size_t>(kDropCauseLast) + 1);
+}
+
+TEST(TraceReaders, BinaryExportsOfOneRunAreByteIdentical) {
+  EXPECT_EQ(binary_of(faulty_consensus_trace()),
+            binary_of(faulty_consensus_trace()));
+}
+
+TEST(TraceReaders, RejectVersionTwoInput) {
+  std::vector<TraceRecord> records;
+  EXPECT_FALSE(read_jsonl(
+      "{\"schema\":\"hyco-trace/2\",\"cell\":0,\"run\":0,\"seed\":0,"
+      "\"label\":\"x\",\"records\":1,\"recorded\":1,\"truncated\":false}\n"
+      "{\"at\":5,\"kind\":\"send\",\"proc\":0,\"mid\":0,\"parent\":0,"
+      "\"detail\":\"PHASE(r=1,ph1,est=0) -> p1\"}\n",
+      records));
+  std::string v2 = binary_of(service_trace());
+  ASSERT_TRUE(read_binary(v2, records));
+  v2[6] = '2';  // HYTRCB2
+  EXPECT_FALSE(read_binary(v2, records));
+}
+
+TEST(TraceReaders, RejectOutOfRangeEnumsInEitherFormat) {
+  Trace t(1);
+  t.enable(true);
+  TraceRecord drop = msg_rec(TraceKind::Drop, 1, 2, 5, 0,
+                             phase(1, Phase::One));
+  drop.cause = DropCause::Lost;
+  t.record(drop);
+  const std::string jsonl = jsonl_of(t);
+  const std::string binary = binary_of(t);
+  std::vector<TraceRecord> records;
+  ASSERT_TRUE(read_jsonl(jsonl, records));
+  ASSERT_TRUE(read_binary(binary, records));
+
+  const struct {
+    const char* field;
+    std::int64_t bad;
+  } cases[] = {
+      {"kind", static_cast<std::int64_t>(kTraceKindLast) + 1},
+      {"cause", static_cast<std::int64_t>(kDropCauseLast) + 1},
+      {"msg_kind", 0},
+      {"msg_phase", 3},
+      {"msg_est", 3},
+      {"phase", 0},
+  };
+  const std::size_t fields = obs::kTraceFields.size();
+  for (const auto& c : cases) {
+    const std::string key = std::string("\"") + c.field + "\":";
+    std::string j = jsonl;
+    const std::size_t at = j.find(key, j.find('\n')) + key.size();
+    j.replace(at, j.find_first_of(",}", at) - at, std::to_string(c.bad));
+    EXPECT_FALSE(read_jsonl(j, records)) << "jsonl " << c.field;
+
+    const std::size_t index = static_cast<std::size_t>(
+        std::find_if(obs::kTraceFields.begin(), obs::kTraceFields.end(),
+                     [&](const char* f) { return std::string(f) == c.field; }) -
+        obs::kTraceFields.begin());
+    ASSERT_LT(index, fields);
+    std::string b = binary;
+    std::memcpy(&b[b.size() - (fields - index) * sizeof(std::int64_t)],
+                &c.bad, sizeof(c.bad));
+    EXPECT_FALSE(read_binary(b, records)) << "binary " << c.field;
+  }
+}
 
 TEST(TraceReaderFuzz, JsonlRejectsHostileInputsWithoutCrashing) {
-  obs::TraceMeta meta;
   std::vector<TraceRecord> records;
   const char* bad[] = {
       "",
       "\n",
       "not json at all",
       "{\"schema\":\"hyco-trace/1\",\"cell\":0}",   // old schema version
-      "{\"schema\":\"hyco-trace/2\"}",              // missing fields
-      "{\"schema\":\"hyco-trace/2\",\"cell\":0,\"run\":0,\"seed\":0,"
-      "\"label\":\"x\",\"recorded\":1,\"truncated\":maybe}",
-      "{\"schema\":\"hyco-trace/2\",\"cell\":0,\"run\":0,\"seed\":0,"
-      "\"label\":\"x\",\"recorded\":1,\"truncated\":false}\n"
-      "{\"at\":5,\"kind\":\"frobnicate\",\"proc\":0,\"mid\":0,"
-      "\"parent\":0,\"detail\":\"\"}",              // unknown kind
-      "{\"schema\":\"hyco-trace/2\",\"cell\":0,\"run\":0,\"seed\":0,"
-      "\"label\":\"x\",\"recorded\":1,\"truncated\":false}\n"
-      "{\"at\":5,\"kind\":\"send\"",                // cut mid-record
+      "{\"schema\":\"hyco-trace/3\"}",              // missing fields
+      "{\"schema\":\"hyco-trace/3\",\"cell\":0,\"run\":0,\"seed\":0,"
+      "\"label\":\"x\",\"records\":1,\"recorded\":1,\"truncated\":maybe}",
+      "{\"schema\":\"hyco-trace/3\",\"cell\":0,\"run\":0,\"seed\":0,"
+      "\"label\":\"x\",\"records\":1,\"recorded\":1,\"truncated\":false}\n"
+      "{\"at\":5,\"kind\":\"send\"}",               // kind by name
+      "{\"schema\":\"hyco-trace/3\",\"cell\":0,\"run\":0,\"seed\":0,"
+      "\"label\":\"x\",\"records\":1,\"recorded\":1,\"truncated\":false}\n"
+      "{\"at\":5,\"kind\":0",                       // cut mid-record
   };
   for (const char* text : bad) {
-    std::istringstream in(text);
-    EXPECT_FALSE(obs::read_trace_jsonl(in, meta, records))
-        << "accepted: " << text;
+    EXPECT_FALSE(read_jsonl(text, records)) << "accepted: " << text;
   }
 }
 
 TEST(TraceReaderFuzz, BinaryRejectsHostileInputsWithoutCrashing) {
-  obs::TraceMeta meta;
   std::vector<TraceRecord> records;
-
-  const auto reject = [&](std::string bytes, const char* why) {
-    std::istringstream in(std::move(bytes));
-    EXPECT_FALSE(obs::read_trace_binary(in, meta, records)) << why;
+  const auto reject = [&](const std::string& bytes, const char* why) {
+    EXPECT_FALSE(read_binary(bytes, records)) << why;
   };
 
   reject("", "empty stream");
   reject("HYT", "cut magic");
   reject("HYTRCB1\n", "old magic version");
-  reject("HYTRCB2\n", "magic only, no header");
-  reject(std::string("HYTRCB2\n") + std::string(20, '\xff'),
+  reject("HYTRCB3\n", "magic only, no header");
+  reject(std::string("HYTRCB3\n") + std::string(20, '\xff'),
          "garbage header");
 
   // A valid stream, then every truncation of it must fail cleanly.
   Trace t(8);
   t.enable(true);
-  t.record(5, TraceKind::Send, 1, "PHASE(r=1,ph1,est=0) -> p2", 3);
-  t.record(9, TraceKind::Deliver, 2, "PHASE(r=1,ph1,est=0) from p1", 3);
-  std::ostringstream full(std::ios::out | std::ios::binary);
-  obs::write_trace_binary(full, {}, t);
-  const std::string good = full.str();
-  {
-    std::istringstream in(good);
-    ASSERT_TRUE(obs::read_trace_binary(in, meta, records));
-    ASSERT_EQ(records.size(), 2u);
-  }
+  t.record(msg_rec(TraceKind::Send, 1, 2, 5, 3, phase(1, Phase::One)));
+  t.record(msg_rec(TraceKind::Deliver, 2, 1, 9, 3, phase(1, Phase::One)));
+  const std::string good = binary_of(t);
+  ASSERT_TRUE(read_binary(good, records));
+  ASSERT_EQ(records.size(), 2u);
   for (std::size_t cut = 1; cut < good.size(); ++cut) {
     reject(good.substr(0, cut), "truncated stream");
   }
@@ -187,10 +291,7 @@ TEST(TraceReaderFuzz, BinaryRejectsHostileInputsWithoutCrashing) {
   for (std::size_t i = 8; i < good.size(); ++i) {
     std::string mutated = good;
     mutated[i] = '\xee';
-    std::istringstream in(mutated);
-    obs::TraceMeta m2;
-    std::vector<TraceRecord> r2;
-    (void)obs::read_trace_binary(in, m2, r2);  // must not crash
+    (void)read_binary(mutated, records);  // must not crash
   }
 }
 

@@ -452,8 +452,7 @@ TEST(Replay, ReproducesFailingSeedsWithTraces) {
   EXPECT_NE(os.str().find("=== replay: cell 0"), std::string::npos);
 }
 
-TEST(Report, JsonEscapesAndFormatsNumbers) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+TEST(Report, FormatsNumbers) {
   EXPECT_EQ(format_number(2.5), "2.5");
   EXPECT_EQ(format_number(3.0), "3");
 }

@@ -29,6 +29,11 @@ TEST(Csv, EscapesSpecialCharacters) {
   EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
 }
 
+TEST(Csv, JsonEscapesStrings) {
+  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(json_escape("\r\t\x01"), "\\r\\t\\u0001");
+}
+
 TEST(Csv, FieldCountContract) {
   std::ostringstream os;
   CsvWriter w(os);

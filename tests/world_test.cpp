@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <string_view>
 #include <vector>
 
@@ -133,7 +134,9 @@ std::uint64_t digest(const Trace& trace) {
     d.add_signed(rec.proc);
     d.add(rec.mid);
     d.add(rec.parent);
-    d.add(rec.detail);
+    std::ostringstream detail;
+    write_detail(detail, rec);
+    d.add(detail.str());
   });
   return d.value();
 }
