@@ -228,9 +228,9 @@ RunResult ConsensusRun::finish() {
       static_cast<std::uint64_t>(result_.max_decision_round);
   if (timings_ != nullptr) timings_->fill(result_.obs);
 
-  if (trace_ != nullptr) {
+  if (local_trace_ != nullptr) {
     std::ostringstream os;
-    trace_->dump(os);
+    local_trace_->dump(os);
     result_.trace_dump = os.str();
   }
   return std::move(result_);

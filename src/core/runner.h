@@ -86,8 +86,8 @@ struct RunConfig {
 
   /// When set (with enable_trace), events are recorded into this caller-
   /// owned ring instead of a run-local one — the caller keeps the structured
-  /// records for export (src/obs/trace_export.h) rather than just the
-  /// rendered trace_dump text.
+  /// records for export (src/obs/trace_export.h), and trace_dump stays
+  /// empty.
   Trace* trace_sink = nullptr;
 
   /// Collect per-phase latency timings via an observer on each process.
@@ -122,7 +122,8 @@ struct RunResult {
   StopReason stop = StopReason::Quiescent;
   std::size_t crashed = 0;    ///< processes down at the end of the run
   std::size_t recovered = 0;  ///< crash-recovery rejoins executed
-  std::string trace_dump;  ///< populated when cfg.enable_trace
+  /// The run-local ring rendered as text (enable_trace without trace_sink).
+  std::string trace_dump;
 
   /// Observability sample: message-class counters always; phase timings
   /// only when cfg.collect_obs (zero otherwise).
