@@ -50,6 +50,26 @@ bool parse_u128(const std::string& s, U128& out) {
   return true;
 }
 
+/// Writes "count sum sumsq min max", the exact moments' raw state.
+void write_moments(std::ostream& out, const ExactMoments& mo) {
+  out << mo.count() << ' ' << u128_to_string(mo.raw_sum()) << ' '
+      << u128_to_string(mo.raw_sumsq()) << ' ' << mo.raw_min() << ' '
+      << mo.raw_max();
+}
+
+/// Inverse of write_moments().
+bool read_moments(std::istream& in, ExactMoments& out) {
+  std::uint64_t count = 0, mn = 0, mx = 0;
+  std::string sum_s, sumsq_s;
+  U128 sum = 0, sumsq = 0;
+  if (!(in >> count >> sum_s >> sumsq_s >> mn >> mx) ||
+      !parse_u128(sum_s, sum) || !parse_u128(sumsq_s, sumsq)) {
+    return false;
+  }
+  out = ExactMoments::from_raw(count, sum, sumsq, mn, mx);
+  return true;
+}
+
 std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 0xCBF29CE484222325) {
   for (const unsigned char c : s) {
     h ^= c;
@@ -60,11 +80,9 @@ std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 0xCBF29CE484222325) 
 
 void write_metric(std::ostream& out, const char* name, const MetricStats& m,
                   const char* prefix = "") {
-  const ExactMoments& mo = m.moments();
-  out << prefix << "m " << name << ' ' << mo.count() << ' '
-      << u128_to_string(mo.raw_sum()) << ' '
-      << u128_to_string(mo.raw_sumsq()) << ' ' << mo.raw_min() << ' '
-      << mo.raw_max() << '\n';
+  out << prefix << "m " << name << ' ';
+  write_moments(out, m.moments());
+  out << '\n';
   const ReservoirSample& res = m.reservoir();
   out << prefix << "r " << name << ' ' << res.capacity() << ' ' << res.size();
   for (const auto& e : res.entries()) {
@@ -75,11 +93,8 @@ void write_metric(std::ostream& out, const char* name, const MetricStats& m,
 
 bool parse_metric_lines(std::istringstream& mline, std::istringstream& rline,
                         MetricStats& out, std::size_t reservoir_capacity) {
-  std::uint64_t count = 0, mn = 0, mx = 0;
-  std::string sum_s, sumsq_s;
-  if (!(mline >> count >> sum_s >> sumsq_s >> mn >> mx)) return false;
-  U128 sum = 0, sumsq = 0;
-  if (!parse_u128(sum_s, sum) || !parse_u128(sumsq_s, sumsq)) return false;
+  ExactMoments moments;
+  if (!read_moments(mline, moments)) return false;
 
   std::size_t cap = 0, n = 0;
   if (!(rline >> cap >> n)) return false;
@@ -100,8 +115,7 @@ bool parse_metric_lines(std::istringstream& mline, std::istringstream& rline,
     if (end == val_s.c_str() || *end != '\0') return false;
     res.add(prio, val);
   }
-  out = MetricStats(ExactMoments::from_raw(count, sum, sumsq, mn, mx),
-                    std::move(res));
+  out = MetricStats(moments, std::move(res));
   return true;
 }
 
@@ -169,11 +183,8 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
   // (no "o" lines) still load.
   for (std::size_t i = 0; i < obs::kObsIdCount; ++i) {
     const auto id = static_cast<obs::ObsId>(i);
-    const ExactMoments& mo = acc.obs.moments(id);
-    out << "o " << obs::obs_id_name(id) << ' ' << mo.count() << ' '
-        << u128_to_string(mo.raw_sum()) << ' '
-        << u128_to_string(mo.raw_sumsq()) << ' ' << mo.raw_min() << ' '
-        << mo.raw_max();
+    out << "o " << obs::obs_id_name(id) << ' ';
+    write_moments(out, acc.obs.moments(id));
     if (obs::obs_id_is_latency(id)) {
       const obs::LogHistogram& hist = acc.obs.histogram(id);
       out << " h";
@@ -193,10 +204,9 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
     write_metric(out, "rate", acc.svc.rate, "s ");
     write_metric(out, "batches", acc.svc.batches, "s ");
     write_metric(out, "slots", acc.svc.slots, "s ");
-    const ExactMoments& lat = acc.svc.latency;
-    out << "s l " << lat.count() << ' ' << u128_to_string(lat.raw_sum())
-        << ' ' << u128_to_string(lat.raw_sumsq()) << ' ' << lat.raw_min()
-        << ' ' << lat.raw_max() << '\n';
+    out << "s l ";
+    write_moments(out, acc.svc.latency);
+    out << '\n';
     out << "s h";
     for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
       out << ' ' << acc.svc.latency_hist.bucket(b);
@@ -215,10 +225,9 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
         {"cons", &acc.svc.consensus, &acc.svc.consensus_hist},
     };
     for (const auto& c : comps) {
-      out << "s c " << c.name << ' ' << c.mo->count() << ' '
-          << u128_to_string(c.mo->raw_sum()) << ' '
-          << u128_to_string(c.mo->raw_sumsq()) << ' ' << c.mo->raw_min()
-          << ' ' << c.mo->raw_max() << '\n';
+      out << "s c " << c.name << ' ';
+      write_moments(out, *c.mo);
+      out << '\n';
       out << "s ch " << c.name;
       for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
         out << ' ' << c.hist->bucket(b);
@@ -348,11 +357,8 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
     std::istringstream ols;
     std::string name;
     if (!next_line("o", ols, &name)) return bail();
-    std::uint64_t count = 0, omin = 0, omax = 0;
-    std::string sum_s, sumsq_s;
-    if (!(ols >> count >> sum_s >> sumsq_s >> omin >> omax)) return bail();
-    U128 sum = 0, sumsq = 0;
-    if (!parse_u128(sum_s, sum) || !parse_u128(sumsq_s, sumsq)) return bail();
+    ExactMoments moments;
+    if (!read_moments(ols, moments)) return bail();
     std::string marker;
     std::array<std::uint64_t, obs::LogHistogram::kBuckets> hcounts{};
     bool have_hist = false;
@@ -366,8 +372,7 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
     for (std::size_t i = 0; i < obs::kObsIdCount; ++i) {
       const auto id = static_cast<obs::ObsId>(i);
       if (name != obs::obs_id_name(id)) continue;
-      obs_parsed.moments(id) =
-          ExactMoments::from_raw(count, sum, sumsq, omin, omax);
+      obs_parsed.moments(id) = moments;
       if (obs::obs_id_is_latency(id)) {
         if (!have_hist) return bail();
         obs_parsed.histogram(id) = obs::LogHistogram::from_counts(hcounts);
@@ -415,15 +420,7 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
       if (!parse_metric_lines(mls, rls, svc_parsed[i], rcap)) return bail();
     }
     std::istringstream lls;
-    if (!next_svc("l", lls)) return bail();
-    std::uint64_t lcount = 0, lmin = 0, lmax = 0;
-    std::string lsum_s, lsumsq_s;
-    if (!(lls >> lcount >> lsum_s >> lsumsq_s >> lmin >> lmax)) return bail();
-    U128 lsum = 0, lsumsq = 0;
-    if (!parse_u128(lsum_s, lsum) || !parse_u128(lsumsq_s, lsumsq)) {
-      return bail();
-    }
-    svc_latency = ExactMoments::from_raw(lcount, lsum, lsumsq, lmin, lmax);
+    if (!next_svc("l", lls) || !read_moments(lls, svc_latency)) return bail();
     std::istringstream shls;
     if (!next_svc("h", shls)) return bail();
     for (auto& c : svc_hist) {
@@ -445,19 +442,9 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
                      : cname == "cons" ? 2
                                        : -1;
       if (ckw == "c") {
-        std::uint64_t ccount = 0, cmin = 0, cmax = 0;
-        std::string csum_s, csumsq_s;
-        if (!(cls >> ccount >> csum_s >> csumsq_s >> cmin >> cmax)) {
-          return bail();
-        }
-        U128 csum = 0, csumsq = 0;
-        if (!parse_u128(csum_s, csum) || !parse_u128(csumsq_s, csumsq)) {
-          return bail();
-        }
-        if (ci >= 0) {
-          svc_comp[ci] =
-              ExactMoments::from_raw(ccount, csum, csumsq, cmin, cmax);
-        }
+        ExactMoments moments;
+        if (!read_moments(cls, moments)) return bail();
+        if (ci >= 0) svc_comp[ci] = moments;
       } else if (ckw == "ch") {
         std::array<std::uint64_t, obs::LogHistogram::kBuckets> tmp{};
         for (auto& c : tmp) {
