@@ -84,6 +84,9 @@ void ChaosProxy::loop() {
       break;
     }
 
+    // Only the pairs polled above have pollfd slots; a pair accepted below
+    // waits for the next iteration.
+    const std::size_t polled = pairs_.size();
     if ((pfds[0].revents & POLLIN) != 0) {
       const int client = ::accept(listen_fd_, nullptr, nullptr);
       if (client >= 0) {
@@ -105,7 +108,7 @@ void ChaosProxy::loop() {
       }
     }
 
-    for (std::size_t i = pairs_.size(); i-- > 0;) {
+    for (std::size_t i = polled; i-- > 0;) {
       Pair& p = pairs_[i];
       const pollfd& cpf = pfds[1 + i * 2];
       const pollfd& upf = pfds[2 + i * 2];
