@@ -33,11 +33,10 @@
 namespace hyco::obs {
 
 /// The record tuple's entries in file order, named as the JSONL keys.
-inline constexpr std::array<const char*, 19> kTraceFields = {
-    "at",        "kind",      "proc",         "mid",       "parent",
-    "peer",      "cause",     "msg_kind",     "msg_inst",  "msg_round",
-    "msg_phase", "msg_est",   "msg_origin",   "msg_value", "round",
-    "phase",     "arg0",      "arg1",         "arg2"};
+inline constexpr auto kTraceFields = std::to_array<const char*>(
+    {"at", "kind", "proc", "mid", "parent", "peer", "cause", "msg_kind",
+     "msg_inst", "msg_round", "msg_phase", "msg_est", "msg_origin",
+     "msg_value", "round", "phase", "arg0", "arg1", "arg2"});
 
 /// Identity of the traced run, stamped into the export header so a trace
 /// file is self-describing (which cell, which run index, which seed).
