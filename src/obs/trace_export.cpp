@@ -13,7 +13,7 @@ namespace hyco::obs {
 
 namespace {
 
-constexpr const char* kSchema = "hyco-trace/3";
+constexpr std::string_view kSchema = "hyco-trace/3";
 constexpr char kBinaryMagic[8] = {'H', 'Y', 'T', 'R', 'C', 'B', '3', '\n'};
 
 using TraceTuple = std::array<std::int64_t, kTraceFields.size()>;
@@ -110,36 +110,6 @@ bool unescape(const std::string& s, std::string& out) {
   return true;
 }
 
-/// Extracts the value of `"key":` from a single-line JSON object written by
-/// this file's writers (flat objects, known key order not required).
-bool find_raw_value(const std::string& line, const char* key,
-                    std::string& out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t i = at + needle.size();
-  if (i >= line.size()) return false;
-  if (line[i] == '"') {
-    // String value: scan to the closing unescaped quote.
-    std::size_t j = i + 1;
-    while (j < line.size()) {
-      if (line[j] == '\\') {
-        j += 2;
-        continue;
-      }
-      if (line[j] == '"') break;
-      ++j;
-    }
-    if (j >= line.size()) return false;
-    out = line.substr(i + 1, j - i - 1);
-    return true;
-  }
-  std::size_t j = i;
-  while (j < line.size() && line[j] != ',' && line[j] != '}') ++j;
-  out = line.substr(i, j - i);
-  return !out.empty();
-}
-
 /// Consumes `token` from the front of `s`.
 bool eat(std::string_view& s, std::string_view token) {
   if (!s.starts_with(token)) return false;
@@ -147,27 +117,53 @@ bool eat(std::string_view& s, std::string_view token) {
   return true;
 }
 
-/// Parses one JSONL record line: the tuple's entries under their
-/// kTraceFields keys, in order, exactly as write_trace_jsonl() emits them.
-bool parse_record_line(std::string_view line, TraceTuple& t) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!eat(line, i == 0 ? "{\"" : ",\"") || !eat(line, kTraceFields[i]) ||
-        !eat(line, "\":")) {
-      return false;
-    }
-    const auto [end, ec] =
-        std::from_chars(line.data(), line.data() + line.size(), t[i]);
-    if (ec != std::errc()) return false;
-    line.remove_prefix(static_cast<std::size_t>(end - line.data()));
-  }
-  return line == "}";
+/// Consumes a decimal integer from the front of `s`.
+template <typename T>
+bool number(std::string_view& s, T& out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec != std::errc()) return false;
+  s.remove_prefix(static_cast<std::size_t>(end - s.data()));
+  return true;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
+/// Consumes an escaped JSON string body and its closing quote.
+bool string_body(std::string_view& s, std::string& out) {
+  std::size_t j = 0;
+  while (j < s.size() && s[j] != '"') j += s[j] == '\\' ? 2 : 1;
+  if (j >= s.size() || !unescape(std::string(s.substr(0, j)), out)) {
+    return false;
+  }
+  s.remove_prefix(j + 1);
+  return true;
+}
+
+/// Parses the JSONL header line exactly as write_trace_jsonl() emits it.
+bool parse_header_line(std::string_view s, TraceMeta& meta,
+                       std::uint64_t& count) {
+  if (!(eat(s, "{\"schema\":\"") && eat(s, kSchema) &&
+        eat(s, "\",\"cell\":") && number(s, meta.cell) &&
+        eat(s, ",\"run\":") && number(s, meta.run) &&
+        eat(s, ",\"seed\":") && number(s, meta.seed) &&
+        eat(s, ",\"label\":\"") && string_body(s, meta.label) &&
+        eat(s, ",\"records\":") && number(s, count) &&
+        eat(s, ",\"recorded\":") && number(s, meta.recorded) &&
+        eat(s, ",\"truncated\":"))) {
+    return false;
+  }
+  meta.truncated = s == "true}";
+  return meta.truncated || s == "false}";
+}
+
+/// Parses one JSONL record line: the tuple's entries under their
+/// kTraceFields keys, in order, exactly as write_trace_jsonl() emits them.
+bool parse_record_line(std::string_view s, TraceTuple& t) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (!(eat(s, i == 0 ? "{\"" : ",\"") && eat(s, kTraceFields[i]) &&
+          eat(s, "\":") && number(s, t[i]))) {
+      return false;
+    }
+  }
+  return s == "}";
 }
 
 template <typename T>
@@ -218,25 +214,8 @@ bool read_trace_jsonl(std::istream& in, TraceMeta& meta,
                       std::vector<TraceRecord>& records) {
   records.clear();
   std::string line;
-  if (!std::getline(in, line)) return false;
-  std::string schema, v;
-  if (!find_raw_value(line, "schema", schema) || schema != kSchema) {
-    return false;
-  }
   std::uint64_t count = 0;
-  if (!(find_raw_value(line, "cell", v) && parse_u64(v, meta.cell))) return false;
-  if (!(find_raw_value(line, "run", v) && parse_u64(v, meta.run))) return false;
-  if (!(find_raw_value(line, "seed", v) && parse_u64(v, meta.seed))) return false;
-  if (!(find_raw_value(line, "records", v) && parse_u64(v, count))) return false;
-  if (!(find_raw_value(line, "recorded", v) && parse_u64(v, meta.recorded))) {
-    return false;
-  }
-  if (!find_raw_value(line, "truncated", v) ||
-      (v != "true" && v != "false")) {
-    return false;
-  }
-  meta.truncated = v == "true";
-  if (!find_raw_value(line, "label", v) || !unescape(v, meta.label)) {
+  if (!std::getline(in, line) || !parse_header_line(line, meta, count)) {
     return false;
   }
   // Cap the pre-reservation: `count` is attacker-controlled input in the

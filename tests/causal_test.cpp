@@ -259,6 +259,17 @@ TEST(TraceReaderFuzz, JsonlRejectsHostileInputsWithoutCrashing) {
   for (const char* text : bad) {
     EXPECT_FALSE(read_jsonl(text, records)) << "accepted: " << text;
   }
+
+  // A valid file, then every cut of it short of its final newline must
+  // fail cleanly.
+  Trace t(1);
+  t.enable(true);
+  t.record(msg_rec(TraceKind::Send, 1, 2, 5, 3, phase(1, Phase::One)));
+  const std::string good = jsonl_of(t);
+  ASSERT_TRUE(read_jsonl(good, records));
+  for (std::size_t cut = 0; cut + 1 < good.size(); ++cut) {
+    EXPECT_FALSE(read_jsonl(good.substr(0, cut), records)) << "cut " << cut;
+  }
 }
 
 TEST(TraceReaderFuzz, BinaryRejectsHostileInputsWithoutCrashing) {
