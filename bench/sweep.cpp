@@ -157,7 +157,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -661,102 +660,43 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Checkpoint/resume, chunk-granular: completed cells reload bit-exactly
-    // and skip entirely; a partially-completed cell reloads its folded
-    // chunk ranges and re-runs only the complement.
+    // Checkpoint/resume, chunk-granular (plan_resume): completed cells
+    // reload bit-exactly and skip entirely; a partially-completed cell
+    // reloads its folded chunk ranges and re-runs only the complement.
     const std::string ckpt_path = opts.get_string("checkpoint");
     CheckpointData loaded;
+    bool loaded_file = false;
     if (opts.get_bool("resume")) {
       HYCO_CHECK_MSG(!ckpt_path.empty(),
                      "--resume needs --checkpoint=PATH to read from");
       std::ifstream in(ckpt_path);
-      if (in.good()) {
+      loaded_file = in.good();
+      if (loaded_file) {
         loaded = load_checkpoint_data(in, fingerprint);
-        // A corrupted block could carry an out-of-grid index or range;
-        // drop it and re-run that work instead of indexing out of bounds.
-        for (auto it = loaded.cells.begin(); it != loaded.cells.end();) {
-          it = it->first >= cells.size() ? loaded.cells.erase(it)
-                                         : std::next(it);
-        }
-        for (auto it = loaded.chunks.begin(); it != loaded.chunks.end();) {
-          if (it->first >= cells.size()) {
-            it = loaded.chunks.erase(it);
-            continue;
-          }
-          auto& list = it->second;
-          const std::uint64_t cell_runs = cells[it->first].runs;
-          list.erase(std::remove_if(list.begin(), list.end(),
-                                    [&](const ChunkCheckpoint& c) {
-                                      return c.end > cell_runs;
-                                    }),
-                     list.end());
-          it = list.empty() ? loaded.chunks.erase(it) : std::next(it);
-        }
-        std::size_t partial_chunks = 0;
-        for (const auto& [index, list] : loaded.chunks) {
-          (void)index;
-          partial_chunks += list.size();
-        }
-        std::cerr << "sweep: resumed " << loaded.cells.size() << " of "
-                  << cells.size() << " cells";
-        if (partial_chunks > 0) {
-          std::cerr << " + " << partial_chunks << " mid-cell chunk(s) across "
-                    << loaded.chunks.size() << " cell(s)";
-        }
-        std::cerr << " from " << ckpt_path << "\n";
       } else {
         std::cerr << "sweep: no checkpoint at " << ckpt_path
                   << ", starting fresh\n";
       }
     }
-
-    std::map<std::uint64_t, CellAccumulator>& resumed = loaded.cells;
-
-    // Merge each partial cell's chunk accumulators into one prior per cell
-    // (merge-order-invariant, so any fold order lands on the same bytes)
-    // and derive the complement spans still to execute. A cell whose
-    // chunks cover everything (killed between the last chunk and its cell
-    // block) completes right here.
-    std::map<std::uint64_t, CellAccumulator> prior;  // cell.index → acc
-    std::vector<ExperimentCell> todo;
-    std::vector<RunSpan> todo_spans;
-    todo.reserve(cells.size() - resumed.size());
-    for (const auto& c : cells) {
-      if (resumed.find(c.index) != resumed.end()) continue;
-      const auto chunk_it = loaded.chunks.find(c.index);
-      if (chunk_it == loaded.chunks.end()) {
-        todo_spans.push_back({todo.size(), 0, c.runs});
-        todo.push_back(c);
-        continue;
+    ResumePlan plan = plan_resume(cells, std::move(loaded));
+    if (loaded_file) {
+      std::size_t partial_chunks = 0;
+      for (const auto& [index, list] : plan.checkpoint.chunks) {
+        (void)index;
+        partial_chunks += list.size();
       }
-      CellAccumulator acc(exec_opts.reservoir_capacity,
-                          exec_opts.failure_capacity);
-      std::vector<RunSpan> gaps;
-      std::uint64_t cursor = 0;
-      for (const ChunkCheckpoint& chunk : chunk_it->second) {
-        if (chunk.begin > cursor) gaps.push_back({0, cursor, chunk.begin});
-        acc.merge(chunk.acc);
-        cursor = chunk.end;
+      std::cerr << "sweep: resumed " << plan.checkpoint.cells.size() << " of "
+                << cells.size() << " cells";
+      if (partial_chunks > 0) {
+        std::cerr << " + " << partial_chunks << " mid-cell chunk(s) across "
+                  << plan.checkpoint.chunks.size() << " cell(s)";
       }
-      if (cursor < c.runs) gaps.push_back({0, cursor, c.runs});
-      if (gaps.empty()) {
-        // Killed between the last chunk and the cell block: the compacted
-        // rewrite below lands this cell as a cell block directly.
-        acc.finalize();
-        resumed.emplace(c.index, std::move(acc));
-        continue;
-      }
-      for (RunSpan g : gaps) {
-        g.cell_pos = todo.size();
-        todo_spans.push_back(g);
-      }
-      prior.emplace(c.index, std::move(acc));
-      todo.push_back(c);
+      std::cerr << " from " << ckpt_path << "\n";
     }
 
     std::ofstream ckpt_out;
     if (!ckpt_path.empty()) {
-      if (resumed.empty() && prior.empty()) {
+      if (plan.resumed_runs == 0) {
         // Never silently destroy an earlier session's progress: a file
         // that already carries a checkpoint header needs an explicit
         // --resume (or manual removal) before we truncate it.
@@ -780,14 +720,13 @@ int main(int argc, char** argv) {
         // compacted equivalent (cell blocks + one merged chunk block per
         // contiguous chain) via a temporary + rename, so repeated
         // crash/resume cycles cannot grow the file without bound — and a
-        // kill mid-rewrite leaves the old file untouched. Chunk-covered
-        // cells land as cell blocks here (they sit in `resumed` already).
+        // kill mid-rewrite leaves the old file untouched.
         const std::string tmp_path = ckpt_path + ".tmp";
         {
           std::ofstream compact(tmp_path, std::ios::trunc);
           HYCO_CHECK_MSG(compact.good(),
                          "cannot open \"" << tmp_path << "\" for writing");
-          write_compacted_checkpoint(compact, fingerprint, loaded);
+          write_compacted_checkpoint(compact, fingerprint, plan.checkpoint);
           compact.flush();
           HYCO_CHECK_MSG(compact.good(),
                          "failed writing compacted checkpoint to \""
@@ -802,28 +741,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // The cell-complete checkpoint block must hold the *full* accumulator;
-    // for a cell resumed mid-flight that is prior + the freshly executed
-    // complement.
-    const auto full_accumulator = [&](std::uint64_t index,
-                                      const CellAccumulator& fresh) {
-      const auto it = prior.find(index);
-      if (it == prior.end()) return fresh;
-      CellAccumulator full = it->second;
-      full.merge(fresh);
-      full.finalize();
-      return full;
-    };
-
-    const std::uint64_t resumed_runs = total - [&] {
-      std::uint64_t left = 0;
-      for (const auto& s : todo_spans) left += s.length();
-      return left;
-    }();
-
     const bool stream = opts.get_bool("stream");
     const auto t0 = std::chrono::steady_clock::now();
-    std::atomic<std::uint64_t> cells_done{resumed.size()};
+    std::atomic<std::uint64_t> cells_done{plan.checkpoint.cells.size()};
     std::atomic<std::uint64_t> ops_done{0};
     std::atomic<std::int64_t> last_print_ms{-1000};
     const bool want_progress = opts.get_bool("progress");
@@ -869,7 +789,7 @@ int main(int argc, char** argv) {
         return;
       }
       const double rate =
-          static_cast<double>(done_runs - resumed_runs) / secs;
+          static_cast<double>(done_runs - plan.resumed_runs) / secs;
       const double eta =
           rate > 0.0 ? static_cast<double>(total_runs - done_runs) / rate
                      : 0.0;
@@ -887,18 +807,33 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "\n");
     };
 
-    std::vector<CellResult> results;
-    results.reserve(cells.size());
+    // One sink folds every run, whichever driver executes it: it starts
+    // from the checkpoint's blocks, and its hooks append each new chunk
+    // and finished cell.
+    CollectingSink::Options sink_opts;
+    sink_opts.retain_records = !stream;
+    if (opts.has("max-records")) {
+      const auto cap = opts.get_int("max-records");
+      HYCO_CHECK_MSG(cap >= 0, "--max-records must be >= 0, got " << cap);
+      sink_opts.max_records_per_cell = static_cast<std::uint64_t>(cap);
+    }
+    if (ckpt_out.is_open()) {
+      sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
+                               std::uint64_t end, const CellAccumulator& acc) {
+        append_checkpoint_chunk(ckpt_out, cell.index, begin, end, acc);
+      };
+    }
+    sink_opts.on_complete = [&](const ExperimentCell& cell,
+                                const CellAccumulator& acc) {
+      cells_done.fetch_add(1, std::memory_order_relaxed);
+      if (ckpt_out.is_open()) append_checkpoint_cell(ckpt_out, cell.index, acc);
+    };
+    CollectingSink sink(cells, std::move(sink_opts));
+    sink.resume(std::move(plan.checkpoint));
 
     if (dist_flags.serve) {
-      // Coordinator mode: the ledger leases the todo spans to TCP workers
-      // and merges what they fold back. prior accumulators slide under the
-      // same cells they would in a local resume.
-      std::map<std::size_t, CellAccumulator> prior_by_pos;
-      for (std::size_t pos = 0; pos < todo.size(); ++pos) {
-        auto it = prior.find(todo[pos].index);
-        if (it != prior.end()) prior_by_pos.emplace(pos, it->second);
-      }
+      // Coordinator mode: the ledger leases the spans to TCP workers and
+      // hands what they fold back to the sink.
       dist::CoordinatorOptions copts;
       copts.port = dist_flags.serve_port;
       copts.lease_grain = dist_flags.lease_grain;
@@ -907,37 +842,9 @@ int main(int argc, char** argv) {
       copts.reservoir_capacity = exec_opts.reservoir_capacity;
       copts.failure_capacity = exec_opts.failure_capacity;
       copts.health_port = dist_flags.health_port;
-      if (ckpt_out.is_open()) {
-        copts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
-                             std::uint64_t end, const CellAccumulator& acc) {
-          append_checkpoint_chunk(ckpt_out, cell.index, begin, end, acc);
-        };
-      }
-      copts.on_cell_complete = [&](const ExperimentCell& cell,
-                                   const CellAccumulator& acc) {
-        cells_done.fetch_add(1, std::memory_order_relaxed);
-        if (ckpt_out.is_open()) {
-          // The coordinator's slot already merged prior chunks: acc is the
-          // full cell.
-          append_checkpoint_cell(ckpt_out, cell.index, acc);
-        }
-      };
-      if (want_progress) {
-        // The coordinator's `folded` already includes the prior chunk runs
-        // it was constructed with; add only the cell-block-resumed part of
-        // resumed_runs to get the grid-wide figure.
-        std::uint64_t prior_runs = 0;
-        for (const auto& [index, acc] : prior) {
-          (void)index;
-          prior_runs += acc.runs;
-        }
-        copts.progress = [&, prior_runs](std::uint64_t folded, std::uint64_t,
-                                         std::size_t workers) {
-          print_progress(resumed_runs - prior_runs + folded, total, workers);
-        };
-      }
-      dist::Coordinator coordinator(todo, todo_spans, std::move(prior_by_pos),
-                                    fingerprint, std::move(copts));
+      if (want_progress) copts.progress = print_progress;
+      dist::Coordinator coordinator(cells, plan.spans, fingerprint,
+                                    std::move(copts));
       coordinator.bind();
       std::cerr << "sweep: coordinating " << cells.size() << " cells x "
                 << spec.runs_per_cell << " seeds = " << total
@@ -947,33 +854,11 @@ int main(int argc, char** argv) {
         std::cerr << "sweep: health endpoint on port "
                   << coordinator.health_port() << "\n";
       }
-      for (auto& r : coordinator.serve()) results.push_back(std::move(r));
+      coordinator.serve(sink);
     } else {
-      CollectingSink::Options sink_opts;
-      sink_opts.retain_records = !stream;
-      if (opts.has("max-records")) {
-        const auto cap = opts.get_int("max-records");
-        HYCO_CHECK_MSG(cap >= 0, "--max-records must be >= 0, got " << cap);
-        sink_opts.max_records_per_cell = static_cast<std::uint64_t>(cap);
-      }
-      if (ckpt_out.is_open()) {
-        sink_opts.on_chunk = [&](const ExperimentCell& cell,
-                                 std::uint64_t begin, std::uint64_t end,
-                                 const CellAccumulator& acc) {
-          append_checkpoint_chunk(ckpt_out, cell.index, begin, end, acc);
-        };
-      }
-      sink_opts.on_complete = [&](const ExperimentCell& cell,
-                                  const CellAccumulator& acc) {
-        cells_done.fetch_add(1, std::memory_order_relaxed);
-        if (ckpt_out.is_open()) {
-          append_checkpoint_cell(ckpt_out, cell.index,
-                                 full_accumulator(cell.index, acc));
-        }
-      };
       if (want_progress) {
         exec_opts.progress = [&](std::uint64_t done, std::uint64_t) {
-          print_progress(resumed_runs + done, total, 0);
+          print_progress(plan.resumed_runs + done, total, 0);
         };
         if (service) {
           // Fed before `progress` for every chunk, so the heartbeat the
@@ -988,34 +873,14 @@ int main(int argc, char** argv) {
       // The executor spawns worker_count(residual runs) workers (it
       // shrinks the chunk grain so the pool is never starved), so this
       // banner is exact even mid-resume.
-      const unsigned workers = exec.worker_count(total - resumed_runs);
+      const unsigned workers = exec.worker_count(total - plan.resumed_runs);
       std::cerr << "sweep: " << cells.size() << " cells x "
                 << spec.runs_per_cell << " seeds = " << total << " runs on "
                 << workers << " threads"
                 << (stream ? " [streaming]" : "") << "\n";
-
-      CollectingSink sink(todo, std::move(sink_opts));
-      exec.run(todo, todo_spans, sink);
-      for (auto& r : sink.take_results()) {
-        // A mid-cell resume: the sink only saw the complement; fold the
-        // checkpointed prior back in for the in-memory artifacts.
-        if (prior.find(r.cell.index) != prior.end()) {
-          r.acc = full_accumulator(r.cell.index, r.acc);
-        }
-        results.push_back(std::move(r));
-      }
+      exec.run(cells, plan.spans, sink);
     }
-
-    // Assemble the full grid in cell order: resumed cells + fresh ones.
-    // Everything downstream (table, CSV, JSON, replay) is agnostic to how
-    // a cell's accumulator was produced.
-    for (auto& [index, acc] : resumed) {
-      results.emplace_back(cells[index], std::move(acc));
-    }
-    std::sort(results.begin(), results.end(),
-              [](const CellResult& a, const CellResult& b) {
-                return a.cell.index < b.cell.index;
-              });
+    const std::vector<CellResult> results = sink.take_results();
 
     if (!opts.get_bool("quiet")) {
       to_table("sweep results", results).print(std::cout);

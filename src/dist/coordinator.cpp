@@ -31,27 +31,19 @@ struct Coordinator::Conn {
 
 Coordinator::Coordinator(std::vector<ExperimentCell> cells,
                          std::vector<RunSpan> spans,
-                         std::map<std::size_t, CellAccumulator> prior,
                          std::uint64_t fingerprint, CoordinatorOptions opts)
     : cells_(std::move(cells)),
       opts_(std::move(opts)),
       fingerprint_(fingerprint),
-      ledger_(cells_.size(), opts_.lease_grain),
-      completed_(cells_.size(), 0) {
-  slots_.reserve(cells_.size());
+      ledger_(cells_.size(), opts_.lease_grain) {
   for (std::size_t pos = 0; pos < cells_.size(); ++pos) {
     index_to_pos_.emplace(cells_[pos].index, pos);
-    const auto it = prior.find(pos);
-    if (it != prior.end()) {
-      resumed_runs_ += it->second.runs;
-      slots_.push_back(std::move(it->second));
-    } else {
-      slots_.emplace_back(opts_.reservoir_capacity, opts_.failure_capacity);
-    }
+    resumed_runs_ += cells_[pos].runs;
   }
   for (const RunSpan& s : spans) {
     ledger_.add_span(s.cell_pos, s.begin, s.end);
   }
+  resumed_runs_ -= ledger_.total_runs();
 }
 
 Coordinator::~Coordinator() {
@@ -86,7 +78,9 @@ obs::HealthSnapshot Coordinator::snapshot(
   snap.runs_folded = resumed_runs_ + ledger_.folded_runs();
   snap.runs_resumed = resumed_runs_;
   snap.cells_total = cells_.size();
-  for (const char c : completed_) snap.cells_completed += c != 0 ? 1 : 0;
+  for (std::size_t pos = 0; pos < cells_.size(); ++pos) {
+    snap.cells_completed += ledger_.cell_folded(pos) ? 1 : 0;
+  }
   snap.chunks_total = ledger_.chunk_count();
   snap.chunks_pending = ledger_.pending_chunks();
   snap.chunks_leased = ledger_.leased_chunks();
@@ -143,17 +137,8 @@ void Coordinator::serve_health_request(
   ::close(fd);
 }
 
-void Coordinator::complete_cell(std::size_t cell_pos) {
-  CellAccumulator& acc = slots_[cell_pos];
-  acc.finalize();
-  completed_[cell_pos] = 1;
-  if (opts_.on_cell_complete) {
-    opts_.on_cell_complete(cells_[cell_pos], acc);
-    last_flush_ = WorkLedger::Clock::now();
-  }
-}
-
-bool Coordinator::handle_frame(Conn& conn, const Frame& frame) {
+bool Coordinator::handle_frame(Conn& conn, const Frame& frame,
+                               RunSink& sink) {
   if (!conn.welcomed) {
     if (frame.type != MsgType::kHello) return false;
     HelloMsg hello;
@@ -232,17 +217,14 @@ bool Coordinator::handle_frame(Conn& conn, const Frame& frame) {
       ++conn.folded_chunks;
       conn.folded_runs += result.end - result.begin;
       ++accepted_folds_;
-      if (opts_.on_chunk) {
-        opts_.on_chunk(cells_[pos], result.begin, result.end, result.acc);
-        last_flush_ = WorkLedger::Clock::now();
-      }
-      slots_[pos].merge(result.acc);
-      if (fold.cell_completed) complete_cell(pos);
+      sink.absorb(pos, result.begin, result.end, std::move(result.acc), {});
+      if (fold.cell_completed) sink.on_cell_complete(pos);
+      if (sink.checkpoints()) last_flush_ = WorkLedger::Clock::now();
       if (opts_.crash_after_chunks > 0 &&
           accepted_folds_ >= opts_.crash_after_chunks) {
         // Injected crash: die the way SIGKILL would — every socket torn
         // down with no Done broadcast, nothing flushed beyond what the
-        // hooks above already wrote. Tests restart from the checkpoint.
+        // sink above already wrote. Tests restart from the checkpoint.
         for (const auto& c : conns_) {
           if (c->fd >= 0) ::close(c->fd);
         }
@@ -264,15 +246,8 @@ bool Coordinator::handle_frame(Conn& conn, const Frame& frame) {
   }
 }
 
-std::vector<CellResult> Coordinator::serve() {
+void Coordinator::serve(RunSink& sink) {
   HYCO_CHECK_MSG(listen_fd_ >= 0, "coordinator: call bind() before serve()");
-
-  // Cells whose whole run range came out of the checkpoint have nothing to
-  // execute; complete them up front so their cell blocks/results exist even
-  // though no worker will ever touch them.
-  for (std::size_t pos = 0; pos < cells_.size(); ++pos) {
-    if (!completed_[pos] && ledger_.cell_folded(pos)) complete_cell(pos);
-  }
 
   const auto started = WorkLedger::Clock::now();
   std::vector<pollfd> pfds;
@@ -344,7 +319,7 @@ std::vector<CellResult> Coordinator::serve() {
               ok = !conn.buf.error();
               break;
             }
-            ok = handle_frame(conn, *frame);
+            ok = handle_frame(conn, *frame, sink);
           }
         }
       }
@@ -408,13 +383,6 @@ std::vector<CellResult> Coordinator::serve() {
     ::close(health_fd_);
     health_fd_ = -1;
   }
-
-  std::vector<CellResult> results;
-  results.reserve(cells_.size());
-  for (std::size_t pos = 0; pos < cells_.size(); ++pos) {
-    results.emplace_back(std::move(cells_[pos]), std::move(slots_[pos]));
-  }
-  return results;
 }
 
 }  // namespace hyco::dist

@@ -1,21 +1,22 @@
 // Coordinator — owns one grid execution and farms its chunks to TCP
-// workers (src/dist/worker.h), folding their accumulators through the
-// chunk-granular WorkLedger.
+// workers (src/dist/worker.h). The chunk-granular WorkLedger accepts each
+// chunk exactly once, and the coordinator hands it to the caller's RunSink
+// exactly as ParallelExecutor does: absorb, then on_cell_complete when the
+// cell's last chunk lands.
 //
-// Determinism contract: the per-cell accumulator the coordinator emits is
-// the merge of exactly-once chunk accumulators over the cell's full run
-// range (plus any checkpoint-resumed prior chunks). Because every
-// accumulator component is merge-order-invariant (exp/sink.h), the merged
-// result — and every CSV/JSON byte rendered from it — is identical to a
-// single-machine `--stream` run at any worker count, lease grain, arrival
-// order, or worker failure pattern.
+// Determinism contract: the sink sees exactly-once chunk accumulators over
+// the spans it was given. Because every accumulator component is
+// merge-order-invariant (exp/sink.h), a CollectingSink — and every CSV/JSON
+// byte rendered from it — ends up identical to a single-machine `--stream`
+// run at any worker count, lease grain, arrival order, or worker failure
+// pattern.
 //
 // Fault handling: a worker disconnect re-queues its leased chunks; a lease
 // older than lease_ttl is re-queued even without a disconnect (a wedged
 // worker); a result arriving for an already-folded chunk (the original
 // worker raced its re-issued lease) is dropped as a duplicate. The
 // coordinator is single-threaded (one poll loop) — no locks, and the
-// on_chunk/on_cell_complete hooks (checkpoint appends) run serialized.
+// sink's calls (and its checkpoint hooks) run serialized.
 #pragma once
 
 #include <chrono>
@@ -56,16 +57,9 @@ struct CoordinatorOptions {
   std::chrono::milliseconds max_wait{0};
   std::size_t reservoir_capacity = MetricStats::kDefaultReservoir;
   std::size_t failure_capacity = CellAccumulator::kDefaultFailureCap;
-  /// Accepted-chunk hook (cell, begin, end, chunk accumulator) — the chunk
-  /// checkpoint append.
-  std::function<void(const ExperimentCell&, std::uint64_t, std::uint64_t,
-                     const CellAccumulator&)>
-      on_chunk;
-  /// Completed-cell hook with the final, finalized accumulator.
-  std::function<void(const ExperimentCell&, const CellAccumulator&)>
-      on_cell_complete;
-  /// Progress hook, called at most once per poll tick:
-  /// (folded runs, total runs incl. nothing-to-do cells, connected workers).
+  /// Progress hook, called at most once per poll tick: (folded runs, total
+  /// runs, connected workers), both counts over every cell, resumed runs
+  /// included.
   std::function<void(std::uint64_t, std::uint64_t, std::size_t)> progress;
   /// Read-only HTTP health/progress endpoint: -1 = disabled, 0 =
   /// kernel-assigned (query with health_port()), else the TCP port to bind.
@@ -76,8 +70,8 @@ struct CoordinatorOptions {
   /// Chaos hook for crash tests: after this many accepted chunk folds the
   /// coordinator abruptly closes every socket (no Done broadcast — the
   /// moral equivalent of SIGKILL) and serve() throws ChaosKill. Whatever
-  /// the on_chunk hook checkpointed so far is exactly what a restarted
-  /// --resume coordinator picks up. 0 = disabled (production).
+  /// the sink checkpointed so far is exactly what a restarted --resume
+  /// coordinator picks up. 0 = disabled (production).
   std::uint64_t crash_after_chunks = 0;
 };
 
@@ -90,14 +84,11 @@ struct ChaosKill {
 
 class Coordinator {
  public:
-  /// `cells` are the cells this execution must produce (typically the
-  /// not-yet-completed subset of a grid); `spans` the run ranges still to
-  /// execute (cells absent from spans are fully covered by `prior`);
-  /// `prior` holds per-cell-position accumulators resumed from a chunk
-  /// checkpoint, merged under the emitted results. `fingerprint` is the
-  /// full grid's identity that worker Hellos must match.
+  /// `cells` is the grid; `spans` the run ranges still to execute (for a
+  /// resumed sweep, ResumePlan::spans — runs outside them count as
+  /// resumed). `fingerprint` is the grid's identity that worker Hellos
+  /// must match.
   Coordinator(std::vector<ExperimentCell> cells, std::vector<RunSpan> spans,
-              std::map<std::size_t, CellAccumulator> prior,
               std::uint64_t fingerprint, CoordinatorOptions opts);
   ~Coordinator();
 
@@ -111,17 +102,17 @@ class Coordinator {
   /// Bound health-endpoint port; 0 until bind() (or when disabled).
   [[nodiscard]] std::uint16_t health_port() const { return health_port_; }
 
-  /// Runs the accept/lease/fold loop until every run has folded (or
-  /// max_wait expires → ContractViolation). Returns the finalized results
-  /// in cell order. Call bind() first.
-  [[nodiscard]] std::vector<CellResult> serve();
+  /// Runs the accept/lease/fold loop until every span has folded (or
+  /// max_wait expires → ContractViolation), handing each accepted chunk to
+  /// `sink`. Call bind() first.
+  void serve(RunSink& sink);
 
  private:
   struct Conn;
 
-  void complete_cell(std::size_t cell_pos);
   /// Returns false when the connection must be dropped.
-  [[nodiscard]] bool handle_frame(Conn& conn, const Frame& frame);
+  [[nodiscard]] bool handle_frame(Conn& conn, const Frame& frame,
+                                  RunSink& sink);
   /// Point-in-time progress snapshot for the health endpoint.
   [[nodiscard]] obs::HealthSnapshot snapshot(
       WorkLedger::Clock::time_point started) const;
@@ -133,9 +124,7 @@ class Coordinator {
   CoordinatorOptions opts_;
   std::uint64_t fingerprint_;
   WorkLedger ledger_;
-  std::vector<CellAccumulator> slots_;
-  std::vector<char> completed_;
-  std::uint64_t resumed_runs_ = 0;  ///< runs carried by `prior`
+  std::uint64_t resumed_runs_ = 0;  ///< grid runs outside the spans
 
   int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;
@@ -149,7 +138,7 @@ class Coordinator {
   std::uint64_t requeued_chunks_ = 0;
   std::uint64_t worker_reconnects_ = 0;
   std::uint64_t accepted_folds_ = 0;
-  /// Last time an on_chunk/on_cell_complete hook returned (i.e. the
+  /// Last time a checkpointing sink returned from a fold (i.e. the
   /// checkpoint writer flushed); unset until the first flush.
   std::optional<WorkLedger::Clock::time_point> last_flush_;
 };

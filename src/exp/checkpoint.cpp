@@ -491,9 +491,6 @@ void write_compacted_checkpoint(std::ostream& out, std::uint64_t fingerprint,
     append_checkpoint_cell(out, index, acc);
   }
   for (const auto& [index, list] : data.chunks) {
-    // A cell block supersedes its chunk trail (callers may promote a fully
-    // chunk-covered cell into `cells` without erasing the chunk list).
-    if (data.cells.find(index) != data.cells.end()) continue;
     // `list` is sorted and overlap-free (load_checkpoint_data's contract);
     // fuse each maximal run of adjacent ranges into one block.
     std::size_t i = 0;
@@ -623,6 +620,64 @@ CheckpointData load_checkpoint_data(std::istream& in,
 std::map<std::uint64_t, CellAccumulator> load_checkpoint(
     std::istream& in, std::uint64_t expected_fingerprint) {
   return load_checkpoint_data(in, expected_fingerprint).cells;
+}
+
+ResumePlan plan_resume(const std::vector<ExperimentCell>& cells,
+                       CheckpointData checkpoint) {
+  ResumePlan plan;
+  CheckpointData& ck = plan.checkpoint;
+  ck = std::move(checkpoint);
+  // A corrupted block could carry an out-of-grid index or range; drop it
+  // and re-run that work instead of indexing out of bounds.
+  std::erase_if(ck.cells, [&](const auto& kv) {
+    return kv.first >= cells.size();
+  });
+  for (auto it = ck.chunks.begin(); it != ck.chunks.end();) {
+    auto& trail = it->second;
+    if (it->first < cells.size()) {
+      const std::uint64_t runs = cells[it->first].runs;
+      std::erase_if(trail, [&](const ChunkCheckpoint& c) {
+        return c.end > runs;
+      });
+    }
+    it = it->first >= cells.size() || trail.empty() ? ck.chunks.erase(it)
+                                                    : std::next(it);
+  }
+
+  for (std::uint64_t pos = 0; pos < cells.size(); ++pos) {
+    HYCO_CHECK_MSG(cells[pos].index == pos,
+                   "plan_resume: cell " << pos << " has index "
+                                        << cells[pos].index
+                                        << " (expected a whole grid)");
+    const std::uint64_t runs = cells[pos].runs;
+    plan.resumed_runs += runs;
+    if (ck.cells.count(pos) != 0) continue;
+    const auto trail = ck.chunks.find(pos);
+    if (trail == ck.chunks.end()) {
+      plan.spans.push_back({pos, 0, runs});
+      continue;
+    }
+    // The trail is sorted and overlap-free; its gaps are the complement.
+    const std::size_t first_gap = plan.spans.size();
+    std::uint64_t cursor = 0;
+    for (const ChunkCheckpoint& chunk : trail->second) {
+      if (chunk.begin > cursor) plan.spans.push_back({pos, cursor, chunk.begin});
+      cursor = chunk.end;
+    }
+    if (cursor < runs) plan.spans.push_back({pos, cursor, runs});
+    if (plan.spans.size() > first_gap) continue;
+    // Killed between the last chunk and the cell block: the trail is the
+    // whole cell, and the compacted rewrite lands it as a cell block.
+    CellAccumulator acc = std::move(trail->second.front().acc);
+    for (std::size_t i = 1; i < trail->second.size(); ++i) {
+      acc.merge(trail->second[i].acc);
+    }
+    acc.finalize();
+    ck.cells.emplace(pos, std::move(acc));
+    ck.chunks.erase(trail);
+  }
+  for (const RunSpan& s : plan.spans) plan.resumed_runs -= s.length();
+  return plan;
 }
 
 }  // namespace hyco

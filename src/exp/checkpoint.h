@@ -114,4 +114,24 @@ void write_compacted_checkpoint(std::ostream& out, std::uint64_t fingerprint,
 [[nodiscard]] std::map<std::uint64_t, CellAccumulator> load_checkpoint(
     std::istream& in, std::uint64_t expected_fingerprint);
 
+/// What a sweep still has to run after loading its checkpoint.
+struct ResumePlan {
+  /// The loaded checkpoint restricted to the grid. A block naming a cell
+  /// outside it, or a chunk that runs past its cell's run count, is
+  /// dropped and its runs execute again; a chunk trail that covers its
+  /// whole cell is merged into a finished cell block. Rewrite it with
+  /// write_compacted_checkpoint(), then hand it to CollectingSink::resume()
+  /// so the sink folds the new runs on top of it.
+  CheckpointData checkpoint;
+  /// Runs no block covers, in cell order (cell_pos = grid position).
+  std::vector<RunSpan> spans;
+  /// Runs the checkpoint covers: the grid's total minus the spans'.
+  std::uint64_t resumed_runs = 0;
+};
+
+/// Plans a sweep over a whole expanded grid (cells[i].index == i) that
+/// resumes `checkpoint`; an empty checkpoint plans every run.
+[[nodiscard]] ResumePlan plan_resume(const std::vector<ExperimentCell>& cells,
+                                     CheckpointData checkpoint);
+
 }  // namespace hyco

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "exp/checkpoint.h"
 #include "service/service_runner.h"
 #include "util/assert.h"
 #include "util/rng.h"
@@ -222,6 +223,27 @@ CollectingSink::CollectingSink(std::vector<ExperimentCell> cells, Options opts)
   }
 }
 
+void CollectingSink::Slot::fold(CellAccumulator&& chunk) {
+  if (!has_acc) {
+    acc = std::move(chunk);
+    has_acc = true;
+  } else {
+    acc.merge(chunk);
+  }
+}
+
+void CollectingSink::resume(CheckpointData checkpoint) {
+  const auto slot = [&](std::uint64_t pos) -> Slot& {
+    HYCO_CHECK_MSG(pos < slots_.size(),
+                   "resume: cell position " << pos << " out of range");
+    return *slots_[pos];
+  };
+  for (auto& [pos, acc] : checkpoint.cells) slot(pos).fold(std::move(acc));
+  for (auto& [pos, trail] : checkpoint.chunks) {
+    for (ChunkCheckpoint& c : trail) slot(pos).fold(std::move(c.acc));
+  }
+}
+
 void CollectingSink::absorb(std::uint64_t cell_pos, std::uint64_t begin,
                             std::uint64_t end, CellAccumulator&& chunk,
                             std::vector<RunRecord>&& records) {
@@ -233,12 +255,7 @@ void CollectingSink::absorb(std::uint64_t cell_pos, std::uint64_t begin,
   }
   Slot& slot = *slots_[cell_pos];
   const std::lock_guard<std::mutex> lock(slot.mu);
-  if (!slot.has_acc) {
-    slot.acc = std::move(chunk);
-    slot.has_acc = true;
-  } else {
-    slot.acc.merge(chunk);
-  }
+  slot.fold(std::move(chunk));
   if (opts_.retain_records) {
     const auto cap = opts_.max_records_per_cell;
     if (cap == std::numeric_limits<std::uint64_t>::max()) {

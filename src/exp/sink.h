@@ -9,11 +9,12 @@
 // cell statistics: streaming execution is byte-identical to batch at any
 // thread count by construction, and memory stays O(cells), not O(runs).
 //
-// CollectingSink is the standard sink: it merges chunks per cell, can
-// optionally retain raw RunRecords (batch mode — the thin record-keeping
-// sink existing tests pin streaming-vs-batch equivalence against), and
-// invokes a completion hook per finished cell (checkpoint appends, live
-// progress).
+// CollectingSink is the standard sink and the only place chunks merge:
+// the local executor and the distributed coordinator both fold into it,
+// and a resumed sweep seeds it with its checkpoint. It can optionally
+// retain raw RunRecords (batch mode — the thin record-keeping sink
+// existing tests pin streaming-vs-batch equivalence against), and invokes
+// per-chunk and per-cell hooks (checkpoint appends, live progress).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 
 namespace hyco {
 
+struct CheckpointData;
 struct ServiceRunResult;
 
 /// Per-run stats of a replicated-service run (all-zero / inactive for
@@ -294,6 +296,10 @@ class RunSink {
   /// Every scheduled run of the cell has been absorbed. Cells complete in
   /// any order; called from whichever worker finished the last chunk.
   virtual void on_cell_complete(std::uint64_t cell_pos) { (void)cell_pos; }
+
+  /// True when absorbing also appends checkpoint blocks; the coordinator's
+  /// health endpoint then reports how long ago the last one flushed.
+  [[nodiscard]] virtual bool checkpoints() const { return false; }
 };
 
 /// The standard sink: merges chunks into one accumulator per cell and
@@ -332,6 +338,17 @@ class CollectingSink : public RunSink {
   void absorb_profile(std::uint64_t cell_pos,
                       const ChunkProfile& prof) override;
   void on_cell_complete(std::uint64_t cell_pos) override;
+  [[nodiscard]] bool checkpoints() const override {
+    return static_cast<bool>(opts_.on_chunk);
+  }
+
+  /// Seeds the cells with the runs a resumed checkpoint already folded
+  /// (its keys are cell positions, which on a whole expanded grid are the
+  /// cell indices; see plan_resume). A cell block becomes that cell's
+  /// finished result, and a chunk trail is merged into the cell before
+  /// the runs still to execute. No hook fires for them: the checkpoint
+  /// already holds those blocks. Call before execution starts.
+  void resume(CheckpointData checkpoint);
 
   /// Results in cell order; call after the executor returns.
   [[nodiscard]] std::vector<CellResult> take_results();
@@ -343,6 +360,9 @@ class CollectingSink : public RunSink {
     CellAccumulator acc;
     std::vector<RunRecord> records;
     ChunkProfile profile;
+
+    /// Merges one chunk (or checkpointed block) in; call under `mu`.
+    void fold(CellAccumulator&& chunk);
   };
 
   std::vector<ExperimentCell> cells_;

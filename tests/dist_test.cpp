@@ -473,17 +473,17 @@ TEST(Proto, ResultEncodingRoundTripsAccumulatorExactly) {
 std::string serve_grid(const ExperimentSpec& spec, CoordinatorOptions opts,
                        const std::function<void(std::uint16_t)>& drive) {
   const auto cells = spec.expand();
-  Coordinator coordinator(cells, full_spans(cells), {},
+  Coordinator coordinator(cells, full_spans(cells),
                           grid_fingerprint(cells, opts.reservoir_capacity,
                                            opts.failure_capacity),
                           std::move(opts));
   coordinator.bind();
   const std::uint16_t port = coordinator.port();
-  std::vector<CellResult> results;
-  std::thread server([&] { results = coordinator.serve(); });
+  CollectingSink sink(cells, {});
+  std::thread server([&] { coordinator.serve(sink); });
   drive(port);
   server.join();
-  return render_artifacts(spec.name, results);
+  return render_artifacts(spec.name, sink.take_results());
 }
 
 dist::WorkerOptions worker_options(std::uint16_t port, unsigned sessions) {
@@ -736,21 +736,20 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
 
   std::stringstream ckpt;
   write_checkpoint_header(ckpt, fp);
-
-  CoordinatorOptions opts = test_coordinator_options();
-  opts.crash_after_chunks = 3;
-  opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
-                      std::uint64_t end, const CellAccumulator& acc) {
+  CollectingSink::Options sink_opts;
+  sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
+                           std::uint64_t end, const CellAccumulator& acc) {
     append_checkpoint_chunk(ckpt, cell.index, begin, end, acc);
   };
-  opts.on_cell_complete = [&](const ExperimentCell& cell,
+  sink_opts.on_complete = [&](const ExperimentCell& cell,
                               const CellAccumulator& acc) {
     append_checkpoint_cell(ckpt, cell.index, acc);
   };
 
-  auto first = std::make_unique<Coordinator>(
-      cells, full_spans(cells), std::map<std::size_t, CellAccumulator>{}, fp,
-      std::move(opts));
+  CoordinatorOptions opts = test_coordinator_options();
+  opts.crash_after_chunks = 3;
+  auto first = std::make_unique<Coordinator>(cells, full_spans(cells), fp,
+                                             std::move(opts));
   first->bind();
   const std::uint16_t port = first->port();
 
@@ -766,7 +765,8 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
 
   bool crashed = false;
   try {
-    (void)first->serve();
+    CollectingSink doomed(cells, std::move(sink_opts));
+    first->serve(doomed);
   } catch (const dist::ChaosKill& kill) {
     crashed = true;
     EXPECT_GE(kill.folded_chunks, 3u);
@@ -774,83 +774,28 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   ASSERT_TRUE(crashed);
   first.reset();
 
-  // Rebuild exactly as `sweep --serve --resume` does: completed cells load
-  // bit-exact, partial cells merge their chunk trail into a prior and
-  // re-run only the complement spans.
+  // Resume exactly as `sweep --serve --resume` does.
   std::istringstream in(ckpt.str());
-  CheckpointData loaded = load_checkpoint_data(in, fp);
-  std::map<std::uint64_t, CellAccumulator>& resumed = loaded.cells;
-  std::map<std::uint64_t, CellAccumulator> prior;
-  std::vector<ExperimentCell> todo;
-  std::vector<RunSpan> todo_spans;
-  for (const auto& c : cells) {
-    if (resumed.find(c.index) != resumed.end()) continue;
-    const auto chunk_it = loaded.chunks.find(c.index);
-    if (chunk_it == loaded.chunks.end()) {
-      todo_spans.push_back({todo.size(), 0, c.runs});
-      todo.push_back(c);
-      continue;
-    }
-    CellAccumulator acc(MetricStats::kDefaultReservoir,
-                        CellAccumulator::kDefaultFailureCap);
-    std::vector<RunSpan> gaps;
-    std::uint64_t cursor = 0;
-    for (const ChunkCheckpoint& chunk : chunk_it->second) {
-      if (chunk.begin > cursor) gaps.push_back({0, cursor, chunk.begin});
-      acc.merge(chunk.acc);
-      cursor = chunk.end;
-    }
-    if (cursor < c.runs) gaps.push_back({0, cursor, c.runs});
-    if (gaps.empty()) {
-      acc.finalize();
-      resumed.emplace(c.index, std::move(acc));
-      continue;
-    }
-    for (RunSpan g : gaps) {
-      g.cell_pos = todo.size();
-      todo_spans.push_back(g);
-    }
-    prior.emplace(c.index, std::move(acc));
-    todo.push_back(c);
-  }
+  ResumePlan plan = plan_resume(cells, load_checkpoint_data(in, fp));
   // 3 folded chunks of 12: the crash left real work (this also proves the
   // checkpoint caught the pre-crash folds).
-  ASSERT_FALSE(todo.empty());
-  ASSERT_FALSE(loaded.chunks.empty());
-
-  std::map<std::size_t, CellAccumulator> prior_by_pos;
-  for (std::size_t pos = 0; pos < todo.size(); ++pos) {
-    const auto it = prior.find(todo[pos].index);
-    if (it != prior.end()) prior_by_pos.emplace(pos, it->second);
-  }
+  ASSERT_FALSE(plan.spans.empty());
+  ASSERT_GT(plan.resumed_runs, 0u);
 
   CoordinatorOptions opts2 = test_coordinator_options();
   opts2.port = port;  // the endpoint the workers keep redialing
-  Coordinator second(todo, todo_spans, std::move(prior_by_pos), fp,
-                     std::move(opts2));
+  Coordinator second(cells, plan.spans, fp, std::move(opts2));
   second.bind();
-  std::vector<CellResult> rest = second.serve();
+  CollectingSink sink(cells, {});
+  sink.resume(std::move(plan.checkpoint));
+  second.serve(sink);
   w1.join();
   w2.join();
   EXPECT_TRUE(r1.completed) << r1.error;
   EXPECT_TRUE(r2.completed) << r2.error;
   EXPECT_GE(r1.reconnects + r2.reconnects, 1u);
-
-  // Stitch resumed cells and restarted-run results back into grid order.
-  std::vector<CellResult> all;
-  std::size_t next_rest = 0;
-  for (const auto& cell : cells) {
-    const auto it = resumed.find(cell.index);
-    if (it != resumed.end()) {
-      all.emplace_back(cell, std::move(it->second));
-    } else {
-      ASSERT_LT(next_rest, rest.size());
-      ASSERT_EQ(rest[next_rest].cell.index, cell.index);
-      all.push_back(std::move(rest[next_rest]));
-      ++next_rest;
-    }
-  }
-  EXPECT_EQ(render_artifacts(spec.name, all), reference_artifacts(spec));
+  EXPECT_EQ(render_artifacts(spec.name, sink.take_results()),
+            reference_artifacts(spec));
 }
 
 // ---- health endpoint + distributed obs metrics ------------------------------
@@ -900,12 +845,12 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   CoordinatorOptions opts = test_coordinator_options();
   opts.health_port = 0;  // ephemeral
   opts.lease_grain = 16;
-  Coordinator coordinator(cells, full_spans(cells), {}, fp, std::move(opts));
+  Coordinator coordinator(cells, full_spans(cells), fp, std::move(opts));
   coordinator.bind();
   const std::uint16_t hport = coordinator.health_port();
   ASSERT_NE(hport, 0);
-  std::vector<CellResult> results;
-  std::thread server([&] { results = coordinator.serve(); });
+  CollectingSink sink(cells, {});
+  std::thread server([&] { coordinator.serve(sink); });
 
   // Before any worker connects: schema present, zero progress, no workers.
   const std::string before = fetch_health(hport);
@@ -969,6 +914,7 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
                                       coordinator.port(), 2));
   EXPECT_TRUE(r.completed) << r.error;
   server.join();
+  const std::vector<CellResult> results = sink.take_results();
 
   ReportOptions ropts;
   ropts.net_stats = true;
@@ -977,11 +923,11 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   write_cell_csv(da, results, ropts);
   write_cell_json(da, spec.name, results, ropts);
 
-  CollectingSink sink(cells, {});
+  CollectingSink local_sink(cells, {});
   ParallelExecutor::Options eopts;
   eopts.threads = 2;
-  ParallelExecutor(eopts).run(cells, sink);
-  auto local = sink.take_results();
+  ParallelExecutor(eopts).run(cells, local_sink);
+  auto local = local_sink.take_results();
   std::ostringstream la;
   write_cell_csv(la, local, ropts);
   write_cell_json(la, spec.name, local, ropts);
@@ -1002,12 +948,12 @@ TEST(DistributedSweep, HealthEndpointReportsRecoveryCounters) {
   CoordinatorOptions opts = test_coordinator_options();
   opts.health_port = 0;
   opts.lease_ttl = std::chrono::milliseconds(250);
-  Coordinator coordinator(cells, full_spans(cells), {}, fp, std::move(opts));
+  Coordinator coordinator(cells, full_spans(cells), fp, std::move(opts));
   coordinator.bind();
   const std::uint16_t hport = coordinator.health_port();
   ASSERT_NE(hport, 0);
-  std::vector<CellResult> results;
-  std::thread server([&] { results = coordinator.serve(); });
+  CollectingSink sink(cells, {});
+  std::thread server([&] { coordinator.serve(sink); });
 
   // The wedged worker: leases a chunk, then sits on it.
   const int fd = dist::connect_once({"127.0.0.1", coordinator.port()});
@@ -1065,7 +1011,8 @@ TEST(DistributedSweep, HealthEndpointReportsRecoveryCounters) {
   server.join();
   ::close(fd);
   ::close(fd2);
-  EXPECT_EQ(render_artifacts(spec.name, results), reference_artifacts(spec));
+  EXPECT_EQ(render_artifacts(spec.name, sink.take_results()),
+            reference_artifacts(spec));
 }
 
 // ---- mid-cell chunk-checkpoint resume --------------------------------------
@@ -1104,37 +1051,23 @@ TEST(ChunkCheckpoint, MidCellResumeMatchesUninterruptedByteForByte) {
     ParallelExecutor(opts).run(cells, {{0, 0, 120}, {0, 200, 260}}, sink);
   }
 
-  const CheckpointData loaded = load_checkpoint_data(file, fp);
-  EXPECT_TRUE(loaded.cells.empty());
-  ASSERT_EQ(loaded.chunks.size(), 1u);
-  const auto& chunk_list = loaded.chunks.at(0);
-  ASSERT_FALSE(chunk_list.empty());
-
-  // Merge the prior and derive the complement spans.
-  CellAccumulator prior(MetricStats::kDefaultReservoir,
-                        CellAccumulator::kDefaultFailureCap);
-  std::vector<RunSpan> gaps;
-  std::uint64_t cursor = 0;
-  for (const ChunkCheckpoint& c : chunk_list) {
-    if (c.begin > cursor) gaps.push_back({0, cursor, c.begin});
-    prior.merge(c.acc);
-    cursor = c.end;
-  }
-  if (cursor < cells[0].runs) gaps.push_back({0, cursor, cells[0].runs});
-  EXPECT_EQ(prior.runs, 180u);
-  ASSERT_EQ(gaps.size(), 2u);  // [120, 200) and [260, 300)
+  ResumePlan plan = plan_resume(cells, load_checkpoint_data(file, fp));
+  EXPECT_TRUE(plan.checkpoint.cells.empty());
+  ASSERT_EQ(plan.checkpoint.chunks.size(), 1u);
+  EXPECT_EQ(plan.resumed_runs, 180u);
+  ASSERT_EQ(plan.spans.size(), 2u);  // [120, 200) and [260, 300)
+  EXPECT_EQ(plan.spans[0].begin, 120u);
+  EXPECT_EQ(plan.spans[0].end, 200u);
+  EXPECT_EQ(plan.spans[1].begin, 260u);
+  EXPECT_EQ(plan.spans[1].end, 300u);
 
   CollectingSink sink(cells, {});
+  sink.resume(std::move(plan.checkpoint));
   ParallelExecutor::Options opts;
   opts.threads = 2;
   opts.chunk_size = 57;  // a different grain must not change the bytes
-  ParallelExecutor(opts).run(cells, gaps, sink);
-  auto results = sink.take_results();
-  ASSERT_EQ(results.size(), 1u);
-  prior.merge(results[0].acc);
-  prior.finalize();
-  results[0].acc = std::move(prior);
-  EXPECT_EQ(render_artifacts(spec.name, results), reference);
+  ParallelExecutor(opts).run(cells, plan.spans, sink);
+  EXPECT_EQ(render_artifacts(spec.name, sink.take_results()), reference);
 }
 
 TEST(ChunkCheckpoint, LoaderDropsOverlapsTruncationAndCoveredChunks) {
@@ -1279,21 +1212,21 @@ TEST(ChunkCheckpoint, CompactedRewriteResumesByteForByte) {
   EXPECT_EQ(list[1].acc.runs, 20u);
 
   // Resume from the compacted file at a different grain: complement spans
-  // only, merged under the prior — byte-identical artifacts.
-  CellAccumulator prior(MetricStats::kDefaultReservoir,
-                        CellAccumulator::kDefaultFailureCap);
-  for (const ChunkCheckpoint& c : list) prior.merge(c.acc);
+  // only, folded on top of the checkpoint — byte-identical artifacts.
+  ResumePlan plan = plan_resume(cells, reloaded);
+  ASSERT_EQ(plan.spans.size(), 2u);  // cell 0's gap [10,20), all of cell 1
+  EXPECT_EQ(plan.spans[0].cell_pos, 0u);
+  EXPECT_EQ(plan.spans[0].begin, 10u);
+  EXPECT_EQ(plan.spans[0].end, 20u);
+  EXPECT_EQ(plan.spans[1].cell_pos, 1u);
+  EXPECT_EQ(plan.spans[1].length(), 40u);
   CollectingSink sink(cells, {});
+  sink.resume(std::move(plan.checkpoint));
   ParallelExecutor::Options opts;
   opts.threads = 2;
   opts.chunk_size = 7;
-  ParallelExecutor(opts).run(cells, {{0, 10, 20}, {1, 0, 40}}, sink);
-  auto results = sink.take_results();
-  ASSERT_EQ(results.size(), 2u);
-  prior.merge(results[0].acc);
-  prior.finalize();
-  results[0].acc = std::move(prior);
-  EXPECT_EQ(render_artifacts(spec.name, results), reference);
+  ParallelExecutor(opts).run(cells, plan.spans, sink);
+  EXPECT_EQ(render_artifacts(spec.name, sink.take_results()), reference);
 }
 
 }  // namespace

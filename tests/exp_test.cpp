@@ -402,22 +402,78 @@ TEST(Checkpoint, ResumedRunMatchesUninterruptedByteForByte) {
     ParallelExecutor(opts).run(first_half, sink);
   }
 
-  // Resume: load, run only what's missing, merge, emit.
-  const auto resumed = load_checkpoint(file, fp);
-  ASSERT_EQ(resumed.size(), cells.size() / 2);
-  std::vector<ExperimentCell> todo;
-  for (const auto& c : cells) {
-    if (resumed.find(c.index) == resumed.end()) todo.push_back(c);
+  // Resume: load, run only what's missing, emit.
+  ResumePlan plan = plan_resume(cells, load_checkpoint_data(file, fp));
+  ASSERT_EQ(plan.checkpoint.cells.size(), cells.size() / 2);
+  ASSERT_EQ(plan.spans.size(), cells.size() - cells.size() / 2);
+  CollectingSink sink(cells, {});
+  sink.resume(std::move(plan.checkpoint));
+  ParallelExecutor().run(cells, plan.spans, sink);
+  EXPECT_EQ(render_artifacts(spec.name, sink.take_results()), reference);
+}
+
+TEST(ResumePlan, DropsForeignBlocksAndCompletesCoveredCells) {
+  const ExperimentSpec spec = mixed_spec();
+  const auto cells = spec.expand();
+  ASSERT_EQ(cells.size(), 8u);
+  const std::uint64_t runs = spec.runs_per_cell;
+  const std::uint64_t fp = grid_fingerprint(
+      cells, MetricStats::kDefaultReservoir, CellAccumulator::kDefaultFailureCap);
+  const auto whole = ParallelExecutor().run(cells);
+  const std::string reference = render_artifacts(spec.name, whole);
+
+  // The interrupted session folded all of cell 0 and runs [0, 2) of cell 1
+  // as chunk blocks, and no cell block. The file also holds a finished
+  // cell 2, a cell block for a cell outside the grid, and a cell-1 chunk
+  // that runs past the cell's run count.
+  std::stringstream file;
+  write_checkpoint_header(file, fp);
+  {
+    CollectingSink::Options sink_opts;
+    sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
+                             std::uint64_t end, const CellAccumulator& acc) {
+      append_checkpoint_chunk(file, cell.index, begin, end, acc);
+    };
+    CollectingSink sink(cells, std::move(sink_opts));
+    ParallelExecutor::Options opts;
+    opts.threads = 1;
+    ParallelExecutor(opts).run(cells, {{0, 0, runs}, {1, 0, 2}}, sink);
   }
-  CollectingSink sink(todo, {});
-  ParallelExecutor().run(todo, sink);
-  std::vector<CellResult> all;
-  for (const auto& [index, acc] : resumed) all.emplace_back(cells[index], acc);
-  for (auto& r : sink.take_results()) all.push_back(std::move(r));
-  std::sort(all.begin(), all.end(), [](const CellResult& a, const CellResult& b) {
-    return a.cell.index < b.cell.index;
-  });
-  EXPECT_EQ(render_artifacts(spec.name, all), reference);
+  append_checkpoint_cell(file, 2, whole[2].acc);
+  append_checkpoint_cell(file, 99, whole[3].acc);
+  append_checkpoint_chunk(file, 1, 2, runs + 3, whole[1].acc);
+
+  ResumePlan plan = plan_resume(cells, load_checkpoint_data(file, fp));
+  // Cell 0's trail became a cell block; the foreign blocks are gone.
+  EXPECT_EQ(plan.checkpoint.cells.size(), 2u);
+  EXPECT_EQ(plan.checkpoint.cells.count(0), 1u);
+  EXPECT_EQ(plan.checkpoint.cells.at(0).runs, runs);
+  EXPECT_EQ(plan.checkpoint.cells.count(2), 1u);
+  ASSERT_EQ(plan.checkpoint.chunks.size(), 1u);
+  ASSERT_EQ(plan.checkpoint.chunks.at(1).size(), 1u);
+  EXPECT_EQ(plan.checkpoint.chunks.at(1)[0].end, 2u);
+  EXPECT_EQ(plan.resumed_runs, runs + runs + 2);
+  // Cells 0 and 2 execute nothing; cell 1 reruns from its dropped chunk.
+  ASSERT_EQ(plan.spans.size(), cells.size() - 2);
+  EXPECT_EQ(plan.spans[0].cell_pos, 1u);
+  EXPECT_EQ(plan.spans[0].begin, 2u);
+  EXPECT_EQ(plan.spans[0].end, runs);
+  for (std::size_t i = 1; i < plan.spans.size(); ++i) {
+    EXPECT_EQ(plan.spans[i].cell_pos, i + 2);
+    EXPECT_EQ(plan.spans[i].begin, 0u);
+    EXPECT_EQ(plan.spans[i].end, runs);
+  }
+
+  CollectingSink sink(cells, {});
+  sink.resume(std::move(plan.checkpoint));
+  ParallelExecutor().run(cells, plan.spans, sink);
+  const auto results = sink.take_results();
+  ASSERT_EQ(results.size(), cells.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].cell.index, i);
+    EXPECT_EQ(results[i].runs(), runs);
+  }
+  EXPECT_EQ(render_artifacts(spec.name, results), reference);
 }
 
 // ---- replay ----------------------------------------------------------------
