@@ -4,7 +4,11 @@
 // prints the round-count histogram for the largest system.
 //
 // Run: ./build/examples/common_coin_demo [--runs=N]
+#include <algorithm>
+#include <iomanip>
 #include <iostream>
+#include <map>
+#include <string>
 
 #include "core/runner.h"
 #include "util/options.h"
@@ -39,14 +43,19 @@ int main(int argc, char** argv) {
 
   std::cout << "\nround distribution at n=64 (geometric tail — each round"
                " past agreement decides w.p. 1/2):\n";
-  Histogram h(1.0, 9.0, 8);
+  std::map<Round, int> by_round;
+  int peak = 1;
   for (int i = 0; i < runs; ++i) {
     RunConfig cfg(ClusterLayout::even(64, 4));
     cfg.alg = Algorithm::HybridCommonCoin;
     cfg.inputs = split_inputs(64);
     cfg.seed = mix64(0xDE41, static_cast<std::uint64_t>(i));
-    h.add(static_cast<double>(run_consensus(cfg).max_decision_round));
+    peak = std::max(peak, ++by_round[run_consensus(cfg).max_decision_round]);
   }
-  std::cout << h.to_string() << '\n';
+  for (const auto& [round, count] : by_round) {
+    std::cout << std::setw(4) << round << " | "
+              << std::string(static_cast<std::size_t>(count * 40 / peak), '#')
+              << ' ' << count << '\n';
+  }
   return 0;
 }

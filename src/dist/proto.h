@@ -39,7 +39,7 @@
 
 namespace hyco::dist {
 
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Upper bound on a frame payload. A chunk result is bounded by the
 /// accumulator state (reservoir entries × metrics), far below this; a

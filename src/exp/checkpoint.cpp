@@ -1,7 +1,6 @@
 #include "exp/checkpoint.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -22,7 +21,6 @@ constexpr const char* kVersion = "v1";
 // the loader drop the block (the documented contract), not drive a
 // multi-gigabyte allocation or an abort. Far above any configured value.
 constexpr std::size_t kMaxReservoirCapacity = std::size_t{1} << 22;
-constexpr std::size_t kMaxHistogramBuckets = std::size_t{1} << 16;
 constexpr std::size_t kMaxFailureCapacity = std::size_t{1} << 22;
 
 using U128 = ExactMoments::U128;
@@ -161,13 +159,6 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
   write_metric(out, "shm", acc.shm_proposals);
   write_metric(out, "objects", acc.objects);
   write_metric(out, "dtime", acc.decision_time);
-  out << "h " << format_number(acc.round_hist.lo()) << ' '
-      << format_number(acc.round_hist.hi()) << ' '
-      << acc.round_hist.bucket_count();
-  for (std::size_t i = 0; i < acc.round_hist.bucket_count(); ++i) {
-    out << ' ' << acc.round_hist.bucket(i);
-  }
-  out << '\n';
   out << "f " << acc.failure_cap << ' ' << acc.failures.size();
   for (const RunRecord& r : acc.failures) {
     out << ' ' << r.run << ',' << r.seed << ',' << (r.terminated ? 1 : 0)
@@ -304,19 +295,8 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
     if (!parse_metric_lines(mls, rls, parsed[i], rcap)) return bail();
   }
 
-  std::istringstream hls;
-  if (!next_line("h", hls)) return bail();
-  double lo = 0.0, hi = 0.0;
-  std::size_t buckets = 0;
-  if (!(hls >> lo >> hi >> buckets) || buckets == 0 ||
-      buckets > kMaxHistogramBuckets || !std::isfinite(lo) ||
-      !std::isfinite(hi) || !(hi > lo)) {
-    return bail();
-  }
-  std::vector<std::uint64_t> counts(buckets, 0);
-  for (std::size_t i = 0; i < buckets; ++i) {
-    if (!(hls >> counts[i])) return bail();
-  }
+  // Older writers put a round-histogram "h" line here; skip it.
+  if (in.peek() == 'h') std::getline(in, line);
 
   std::istringstream fls;
   if (!next_line("f", fls)) return bail();
@@ -462,7 +442,6 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
   built.shm_proposals = parsed[2];
   built.objects = parsed[3];
   built.decision_time = parsed[4];
-  built.round_hist = Histogram::from_counts(lo, hi, std::move(counts));
   built.failures = std::move(fails);
   built.obs = obs_parsed;
   if (svc_active > 0) {

@@ -9,12 +9,12 @@
 //  * a *chunk* block holds the accumulator of one executed run range
 //    [begin, end) of a cell still in flight — the chunk-granular trail that
 //    lets a single monster cell resume mid-cell instead of from zero.
-// Both carry exact 128-bit moment sums, reservoir entries, histogram
-// counts, and the failure ring. Because the accumulator is exact integer
-// state and merge-order-invariant, a resumed sweep reconstructs completed
-// cells bit-for-bit, re-runs only the uncovered ranges of partial cells,
-// and its final CSV/JSON artifacts are byte-identical to an uninterrupted
-// run.
+// Both carry exact 128-bit moment sums, reservoir entries, latency
+// histogram counts, and the failure ring. Because the accumulator is exact
+// integer state and merge-order-invariant, a resumed sweep reconstructs
+// completed cells bit-for-bit, re-runs only the uncovered ranges of partial
+// cells, and its final CSV/JSON artifacts are byte-identical to an
+// uninterrupted run.
 //
 // The loader ignores trailing partial blocks — a process killed mid-append
 // loses at most one cell (or, with chunk blocks, one chunk). Chunk blocks
@@ -45,9 +45,9 @@ namespace hyco {
     std::size_t failure_capacity);
 
 /// Serializes an accumulator's statistical state (metric moments +
-/// reservoirs, histogram, failure ring — everything except the run counts,
-/// which block headers carry). Shared by cell blocks, chunk blocks, and the
-/// distributed wire protocol.
+/// reservoirs, failure ring, obs and service lines — everything except the
+/// run counts, which block headers carry). Shared by cell blocks, chunk
+/// blocks, and the distributed wire protocol.
 void write_accumulator_state(std::ostream& out, const CellAccumulator& acc);
 
 /// Parses the lines written by write_accumulator_state into `out`

@@ -180,7 +180,6 @@ void CellAccumulator::add(const RunRecord& r) {
     objects.add(r.consensus_objects, mix64(r.seed, kSaltObjects));
     decision_time.add(static_cast<std::uint64_t>(r.decision_time),
                       mix64(r.seed, kSaltDecisionTime));
-    round_hist.add(static_cast<double>(r.rounds));
   }
   if (!r.safe_ok) ++violations;
   if (!r.success) bounded_push(failures, r, failure_cap);
@@ -197,7 +196,6 @@ void CellAccumulator::merge(const CellAccumulator& other) {
   shm_proposals.merge(other.shm_proposals);
   objects.merge(other.objects);
   decision_time.merge(other.decision_time);
-  round_hist.merge(other.round_hist);
   for (const RunRecord& r : other.failures) {
     bounded_push(failures, r, failure_cap);
   }

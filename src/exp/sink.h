@@ -1,8 +1,8 @@
 // Streaming run pipeline: where executed runs land.
 //
 // Workers fold each chunk of a cell's runs into a fresh CellAccumulator —
-// exact integer moments, deterministic bottom-k quantile reservoirs, a
-// round histogram, and a bounded worst-failure ring — and hand it to a
+// exact integer moments, deterministic bottom-k quantile reservoirs, and a
+// bounded worst-failure ring — and hand it to a
 // RunSink. Every accumulator component is a pure function of the run
 // *multiset* (integer sums; priority-keyed reservoirs; run-index-bounded
 // rings), so merging chunks in any order or grouping produces bit-identical
@@ -171,7 +171,6 @@ struct CellAccumulator {
   MetricStats shm_proposals;
   MetricStats objects;
   MetricStats decision_time;
-  Histogram round_hist{0.0, 64.0, 16};  ///< decision-round distribution
 
   /// Observability metrics over ALL runs (not just terminated ones):
   /// message-class counters and — when the spec collects them — per-phase
@@ -245,7 +244,6 @@ struct CellResult {
   [[nodiscard]] const MetricStats& decision_time() const {
     return acc.decision_time;
   }
-  [[nodiscard]] const Histogram& round_hist() const { return acc.round_hist; }
   [[nodiscard]] const obs::ObsAccumulator& obs() const { return acc.obs; }
   [[nodiscard]] const std::vector<RunRecord>& failures() const {
     return acc.failures;

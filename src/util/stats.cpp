@@ -219,56 +219,4 @@ const std::vector<double>& ReservoirSample::sorted_values() const {
   return sorted_cache_;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  HYCO_CHECK_MSG(hi > lo, "histogram range must be non-empty");
-  HYCO_CHECK_MSG(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::int64_t>((x - lo_) / span *
-                                       static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-Histogram Histogram::from_counts(double lo, double hi,
-                                 std::vector<std::uint64_t> counts) {
-  Histogram h(lo, hi, counts.size());
-  h.counts_ = std::move(counts);
-  h.total_ = 0;
-  for (const auto c : h.counts_) h.total_ += c;
-  return h;
-}
-
-void Histogram::merge(const Histogram& other) {
-  HYCO_CHECK_MSG(lo_ == other.lo_ && hi_ == other.hi_ &&
-                     counts_.size() == other.counts_.size(),
-                 "cannot merge histograms with different bucket layouts");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-}
-
-std::string Histogram::to_string(std::size_t max_width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double b_lo = lo_ + width * static_cast<double>(i);
-    os << std::setw(8) << std::fixed << std::setprecision(1) << b_lo << " | ";
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(max_width));
-    for (std::size_t j = 0; j < bar; ++j) os << '#';
-    os << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace hyco

@@ -1,5 +1,5 @@
 // Small statistics toolkit for experiment harnesses: online accumulators,
-// percentile summaries, and fixed-width histograms.
+// percentile summaries, exact moments and mergeable reservoirs.
 #pragma once
 
 #include <cstdint>
@@ -135,35 +135,6 @@ class ReservoirSample {
   std::vector<Entry> heap_;  ///< max-heap on (priority, value)
   mutable std::vector<double> sorted_cache_;
   mutable bool cache_valid_ = false;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bucket. Used for round-count distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  /// Folds another histogram in; both must share [lo, hi) and bucket count.
-  void merge(const Histogram& other);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// ASCII bar rendering, one bucket per line.
-  [[nodiscard]] std::string to_string(std::size_t max_width = 40) const;
-
-  [[nodiscard]] double lo() const { return lo_; }
-  [[nodiscard]] double hi() const { return hi_; }
-  /// Reconstructs a histogram from serialized bucket counts (checkpoints).
-  static Histogram from_counts(double lo, double hi,
-                               std::vector<std::uint64_t> counts);
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace hyco

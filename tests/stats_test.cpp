@@ -156,22 +156,6 @@ TEST(ReservoirSample, RejectsCapacityMismatchAndZero) {
   EXPECT_THROW(a.merge(b), ContractViolation);
 }
 
-TEST(Histogram, MergeAddsCounts) {
-  Histogram a(0.0, 10.0, 5), b(0.0, 10.0, 5);
-  a.add(1.0);
-  a.add(9.0);
-  b.add(1.5);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.bucket(0), 2u);
-  EXPECT_EQ(a.bucket(4), 1u);
-  Histogram c(0.0, 10.0, 4);
-  EXPECT_THROW(a.merge(c), ContractViolation);
-  const Histogram rebuilt = Histogram::from_counts(0.0, 10.0, {2, 0, 0, 0, 1});
-  EXPECT_EQ(rebuilt.total(), 3u);
-  EXPECT_EQ(rebuilt.bucket(0), 2u);
-}
-
 TEST(Summary, PercentilesOnKnownData) {
   Summary s;
   for (int i = 1; i <= 100; ++i) s.add(i);
@@ -204,34 +188,6 @@ TEST(Summary, AddAllAndToString) {
   EXPECT_EQ(s.count(), 3u);
   const auto str = s.to_string();
   EXPECT_NE(str.find("n=3"), std::string::npos);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 4
-  h.add(-3.0);  // clamps to bucket 0
-  h.add(42.0);  // clamps to bucket 4
-  h.add(5.0);   // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
-TEST(Histogram, RendersBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const auto s = h.to_string(10);
-  EXPECT_NE(s.find('#'), std::string::npos);
-  EXPECT_NE(s.find('2'), std::string::npos);
 }
 
 }  // namespace
