@@ -149,9 +149,10 @@ void write_csv_row(CsvWriter& w, const CellResult& r,
     fields.push_back(
         format_number(r.obs().moments(obs::ObsId::kCoinFlips).mean()));
     for (const obs::ObsId id : kLatencyIds) {
-      fields.push_back(format_number(r.obs().moments(id).mean()));
-      fields.push_back(format_number(r.obs().histogram(id).percentile(95)));
-      fields.push_back(format_number(r.obs().moments(id).max()));
+      const ExactMoments& mo = r.obs().moments(id);
+      fields.push_back(format_number(mo.mean()));
+      fields.push_back(format_percentile(r.obs().histogram(id), mo, 95));
+      fields.push_back(format_number(mo.max()));
     }
   }
   if (opts.service) {
@@ -273,8 +274,8 @@ void write_cell_json(std::ostream& out, const std::string& experiment_name,
             << ",\"mean\":" << format_number(mo.mean())
             << ",\"sd\":" << format_number(mo.stddev())
             << ",\"min\":" << format_number(mo.min())
-            << ",\"p50\":" << format_number(hist.percentile(50))
-            << ",\"p95\":" << format_number(hist.percentile(95))
+            << ",\"p50\":" << format_percentile(hist, mo, 50)
+            << ",\"p95\":" << format_percentile(hist, mo, 95)
             << ",\"max\":" << format_number(mo.max()) << '}';
       }
       out << '}';

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -80,6 +81,29 @@ TEST(ObsInvariant, OptInColumnsAreThreadCountInvariant) {
   const std::string base = run_and_render(obs_spec(true), 1, {});
   EXPECT_EQ(t1.find(base.substr(0, 32)), 0u);  // same leading base header
   EXPECT_EQ(base.find("delivered_sum"), std::string::npos);
+
+  // Every latency entry's percentiles lie inside its exact [min, max], in
+  // order (log-bucket interpolation alone can overshoot the maximum).
+  const auto number = [](const std::string& obj, const std::string& key) {
+    const std::size_t at = obj.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " in " << obj;
+    return std::strtod(obj.c_str() + at + key.size() + 3, nullptr);
+  };
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < obs::kObsIdCount; ++i) {
+    const auto id = static_cast<obs::ObsId>(i);
+    if (!obs::obs_id_is_latency(id)) continue;
+    const std::string open = "\"" + std::string(obs::obs_id_name(id)) + "\":{";
+    for (std::size_t at = t1.find(open); at != std::string::npos;
+         at = t1.find(open, at + 1)) {
+      const std::string obj = t1.substr(at, t1.find('}', at) - at);
+      const double mn = number(obj, "min"), p50 = number(obj, "p50");
+      const double p95 = number(obj, "p95"), mx = number(obj, "max");
+      EXPECT_TRUE(mn <= p50 && p50 <= p95 && p95 <= mx) << obj;
+      ++entries;
+    }
+  }
+  EXPECT_EQ(entries, 5u * obs_spec(true).cell_count());
 }
 
 // ---- merge-order invariance -------------------------------------------------
