@@ -1,8 +1,7 @@
-// B-SNAP — self-contained performance snapshot of the event core. Runs the
-// same loops as the Google-Benchmark suite in bench_sim.cpp
-// (BM_SimulatorEventThroughput / BM_SimulatorFanOut /
-// BM_NetworkBroadcastDelivery) but requires no external dependency, so it
-// can run in any CI job and seed the repo's performance trajectory.
+// B-SNAP — self-contained performance snapshot of the event core: simulator
+// event throughput, timer fan-out and network broadcast delivery, plus a
+// calendar stressor and a service run. It needs no external dependency, so
+// it can run in any CI job and seed the repo's performance trajectory.
 //
 // Writes a JSON document (default BENCH_sim.json) with events/sec, msgs/sec
 // and peak queue depth per benchmark. Methodology: each loop is repeated
