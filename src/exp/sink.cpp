@@ -231,14 +231,16 @@ void CollectingSink::Slot::fold(CellAccumulator&& chunk) {
 }
 
 void CollectingSink::resume(CheckpointData checkpoint) {
-  const auto slot = [&](std::uint64_t pos) -> Slot& {
+  const auto fold = [&](std::uint64_t pos, CellAccumulator&& acc) {
     HYCO_CHECK_MSG(pos < slots_.size(),
                    "resume: cell position " << pos << " out of range");
-    return *slots_[pos];
+    Slot& slot = *slots_[pos];
+    const std::lock_guard<std::mutex> lock(slot.mu);
+    slot.fold(std::move(acc));
   };
-  for (auto& [pos, acc] : checkpoint.cells) slot(pos).fold(std::move(acc));
+  for (auto& [pos, acc] : checkpoint.cells) fold(pos, std::move(acc));
   for (auto& [pos, trail] : checkpoint.chunks) {
-    for (ChunkCheckpoint& c : trail) slot(pos).fold(std::move(c.acc));
+    for (ChunkCheckpoint& c : trail) fold(pos, std::move(c.acc));
   }
 }
 
