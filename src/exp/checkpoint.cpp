@@ -630,7 +630,7 @@ ResumePlan plan_resume(const std::vector<ExperimentCell>& cells,
                                         << " (expected a whole grid)");
     const std::uint64_t runs = cells[pos].runs;
     plan.resumed_runs += runs;
-    if (ck.cells.count(pos) != 0) continue;
+    if (ck.cells.contains(pos)) continue;
     const auto trail = ck.chunks.find(pos);
     if (trail == ck.chunks.end()) {
       plan.spans.push_back({pos, 0, runs});

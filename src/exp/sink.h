@@ -2,12 +2,12 @@
 //
 // Workers fold each chunk of a cell's runs into a fresh CellAccumulator —
 // exact integer moments, deterministic bottom-k quantile reservoirs, and a
-// bounded worst-failure ring — and hand it to a
-// RunSink. Every accumulator component is a pure function of the run
-// *multiset* (integer sums; priority-keyed reservoirs; run-index-bounded
-// rings), so merging chunks in any order or grouping produces bit-identical
-// cell statistics: streaming execution is byte-identical to batch at any
-// thread count by construction, and memory stays O(cells), not O(runs).
+// bounded worst-failure ring — and hand it to a RunSink. Every accumulator
+// component is a pure function of the run *multiset* (integer sums;
+// priority-keyed reservoirs; run-index-bounded rings), so merging chunks in
+// any order or grouping produces bit-identical cell statistics: streaming
+// execution is byte-identical to batch at any thread count by
+// construction, and memory stays O(cells), not O(runs).
 //
 // CollectingSink is the standard sink and the only place chunks merge:
 // the local executor and the distributed coordinator both fold into it,
