@@ -421,8 +421,8 @@ TEST(Proto, FrameBufferSurvivesSeededGarbage) {
 
 TEST(Proto, ResultEncodingRoundTripsAccumulatorExactly) {
   // A real accumulator (reservoirs and failure ring populated by actual
-  // runs) must survive the wire byte-exactly — the distributed
-  // determinism contract reduces to this round-trip plus merge invariance.
+  // runs) must survive the wire byte-exactly — the distributed determinism
+  // contract reduces to this round-trip plus merge invariance.
   const auto cells = dist_spec().expand();
   const ExperimentCell& cell = cells[0];
   CellAccumulator acc(MetricStats::kDefaultReservoir, 4);
@@ -447,9 +447,9 @@ TEST(Proto, ResultEncodingRoundTripsAccumulatorExactly) {
   EXPECT_EQ(back.acc.terminated, acc.terminated);
   EXPECT_EQ(back.acc.violations, acc.violations);
   // Exactness: every rendered statistic (moments, percentiles, failure
-  // list) of the decoded accumulator matches the original's byte
-  // for byte. (Reservoir heap *layout* may legally differ — the kept set
-  // and everything derived from it may not.)
+  // list) of the decoded accumulator matches the original's byte for byte.
+  // (Reservoir heap *layout* may legally differ — the kept set and
+  // everything derived from it may not.)
   CellAccumulator fa = acc;
   fa.finalize();
   CellAccumulator fb = back.acc;

@@ -320,12 +320,15 @@ TEST(Checkpoint, RoundTripsCellStateExactly) {
     append_checkpoint_cell(file, r.cell.index, r.acc);
   }
 
-  const auto loaded = load_checkpoint(file, fp);
-  ASSERT_EQ(loaded.size(), results.size());
-  std::vector<CellResult> rebuilt;
-  for (const auto& c : cells) rebuilt.emplace_back(c, loaded.at(c.index));
-  EXPECT_EQ(render_artifacts(spec.name, results),
-            render_artifacts(spec.name, rebuilt));
+  const auto reload = [&](std::istream& in) {
+    const auto loaded = load_checkpoint(in, fp);
+    EXPECT_EQ(loaded.size(), results.size());
+    std::vector<CellResult> rebuilt;
+    for (const auto& c : cells) rebuilt.emplace_back(c, loaded.at(c.index));
+    return render_artifacts(spec.name, rebuilt);
+  };
+  const std::string expected = render_artifacts(spec.name, results);
+  EXPECT_EQ(reload(file), expected);
 
   // Older writers put a round-histogram "h" line before each "f" line;
   // such a checkpoint still loads to the same cells.
@@ -336,12 +339,7 @@ TEST(Checkpoint, RoundTripsCellStateExactly) {
     old_text += line + '\n';
   }
   std::istringstream old_file(old_text);
-  const auto old_loaded = load_checkpoint(old_file, fp);
-  ASSERT_EQ(old_loaded.size(), results.size());
-  std::vector<CellResult> rebuilt_old;
-  for (const auto& c : cells) rebuilt_old.emplace_back(c, old_loaded.at(c.index));
-  EXPECT_EQ(render_artifacts(spec.name, results),
-            render_artifacts(spec.name, rebuilt_old));
+  EXPECT_EQ(reload(old_file), expected);
 }
 
 TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
