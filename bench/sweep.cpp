@@ -807,9 +807,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "\n");
     };
 
-    // One sink folds every run, whichever driver executes it: it starts
-    // from the checkpoint's blocks, and its hooks append each new chunk
-    // and finished cell.
+    // One sink folds every run, whether local threads or --serve workers
+    // execute it: it starts from the checkpoint's blocks, and its hooks
+    // append each new chunk and finished cell.
     CollectingSink::Options sink_opts;
     sink_opts.retain_records = !stream;
     if (opts.has("max-records")) {
