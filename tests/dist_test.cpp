@@ -849,7 +849,14 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   coordinator.bind();
   const std::uint16_t hport = coordinator.health_port();
   ASSERT_NE(hport, 0);
-  CollectingSink sink(cells, {});
+  // A checkpointing sink, so the endpoint reports its flush age.
+  std::stringstream ckpt;
+  CollectingSink::Options sink_opts;
+  sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
+                           std::uint64_t end, const CellAccumulator& acc) {
+    append_checkpoint_chunk(ckpt, cell.index, begin, end, acc);
+  };
+  CollectingSink sink(cells, std::move(sink_opts));
   std::thread server([&] { coordinator.serve(sink); });
 
   // Before any worker connects: schema present, zero progress, no workers.
@@ -857,6 +864,7 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   ASSERT_NE(before.find("\"schema\":\"hyco-health/2\""), std::string::npos)
       << before;
   EXPECT_EQ(json_uint_after(before, "\"folded\":"), 0u);
+  EXPECT_NE(before.find("\"checkpoint_flush_ms\":-1"), std::string::npos);
   EXPECT_NE(before.find("\"workers\":[]"), std::string::npos);
   const std::uint64_t total = json_uint_after(before, "\"total\":");
   EXPECT_EQ(total, spec.total_runs());
@@ -905,6 +913,7 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   EXPECT_EQ(json_uint_after(mid, "\"folded\":"), chunk_len) << mid;
   EXPECT_NE(mid.find("\"welcomed\":true"), std::string::npos);
   EXPECT_EQ(json_uint_after(mid, "\"folded_runs\":"), chunk_len) << mid;
+  EXPECT_LT(json_uint_after(mid, "\"checkpoint_flush_ms\":"), 60'000u) << mid;
 
   // The manual worker vanishes (its second lease re-queues); real workers
   // drain the rest and the artifacts — obs columns included — must match a
