@@ -680,18 +680,10 @@ int main(int argc, char** argv) {
     }
     ResumePlan plan = plan_resume(cells, std::move(loaded));
     if (loaded_file) {
-      std::size_t partial_chunks = 0;
-      for (const auto& [index, list] : plan.checkpoint.chunks) {
-        (void)index;
-        partial_chunks += list.size();
-      }
-      std::cerr << "sweep: resumed " << plan.checkpoint.cells.size() << " of "
-                << cells.size() << " cells";
-      if (partial_chunks > 0) {
-        std::cerr << " + " << partial_chunks << " mid-cell chunk(s) across "
-                  << plan.checkpoint.chunks.size() << " cell(s)";
-      }
-      std::cerr << " from " << ckpt_path << "\n";
+      std::cerr << "sweep: resumed " << plan.resumed_runs << " of " << total
+                << " runs (" << plan.checkpoint.cells.size() << " of "
+                << cells.size() << " cells complete) from " << ckpt_path
+                << "\n";
     }
 
     std::ofstream ckpt_out;
