@@ -587,8 +587,7 @@ int main(int argc, char** argv) {
 
     const auto cells = spec.expand();
     const std::uint64_t total = spec.total_runs();
-    const std::uint64_t fingerprint = grid_fingerprint(
-        cells, exec_opts.reservoir_capacity, exec_opts.failure_capacity);
+    const std::uint64_t fingerprint = grid_fingerprint(cells);
 
     // Structured trace export: validated here, on the main thread, against
     // the expanded grid; the traced run itself happens after the sweep.
@@ -639,8 +638,6 @@ int main(int argc, char** argv) {
       wopts.target = dist_flags.target;
       wopts.sessions = dist_flags.workers;
       wopts.reconnect_attempts = dist_flags.reconnect;
-      wopts.reservoir_capacity = exec_opts.reservoir_capacity;
-      wopts.failure_capacity = exec_opts.failure_capacity;
       std::cerr << "sweep: worker connecting to " << wopts.target.host << ':'
                 << wopts.target.port << " with " << wopts.sessions
                 << " session(s)\n";
@@ -831,8 +828,6 @@ int main(int argc, char** argv) {
       copts.lease_grain = dist_flags.lease_grain;
       copts.lease_floor = dist_flags.lease_floor;
       copts.lease_ttl = dist_flags.lease_ttl;
-      copts.reservoir_capacity = exec_opts.reservoir_capacity;
-      copts.failure_capacity = exec_opts.failure_capacity;
       copts.health_port = dist_flags.health_port;
       if (want_progress) copts.progress = print_progress;
       dist::Coordinator coordinator(cells, plan.spans, fingerprint,

@@ -151,9 +151,6 @@ bool Coordinator::handle_frame(Conn& conn, const Frame& frame,
       why << "grid fingerprint mismatch (worker " << hello.fingerprint
           << ", coordinator " << fingerprint_
           << ") — start the worker with the same grid flags";
-    } else if (hello.reservoir_capacity != opts_.reservoir_capacity ||
-               hello.failure_capacity != opts_.failure_capacity) {
-      why << "accumulator capacities differ";
     }
     const std::string reason = why.str();
     if (!reason.empty()) {
@@ -198,13 +195,6 @@ bool Coordinator::handle_frame(Conn& conn, const Frame& frame,
       const auto it = index_to_pos_.find(result.cell_index);
       if (it == index_to_pos_.end()) return false;
       const std::size_t pos = it->second;
-      // An accumulator built with foreign capacities would merge into a
-      // different statistic — refuse it (the handshake pinned these).
-      if (result.acc.failure_cap != opts_.failure_capacity ||
-          result.acc.rounds.reservoir().capacity() !=
-              opts_.reservoir_capacity) {
-        return false;
-      }
       const auto fold = ledger_.fold(pos, result.begin, result.end);
       switch (fold.outcome) {
         case WorkLedger::FoldOutcome::kUnknown:

@@ -55,8 +55,6 @@ struct CoordinatorOptions {
   /// Hard deadline for serve(); 0 = wait forever. Tests set it so a
   /// regression fails loudly instead of hanging CI.
   std::chrono::milliseconds max_wait{0};
-  std::size_t reservoir_capacity = MetricStats::kDefaultReservoir;
-  std::size_t failure_capacity = CellAccumulator::kDefaultFailureCap;
   /// Progress hook, called at most once per poll tick: (folded runs, total
   /// runs, connected workers), both counts over every cell, resumed runs
   /// included.

@@ -39,8 +39,7 @@ bool expect_keyword(std::istringstream& in, const char* want) {
 std::string encode_hello(const HelloMsg& m) {
   std::ostringstream os;
   os << "hello " << m.version << ' ' << m.fingerprint << ' ' << m.cells
-     << ' ' << m.reservoir_capacity << ' ' << m.failure_capacity << ' '
-     << m.reconnect << '\n';
+     << ' ' << m.reconnect << '\n';
   return os.str();
 }
 
@@ -49,8 +48,7 @@ bool decode_hello(const std::string& payload, HelloMsg& out) {
   std::uint64_t version = 0;
   if (!expect_keyword(is, "hello") || !eat_u64(is, version) ||
       !eat_u64(is, out.fingerprint) || !eat_u64(is, out.cells) ||
-      !eat_u64(is, out.reservoir_capacity) ||
-      !eat_u64(is, out.failure_capacity) || !eat_u64(is, out.reconnect)) {
+      !eat_u64(is, out.reconnect)) {
     return false;
   }
   out.version = static_cast<std::uint32_t>(version);

@@ -8,8 +8,7 @@
 // chunk-checkpoint encoding are one format.
 //
 // Session shape (worker side):
-//   connect → Hello{version, grid fingerprint, cell count, capacities,
-//                   reconnect count}
+//   connect → Hello{version, grid fingerprint, cell count, reconnect count}
 //   ← Welcome (or Reject{reason} + close)
 //   loop: LeaseReq → ← Lease{cell, begin, end} | Wait{ms} | Done
 //         execute the lease, → Result{cell, begin, end, accumulator}
@@ -39,7 +38,7 @@
 
 namespace hyco::dist {
 
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Upper bound on a frame payload. A chunk result is bounded by the
 /// accumulator state (reservoir entries × metrics), far below this; a
@@ -71,8 +70,6 @@ struct HelloMsg {
   std::uint32_t version = kProtocolVersion;
   std::uint64_t fingerprint = 0;
   std::uint64_t cells = 0;
-  std::uint64_t reservoir_capacity = 0;
-  std::uint64_t failure_capacity = 0;
   /// 0 on a session's first connect; on a re-hello after a mid-sweep
   /// disconnect, how many times this session has reconnected so far.
   std::uint64_t reconnect = 0;

@@ -72,8 +72,8 @@ struct Epoch {
 /// it). Executed work accumulates into `out` across epochs; `reconnect`
 /// is the re-hello count this epoch's Hello carries.
 Epoch run_epoch(int fd, const std::vector<ExperimentCell>& cells,
-                std::uint64_t fingerprint, const WorkerOptions& opts,
-                std::uint64_t reconnect, SessionResult& out) {
+                std::uint64_t fingerprint, std::uint64_t reconnect,
+                SessionResult& out) {
   Epoch ep;
   const auto finish = [&](EpochEnd end, const std::string& why) {
     ep.end = end;
@@ -85,8 +85,6 @@ Epoch run_epoch(int fd, const std::vector<ExperimentCell>& cells,
   HelloMsg hello;
   hello.fingerprint = fingerprint;
   hello.cells = cells.size();
-  hello.reservoir_capacity = opts.reservoir_capacity;
-  hello.failure_capacity = opts.failure_capacity;
   hello.reconnect = reconnect;
   if (!send_frame(fd, MsgType::kHello, encode_hello(hello))) {
     return finish(EpochEnd::kLost, "connection lost during handshake");
@@ -152,8 +150,6 @@ Epoch run_epoch(int fd, const std::vector<ExperimentCell>& cells,
         result.cell_index = lease.cell_index;
         result.begin = lease.begin;
         result.end = lease.end;
-        result.acc = CellAccumulator(opts.reservoir_capacity,
-                                     opts.failure_capacity);
         for (std::uint64_t k = lease.begin; k < lease.end; ++k) {
           result.acc.add(cell.run_record(k));
         }
@@ -203,8 +199,7 @@ SessionResult run_session(const std::vector<ExperimentCell>& cells,
   bool ever_welcomed = false;
   unsigned failures = 0;  // consecutive recovery attempts without a Welcome
   for (;;) {
-    const Epoch ep =
-        run_epoch(fd, cells, fingerprint, opts, out.reconnects, out);
+    const Epoch ep = run_epoch(fd, cells, fingerprint, out.reconnects, out);
     ever_welcomed = ever_welcomed || ep.welcomed;
     if (ep.welcomed) failures = 0;
     if (ep.end == EpochEnd::kDone) {

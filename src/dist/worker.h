@@ -38,8 +38,6 @@ struct WorkerOptions {
   /// How long to keep retrying the initial connect (the coordinator may
   /// still be starting).
   std::chrono::milliseconds connect_timeout{10'000};
-  std::size_t reservoir_capacity = MetricStats::kDefaultReservoir;
-  std::size_t failure_capacity = CellAccumulator::kDefaultFailureCap;
   /// Mid-sweep recovery budget: after losing a live connection (worker-side
   /// sever, coordinator crash/restart) a session redials with jittered
   /// exponential backoff and re-Hellos; this caps *consecutive* failed
@@ -73,7 +71,7 @@ struct WorkerReport {
 
 /// Runs worker sessions against a coordinator until the grid is done (or a
 /// session fails). `cells` must be the full grid expansion; `fingerprint`
-/// its grid_fingerprint() with the same capacities the coordinator uses.
+/// its grid_fingerprint().
 WorkerReport run_worker(const std::vector<ExperimentCell>& cells,
                         std::uint64_t fingerprint,
                         const WorkerOptions& opts);

@@ -17,12 +17,6 @@ namespace {
 constexpr const char* kMagic = "hyco-checkpoint";
 constexpr const char* kVersion = "v1";
 
-// Sanity ceilings on file-supplied sizes: a corrupted size field must make
-// the loader drop the block (the documented contract), not drive a
-// multi-gigabyte allocation or an abort. Far above any configured value.
-constexpr std::size_t kMaxReservoirCapacity = std::size_t{1} << 22;
-constexpr std::size_t kMaxFailureCapacity = std::size_t{1} << 22;
-
 using U128 = ExactMoments::U128;
 
 std::string u128_to_string(U128 v) {
@@ -68,6 +62,23 @@ bool read_moments(std::istream& in, ExactMoments& out) {
   return true;
 }
 
+/// Writes the histogram's bucket counts, each after a space.
+void write_buckets(std::ostream& out, const obs::LogHistogram& hist) {
+  for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
+    out << ' ' << hist.bucket(b);
+  }
+}
+
+/// Inverse of write_buckets().
+bool read_buckets(std::istream& in, obs::LogHistogram& out) {
+  std::array<std::uint64_t, obs::LogHistogram::kBuckets> counts{};
+  for (auto& c : counts) {
+    if (!(in >> c)) return false;
+  }
+  out = obs::LogHistogram::from_counts(counts);
+  return true;
+}
+
 std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 0xCBF29CE484222325) {
   for (const unsigned char c : s) {
     h ^= c;
@@ -89,14 +100,17 @@ void write_metric(std::ostream& out, const char* name, const MetricStats& m,
   out << '\n';
 }
 
+/// Parses one metric's m/r line pair. A reservoir of any capacity other
+/// than MetricStats::kReservoirCapacity was built for another statistic,
+/// so its block is rejected.
 bool parse_metric_lines(std::istringstream& mline, std::istringstream& rline,
-                        MetricStats& out, std::size_t reservoir_capacity) {
+                        MetricStats& out) {
   ExactMoments moments;
   if (!read_moments(mline, moments)) return false;
 
   std::size_t cap = 0, n = 0;
   if (!(rline >> cap >> n)) return false;
-  if (cap != reservoir_capacity || n > cap) return false;
+  if (cap != MetricStats::kReservoirCapacity || n > cap) return false;
   ReservoirSample res(cap);
   for (std::size_t i = 0; i < n; ++i) {
     std::string entry;
@@ -117,6 +131,15 @@ bool parse_metric_lines(std::istringstream& mline, std::istringstream& rline,
   return true;
 }
 
+/// The pooled service ids by the names pre-registry writers gave them in
+/// "s c"/"s ch" lines; "lat" stands for the unnamed "s l"/"s h" pair.
+constexpr std::pair<const char*, obs::ObsId> kLegacyServiceIds[] = {
+    {"lat", obs::ObsId::kSvcLatencyNs},
+    {"bwait", obs::ObsId::kSvcBatchWaitNs},
+    {"qwait", obs::ObsId::kSvcSeqWaitNs},
+    {"cons", obs::ObsId::kSvcConsensusNs},
+};
+
 /// True when `l` opens a new block (the resync anchors of the loader).
 bool is_block_header(const std::string& l) {
   std::istringstream probe(l);
@@ -126,12 +149,10 @@ bool is_block_header(const std::string& l) {
 
 }  // namespace
 
-std::uint64_t grid_fingerprint(const std::vector<ExperimentCell>& cells,
-                               std::size_t reservoir_capacity,
-                               std::size_t failure_capacity) {
+std::uint64_t grid_fingerprint(const std::vector<ExperimentCell>& cells) {
   std::uint64_t h = mix64(0x4859C0, cells.size());
-  h = mix64(h, reservoir_capacity);
-  h = mix64(h, failure_capacity);
+  h = mix64(h, MetricStats::kReservoirCapacity);
+  h = mix64(h, CellAccumulator::kFailureCapacity);
   for (const ExperimentCell& c : cells) {
     h = mix64(h, c.index);
     h = mix64(h, fnv1a(c.label()));
@@ -159,7 +180,8 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
   write_metric(out, "shm", acc.shm_proposals);
   write_metric(out, "objects", acc.objects);
   write_metric(out, "dtime", acc.decision_time);
-  out << "f " << acc.failure_cap << ' ' << acc.failures.size();
+  out << "f " << CellAccumulator::kFailureCapacity << ' '
+      << acc.failures.size();
   for (const RunRecord& r : acc.failures) {
     out << ' ' << r.run << ',' << r.seed << ',' << (r.terminated ? 1 : 0)
         << ',' << (r.safe_ok ? 1 : 0) << ',' << (r.success ? 1 : 0) << ','
@@ -168,63 +190,33 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
         << ',' << r.crashed;
   }
   out << '\n';
-  // Observability metrics, one "o" line per id in enum order; latency ids
-  // append their log-histogram buckets after an "h" marker. Readers consume
-  // these greedily after the "f" line, so pre-observability checkpoints
-  // (no "o" lines) still load.
+  // Observability metrics, one "o" line per id that has samples, in enum
+  // order; latency ids append their log-histogram buckets after an "h"
+  // marker. Every run samples the per-run ids, so only the pooled service
+  // ids are ever left out. Readers consume these greedily after the "f"
+  // line, so pre-observability checkpoints (no "o" lines) still load.
   for (std::size_t i = 0; i < obs::kObsIdCount; ++i) {
     const auto id = static_cast<obs::ObsId>(i);
+    const ExactMoments& mo = acc.obs.moments(id);
+    if (mo.count() == 0) continue;
     out << "o " << obs::obs_id_name(id) << ' ';
-    write_moments(out, acc.obs.moments(id));
+    write_moments(out, mo);
     if (obs::obs_id_is_latency(id)) {
-      const obs::LogHistogram& hist = acc.obs.histogram(id);
       out << " h";
-      for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
-        out << ' ' << hist.bucket(b);
-      }
+      write_buckets(out, acc.obs.histogram(id));
     }
     out << '\n';
   }
-  // Service-workload block ("s ..." lines), written only when the cell ran
+  // Service per-run scalars ("s ..." lines), written only when the cell ran
   // the service — plain consensus checkpoints stay byte-identical to
   // pre-service builds, and readers consume the block greedily like the
   // "o" lines, so both directions of version skew parse.
-  if (acc.svc.active_runs > 0) {
-    out << "s a " << acc.svc.active_runs << '\n';
-    write_metric(out, "ops", acc.svc.ops, "s ");
-    write_metric(out, "rate", acc.svc.rate, "s ");
-    write_metric(out, "batches", acc.svc.batches, "s ");
-    write_metric(out, "slots", acc.svc.slots, "s ");
-    out << "s l ";
-    write_moments(out, acc.svc.latency);
-    out << '\n';
-    out << "s h";
-    for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
-      out << ' ' << acc.svc.latency_hist.bucket(b);
-    }
-    out << '\n';
-    // Latency-attribution components, name-keyed moments ("s c") plus
-    // histogram ("s ch") lines. Newer-writer lines a reader does not know
-    // are skipped, so the pairs are append-only like the "o" block.
-    const struct {
-      const char* name;
-      const ExactMoments* mo;
-      const obs::LogHistogram* hist;
-    } comps[3] = {
-        {"bwait", &acc.svc.batch_wait, &acc.svc.batch_wait_hist},
-        {"qwait", &acc.svc.seq_wait, &acc.svc.seq_wait_hist},
-        {"cons", &acc.svc.consensus, &acc.svc.consensus_hist},
-    };
-    for (const auto& c : comps) {
-      out << "s c " << c.name << ' ';
-      write_moments(out, *c.mo);
-      out << '\n';
-      out << "s ch " << c.name;
-      for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
-        out << ' ' << c.hist->bucket(b);
-      }
-      out << '\n';
-    }
+  if (acc.svc_ops.count() > 0) {
+    out << "s a " << acc.svc_ops.count() << '\n';
+    write_metric(out, "ops", acc.svc_ops, "s ");
+    write_metric(out, "rate", acc.svc_rate, "s ");
+    write_metric(out, "batches", acc.svc_batches, "s ");
+    write_metric(out, "slots", acc.svc_slots, "s ");
   }
 }
 
@@ -270,42 +262,44 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
     if (stop_line != nullptr) *stop_line = line;
     return false;
   };
-
-  // The reservoir capacity is read off the first metric's r-line and the
-  // failure cap off the f-line, so metrics parse into temporaries and the
-  // accumulator is assembled at the end.
-  std::size_t rcap = 0;
-  const char* names[5] = {"rounds", "msgs", "shm", "objects", "dtime"};
-  MetricStats parsed[5] = {MetricStats(1), MetricStats(1), MetricStats(1),
-                           MetricStats(1), MetricStats(1)};
-  for (int i = 0; i < 5; ++i) {
+  // One metric's "m"/"r" line pair, each line opened by `prefix` ("" or
+  // "s") and then the keyword and `name`.
+  const auto metric = [&](const char* prefix, const char* name,
+                          MetricStats& m) {
     std::istringstream mls, rls;
     std::string mtag, rtag;
-    if (!(next_line("m", mls, &mtag) && mtag == names[i] &&
-          next_line("r", rls, &rtag) && rtag == names[i])) {
-      return bail();
-    }
-    if (i == 0) {
-      // Reservoir capacity is the token after the tag.
-      std::istringstream probe(rls.str());
-      std::string k, t;
-      probe >> k >> t >> rcap;
-      if (rcap < 1 || rcap > kMaxReservoirCapacity) return bail();
-    }
-    if (!parse_metric_lines(mls, rls, parsed[i], rcap)) return bail();
+    const auto pair_line = [&](const char* kw, std::istringstream& ls,
+                               std::string& tag) {
+      if (*prefix == '\0') return next_line(kw, ls, &tag);
+      std::string k;
+      return next_line(prefix, ls) && (ls >> k >> tag) && k == kw;
+    };
+    return pair_line("m", mls, mtag) && mtag == name &&
+           pair_line("r", rls, rtag) && rtag == name &&
+           parse_metric_lines(mls, rls, m);
+  };
+
+  CellAccumulator built;
+  if (!(metric("", "rounds", built.rounds) &&
+        metric("", "msgs", built.msgs) &&
+        metric("", "shm", built.shm_proposals) &&
+        metric("", "objects", built.objects) &&
+        metric("", "dtime", built.decision_time))) {
+    return bail();
   }
 
   // Older writers put a round-histogram "h" line here; skip it.
   if (in.peek() == 'h') std::getline(in, line);
 
+  // The failure ring; like the reservoirs, a ring of another capacity is
+  // rejected.
   std::istringstream fls;
   if (!next_line("f", fls)) return bail();
   std::size_t fcap = 0, fcount = 0;
-  if (!(fls >> fcap >> fcount) || fcount > fcap ||
-      fcap > kMaxFailureCapacity) {
+  if (!(fls >> fcap >> fcount) || fcap != CellAccumulator::kFailureCapacity ||
+      fcount > fcap) {
     return bail();
   }
-  std::vector<RunRecord> fails;
   for (std::size_t i = 0; i < fcount; ++i) {
     std::string tok;
     if (!(fls >> tok)) return bail();
@@ -326,13 +320,12 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
     r.terminated = t != 0;
     r.safe_ok = s != 0;
     r.success = su != 0;
-    fails.push_back(r);
+    built.failures.push_back(r);
   }
 
   // Optional observability lines ("o <name> <count> <sum> <sumsq> <min>
   // <max> [h <buckets>]") — absent in pre-observability checkpoints.
   // Unknown metric names (a newer writer's appended ids) are skipped.
-  obs::ObsAccumulator obs_parsed;
   while (in.peek() == 'o') {
     std::istringstream ols;
     std::string name;
@@ -340,125 +333,61 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
     ExactMoments moments;
     if (!read_moments(ols, moments)) return bail();
     std::string marker;
-    std::array<std::uint64_t, obs::LogHistogram::kBuckets> hcounts{};
-    bool have_hist = false;
-    if (ols >> marker) {
-      if (marker != "h") return bail();
-      for (auto& c : hcounts) {
-        if (!(ols >> c)) return bail();
-      }
-      have_hist = true;
+    obs::LogHistogram hist;
+    const bool have_hist = static_cast<bool>(ols >> marker);
+    if (have_hist && (marker != "h" || !read_buckets(ols, hist))) {
+      return bail();
     }
     for (std::size_t i = 0; i < obs::kObsIdCount; ++i) {
       const auto id = static_cast<obs::ObsId>(i);
       if (name != obs::obs_id_name(id)) continue;
-      obs_parsed.moments(id) = moments;
+      built.obs.moments(id) = moments;
       if (obs::obs_id_is_latency(id)) {
         if (!have_hist) return bail();
-        obs_parsed.histogram(id) = obs::LogHistogram::from_counts(hcounts);
+        built.obs.histogram(id) = hist;
       }
       break;
     }
   }
 
-  // Optional service block ("s ..." lines) — present only for cells that
-  // ran the replicated service. Fixed line order: a, m/r × {ops, rate,
-  // batches, slots}, l, h.
-  std::uint64_t svc_active = 0;
-  MetricStats svc_parsed[4] = {MetricStats(1), MetricStats(1), MetricStats(1),
-                               MetricStats(1)};
-  ExactMoments svc_latency;
-  std::array<std::uint64_t, obs::LogHistogram::kBuckets> svc_hist{};
-  ExactMoments svc_comp[3];
-  std::array<std::uint64_t, obs::LogHistogram::kBuckets> svc_comp_hist[3] = {};
+  // Optional service block, present only for cells that ran the replicated
+  // service: "s a <service runs>", then m/r pairs for ops, rate, batches
+  // and slots. Writers before the pooled kSvc*Ns ids followed these with
+  // the per-op latencies, which load onto those ids: "s l"/"s h" hold the
+  // client latency's moments/histogram, "s c"/"s ch" <component> those of
+  // a component. Other "s" lines are skipped.
   if (in.peek() == 's') {
-    const auto next_svc = [&](const char* want, std::istringstream& out_ls,
-                              std::string* tag = nullptr) {
-      if (!std::getline(in, line)) {
-        line.clear();
-        return false;
-      }
-      out_ls.clear();
-      out_ls.str(line);
-      std::string s0, s1;
-      if (!(out_ls >> s0 >> s1) || s0 != "s" || s1 != want) return false;
-      if (tag != nullptr && !(out_ls >> *tag)) return false;
-      return true;
-    };
     std::istringstream als;
-    if (!next_svc("a", als) || !(als >> svc_active) || svc_active == 0) {
+    std::string kw;
+    std::uint64_t svc_runs = 0;
+    if (!next_line("s", als) || !(als >> kw >> svc_runs) || kw != "a" ||
+        svc_runs == 0 || !metric("s", "ops", built.svc_ops) ||
+        built.svc_ops.count() != svc_runs ||
+        !metric("s", "rate", built.svc_rate) ||
+        !metric("s", "batches", built.svc_batches) ||
+        !metric("s", "slots", built.svc_slots)) {
       return bail();
     }
-    const char* snames[4] = {"ops", "rate", "batches", "slots"};
-    for (int i = 0; i < 4; ++i) {
-      std::istringstream mls, rls;
-      std::string mtag, rtag;
-      if (!(next_svc("m", mls, &mtag) && mtag == snames[i] &&
-            next_svc("r", rls, &rtag) && rtag == snames[i])) {
+    while (in.peek() == 's') {
+      std::istringstream ls;
+      if (!next_line("s", ls) || !(ls >> kw)) return bail();
+      std::string name = "lat";
+      if ((kw == "c" || kw == "ch") && !(ls >> name)) return bail();
+      const auto legacy = std::find_if(
+          std::begin(kLegacyServiceIds), std::end(kLegacyServiceIds),
+          [&](const auto& e) { return name == e.first; });
+      if (legacy == std::end(kLegacyServiceIds)) continue;
+      const obs::ObsId id = legacy->second;
+      if ((kw == "l" || kw == "c") && !read_moments(ls, built.obs.moments(id))) {
         return bail();
       }
-      if (!parse_metric_lines(mls, rls, svc_parsed[i], rcap)) return bail();
-    }
-    std::istringstream lls;
-    if (!next_svc("l", lls) || !read_moments(lls, svc_latency)) return bail();
-    std::istringstream shls;
-    if (!next_svc("h", shls)) return bail();
-    for (auto& c : svc_hist) {
-      if (!(shls >> c)) return bail();
-    }
-    // Optional latency-attribution components ("s c <name> ..." moments,
-    // "s ch <name> ..." histograms) — absent in older checkpoints; unknown
-    // names (a newer writer's) are skipped.
-    while (in.peek() == 's') {
-      if (!std::getline(in, line)) {
-        line.clear();
-        break;
+      if ((kw == "h" || kw == "ch") &&
+          !read_buckets(ls, built.obs.histogram(id))) {
+        return bail();
       }
-      std::istringstream cls(line);
-      std::string s0, ckw, cname;
-      if (!(cls >> s0 >> ckw >> cname) || s0 != "s") return bail();
-      const int ci = cname == "bwait" ? 0
-                     : cname == "qwait" ? 1
-                     : cname == "cons" ? 2
-                                       : -1;
-      if (ckw == "c") {
-        ExactMoments moments;
-        if (!read_moments(cls, moments)) return bail();
-        if (ci >= 0) svc_comp[ci] = moments;
-      } else if (ckw == "ch") {
-        std::array<std::uint64_t, obs::LogHistogram::kBuckets> tmp{};
-        for (auto& c : tmp) {
-          if (!(cls >> c)) return bail();
-        }
-        if (ci >= 0) svc_comp_hist[ci] = tmp;
-      }
-      // Other "s <kw>" lines: skipped (forward compatibility).
     }
   }
 
-  CellAccumulator built(rcap, fcap);
-  built.rounds = parsed[0];
-  built.msgs = parsed[1];
-  built.shm_proposals = parsed[2];
-  built.objects = parsed[3];
-  built.decision_time = parsed[4];
-  built.failures = std::move(fails);
-  built.obs = obs_parsed;
-  if (svc_active > 0) {
-    built.svc.active_runs = svc_active;
-    built.svc.ops = svc_parsed[0];
-    built.svc.rate = svc_parsed[1];
-    built.svc.batches = svc_parsed[2];
-    built.svc.slots = svc_parsed[3];
-    built.svc.latency = svc_latency;
-    built.svc.latency_hist = obs::LogHistogram::from_counts(svc_hist);
-    built.svc.batch_wait = svc_comp[0];
-    built.svc.batch_wait_hist = obs::LogHistogram::from_counts(svc_comp_hist[0]);
-    built.svc.seq_wait = svc_comp[1];
-    built.svc.seq_wait_hist = obs::LogHistogram::from_counts(svc_comp_hist[1]);
-    built.svc.consensus = svc_comp[2];
-    built.svc.consensus_hist = obs::LogHistogram::from_counts(svc_comp_hist[2]);
-  }
   out = std::move(built);
   return true;
 }
@@ -535,7 +464,7 @@ CheckpointData load_checkpoint_data(std::istream& in,
       if (!(ls >> index >> runs >> term >> viol)) continue;
     }
 
-    CellAccumulator acc(1, 1);
+    CellAccumulator acc;
     std::string stop;
     if (!read_accumulator_state(in, acc, &stop)) {
       carry = is_block_header(stop);

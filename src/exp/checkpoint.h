@@ -38,11 +38,11 @@
 namespace hyco {
 
 /// Identity of a grid execution: any change to the cell list, run counts,
-/// seeds, inputs, or accumulator capacities changes the fingerprint, and
-/// load_checkpoint refuses to resume across it.
+/// seeds, inputs, or accumulator capacities (MetricStats::kReservoirCapacity,
+/// CellAccumulator::kFailureCapacity) changes the fingerprint, and
+/// load_checkpoint_data refuses to resume across it.
 [[nodiscard]] std::uint64_t grid_fingerprint(
-    const std::vector<ExperimentCell>& cells, std::size_t reservoir_capacity,
-    std::size_t failure_capacity);
+    const std::vector<ExperimentCell>& cells);
 
 /// Serializes an accumulator's statistical state (metric moments +
 /// reservoirs, failure ring, obs and service lines — everything except the
@@ -50,12 +50,13 @@ namespace hyco {
 /// blocks, and the distributed wire protocol.
 void write_accumulator_state(std::ostream& out, const CellAccumulator& acc);
 
-/// Parses the lines written by write_accumulator_state into `out`
-/// (reconstructing reservoir/failure capacities from the stream; the caller
-/// sets runs/terminated/violations from its own header). Returns true on
-/// success; on failure returns false and, when `stop_line` is non-null,
-/// stores the offending line (empty at end of stream) so block loaders can
-/// resync on a following block header. Never throws on malformed input.
+/// Parses the lines written by write_accumulator_state into `out` (the
+/// caller sets runs/terminated/violations from its own header). Returns
+/// true on success; on failure — malformed lines, or a reservoir or failure
+/// ring of a capacity other than the fixed one — returns false and, when
+/// `stop_line` is non-null, stores the offending line (empty at end of
+/// stream) so block loaders can resync on a following block header. Never
+/// throws on malformed input.
 bool read_accumulator_state(std::istream& in, CellAccumulator& out,
                             std::string* stop_line = nullptr);
 

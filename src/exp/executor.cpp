@@ -127,7 +127,7 @@ void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
           span.begin + (g - chunks_before[span_pos]) * chunk;
       const std::uint64_t end = std::min(begin + chunk, span.end);
 
-      CellAccumulator acc(opts_.reservoir_capacity, opts_.failure_capacity);
+      CellAccumulator acc;
       std::vector<RunRecord> records;
       if (keep_records) records.reserve(static_cast<std::size_t>(end - begin));
       ChunkProfile prof;

@@ -37,11 +37,6 @@ class ParallelExecutor {
     /// only — the merge-order-invariant accumulators emit identical bytes
     /// at any grain. Must be >= 1.
     std::uint64_t chunk_size = 1024;
-    /// Quantile reservoir capacity per metric (exp/sink.h). Percentiles
-    /// are exact while a cell's terminated-run count stays within it.
-    std::size_t reservoir_capacity = MetricStats::kDefaultReservoir;
-    /// Worst-failing-seed ring size per cell.
-    std::size_t failure_capacity = CellAccumulator::kDefaultFailureCap;
     /// Optional progress callback, invoked from worker threads after each
     /// completed *chunk* with (runs done, total runs). Must be thread-safe.
     std::function<void(std::uint64_t done, std::uint64_t total)> progress;

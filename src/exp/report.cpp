@@ -60,6 +60,17 @@ constexpr obs::ObsId kNetCounterIds[5] = {
     obs::ObsId::kDroppedLost, obs::ObsId::kDuplicated,
     obs::ObsId::kHeldPartitioned};
 
+// The service latency-attribution components (batching wait, slot
+// queueing, consensus), which sum per op to the client latency.
+constexpr struct {
+  obs::ObsId id;
+  const char* json_key;
+} kSvcComponents[3] = {
+    {obs::ObsId::kSvcBatchWaitNs, "batch_wait_ns"},
+    {obs::ObsId::kSvcSeqWaitNs, "seq_wait_ns"},
+    {obs::ObsId::kSvcConsensusNs, "consensus_ns"},
+};
+
 double profile_msgs_per_sec(const ChunkProfile& p) {
   if (p.wall_ns == 0) return 0.0;
   return static_cast<double>(p.msgs) /
@@ -156,26 +167,27 @@ void write_csv_row(CsvWriter& w, const CellResult& r,
     }
   }
   if (opts.service) {
-    const ServiceAgg& svc = r.acc.svc;
+    const CellAccumulator& acc = r.acc;
     fields.push_back(r.cell.service.enabled ? r.cell.service.name : "none");
-    fields.push_back(std::to_string(svc.active_runs));
-    fields.push_back(format_number(svc.ops.mean()));
-    fields.push_back(format_number(svc.rate.mean()));
-    fields.push_back(format_number(svc.rate.percentile(50)));
-    fields.push_back(format_number(svc.batches.mean()));
-    fields.push_back(format_number(svc.slots.mean()));
-    fields.push_back(format_number(svc.latency.mean()));
-    const auto& pct = format_percentile;
-    fields.push_back(pct(svc.latency_hist, svc.latency, 50));
-    fields.push_back(pct(svc.latency_hist, svc.latency, 99));
-    fields.push_back(pct(svc.latency_hist, svc.latency, 99.9));
-    fields.push_back(format_number(svc.latency.max()));
-    fields.push_back(format_number(svc.batch_wait.mean()));
-    fields.push_back(pct(svc.batch_wait_hist, svc.batch_wait, 99));
-    fields.push_back(format_number(svc.seq_wait.mean()));
-    fields.push_back(pct(svc.seq_wait_hist, svc.seq_wait, 99));
-    fields.push_back(format_number(svc.consensus.mean()));
-    fields.push_back(pct(svc.consensus_hist, svc.consensus, 99));
+    fields.push_back(std::to_string(acc.svc_ops.count()));
+    fields.push_back(format_number(acc.svc_ops.mean()));
+    fields.push_back(format_number(acc.svc_rate.mean()));
+    fields.push_back(format_number(acc.svc_rate.percentile(50)));
+    fields.push_back(format_number(acc.svc_batches.mean()));
+    fields.push_back(format_number(acc.svc_slots.mean()));
+    const ExactMoments& lat = acc.obs.moments(obs::ObsId::kSvcLatencyNs);
+    const obs::LogHistogram& lat_hist =
+        acc.obs.histogram(obs::ObsId::kSvcLatencyNs);
+    fields.push_back(format_number(lat.mean()));
+    fields.push_back(format_percentile(lat_hist, lat, 50));
+    fields.push_back(format_percentile(lat_hist, lat, 99));
+    fields.push_back(format_percentile(lat_hist, lat, 99.9));
+    fields.push_back(format_number(lat.max()));
+    for (const auto& c : kSvcComponents) {
+      const ExactMoments& mo = acc.obs.moments(c.id);
+      fields.push_back(format_number(mo.mean()));
+      fields.push_back(format_percentile(acc.obs.histogram(c.id), mo, 99));
+    }
   }
   if (opts.profile) {
     fields.push_back(
@@ -281,43 +293,38 @@ void write_cell_json(std::ostream& out, const std::string& experiment_name,
       out << '}';
     }
     if (opts.service) {
-      const ServiceAgg& svc = r.acc.svc;
+      const CellAccumulator& acc = r.acc;
       out << ",\"svc\":{\"name\":\""
           << json_escape(r.cell.service.enabled ? r.cell.service.name
                                                 : "none")
-          << "\",\"runs\":" << svc.active_runs << ',';
-      write_summary_json(out, "ops", svc.ops);
+          << "\",\"runs\":" << acc.svc_ops.count() << ',';
+      write_summary_json(out, "ops", acc.svc_ops);
       out << ',';
-      write_summary_json(out, "ops_per_sec", svc.rate);
+      write_summary_json(out, "ops_per_sec", acc.svc_rate);
       out << ',';
-      write_summary_json(out, "batches", svc.batches);
+      write_summary_json(out, "batches", acc.svc_batches);
       out << ',';
-      write_summary_json(out, "slots", svc.slots);
-      const auto& pct = format_percentile;
-      out << ",\"latency_ns\":{\"count\":" << svc.latency.count()
-          << ",\"mean\":" << format_number(svc.latency.mean())
-          << ",\"sd\":" << format_number(svc.latency.stddev())
-          << ",\"min\":" << format_number(svc.latency.min())
-          << ",\"p50\":" << pct(svc.latency_hist, svc.latency, 50)
-          << ",\"p99\":" << pct(svc.latency_hist, svc.latency, 99)
-          << ",\"p999\":" << pct(svc.latency_hist, svc.latency, 99.9)
-          << ",\"max\":" << format_number(svc.latency.max()) << '}';
-      const struct {
-        const char* name;
-        const ExactMoments* mo;
-        const obs::LogHistogram* hist;
-      } comps[3] = {
-          {"batch_wait_ns", &svc.batch_wait, &svc.batch_wait_hist},
-          {"seq_wait_ns", &svc.seq_wait, &svc.seq_wait_hist},
-          {"consensus_ns", &svc.consensus, &svc.consensus_hist},
-      };
-      for (const auto& c : comps) {
-        out << ",\"" << c.name << "\":{\"count\":" << c.mo->count()
-            << ",\"mean\":" << format_number(c.mo->mean())
-            << ",\"p50\":" << pct(*c.hist, *c.mo, 50)
-            << ",\"p99\":" << pct(*c.hist, *c.mo, 99)
-            << ",\"p999\":" << pct(*c.hist, *c.mo, 99.9)
-            << ",\"max\":" << format_number(c.mo->max()) << '}';
+      write_summary_json(out, "slots", acc.svc_slots);
+      const ExactMoments& lat = acc.obs.moments(obs::ObsId::kSvcLatencyNs);
+      const obs::LogHistogram& lat_hist =
+          acc.obs.histogram(obs::ObsId::kSvcLatencyNs);
+      out << ",\"latency_ns\":{\"count\":" << lat.count()
+          << ",\"mean\":" << format_number(lat.mean())
+          << ",\"sd\":" << format_number(lat.stddev())
+          << ",\"min\":" << format_number(lat.min())
+          << ",\"p50\":" << format_percentile(lat_hist, lat, 50)
+          << ",\"p99\":" << format_percentile(lat_hist, lat, 99)
+          << ",\"p999\":" << format_percentile(lat_hist, lat, 99.9)
+          << ",\"max\":" << format_number(lat.max()) << '}';
+      for (const auto& c : kSvcComponents) {
+        const ExactMoments& mo = acc.obs.moments(c.id);
+        const obs::LogHistogram& hist = acc.obs.histogram(c.id);
+        out << ",\"" << c.json_key << "\":{\"count\":" << mo.count()
+            << ",\"mean\":" << format_number(mo.mean())
+            << ",\"p50\":" << format_percentile(hist, mo, 50)
+            << ",\"p99\":" << format_percentile(hist, mo, 99)
+            << ",\"p999\":" << format_percentile(hist, mo, 99.9)
+            << ",\"max\":" << format_number(mo.max()) << '}';
       }
       out << '}';
     }

@@ -126,49 +126,6 @@ double MetricStats::percentile(double q) const {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-void ServiceAgg::add(const RunRecord& r) {
-  if (!r.service.active) return;
-  ++active_runs;
-  ops.add(r.service.ops, mix64(r.seed, kSaltSvcOps));
-  rate.add(r.service.ops_per_sec, mix64(r.seed, kSaltSvcRate));
-  batches.add(r.service.batches, mix64(r.seed, kSaltSvcBatches));
-  slots.add(r.service.slots, mix64(r.seed, kSaltSvcSlots));
-  latency.merge(r.service.latency);
-  latency_hist.merge(r.service.latency_hist);
-  batch_wait.merge(r.service.batch_wait);
-  batch_wait_hist.merge(r.service.batch_wait_hist);
-  seq_wait.merge(r.service.seq_wait);
-  seq_wait_hist.merge(r.service.seq_wait_hist);
-  consensus.merge(r.service.consensus);
-  consensus_hist.merge(r.service.consensus_hist);
-}
-
-void ServiceAgg::merge(const ServiceAgg& other) {
-  active_runs += other.active_runs;
-  ops.merge(other.ops);
-  rate.merge(other.rate);
-  batches.merge(other.batches);
-  slots.merge(other.slots);
-  latency.merge(other.latency);
-  latency_hist.merge(other.latency_hist);
-  batch_wait.merge(other.batch_wait);
-  batch_wait_hist.merge(other.batch_wait_hist);
-  seq_wait.merge(other.seq_wait);
-  seq_wait_hist.merge(other.seq_wait_hist);
-  consensus.merge(other.consensus);
-  consensus_hist.merge(other.consensus_hist);
-}
-
-CellAccumulator::CellAccumulator(std::size_t reservoir_capacity,
-                                 std::size_t failure_cap)
-    : rounds(reservoir_capacity),
-      msgs(reservoir_capacity),
-      shm_proposals(reservoir_capacity),
-      objects(reservoir_capacity),
-      decision_time(reservoir_capacity),
-      svc(reservoir_capacity),
-      failure_cap(failure_cap) {}
-
 void CellAccumulator::add(const RunRecord& r) {
   ++runs;
   if (r.terminated) {
@@ -182,9 +139,22 @@ void CellAccumulator::add(const RunRecord& r) {
                       mix64(r.seed, kSaltDecisionTime));
   }
   if (!r.safe_ok) ++violations;
-  if (!r.success) bounded_push(failures, r, failure_cap);
+  if (!r.success) bounded_push(failures, r, kFailureCapacity);
   obs.add(r.obs);
-  svc.add(r);
+  if (r.service.active) {
+    svc_ops.add(r.service.ops, mix64(r.seed, kSaltSvcOps));
+    svc_rate.add(r.service.ops_per_sec, mix64(r.seed, kSaltSvcRate));
+    svc_batches.add(r.service.batches, mix64(r.seed, kSaltSvcBatches));
+    svc_slots.add(r.service.slots, mix64(r.seed, kSaltSvcSlots));
+    obs.pool(obs::ObsId::kSvcLatencyNs, r.service.latency,
+             r.service.latency_hist);
+    obs.pool(obs::ObsId::kSvcBatchWaitNs, r.service.batch_wait,
+             r.service.batch_wait_hist);
+    obs.pool(obs::ObsId::kSvcSeqWaitNs, r.service.seq_wait,
+             r.service.seq_wait_hist);
+    obs.pool(obs::ObsId::kSvcConsensusNs, r.service.consensus,
+             r.service.consensus_hist);
+  }
 }
 
 void CellAccumulator::merge(const CellAccumulator& other) {
@@ -196,11 +166,14 @@ void CellAccumulator::merge(const CellAccumulator& other) {
   shm_proposals.merge(other.shm_proposals);
   objects.merge(other.objects);
   decision_time.merge(other.decision_time);
+  svc_ops.merge(other.svc_ops);
+  svc_rate.merge(other.svc_rate);
+  svc_batches.merge(other.svc_batches);
+  svc_slots.merge(other.svc_slots);
   for (const RunRecord& r : other.failures) {
-    bounded_push(failures, r, failure_cap);
+    bounded_push(failures, r, kFailureCapacity);
   }
   obs.merge(other.obs);
-  svc.merge(other.svc);
 }
 
 void CellAccumulator::finalize() {

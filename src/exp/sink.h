@@ -35,9 +35,8 @@ struct ServiceRunResult;
 
 /// Per-run stats of a replicated-service run (all-zero / inactive for
 /// plain consensus runs). Latency rides as exact moments plus a log
-/// histogram — both pure functions of the per-op sample multiset — NOT as
-/// extra ObsIds: ObsAccumulator adds every id on every run, so consensus
-/// runs would pollute service latency histograms with zeros.
+/// histogram — both pure functions of the per-op sample multiset — that
+/// CellAccumulator pools into the obs::ObsId::kSvc*Ns ids.
 struct ServiceRunStats {
   bool active = false;
   std::uint64_t ops = 0;        ///< completed client ops
@@ -89,14 +88,13 @@ RunRecord extract_service_record(std::uint64_t run, std::uint64_t seed,
 /// plus a deterministic reservoir for quantiles. Priorities fed to add()
 /// must be pure hashes of run identity (we use the run's seed) so the
 /// reservoir — and therefore every emitted percentile — is independent of
-/// execution order. While a cell has at most `reservoir capacity` samples,
+/// execution order. While a cell has at most kReservoirCapacity samples,
 /// percentiles are exact (the reservoir holds every value).
 class MetricStats {
  public:
-  static constexpr std::size_t kDefaultReservoir = 1024;
+  static constexpr std::size_t kReservoirCapacity = 1024;
 
-  explicit MetricStats(std::size_t reservoir_capacity = kDefaultReservoir)
-      : reservoir_(reservoir_capacity) {}
+  MetricStats() : reservoir_(kReservoirCapacity) {}
   MetricStats(ExactMoments moments, ReservoirSample reservoir)
       : moments_(moments), reservoir_(std::move(reservoir)) {}
 
@@ -120,47 +118,11 @@ class MetricStats {
   ReservoirSample reservoir_;
 };
 
-/// Merge-order-invariant per-cell aggregate of the service workload:
-/// MetricStats over the per-run scalars, pooled exact latency moments, and
-/// the pooled per-op latency log-histogram (p50/p99/p999 come from here).
-/// Dormant (active_runs == 0) on plain consensus cells, so non-service
-/// artifacts stay byte-identical to pre-service builds.
-struct ServiceAgg {
-  explicit ServiceAgg(
-      std::size_t reservoir_capacity = MetricStats::kDefaultReservoir)
-      : ops(reservoir_capacity),
-        rate(reservoir_capacity),
-        batches(reservoir_capacity),
-        slots(reservoir_capacity) {}
-
-  std::uint64_t active_runs = 0;
-  MetricStats ops;      ///< completed ops per run
-  MetricStats rate;     ///< decided-ops/sec per run (exact integer)
-  MetricStats batches;  ///< batches minted per run
-  MetricStats slots;    ///< slots decided per run
-  ExactMoments latency;            ///< pooled per-op latency moments
-  obs::LogHistogram latency_hist;  ///< pooled per-op latency histogram
-  /// Pooled latency attribution components (see ServiceRunStats).
-  ExactMoments batch_wait;
-  obs::LogHistogram batch_wait_hist;
-  ExactMoments seq_wait;
-  obs::LogHistogram seq_wait_hist;
-  ExactMoments consensus;
-  obs::LogHistogram consensus_hist;
-
-  void add(const RunRecord& r);
-  void merge(const ServiceAgg& other);
-};
-
 /// Aggregated outcome of one cell (or one chunk of it, pre-merge).
 /// Summaries cover terminated runs only (matching how the paper's tables
 /// report cost conditioned on deciding).
 struct CellAccumulator {
-  static constexpr std::size_t kDefaultFailureCap = 64;
-
-  explicit CellAccumulator(
-      std::size_t reservoir_capacity = MetricStats::kDefaultReservoir,
-      std::size_t failure_cap = kDefaultFailureCap);
+  static constexpr std::size_t kFailureCapacity = 64;
 
   std::uint64_t runs = 0;
   std::uint64_t terminated = 0;
@@ -171,22 +133,25 @@ struct CellAccumulator {
   MetricStats shm_proposals;
   MetricStats objects;
   MetricStats decision_time;
+  /// Per-run service scalars over every service run, terminated or not;
+  /// empty on plain consensus cells. svc_ops.count() is the service-run
+  /// count.
+  MetricStats svc_ops;      ///< completed ops per run
+  MetricStats svc_rate;     ///< decided-ops/sec per run (exact integer)
+  MetricStats svc_batches;  ///< batches minted per run
+  MetricStats svc_slots;    ///< slots decided per run
 
   /// Observability metrics over ALL runs (not just terminated ones):
-  /// message-class counters and — when the spec collects them — per-phase
-  /// latency moments + log-scale histograms. Merge-order-invariant like
-  /// every other component.
+  /// message-class counters, per-phase latency moments + log-scale
+  /// histograms when the spec collects them, and the pooled per-op service
+  /// latencies. Merge-order-invariant like every other component.
   obs::ObsAccumulator obs;
 
-  /// Service-workload aggregate; dormant on plain consensus cells.
-  ServiceAgg svc;
-
-  /// Bounded ring of failing runs: the `failure_cap` non-success() runs
+  /// Bounded ring of failing runs: the kFailureCapacity non-success() runs
   /// with the lowest run indices — a deterministic replay work list that
   /// survives streaming execution (no retained records needed). Sorted by
   /// run index after finalize().
   std::vector<RunRecord> failures;
-  std::size_t failure_cap = kDefaultFailureCap;
 
   void add(const RunRecord& r);
   void merge(const CellAccumulator& other);

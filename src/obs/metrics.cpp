@@ -19,6 +19,10 @@ const char* obs_id_name(ObsId id) {
     case ObsId::kDecideSpreadNs: return "decide_spread_ns";
     case ObsId::kRounds: return "decision_rounds";
     case ObsId::kQuorumWaitNs: return "quorum_wait_ns";
+    case ObsId::kSvcLatencyNs: return "svc_latency_ns";
+    case ObsId::kSvcBatchWaitNs: return "svc_batch_wait_ns";
+    case ObsId::kSvcSeqWaitNs: return "svc_seq_wait_ns";
+    case ObsId::kSvcConsensusNs: return "svc_consensus_ns";
   }
   return "?";
 }
@@ -74,11 +78,19 @@ LogHistogram LogHistogram::from_counts(
 }
 
 void ObsAccumulator::add(const ObsSample& s) {
-  for (std::size_t i = 0; i < kObsIdCount; ++i) {
+  for (std::size_t i = 0; i < kObsRunIdCount; ++i) {
     moments_[i].add(s.v[i]);
     const auto id = static_cast<ObsId>(i);
     if (obs_id_is_latency(id)) histogram(id).add(s.v[i]);
   }
+}
+
+void ObsAccumulator::pool(ObsId id, const ExactMoments& moments,
+                          const LogHistogram& hist) {
+  HYCO_CHECK_MSG(static_cast<std::size_t>(id) >= kObsRunIdCount,
+                 "metric \"" << obs_id_name(id) << "\" is per run, not pooled");
+  this->moments(id).merge(moments);
+  histogram(id).merge(hist);
 }
 
 void ObsAccumulator::merge(const ObsAccumulator& other) {

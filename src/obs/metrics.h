@@ -41,10 +41,18 @@ enum class ObsId : std::uint8_t {
   kRounds,        ///< max decision round of the run (always filled)
   kQuorumWaitNs,  ///< sim-time from phase begin to quorum satisfaction,
                   ///< summed over processes and rounds (collect_obs only)
+  // Pooled per op, not per run: a replicated-service run merges its per-op
+  // client latency samples (ns) into these, and consensus runs leave them
+  // empty. No ObsSample carries them.
+  kSvcLatencyNs,    ///< client-visible latency, the sum of the three below
+  kSvcBatchWaitNs,  ///< submit -> batch flush
+  kSvcSeqWaitNs,    ///< flush -> the deciding slot's consensus start
+  kSvcConsensusNs,  ///< slot start -> delivery
 };
 
-inline constexpr std::size_t kObsIdCount = 11;
-inline constexpr std::size_t kObsLatencyCount = 5;  ///< trailing latency ids
+inline constexpr std::size_t kObsIdCount = 15;
+inline constexpr std::size_t kObsRunIdCount = 11;  ///< leading per-run ids
+inline constexpr std::size_t kObsLatencyCount = 9;  ///< trailing latency ids
 
 /// Stable string id ("delivered", "phase1_ns", ...) — the registry key used
 /// in checkpoint lines, report columns, and JSON.
@@ -56,10 +64,10 @@ const char* obs_id_name(ObsId id);
   return static_cast<std::size_t>(id) >= kObsIdCount - kObsLatencyCount;
 }
 
-/// One run's metric values, indexed by ObsId. Plain array of u64 — cheap to
-/// fill, copy, and carry through RunResult/RunRecord.
+/// One run's values of the per-run ids, indexed by ObsId. Plain array of
+/// u64 — cheap to fill, copy, and carry through RunResult/RunRecord.
 struct ObsSample {
-  std::array<std::uint64_t, kObsIdCount> v{};
+  std::array<std::uint64_t, kObsRunIdCount> v{};
 
   std::uint64_t& operator[](ObsId id) {
     return v[static_cast<std::size_t>(id)];
@@ -97,12 +105,15 @@ class LogHistogram {
   std::uint64_t total_ = 0;
 };
 
-/// Per-cell aggregation of ObsSamples: exact moments for every id, plus a
-/// log histogram per latency id. All runs of the cell contribute (counters
-/// are meaningful whether or not the run terminated).
+/// Per-cell aggregation: exact moments for every id, plus a log histogram
+/// per latency id. Every run of the cell adds its ObsSample (counters are
+/// meaningful whether or not the run terminated); pooled ids take whole
+/// per-op distributions instead.
 class ObsAccumulator {
  public:
   void add(const ObsSample& s);
+  /// Merges a run's per-op samples of the pooled latency id `id`.
+  void pool(ObsId id, const ExactMoments& moments, const LogHistogram& hist);
   void merge(const ObsAccumulator& other);
 
   [[nodiscard]] const ExactMoments& moments(ObsId id) const {

@@ -425,7 +425,7 @@ TEST(Proto, ResultEncodingRoundTripsAccumulatorExactly) {
   // contract reduces to this round-trip plus merge invariance.
   const auto cells = dist_spec().expand();
   const ExperimentCell& cell = cells[0];
-  CellAccumulator acc(MetricStats::kDefaultReservoir, 4);
+  CellAccumulator acc;
   for (std::uint64_t k = 0; k < 12; ++k) {
     const RunConfig cfg = cell.run_config(k);
     acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
@@ -473,9 +473,7 @@ TEST(Proto, ResultEncodingRoundTripsAccumulatorExactly) {
 std::string serve_grid(const ExperimentSpec& spec, CoordinatorOptions opts,
                        const std::function<void(std::uint16_t)>& drive) {
   const auto cells = spec.expand();
-  Coordinator coordinator(cells, full_spans(cells),
-                          grid_fingerprint(cells, opts.reservoir_capacity,
-                                           opts.failure_capacity),
+  Coordinator coordinator(cells, full_spans(cells), grid_fingerprint(cells),
                           std::move(opts));
   coordinator.bind();
   const std::uint16_t port = coordinator.port();
@@ -497,9 +495,7 @@ TEST(DistributedSweep, TwoWorkersMatchLocalByteForByte) {
   const ExperimentSpec spec = dist_spec();
   const std::string reference = reference_artifacts(spec);
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   const std::string distributed =
       serve_grid(spec, test_coordinator_options(), [&](std::uint16_t port) {
@@ -518,9 +514,7 @@ TEST(DistributedSweep, TwoWorkersMatchLocalByteForByte) {
 TEST(DistributedSweep, RejectsForeignGridFingerprint) {
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   const std::string distributed =
       serve_grid(spec, test_coordinator_options(), [&](std::uint16_t port) {
@@ -541,9 +535,7 @@ TEST(DistributedSweep, RejectsForeignGridFingerprint) {
 TEST(DistributedSweep, WorkerKilledMidChunkLeavesOutputIdentical) {
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   const std::string distributed =
       serve_grid(spec, test_coordinator_options(), [&](std::uint16_t port) {
@@ -554,8 +546,6 @@ TEST(DistributedSweep, WorkerKilledMidChunkLeavesOutputIdentical) {
         dist::HelloMsg hello;
         hello.fingerprint = fp;
         hello.cells = cells.size();
-        hello.reservoir_capacity = MetricStats::kDefaultReservoir;
-        hello.failure_capacity = CellAccumulator::kDefaultFailureCap;
         ASSERT_TRUE(dist::send_frame(fd, dist::MsgType::kHello,
                                      dist::encode_hello(hello)));
         dist::Frame f;
@@ -575,9 +565,7 @@ TEST(DistributedSweep, WorkerKilledMidChunkLeavesOutputIdentical) {
 TEST(DistributedSweep, ExpiredLeaseOnWedgedWorkerIsReassigned) {
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   CoordinatorOptions opts = test_coordinator_options();
   opts.lease_ttl = std::chrono::milliseconds(150);
@@ -592,8 +580,6 @@ TEST(DistributedSweep, ExpiredLeaseOnWedgedWorkerIsReassigned) {
         dist::HelloMsg hello;
         hello.fingerprint = fp;
         hello.cells = cells.size();
-        hello.reservoir_capacity = MetricStats::kDefaultReservoir;
-        hello.failure_capacity = CellAccumulator::kDefaultFailureCap;
         ASSERT_TRUE(dist::send_frame(wedged_fd, dist::MsgType::kHello,
                                      dist::encode_hello(hello)));
         dist::Frame f;
@@ -612,14 +598,12 @@ TEST(DistributedSweep, ExpiredLeaseOnWedgedWorkerIsReassigned) {
   EXPECT_EQ(distributed, reference_artifacts(spec));
 }
 
-/// A well-formed Hello for this grid (default capacities).
+/// A well-formed Hello for this grid.
 dist::HelloMsg make_hello(std::uint64_t fp, std::size_t n_cells,
                           std::uint64_t reconnect = 0) {
   dist::HelloMsg hello;
   hello.fingerprint = fp;
   hello.cells = n_cells;
-  hello.reservoir_capacity = MetricStats::kDefaultReservoir;
-  hello.failure_capacity = CellAccumulator::kDefaultFailureCap;
   hello.reconnect = reconnect;
   return hello;
 }
@@ -632,9 +616,7 @@ TEST(DistributedSweep, AdaptiveLeaseTailShrinksToFloor) {
   // floor, and the resharded tail must not change a single output byte.
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   CoordinatorOptions opts = test_coordinator_options();
   opts.lease_grain = 64;
@@ -665,8 +647,6 @@ TEST(DistributedSweep, AdaptiveLeaseTailShrinksToFloor) {
           result.cell_index = lease.cell_index;
           result.begin = lease.begin;
           result.end = lease.end;
-          result.acc = CellAccumulator(MetricStats::kDefaultReservoir,
-                                       CellAccumulator::kDefaultFailureCap);
           for (std::uint64_t k = lease.begin; k < lease.end; ++k) {
             const RunConfig cfg = cells[lease.cell_index].run_config(k);
             result.acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
@@ -692,9 +672,7 @@ TEST(DistributedSweep, WorkerRidesOutSeveredConnections) {
   // recovery must ride the injuries out and the bytes must not change.
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   const std::string distributed =
       serve_grid(spec, test_coordinator_options(), [&](std::uint16_t port) {
@@ -730,9 +708,7 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   // byte-identical to a never-crashed run.
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   std::stringstream ckpt;
   write_checkpoint_header(ckpt, fp);
@@ -838,9 +814,7 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   ExperimentSpec spec = dist_spec();
   spec.collect_obs = true;
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   CoordinatorOptions opts = test_coordinator_options();
   opts.health_port = 0;  // ephemeral
@@ -876,8 +850,6 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   dist::HelloMsg hello;
   hello.fingerprint = fp;
   hello.cells = cells.size();
-  hello.reservoir_capacity = MetricStats::kDefaultReservoir;
-  hello.failure_capacity = CellAccumulator::kDefaultFailureCap;
   ASSERT_TRUE(dist::send_frame(fd, dist::MsgType::kHello,
                                dist::encode_hello(hello)));
   dist::Frame f;
@@ -893,8 +865,6 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   result.cell_index = lease.cell_index;
   result.begin = lease.begin;
   result.end = lease.end;
-  result.acc = CellAccumulator(MetricStats::kDefaultReservoir,
-                               CellAccumulator::kDefaultFailureCap);
   for (std::uint64_t k = lease.begin; k < lease.end; ++k) {
     const RunConfig cfg = cells[lease.cell_index].run_config(k);
     result.acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
@@ -950,9 +920,7 @@ TEST(DistributedSweep, HealthEndpointReportsRecoveryCounters) {
   // worker_reconnects (with the per-worker reconnect count echoed back).
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   CoordinatorOptions opts = test_coordinator_options();
   opts.health_port = 0;
@@ -1038,9 +1006,7 @@ TEST(ChunkCheckpoint, MidCellResumeMatchesUninterruptedByteForByte) {
   spec.base_seed = 11;
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 1u);
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
   const std::string reference = reference_artifacts(spec);
 
   std::stringstream file;
@@ -1081,12 +1047,9 @@ TEST(ChunkCheckpoint, MidCellResumeMatchesUninterruptedByteForByte) {
 
 TEST(ChunkCheckpoint, LoaderDropsOverlapsTruncationAndCoveredChunks) {
   const auto cells = dist_spec().expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
-  CellAccumulator acc(MetricStats::kDefaultReservoir,
-                      CellAccumulator::kDefaultFailureCap);
+  CellAccumulator acc;
   for (std::uint64_t k = 0; k < 10; ++k) {
     const RunConfig cfg = cells[0].run_config(k);
     acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
@@ -1130,12 +1093,9 @@ TEST(ChunkCheckpoint, LoaderDropsOverlapsTruncationAndCoveredChunks) {
 
 TEST(ChunkCheckpoint, CompactionMergesChainsAndDropsCoveredTrails) {
   const auto cells = dist_spec().expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
-  CellAccumulator acc(MetricStats::kDefaultReservoir,
-                      CellAccumulator::kDefaultFailureCap);
+  CellAccumulator acc;
   for (std::uint64_t k = 0; k < 10; ++k) {
     const RunConfig cfg = cells[0].run_config(k);
     acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
@@ -1180,9 +1140,7 @@ TEST(ChunkCheckpoint, CompactedRewriteResumesByteForByte) {
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 2u);
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir,
-      CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
   const std::string reference = reference_artifacts(spec);
 
   // Interrupted session: cell 0 executed [0,10) + [20,40) in grain-10

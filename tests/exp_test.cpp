@@ -262,13 +262,15 @@ TEST(StreamingPipeline, FailureRingKeepsLowestRunsAndRecordCapApplies) {
     Rng rng(3);
     return failure_patterns::kill_covering_set(l, rng, 0).plan;
   })};
-  spec.runs_per_cell = 9;
+  // More failing runs than the ring holds, in chunks that land in any
+  // order.
+  constexpr std::size_t kRing = CellAccumulator::kFailureCapacity;
+  spec.runs_per_cell = kRing + 6;
   const auto cells = spec.expand();
 
   ParallelExecutor::Options opts;
   opts.threads = 4;
   opts.chunk_size = 2;
-  opts.failure_capacity = 3;
   CollectingSink::Options sink_opts;
   sink_opts.retain_records = true;
   sink_opts.max_records_per_cell = 4;
@@ -278,8 +280,8 @@ TEST(StreamingPipeline, FailureRingKeepsLowestRunsAndRecordCapApplies) {
   ASSERT_EQ(results.size(), 1u);
   const auto& r = results[0];
   EXPECT_EQ(r.terminated(), 0u);  // covering set dead => every run fails
-  ASSERT_EQ(r.failures().size(), 3u);  // capped, lowest runs win, sorted
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(r.failures()[i].run, i);
+  ASSERT_EQ(r.failures().size(), kRing);  // capped, lowest runs win, sorted
+  for (std::size_t i = 0; i < kRing; ++i) EXPECT_EQ(r.failures()[i].run, i);
   ASSERT_EQ(r.records.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(r.records[i].run, i);
 }
@@ -311,8 +313,7 @@ TEST(Checkpoint, RoundTripsCellStateExactly) {
   const ExperimentSpec spec = mixed_spec();
   const auto cells = spec.expand();
   const auto results = ParallelExecutor().run(cells);
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir, CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   std::stringstream file;
   write_checkpoint_header(file, fp);
@@ -346,7 +347,7 @@ TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
   const ExperimentSpec spec = mixed_spec();
   const auto cells = spec.expand();
   const auto results = ParallelExecutor().run(cells);
-  const std::uint64_t fp = grid_fingerprint(cells, 1024, 64);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   std::stringstream file;
   write_checkpoint_header(file, fp);
@@ -388,8 +389,7 @@ TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
 TEST(Checkpoint, ResumedRunMatchesUninterruptedByteForByte) {
   const ExperimentSpec spec = mixed_spec();
   const auto cells = spec.expand();
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir, CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
 
   // Uninterrupted reference.
   const std::string reference =
@@ -430,8 +430,7 @@ TEST(ResumePlan, DropsForeignBlocksAndCompletesCoveredCells) {
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 8u);
   const std::uint64_t runs = spec.runs_per_cell;
-  const std::uint64_t fp = grid_fingerprint(
-      cells, MetricStats::kDefaultReservoir, CellAccumulator::kDefaultFailureCap);
+  const std::uint64_t fp = grid_fingerprint(cells);
   const auto whole = ParallelExecutor().run(cells);
   const std::string reference = render_artifacts(spec.name, whole);
 

@@ -369,8 +369,7 @@ TEST(Health, JsonCarriesSchemaProgressAndWorkers) {
 TEST(ObsCheckpoint, AccumulatorStateRoundTripsObsMetrics) {
   ExperimentSpec spec = obs_spec(true);
   const auto cells = spec.expand();
-  CellAccumulator acc(MetricStats::kDefaultReservoir,
-                      CellAccumulator::kDefaultFailureCap);
+  CellAccumulator acc;
   for (std::uint64_t k = 0; k < 10; ++k) {
     const RunConfig cfg = cells[0].run_config(k);
     acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
@@ -383,8 +382,7 @@ TEST(ObsCheckpoint, AccumulatorStateRoundTripsObsMetrics) {
   EXPECT_NE(state.str().find("o delivered "), std::string::npos);
   EXPECT_NE(state.str().find("o phase1_ns "), std::string::npos);
 
-  CellAccumulator back(MetricStats::kDefaultReservoir,
-                       CellAccumulator::kDefaultFailureCap);
+  CellAccumulator back;
   ASSERT_TRUE(read_accumulator_state(state, back));
   for (std::size_t i = 0; i < obs::kObsIdCount; ++i) {
     const auto id = static_cast<obs::ObsId>(i);
@@ -405,8 +403,7 @@ TEST(ObsCheckpoint, LoadsPreObservabilityStateWithoutObsLines) {
   // A checkpoint written before the obs layer existed has no "o" lines; it
   // must still load (with zeroed obs metrics), so old checkpoints resume.
   const auto cells = obs_spec(false).expand();
-  CellAccumulator acc(MetricStats::kDefaultReservoir,
-                      CellAccumulator::kDefaultFailureCap);
+  CellAccumulator acc;
   for (std::uint64_t k = 0; k < 6; ++k) {
     const RunConfig cfg = cells[0].run_config(k);
     acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
@@ -421,8 +418,7 @@ TEST(ObsCheckpoint, LoadsPreObservabilityStateWithoutObsLines) {
     stripped += '\n';
   }
   std::istringstream old_format(stripped);
-  CellAccumulator back(MetricStats::kDefaultReservoir,
-                       CellAccumulator::kDefaultFailureCap);
+  CellAccumulator back;
   EXPECT_TRUE(read_accumulator_state(old_format, back));
   EXPECT_EQ(back.obs.moments(obs::ObsId::kDelivered).count(), 0u);
   EXPECT_EQ(back.runs, 0u);  // runs come from block headers, not state

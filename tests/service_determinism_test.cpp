@@ -1,8 +1,8 @@
 // Determinism tests for the replicated service layer: identical runs are
 // bit-identical, executor artifacts are byte-identical at any thread count
-// and chunk grain, latency histograms and service aggregates merge
-// order-invariantly, and the checkpoint "s" block round-trips the service
-// accumulator exactly.
+// and chunk grain, latency histograms and service metrics merge
+// order-invariantly, and checkpoints round-trip the service metrics
+// exactly, old "s" latency lines included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -144,31 +144,95 @@ TEST(ServiceDeterminism, ReportedPercentilesNeverExceedTheMaximum) {
   EXPECT_GT(objects, 0);
 }
 
-TEST(ServiceDeterminism, ServiceAggMergeIsOrderInvariant) {
+/// The service CSV and JSON of `results`.
+std::string service_report(const std::vector<CellResult>& results) {
+  ReportOptions ropts;
+  ropts.service = true;
+  std::ostringstream out;
+  write_cell_csv(out, results, ropts);
+  write_cell_json(out, "svc-det", results, ropts);
+  return out.str();
+}
+
+TEST(ServiceDeterminism, ServiceMetricsMergeIsOrderInvariant) {
   const ExperimentSpec spec = service_spec();
   const auto cells = spec.expand();
   std::vector<RunRecord> records;
+  std::uint64_t ops = 0;
   for (std::uint64_t k = 0; k < cells[0].runs; ++k) {
     const ServiceRunConfig cfg = cells[0].service_run_config(k);
     records.push_back(extract_service_record(k, cfg.seed, run_service(cfg)));
+    ops += records.back().service.latency.count();
   }
-  // One record per chunk, folded forward vs backward.
-  ServiceAgg fwd, rev;
+  // All records in one accumulator vs one record per chunk, folded forward
+  // and backward.
+  CellAccumulator whole, fwd, rev;
   for (const auto& r : records) {
-    ServiceAgg chunk;
+    whole.add(r);
+    CellAccumulator chunk;
     chunk.add(r);
     fwd.merge(chunk);
   }
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    ServiceAgg chunk;
+    CellAccumulator chunk;
     chunk.add(*it);
     rev.merge(chunk);
   }
-  EXPECT_EQ(fwd.active_runs, rev.active_runs);
-  EXPECT_EQ(fwd.ops.mean(), rev.ops.mean());
-  EXPECT_EQ(fwd.rate.percentile(50), rev.rate.percentile(50));
-  EXPECT_EQ(fwd.latency.mean(), rev.latency.mean());
-  EXPECT_EQ(fwd.latency_hist.percentile(99), rev.latency_hist.percentile(99));
+  EXPECT_EQ(whole.svc_ops.count(), records.size());
+  EXPECT_GT(ops, 0u);
+  for (const obs::ObsId id :
+       {obs::ObsId::kSvcLatencyNs, obs::ObsId::kSvcBatchWaitNs,
+        obs::ObsId::kSvcSeqWaitNs, obs::ObsId::kSvcConsensusNs}) {
+    EXPECT_EQ(whole.obs.moments(id).count(), ops) << obs::obs_id_name(id);
+    EXPECT_EQ(whole.obs.histogram(id).total(), ops) << obs::obs_id_name(id);
+  }
+  const auto report = [&](CellAccumulator acc) {
+    std::vector<CellResult> results;
+    results.emplace_back(cells[0], std::move(acc));
+    return service_report(results);
+  };
+  const std::string expected = report(whole);
+  EXPECT_EQ(report(fwd), expected);
+  EXPECT_EQ(report(rev), expected);
+}
+
+/// Rewrites a checkpoint into the form writers used before the pooled
+/// service ids: each block's "o svc_*" lines become the "s l"/"s h" and
+/// "s c"/"s ch" lines that followed the service metric pairs.
+std::string to_legacy_service_lines(const std::string& text) {
+  const struct {
+    const char* id;
+    const char* moments;
+    const char* hist;
+  } kLegacy[] = {
+      {"o svc_latency_ns ", "s l", "s h"},
+      {"o svc_batch_wait_ns ", "s c bwait", "s ch bwait"},
+      {"o svc_seq_wait_ns ", "s c qwait", "s ch qwait"},
+      {"o svc_consensus_ns ", "s c cons", "s ch cons"},
+  };
+  std::string out;
+  std::string tail;  // the block's legacy lines, written before "done"
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    bool moved = false;
+    for (const auto& l : kLegacy) {
+      if (line.rfind(l.id, 0) != 0) continue;
+      const std::size_t h = line.find(" h ");
+      const std::string moments = line.substr(
+          std::string(l.id).size(), h - std::string(l.id).size());
+      tail += std::string(l.moments) + ' ' + moments + '\n';
+      tail += std::string(l.hist) + line.substr(h + 2) + '\n';
+      moved = true;
+      break;
+    }
+    if (moved) continue;
+    if (line.rfind("done ", 0) == 0) {
+      out += tail;
+      tail.clear();
+    }
+    out += line + '\n';
+  }
+  return out;
 }
 
 TEST(ServiceDeterminism, CheckpointRoundTripsTheServiceBlock) {
@@ -176,8 +240,7 @@ TEST(ServiceDeterminism, CheckpointRoundTripsTheServiceBlock) {
   const auto cells = spec.expand();
   ParallelExecutor::Options opts;
   opts.threads = 1;
-  const std::uint64_t fingerprint = grid_fingerprint(
-      cells, opts.reservoir_capacity, opts.failure_capacity);
+  const std::uint64_t fingerprint = grid_fingerprint(cells);
 
   std::ostringstream ckpt;
   write_checkpoint_header(ckpt, fingerprint);
@@ -185,21 +248,29 @@ TEST(ServiceDeterminism, CheckpointRoundTripsTheServiceBlock) {
   for (const auto& res : direct) {
     append_checkpoint_cell(ckpt, res.cell.index, res.acc);
   }
+  const std::string text = ckpt.str();
+  EXPECT_NE(text.find("\no svc_latency_ns "), std::string::npos);
+  EXPECT_EQ(text.find("\ns l "), std::string::npos);
 
-  std::istringstream in(ckpt.str());
-  CheckpointData loaded = load_checkpoint_data(in, fingerprint);
-  ASSERT_EQ(loaded.cells.size(), cells.size());
-  std::vector<CellResult> restored;
-  for (auto& [index, acc] : loaded.cells) {
-    restored.emplace_back(cells[index], std::move(acc));
-  }
+  const auto reload = [&](const std::string& file) {
+    std::istringstream in(file);
+    CheckpointData loaded = load_checkpoint_data(in, fingerprint);
+    EXPECT_EQ(loaded.cells.size(), cells.size());
+    std::vector<CellResult> restored;
+    for (auto& [index, acc] : loaded.cells) {
+      restored.emplace_back(cells[index], std::move(acc));
+    }
+    return service_report(restored);
+  };
+  const std::string expected = service_report(direct);
+  EXPECT_EQ(reload(text), expected);
 
-  ReportOptions ropts;
-  ropts.service = true;
-  std::ostringstream a, b;
-  write_cell_csv(a, direct, ropts);
-  write_cell_csv(b, restored, ropts);
-  EXPECT_EQ(a.str(), b.str());
+  // The same cells in the older "s l"/"s h"/"s c"/"s ch" form load onto
+  // the pooled ids and report the same bytes.
+  const std::string legacy = to_legacy_service_lines(text);
+  ASSERT_EQ(legacy.find("\no svc_"), std::string::npos);
+  ASSERT_NE(legacy.find("\ns ch cons "), std::string::npos);
+  EXPECT_EQ(reload(legacy), expected);
 }
 
 }  // namespace
