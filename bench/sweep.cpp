@@ -458,6 +458,12 @@ int main(int argc, char** argv) {
     const auto runs_flag = opts.get_int("runs", 40);
     HYCO_CHECK_MSG(runs_flag >= 1, "--runs must be >= 1, got " << runs_flag);
     spec.runs_per_cell = static_cast<std::uint64_t>(runs_flag);
+    const auto replay_flag = opts.get_int("replay", 0);
+    HYCO_CHECK_MSG(replay_flag >= 0,
+                   "--replay must be >= 0, got " << replay_flag);
+    const auto csv_shard = opts.get_int("csv-shard", 0);
+    HYCO_CHECK_MSG(csv_shard >= 0,
+                   "--csv-shard must be >= 0, got " << csv_shard);
     spec.max_rounds = static_cast<Round>(opts.get_int("max-rounds", 5000));
     spec.inputs = parse_inputs(opts.get_string("inputs", "split"));
     spec.coin_epsilons.clear();
@@ -874,11 +880,10 @@ int main(int argc, char** argv) {
     }
     if (opts.has("csv")) {
       const std::string path = opts.get_string("csv");
-      const auto shard = opts.get_int("csv-shard", 0);
-      if (shard > 0) {
+      if (csv_shard > 0) {
         HYCO_CHECK_MSG(path != "-", "--csv-shard needs a file path, not -");
         const auto shards = write_cell_csv_sharded(
-            path, results, static_cast<std::size_t>(shard), report_opts);
+            path, results, static_cast<std::size_t>(csv_shard), report_opts);
         std::cerr << "sweep: wrote " << shards.size() << " CSV shard(s)\n";
       } else {
         write_report(path, [&](std::ostream& out) {
@@ -941,10 +946,9 @@ int main(int argc, char** argv) {
                 << " events) -> " << trace_path << "\n";
     }
 
-    const auto max_replays =
-        static_cast<std::size_t>(opts.get_int("replay", 0));
-    if (max_replays > 0) {
-      const auto reports = replay_failures(results, max_replays);
+    if (replay_flag > 0) {
+      const auto reports = replay_failures(
+          results, static_cast<std::size_t>(replay_flag));
       std::cout << "replayed " << reports.size() << " failing run(s)\n";
       dump_replays(std::cout, reports);
     }

@@ -11,6 +11,33 @@
 
 namespace hyco {
 
+namespace {
+
+/// Rejects a delay configuration its delay model would refuse mid-run.
+void check_delay(const DelayAxis& d) {
+  const DelayConfig& c = d.config;
+  switch (c.kind) {
+    case DelayConfig::Kind::Constant:
+      HYCO_CHECK_MSG(c.constant >= 0, "delay \"" << d.name
+                         << "\": constant delay must be >= 0, got "
+                         << c.constant);
+      break;
+    case DelayConfig::Kind::Uniform:
+      HYCO_CHECK_MSG(c.uniform_lo >= 0 && c.uniform_hi >= c.uniform_lo,
+                     "delay \"" << d.name << "\": uniform range ["
+                         << c.uniform_lo << ", " << c.uniform_hi
+                         << "] needs 0 <= LO <= HI");
+      break;
+    case DelayConfig::Kind::Exponential:
+      HYCO_CHECK_MSG(c.exp_mean > 0.0, "delay \"" << d.name
+                         << "\": exponential mean must be > 0, got "
+                         << c.exp_mean);
+      break;
+  }
+}
+
+}  // namespace
+
 DelayAxis DelayAxis::of(std::string name, DelayConfig cfg) {
   DelayAxis a;
   a.name = std::move(name);
@@ -121,6 +148,14 @@ std::vector<ExperimentCell> ExperimentSpec::expand() const {
   HYCO_CHECK_MSG(!services.empty(),
                  "experiment needs >= 1 service axis value");
   HYCO_CHECK_MSG(runs_per_cell >= 1, "runs_per_cell must be >= 1");
+  // Values a run would reject, rejected here instead: expand() runs on the
+  // caller's thread, a run may not.
+  HYCO_CHECK_MSG(max_rounds >= 1, "max_rounds must be >= 1, got " << max_rounds);
+  for (const double eps : coin_epsilons) {
+    HYCO_CHECK_MSG(eps >= 0.0 && eps <= 1.0,
+                   "coin_epsilon must be in [0, 1], got " << eps);
+  }
+  for (const DelayAxis& d : delays) check_delay(d);
 
   std::vector<ExperimentCell> cells;
   cells.reserve(cell_count());

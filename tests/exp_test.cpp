@@ -74,6 +74,24 @@ TEST(ExperimentSpec, ExpandRejectsEmptyAxes) {
   spec = small_spec();
   spec.runs_per_cell = 0;
   EXPECT_THROW(spec.expand(), ContractViolation);
+
+  // Values a run would reject on its worker thread.
+  spec = small_spec();
+  spec.max_rounds = 0;
+  EXPECT_THROW(spec.expand(), ContractViolation);
+  for (const double eps : {-0.25, 1.5}) {
+    spec = small_spec();
+    spec.coin_epsilons = {0.0, eps};
+    EXPECT_THROW(spec.expand(), ContractViolation) << eps;
+  }
+  for (const DelayConfig& bad :
+       {DelayConfig::uniform(150, 50), DelayConfig::uniform(-1, 50),
+        DelayConfig::exponential(-5), DelayConfig::exponential(0),
+        DelayConfig::constant_of(-1)}) {
+    spec = small_spec();
+    spec.delays = {DelayAxis::of("bad", bad)};
+    EXPECT_THROW(spec.expand(), ContractViolation);
+  }
 }
 
 TEST(ExperimentSpec, TotalRunsIsOverflowChecked) {
