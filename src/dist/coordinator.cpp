@@ -138,7 +138,7 @@ void Coordinator::serve_health_request(
 }
 
 bool Coordinator::handle_frame(Conn& conn, const Frame& frame,
-                               RunSink& sink) {
+                               CollectingSink& sink) {
   if (!conn.welcomed) {
     if (frame.type != MsgType::kHello) return false;
     HelloMsg hello;
@@ -236,7 +236,7 @@ bool Coordinator::handle_frame(Conn& conn, const Frame& frame,
   }
 }
 
-void Coordinator::serve(RunSink& sink) {
+void Coordinator::serve(CollectingSink& sink) {
   HYCO_CHECK_MSG(listen_fd_ >= 0, "coordinator: call bind() before serve()");
 
   const auto started = WorkLedger::Clock::now();

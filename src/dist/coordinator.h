@@ -1,6 +1,6 @@
 // Coordinator — owns one grid execution and farms its chunks to TCP
 // workers (src/dist/worker.h). The chunk-granular WorkLedger accepts each
-// chunk exactly once, and the coordinator hands it to the caller's RunSink
+// chunk exactly once, and the coordinator hands it to the caller's sink
 // exactly as ParallelExecutor does: absorb, then on_cell_complete when the
 // cell's last chunk lands.
 //
@@ -103,14 +103,14 @@ class Coordinator {
   /// Runs the accept/lease/fold loop until every span has folded (or
   /// max_wait expires → ContractViolation), handing each accepted chunk to
   /// `sink`. Call bind() first.
-  void serve(RunSink& sink);
+  void serve(CollectingSink& sink);
 
  private:
   struct Conn;
 
   /// Returns false when the connection must be dropped.
   [[nodiscard]] bool handle_frame(Conn& conn, const Frame& frame,
-                                  RunSink& sink);
+                                  CollectingSink& sink);
   /// Point-in-time progress snapshot for the health endpoint.
   [[nodiscard]] obs::HealthSnapshot snapshot(
       WorkLedger::Clock::time_point started) const;

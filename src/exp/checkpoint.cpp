@@ -525,11 +525,6 @@ CheckpointData load_checkpoint_data(std::istream& in,
   return data;
 }
 
-std::map<std::uint64_t, CellAccumulator> load_checkpoint(
-    std::istream& in, std::uint64_t expected_fingerprint) {
-  return load_checkpoint_data(in, expected_fingerprint).cells;
-}
-
 ResumePlan plan_resume(const std::vector<ExperimentCell>& cells,
                        CheckpointData checkpoint) {
   ResumePlan plan;

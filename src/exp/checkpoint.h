@@ -109,12 +109,6 @@ void write_compacted_checkpoint(std::ostream& out, std::uint64_t fingerprint,
 [[nodiscard]] CheckpointData load_checkpoint_data(
     std::istream& in, std::uint64_t expected_fingerprint);
 
-/// Cell-granular view of load_checkpoint_data (chunk blocks are parsed but
-/// not returned) — the pre-chunk-checkpoint interface, kept for callers
-/// that resume at cell granularity only.
-[[nodiscard]] std::map<std::uint64_t, CellAccumulator> load_checkpoint(
-    std::istream& in, std::uint64_t expected_fingerprint);
-
 /// What a sweep still has to run after loading its checkpoint.
 struct ResumePlan {
   /// The loaded checkpoint restricted to the grid. A block naming a cell

@@ -42,7 +42,7 @@ unsigned ParallelExecutor::worker_count(std::uint64_t total_tasks) const {
 }
 
 void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
-                           RunSink& sink) const {
+                           CollectingSink& sink) const {
   std::vector<RunSpan> spans;
   spans.reserve(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -55,7 +55,7 @@ void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
 
 void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
                            const std::vector<RunSpan>& spans,
-                           RunSink& sink) const {
+                           CollectingSink& sink) const {
   if (cells.empty() || spans.empty()) return;
   HYCO_CHECK_MSG(opts_.chunk_size >= 1, "chunk_size must be >= 1");
 

@@ -6,7 +6,7 @@
 // chunks from an atomic cursor (work stealing without materializing
 // per-run task lists — the work queue is index arithmetic over prefix
 // sums, O(cells) state for grids of any run count). A worker folds its
-// chunk into a fresh CellAccumulator and hands it to the RunSink; because
+// chunk into a fresh CellAccumulator and hands it to the sink; because
 // every accumulator component is merge-order-invariant (see exp/sink.h),
 // the per-cell statistics — and any report rendered from them — are
 // bit-identical whether the grid ran on 1 thread or 64, streamed or
@@ -45,7 +45,7 @@ class ParallelExecutor {
     /// sweep CLI report ops/sec for service workloads whose per-run cost
     /// dwarfs the run count. Must be thread-safe.
     std::function<void(std::uint64_t ops)> ops_progress;
-    /// Measure per-chunk wall/CPU time and feed RunSink::absorb_profile.
+    /// Measure per-chunk wall/CPU time and feed the sink's absorb_profile.
     /// Host-side timing only — simulation results are unaffected.
     bool profile = false;
   };
@@ -56,7 +56,8 @@ class ParallelExecutor {
   /// Streaming core: runs every (cell × run) task, folding chunks into
   /// `sink`. Cells may have heterogeneous run counts. Memory stays
   /// O(cells + threads × chunk accumulators) regardless of total runs.
-  void run(const std::vector<ExperimentCell>& cells, RunSink& sink) const;
+  void run(const std::vector<ExperimentCell>& cells,
+           CollectingSink& sink) const;
 
   /// Partial-grid core: executes only the listed run spans (chunks never
   /// cross a span). Spans must be non-empty, within their cell's run range,
@@ -66,7 +67,7 @@ class ParallelExecutor {
   /// accumulators are merge-order-invariant, merging the result with the
   /// checkpointed chunks is byte-identical to an uninterrupted run.
   void run(const std::vector<ExperimentCell>& cells,
-           const std::vector<RunSpan>& spans, RunSink& sink) const;
+           const std::vector<RunSpan>& spans, CollectingSink& sink) const;
 
   /// Batch convenience: executes through a record-retaining CollectingSink
   /// and returns per-cell aggregates in cell order. Deterministic for a

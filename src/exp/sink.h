@@ -2,19 +2,19 @@
 //
 // Workers fold each chunk of a cell's runs into a fresh CellAccumulator —
 // exact integer moments, deterministic bottom-k quantile reservoirs, and a
-// bounded worst-failure ring — and hand it to a RunSink. Every accumulator
-// component is a pure function of the run *multiset* (integer sums;
-// priority-keyed reservoirs; run-index-bounded rings), so merging chunks in
-// any order or grouping produces bit-identical cell statistics: streaming
-// execution is byte-identical to batch at any thread count by
+// bounded worst-failure ring — and hand it to a CollectingSink. Every
+// accumulator component is a pure function of the run *multiset* (integer
+// sums; priority-keyed reservoirs; run-index-bounded rings), so merging
+// chunks in any order or grouping produces bit-identical cell statistics:
+// streaming execution is byte-identical to batch at any thread count by
 // construction, and memory stays O(cells), not O(runs).
 //
-// CollectingSink is the standard sink and the only place chunks merge:
-// the local executor and the distributed coordinator both fold into it,
-// and a resumed sweep seeds it with its checkpoint. It can optionally
-// retain raw RunRecords (batch mode — the thin record-keeping sink
-// existing tests pin streaming-vs-batch equivalence against), and invokes
-// per-chunk and per-cell hooks (checkpoint appends, live progress).
+// CollectingSink is the only place chunks merge: the local executor and
+// the distributed coordinator both fold into it, and a resumed sweep seeds
+// it with its checkpoint. It can optionally retain raw RunRecords (batch
+// mode — the thin record-keeping sink existing tests pin
+// streaming-vs-batch equivalence against), and invokes per-chunk and
+// per-cell hooks (checkpoint appends, live progress).
 #pragma once
 
 #include <cstdint>
@@ -230,47 +230,16 @@ struct RunSpan {
   [[nodiscard]] std::uint64_t length() const { return end - begin; }
 };
 
-/// Executor-facing consumer of finished chunks. All methods may be called
-/// concurrently from worker threads.
-class RunSink {
- public:
-  virtual ~RunSink() = default;
-
-  /// True when workers should also collect raw RunRecords per chunk
-  /// (batch mode); streaming sinks return false and never see a record.
-  [[nodiscard]] virtual bool wants_records() const { return false; }
-
-  /// Folds one finished chunk — runs [begin, end) of cell `cell_pos`
-  /// (position in the executed cell list, not the spec-expansion index) —
-  /// into the sink.
-  virtual void absorb(std::uint64_t cell_pos, std::uint64_t begin,
-                      std::uint64_t end, CellAccumulator&& chunk,
-                      std::vector<RunRecord>&& records) = 0;
-
-  /// Executor profiling hook: wall/CPU cost of one finished chunk of cell
-  /// `cell_pos`. Called only when the executor profiles (Options::profile);
-  /// host-side measurement, kept apart from the deterministic absorb path.
-  virtual void absorb_profile(std::uint64_t cell_pos,
-                              const ChunkProfile& prof) {
-    (void)cell_pos;
-    (void)prof;
-  }
-
-  /// Every scheduled run of the cell has been absorbed. Cells complete in
-  /// any order; called from whichever worker finished the last chunk.
-  virtual void on_cell_complete(std::uint64_t cell_pos) { (void)cell_pos; }
-
-  /// True when absorbing also appends checkpoint blocks; the coordinator's
-  /// health endpoint then reports how long ago the last one flushed.
-  [[nodiscard]] virtual bool checkpoints() const { return false; }
-};
-
-/// The standard sink: merges chunks into one accumulator per cell and
-/// yields CellResults in cell order. With `retain_records` it is the thin
-/// batch-mode sink (records kept, bounded by `max_records_per_cell`, the
-/// lowest run indices winning — deterministic under any schedule); without,
-/// it is the bounded-memory streaming sink.
-class CollectingSink : public RunSink {
+/// Where executed chunks land, and the only place they merge: the local
+/// executor and the distributed coordinator both fold into it, and a
+/// resumed sweep seeds it with its checkpoint. It merges chunks into one
+/// accumulator per cell and yields CellResults in cell order. With
+/// `retain_records` it is the thin batch-mode sink (records kept, bounded
+/// by `max_records_per_cell`, the lowest run indices winning —
+/// deterministic under any schedule); without, it is the bounded-memory
+/// streaming sink. The executor-facing methods may be called concurrently
+/// from worker threads.
+class CollectingSink {
  public:
   struct Options {
     bool retain_records = false;
@@ -292,16 +261,28 @@ class CollectingSink : public RunSink {
 
   CollectingSink(std::vector<ExperimentCell> cells, Options opts);
 
-  [[nodiscard]] bool wants_records() const override {
-    return opts_.retain_records;
-  }
+  /// True when workers should also collect raw RunRecords per chunk
+  /// (batch mode); a streaming sink never sees a record.
+  [[nodiscard]] bool wants_records() const { return opts_.retain_records; }
+
+  /// Folds one finished chunk — runs [begin, end) of cell `cell_pos`
+  /// (position in the executed cell list, not the spec-expansion index) —
+  /// into the sink.
   void absorb(std::uint64_t cell_pos, std::uint64_t begin, std::uint64_t end,
-              CellAccumulator&& chunk,
-              std::vector<RunRecord>&& records) override;
-  void absorb_profile(std::uint64_t cell_pos,
-                      const ChunkProfile& prof) override;
-  void on_cell_complete(std::uint64_t cell_pos) override;
-  [[nodiscard]] bool checkpoints() const override {
+              CellAccumulator&& chunk, std::vector<RunRecord>&& records);
+
+  /// Executor profiling hook: wall/CPU cost of one finished chunk of cell
+  /// `cell_pos`. Called only when the executor profiles (Options::profile);
+  /// host-side measurement, kept apart from the deterministic absorb path.
+  void absorb_profile(std::uint64_t cell_pos, const ChunkProfile& prof);
+
+  /// Every scheduled run of the cell has been absorbed. Cells complete in
+  /// any order; called from whichever worker finished the last chunk.
+  void on_cell_complete(std::uint64_t cell_pos);
+
+  /// True when absorbing also appends checkpoint blocks; the coordinator's
+  /// health endpoint then reports how long ago the last one flushed.
+  [[nodiscard]] bool checkpoints() const {
     return static_cast<bool>(opts_.on_chunk);
   }
 

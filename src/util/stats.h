@@ -1,5 +1,5 @@
-// Small statistics toolkit for experiment harnesses: online accumulators,
-// percentile summaries, exact moments and mergeable reservoirs.
+// Small statistics toolkit for experiment harnesses: percentile summaries,
+// exact moments and mergeable reservoirs.
 #pragma once
 
 #include <cstdint>
@@ -7,34 +7,6 @@
 #include <vector>
 
 namespace hyco {
-
-/// Online mean/variance accumulator (Welford), plus min/max.
-class Accumulator {
- public:
-  void add(double x);
-
-  /// Folds another accumulator in (Chan et al. parallel Welford combine).
-  /// Note floating-point merge is grouping-sensitive: merge partials in a
-  /// fixed order when bit-stable output matters (or use ExactMoments).
-  void merge(const Accumulator& other);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Percentile summary over a retained sample vector.
 class Summary {

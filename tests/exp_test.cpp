@@ -340,7 +340,7 @@ TEST(Checkpoint, RoundTripsCellStateExactly) {
   }
 
   const auto reload = [&](std::istream& in) {
-    const auto loaded = load_checkpoint(in, fp);
+    const auto loaded = load_checkpoint_data(in, fp).cells;
     EXPECT_EQ(loaded.size(), results.size());
     std::vector<CellResult> rebuilt;
     for (const auto& c : cells) rebuilt.emplace_back(c, loaded.at(c.index));
@@ -375,11 +375,11 @@ TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
 
   // Fingerprint mismatch refuses outright.
   std::istringstream wrong(text);
-  EXPECT_THROW((void)load_checkpoint(wrong, fp + 1), ContractViolation);
+  EXPECT_THROW((void)load_checkpoint_data(wrong, fp + 1), ContractViolation);
 
   // A truncated trailing block (kill mid-append) is dropped silently.
   std::istringstream cut(text.substr(0, text.size() - 40));
-  const auto partial = load_checkpoint(cut, fp);
+  const auto partial = load_checkpoint_data(cut, fp).cells;
   EXPECT_EQ(partial.size(), 1u);
   EXPECT_TRUE(partial.count(results[0].cell.index));
 
@@ -398,7 +398,7 @@ TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
   append_checkpoint_cell(spliced, results[1].cell.index, results[1].acc);
   append_checkpoint_cell(spliced, results[2].cell.index, results[2].acc);
   std::istringstream spliced_in(spliced.str());
-  const auto recovered = load_checkpoint(spliced_in, fp);
+  const auto recovered = load_checkpoint_data(spliced_in, fp).cells;
   EXPECT_EQ(recovered.size(), 2u);
   EXPECT_TRUE(recovered.count(results[1].cell.index));
   EXPECT_TRUE(recovered.count(results[2].cell.index));

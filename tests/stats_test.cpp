@@ -1,7 +1,6 @@
 // Unit tests for the statistics toolkit (util/stats.h).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -10,58 +9,6 @@
 
 namespace hyco {
 namespace {
-
-TEST(Accumulator, EmptyIsZero) {
-  Accumulator a;
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.stddev(), 0.0);
-}
-
-TEST(Accumulator, MeanMinMaxSum) {
-  Accumulator a;
-  for (const double x : {2.0, 4.0, 6.0}) a.add(x);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 6.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 12.0);
-}
-
-TEST(Accumulator, SampleVariance) {
-  Accumulator a;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) a.add(x);
-  EXPECT_NEAR(a.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(a.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(Accumulator, SingleSampleVarianceZero) {
-  Accumulator a;
-  a.add(5.0);
-  EXPECT_EQ(a.variance(), 0.0);
-}
-
-TEST(Accumulator, MergeMatchesSingleStream) {
-  Accumulator whole, left, right;
-  for (int i = 1; i <= 50; ++i) {
-    whole.add(i);
-    (i % 3 == 0 ? left : right).add(i);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-  EXPECT_NEAR(left.sum(), whole.sum(), 1e-9);
-
-  Accumulator empty;
-  left.merge(empty);  // no-op
-  EXPECT_EQ(left.count(), whole.count());
-  empty.merge(left);  // adopt
-  EXPECT_EQ(empty.count(), whole.count());
-  EXPECT_NEAR(empty.mean(), whole.mean(), 1e-12);
-}
 
 TEST(ExactMoments, MatchesNaiveAndMergesExactly) {
   ExactMoments whole;
