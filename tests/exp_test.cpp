@@ -325,6 +325,51 @@ TEST(StreamingPipeline, CellCompletionFiresOncePerCell) {
   for (const auto& [idx, count] : completions) EXPECT_EQ(count, 1);
 }
 
+TEST(StreamingPipeline, ProfileCoversEveryRunAndStaysOutOfDefaultReports) {
+  const ExperimentSpec spec = mixed_spec();
+  const auto cells = spec.expand();
+  ParallelExecutor::Options opts;
+  opts.threads = 2;
+  opts.chunk_size = 2;
+  const auto plain = ParallelExecutor(opts).run(cells);
+  opts.profile = true;
+  const auto profiled = ParallelExecutor(opts).run(cells);
+
+  ASSERT_EQ(profiled.size(), cells.size());
+  for (const CellResult& r : profiled) {
+    ASSERT_EQ(r.records.size(), r.cell.runs);
+    std::uint64_t msgs = 0, events = 0;
+    for (const RunRecord& rec : r.records) {
+      msgs += rec.msgs;
+      events += rec.events;
+    }
+    EXPECT_EQ(r.profile.runs, r.cell.runs) << r.cell.label();
+    EXPECT_GE(r.profile.chunks, 1u) << r.cell.label();
+    EXPECT_EQ(r.profile.msgs, msgs) << r.cell.label();
+    EXPECT_EQ(r.profile.events, events) << r.cell.label();
+  }
+
+  // Host timing stays out of reports that do not ask for it...
+  EXPECT_EQ(render_artifacts(spec.name, profiled),
+            render_artifacts(spec.name, plain));
+  // ...and appends its columns and JSON object to those that do.
+  ReportOptions ropts;
+  ropts.profile = true;
+  std::ostringstream csv, json;
+  write_cell_csv(csv, profiled, ropts);
+  write_cell_json(json, spec.name, profiled, ropts);
+  const std::string header = csv.str().substr(0, csv.str().find('\n'));
+  EXPECT_NE(header.find(",wall_ms,cpu_ms,msgs_per_sec"), std::string::npos)
+      << header;
+  std::size_t objects = 0;
+  for (std::size_t at = json.str().find("\"profile\":{\"wall_ms\":");
+       at != std::string::npos;
+       at = json.str().find("\"profile\":{\"wall_ms\":", at + 1)) {
+    ++objects;
+  }
+  EXPECT_EQ(objects, cells.size());
+}
+
 // ---- checkpoint / resume ---------------------------------------------------
 
 TEST(Checkpoint, RoundTripsCellStateExactly) {
