@@ -243,39 +243,29 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
                             std::string* stop_line) {
   std::string line;
   if (stop_line != nullptr) stop_line->clear();
-  // Reads the next line and checks its keyword (and tag when asked); stores
-  // the line in `line` so a mismatch can be handed back for resync.
-  const auto next_line = [&](const char* want, std::istringstream& out_ls,
-                             std::string* tag = nullptr) {
+  // Reads the next line into `ls` past its expected `head` (keyword and
+  // any tags, each followed by one space); stores the line in `line` so a
+  // mismatch can be handed back for resync.
+  const auto next_line = [&](const std::string& head, std::istringstream& ls) {
     if (!std::getline(in, line)) {
       line.clear();
       return false;
     }
-    out_ls.clear();
-    out_ls.str(line);
-    std::string k;
-    if (!(out_ls >> k) || k != want) return false;
-    if (tag != nullptr && !(out_ls >> *tag)) return false;
+    if (line.compare(0, head.size(), head) != 0) return false;
+    ls.clear();
+    ls.str(line.substr(head.size()));
     return true;
   };
   const auto bail = [&] {
     if (stop_line != nullptr) *stop_line = line;
     return false;
   };
-  // One metric's "m"/"r" line pair, each line opened by `prefix` ("" or
-  // "s") and then the keyword and `name`.
-  const auto metric = [&](const char* prefix, const char* name,
+  // One metric's "m"/"r" line pair, each line opened by `prefix`.
+  const auto metric = [&](const std::string& prefix, const std::string& name,
                           MetricStats& m) {
     std::istringstream mls, rls;
-    std::string mtag, rtag;
-    const auto pair_line = [&](const char* kw, std::istringstream& ls,
-                               std::string& tag) {
-      if (*prefix == '\0') return next_line(kw, ls, &tag);
-      std::string k;
-      return next_line(prefix, ls) && (ls >> k >> tag) && k == kw;
-    };
-    return pair_line("m", mls, mtag) && mtag == name &&
-           pair_line("r", rls, rtag) && rtag == name &&
+    return next_line(prefix + "m " + name + ' ', mls) &&
+           next_line(prefix + "r " + name + ' ', rls) &&
            parse_metric_lines(mls, rls, m);
   };
 
@@ -294,7 +284,7 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
   // The failure ring; like the reservoirs, a ring of another capacity is
   // rejected.
   std::istringstream fls;
-  if (!next_line("f", fls)) return bail();
+  if (!next_line("f ", fls)) return bail();
   std::size_t fcap = 0, fcount = 0;
   if (!(fls >> fcap >> fcount) || fcap != CellAccumulator::kFailureCapacity ||
       fcount > fcap) {
@@ -329,9 +319,11 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
   while (in.peek() == 'o') {
     std::istringstream ols;
     std::string name;
-    if (!next_line("o", ols, &name)) return bail();
     ExactMoments moments;
-    if (!read_moments(ols, moments)) return bail();
+    if (!next_line("o ", ols) || !(ols >> name) ||
+        !read_moments(ols, moments)) {
+      return bail();
+    }
     std::string marker;
     obs::LogHistogram hist;
     const bool have_hist = static_cast<bool>(ols >> marker);
@@ -358,33 +350,33 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
   // a component. Other "s" lines are skipped.
   if (in.peek() == 's') {
     std::istringstream als;
-    std::string kw;
     std::uint64_t svc_runs = 0;
-    if (!next_line("s", als) || !(als >> kw >> svc_runs) || kw != "a" ||
-        svc_runs == 0 || !metric("s", "ops", built.svc_ops) ||
+    if (!next_line("s a ", als) || !(als >> svc_runs) || svc_runs == 0 ||
+        !metric("s ", "ops", built.svc_ops) ||
         built.svc_ops.count() != svc_runs ||
-        !metric("s", "rate", built.svc_rate) ||
-        !metric("s", "batches", built.svc_batches) ||
-        !metric("s", "slots", built.svc_slots)) {
+        !metric("s ", "rate", built.svc_rate) ||
+        !metric("s ", "batches", built.svc_batches) ||
+        !metric("s ", "slots", built.svc_slots)) {
       return bail();
     }
     while (in.peek() == 's') {
       std::istringstream ls;
-      if (!next_line("s", ls) || !(ls >> kw)) return bail();
-      std::string name = "lat";
-      if ((kw == "c" || kw == "ch") && !(ls >> name)) return bail();
+      std::string kw, name = "lat";
+      if (!next_line("s ", ls) || !(ls >> kw) ||
+          ((kw == "c" || kw == "ch") && !(ls >> name))) {
+        return bail();
+      }
       const auto legacy = std::find_if(
           std::begin(kLegacyServiceIds), std::end(kLegacyServiceIds),
           [&](const auto& e) { return name == e.first; });
       if (legacy == std::end(kLegacyServiceIds)) continue;
       const obs::ObsId id = legacy->second;
-      if ((kw == "l" || kw == "c") && !read_moments(ls, built.obs.moments(id))) {
-        return bail();
-      }
-      if ((kw == "h" || kw == "ch") &&
-          !read_buckets(ls, built.obs.histogram(id))) {
-        return bail();
-      }
+      const bool ok = kw == "l" || kw == "c"
+                          ? read_moments(ls, built.obs.moments(id))
+                      : kw == "h" || kw == "ch"
+                          ? read_buckets(ls, built.obs.histogram(id))
+                          : true;
+      if (!ok) return bail();
     }
   }
 
