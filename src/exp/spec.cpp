@@ -150,7 +150,8 @@ std::vector<ExperimentCell> ExperimentSpec::expand() const {
   HYCO_CHECK_MSG(runs_per_cell >= 1, "runs_per_cell must be >= 1");
   // Values a run would reject, rejected here instead: expand() runs on the
   // caller's thread, a run may not.
-  HYCO_CHECK_MSG(max_rounds >= 1, "max_rounds must be >= 1, got " << max_rounds);
+  HYCO_CHECK_MSG(max_rounds >= 1,
+                 "max_rounds must be >= 1, got " << max_rounds);
   for (const double eps : coin_epsilons) {
     HYCO_CHECK_MSG(eps >= 0.0 && eps <= 1.0,
                    "coin_epsilon must be in [0, 1], got " << eps);
