@@ -3,19 +3,43 @@
 // arriving before any phase message, and messages for long-past phases.
 // These paths are where round-based algorithm implementations classically
 // go wrong; the scenarios force them deterministically.
+//
+// They are also the only schedules where PHASE messages routinely arrive
+// for a (round, phase) ahead of the receiver, so each test pins a digest of
+// its runs' results: a buffering change that loses, duplicates or
+// misroutes an early message shifts a decision round, an event count or a
+// process's credited-message count even when every run still succeeds.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "core/runner.h"
+#include "util/rng.h"
 
 namespace hyco {
 namespace {
+
+/// Folds what a run's message plumbing determines into `d`: decisions and
+/// decision rounds, events, unicasts, deliveries, and every process's
+/// credited PHASE messages.
+std::uint64_t fold_run(std::uint64_t d, const RunResult& r) {
+  for (std::size_t p = 0; p < r.decisions.size(); ++p) {
+    const auto& v = r.decisions[p];
+    d = mix64(d, v ? static_cast<std::uint64_t>(*v) : 0xBADu);
+    d = mix64(d, static_cast<std::uint64_t>(r.decision_rounds[p]));
+    d = mix64(d, r.proc_stats[p].phase_msgs_handled);
+  }
+  d = mix64(d, r.events);
+  d = mix64(d, r.net.unicasts_sent);
+  return mix64(d, r.net.delivered);
+}
 
 TEST(Backlog, OneProcessLagsManyRounds) {
   // All traffic TO p0 is delayed 400x: the rest of the system runs ahead
   // through many rounds; p0 must replay its backlog and terminate with the
   // same value.
+  std::uint64_t digest = 0;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     RunConfig cfg(ClusterLayout::singletons(5));
     cfg.alg = Algorithm::HybridLocalCoin;
@@ -30,12 +54,15 @@ TEST(Backlog, OneProcessLagsManyRounds) {
     };
     const auto r = run_consensus(cfg);
     ASSERT_TRUE(r.success()) << "seed " << seed;
+    digest = fold_run(digest, r);
   }
+  EXPECT_EQ(digest, 0x3e9bb21413ffc15bull);
 }
 
 TEST(Backlog, ExtremeReorderingAcrossPhases) {
   // Per-message delays spanning three orders of magnitude: phase-2 traffic
   // of round r regularly overtakes phase-1 traffic of round r.
+  std::uint64_t digest = 0;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     RunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
     cfg.alg = Algorithm::HybridLocalCoin;
@@ -50,7 +77,9 @@ TEST(Backlog, ExtremeReorderingAcrossPhases) {
     };
     const auto r = run_consensus(cfg);
     ASSERT_TRUE(r.success()) << "seed " << seed;
+    digest = fold_run(digest, r);
   }
+  EXPECT_EQ(digest, 0x5ab560135e7f017eull);
 }
 
 TEST(Backlog, DecideCanArriveBeforeAnyPhaseMessage) {
@@ -73,9 +102,11 @@ TEST(Backlog, DecideCanArriveBeforeAnyPhaseMessage) {
   EXPECT_EQ(r.decisions[6], Estimate::One);
   // p6 decided via gossip in whatever round it was stuck in (round 1).
   EXPECT_EQ(r.decision_rounds[6], 1);
+  EXPECT_EQ(fold_run(0, r), 0x75e265b1805e6507ull);
 }
 
 TEST(Backlog, CommonCoinLaggardConvergesAcrossManyRounds) {
+  std::uint64_t digest = 0;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     RunConfig cfg(ClusterLayout::even(8, 4));
     cfg.alg = Algorithm::HybridCommonCoin;
@@ -90,7 +121,9 @@ TEST(Backlog, CommonCoinLaggardConvergesAcrossManyRounds) {
     };
     const auto r = run_consensus(cfg);
     ASSERT_TRUE(r.success()) << "seed " << seed;
+    digest = fold_run(digest, r);
   }
+  EXPECT_EQ(digest, 0xce5711b77ba04de3ull);
 }
 
 TEST(Backlog, MaxRoundsParkingIsCleanNotCrash) {
@@ -110,11 +143,13 @@ TEST(Backlog, MaxRoundsParkingIsCleanNotCrash) {
   EXPECT_TRUE(r.safe());
   EXPECT_LE(r.max_round, 10);
   EXPECT_EQ(r.stop, StopReason::Quiescent);
+  EXPECT_EQ(fold_run(0, r), 0xee3979eee9bec4c4ull);
 }
 
 TEST(Backlog, SelfDeliveryIsNotAssumedInstant) {
   // Self messages get the worst delay of all: algorithms must not rely on
   // hearing themselves first.
+  std::uint64_t digest = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     RunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
     cfg.alg = Algorithm::HybridLocalCoin;
@@ -129,7 +164,9 @@ TEST(Backlog, SelfDeliveryIsNotAssumedInstant) {
     };
     const auto r = run_consensus(cfg);
     ASSERT_TRUE(r.success()) << "seed " << seed;
+    digest = fold_run(digest, r);
   }
+  EXPECT_EQ(digest, 0xc0acfe24b44f89caull);
 }
 
 }  // namespace
