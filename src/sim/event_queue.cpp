@@ -42,86 +42,114 @@ TickSpan EventQueue::pop_tick(std::uint64_t cap) {
   HYCO_CHECK(!empty());
   HYCO_CHECK_MSG(cap >= 1, "pop_tick needs a positive event budget");
   flush_pending_frees();
-  Bucket& b = activate();
-  const Entry* e = b.items.data() + b.head;
-  const std::size_t avail = b.items.size() - b.head;
-  const SimTime t = e[0].at;
-  // Length of the minimum-time run. With shift 0 the whole bucket shares
-  // one timestamp; coarser buckets scan the sorted prefix.
-  std::size_t k;
-  if (shift_ == 0) {
-    k = avail;
-  } else {
-    k = 1;
-    while (k < avail && e[k].at == t) ++k;
-  }
-  if (cap < k) k = static_cast<std::size_t>(cap);
-  // Copy the run out: handler pushes during the tick may append to (and
-  // reallocate) this very bucket, so the span must not alias it.
-  tick_items_.resize(k);
-  TickItem* out = tick_items_.data();
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::uint32_t ref = e[i].ref;
-    if (ref & kDeliverBit) {
-      const std::uint32_t idx = ref & ~kDeliverBit;
-      const DeliverPayload& p = payload(idx);
-      out[i] =
-          TickItem{&p.msg, e[i].seq, p.from, p.to, idx, Event::Kind::Deliver};
-    } else {
-      out[i] = TickItem{nullptr, e[i].seq, -1, -1, ref,
-                        Event::Kind::Callback};
+  const Bucket& b = activate();
+  const SimTime t = b.first->items[b.head].at;
+  // Copy the minimum-time run out, block by block: handler pushes during
+  // the tick may append to this very bucket, so the span must not alias
+  // it. With shift 0 the whole bucket shares one timestamp; coarser
+  // buckets stop at the end of the sorted prefix.
+  std::size_t k = 0;
+  std::size_t i = b.head;
+  for (const Block* blk = b.first;; blk = blk->next, i = 0) {
+    const std::size_t end = blk == b.last ? b.fill : kBlockEntries;
+    std::size_t stop = end;
+    if (cap - k < stop - i) stop = i + static_cast<std::size_t>(cap - k);
+    if (shift_ != 0) {
+      std::size_t j = i;
+      while (j < stop && blk->items[j].at == t) ++j;
+      stop = j;
     }
+    if (tick_items_.size() < k + (stop - i)) {
+      tick_items_.resize(k + (stop - i));
+    }
+    TickItem* out = tick_items_.data() + k;
+    for (std::size_t j = i; j < stop; ++j, ++out) {
+      const Entry& e = blk->items[j];
+      if (e.ref & kDeliverBit) {
+        const std::uint32_t idx = e.ref & ~kDeliverBit;
+        const DeliverPayload& p = payload(idx);
+        *out = TickItem{&p.msg, e.seq, p.from, p.to, idx,
+                        Event::Kind::Deliver};
+      } else {
+        *out = TickItem{nullptr, e.seq, -1, -1, e.ref,
+                        Event::Kind::Callback};
+      }
+    }
+    k += stop - i;
+    if (stop < end || blk == b.last) break;
   }
   tick_open_ = true;
+  tick_count_ = k;
   tick_day_ = cursor_day_;
-  return TickSpan{t, out, k};
+  return TickSpan{t, tick_items_.data(), k};
 }
 
 void EventQueue::commit_tick(std::size_t consumed) {
   HYCO_CHECK(tick_open_);
-  HYCO_CHECK_MSG(consumed <= tick_items_.size(),
+  HYCO_CHECK_MSG(consumed <= tick_count_,
                  "commit_tick(" << consumed << ") exceeds span of "
-                                << tick_items_.size());
+                                << tick_count_);
   tick_open_ = false;
-  Bucket& b = buckets_[tick_day_ & mask_];
-  b.head += static_cast<std::uint32_t>(consumed);
-  cal_count_ -= consumed;
   for (std::size_t i = 0; i < consumed; ++i) {
     const TickItem& it = tick_items_[i];
     if (it.kind == Event::Kind::Deliver) pending_frees_.push_back(it.slot);
   }
+  if (consumed != 0) consume(buckets_[tick_day_ & mask_], consumed);
+}
+
+void EventQueue::consume(Bucket& b, std::size_t k) {
+  cal_count_ -= k;
+  for (;;) {
+    const std::size_t end = b.first == b.last ? b.fill : kBlockEntries;
+    if (k < end - b.head) {
+      b.head = static_cast<std::uint16_t>(b.head + k);
+      return;
+    }
+    k -= end - b.head;
+    Block* done = b.first;
+    if (done == b.last) {  // the day is drained
+      release_block(done);
+      b = Bucket{};
+      return;
+    }
+    b.first = done->next;
+    b.head = 0;
+    release_block(done);
+    if (k == 0) return;
+  }
+}
+
+void EventQueue::grow_blocks() {
+  block_chunks_.emplace_back(new Block[kChunkBlocks]);
+  fresh_ = block_chunks_.back().get();
+  fresh_end_ = fresh_ + kChunkBlocks;
 }
 
 EventQueue::Bucket& EventQueue::activate_slow() {
   if (cal_count_ == 0) migrate_from_heap();
   for (std::uint64_t scanned = 0; scanned <= nb_; ++scanned) {
     Bucket& b = buckets_[cursor_day_ & mask_];
-    if (b.head < b.items.size()) {
+    if (b.first != nullptr) {
       if (b.dirty) {
-        std::sort(b.items.begin() + b.head, b.items.end(),
+        // Sort the pending entries in a scratch copy and write them back
+        // into the same slots.
+        sort_scratch_.clear();
+        for_each_pending(b, [&](Entry& e) { sort_scratch_.push_back(e); });
+        std::sort(sort_scratch_.begin(), sort_scratch_.end(),
                   [](const Entry& a, const Entry& c) {
                     return a.at != c.at ? a.at < c.at : a.seq < c.seq;
                   });
+        const Entry* next = sort_scratch_.data();
+        for_each_pending(b, [&](Entry& e) { e = *next++; });
         b.dirty = false;
       }
       return b;
     }
-    if (!b.items.empty()) release_bucket(b);
     ++cursor_day_;
   }
   HYCO_CHECK_MSG(false, "calendar cursor ran off the window (count "
                             << cal_count_ << ")");
   return buckets_.front();  // unreachable
-}
-
-void EventQueue::release_bucket(Bucket& b) {
-  b.head = 0;
-  b.dirty = false;
-  if (b.items.capacity() > kMaxRetainedBucketEntries) {
-    std::vector<Entry>().swap(b.items);  // don't pin burst-sized capacity
-  } else {
-    b.items.clear();
-  }
 }
 
 void EventQueue::migrate_from_heap() {
@@ -166,12 +194,15 @@ void EventQueue::rebuild_with(const Entry& extra) {
   std::vector<Entry> all;
   all.reserve(cal_count_ + heap_.size() + 1);
   for (Bucket& b : buckets_) {
-    for (std::size_t i = b.head; i < b.items.size(); ++i) {
-      all.push_back(b.items[i]);
+    if (b.first == nullptr) continue;
+    for_each_pending(b, [&](Entry& e) { all.push_back(e); });
+    for (Block* blk = b.first; blk != b.last;) {
+      Block* next = blk->next;
+      release_block(blk);
+      blk = next;
     }
-    b.items.clear();
-    b.head = 0;
-    b.dirty = false;
+    release_block(b.last);
+    b = Bucket{};
   }
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     all.push_back(Entry{key_at(heap_[i]), key_seq(heap_[i]), refs_[i]});

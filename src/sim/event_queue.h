@@ -20,6 +20,12 @@
 //    the cursor consumes from it. The simulator's near-future, heavily tied
 //    time distributions make this O(1) per event where a heap pays an
 //    O(log n) sift against a 10^6-deep queue.
+//  * Day storage. A day is a chain of fixed-size entry blocks (32 entries,
+//    768 bytes). Blocks come from chunks the queue owns, and a block goes
+//    back to a LIFO free list the moment its last entry is consumed, so
+//    a run's days recycle a working set of hot blocks instead of each
+//    allocating and regrowing a vector of its own. An empty day holds no
+//    block.
 //  * Overflow heap. Events beyond the window land in the 4-ary implicit
 //    min-heap (16-byte packed (at, seq) keys, parallel ref array, hole-sift
 //    pop). When the calendar drains, the window rebases onto the heap's
@@ -39,8 +45,9 @@
 //
 //  * No per-event heap allocation, and no per-pop Message copy. Deliver
 //    payloads live in a chunked slab whose chunks never move, so pop() and
-//    pop_tick() hand out stable `const Message*` references. A popped slot
-//    is recycled only at the NEXT pop/pop_tick (deferred free list), so the
+//    pop_tick() hand out stable `const Message*` references. A chunk's
+//    slots stay uninitialized until a push writes them. A popped slot is
+//    recycled only at the NEXT pop/pop_tick (deferred free list), so the
 //    reference stays valid across any pushes the handler makes.
 //  * Generic timer/callback events (the ~10 cold call sites in runners,
 //    harnesses, and tests) park their std::function in a free-list slab;
@@ -155,10 +162,11 @@ class EventQueue {
     } else {
       idx = slab_used_++;
       if ((idx >> kChunkBits) >= slab_.size()) {
-        slab_.emplace_back(new DeliverPayload[kChunkSize]);
+        slab_.emplace_back(new PayloadSlot[kChunkSize]);
       }
     }
-    payload(idx) = DeliverPayload{from, to, m};
+    slab_[idx >> kChunkBits][idx & (kChunkSize - 1)].p =
+        DeliverPayload{from, to, m};
     return route_new(at, idx | kDeliverBit);
   }
 
@@ -170,8 +178,8 @@ class EventQueue {
   [[nodiscard]] SimTime next_time() {
     HYCO_CHECK(!tick_open_);
     HYCO_CHECK(!empty());
-    Bucket& b = activate();
-    return b.items[b.head].at;
+    const Bucket& b = activate();
+    return b.first->items[b.head].at;
   }
 
   /// Removes and returns the earliest event. Precondition: !empty() and no
@@ -184,9 +192,8 @@ class EventQueue {
     HYCO_CHECK(!empty());
     flush_pending_frees();
     Bucket& b = activate();
-    const Entry en = b.items[b.head];
-    ++b.head;
-    --cal_count_;
+    const Entry en = b.first->items[b.head];
+    consume(b, 1);
     Event ev;
     ev.at = en.at;
     ev.seq = en.seq;
@@ -273,10 +280,11 @@ class EventQueue {
   static constexpr std::uint32_t kChunkBits = 12;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
-  /// A consumed bucket keeps its capacity for ring reuse (steady-state
-  /// pushes never reallocate) unless it grew past this — big-burst buckets
-  /// release their memory instead of pinning it on every ring slot.
-  static constexpr std::size_t kMaxRetainedBucketEntries = 4096;
+  /// Entries per calendar block. 16-entry blocks cost the skewed-calendar
+  /// perf snapshot ~18%; 32 keep every snapshot key level.
+  static constexpr std::uint32_t kBlockEntries = 32;
+  /// Blocks per chunk of block storage (~49 KB, left uninitialized).
+  static constexpr std::size_t kChunkBlocks = 64;
 
   /// What the overflow heap orders: (at, seq) packed into one 128-bit
   /// integer, high half `at` (non-negative by contract, so unsigned compare
@@ -304,12 +312,23 @@ class EventQueue {
     std::uint32_t ref;
   };
 
-  /// One day of the calendar ring. `head` is the consumed prefix; entries
-  /// in [head, items.size()) are pending, kept in (at, seq) order (lazily
-  /// sorted when `dirty`, which only a shift > 0 geometry can set).
+  /// A run of one day's entries; `next` links the day's chain, or the free
+  /// list once the block is released.
+  struct Block {
+    Entry items[kBlockEntries];
+    Block* next;
+  };
+
+  /// One day of the calendar ring: a chain of blocks from `first`, whose
+  /// entries before `head` are consumed, to `last`, filled up to `fill`.
+  /// The pending entries are kept in (at, seq) order (lazily sorted when
+  /// `dirty`, which only a shift > 0 geometry can set). A day with no
+  /// pending entry holds no block: `first` is null.
   struct Bucket {
-    std::vector<Entry> items;
-    std::uint32_t head = 0;
+    Block* first = nullptr;
+    Block* last = nullptr;
+    std::uint16_t head = 0;
+    std::uint16_t fill = 0;
     bool dirty = false;
   };
 
@@ -320,12 +339,19 @@ class EventQueue {
     Message msg;
   };
 
+  /// A slab slot: constructing a chunk writes nothing, and push_deliver's
+  /// assignment starts the payload's lifetime.
+  union PayloadSlot {
+    PayloadSlot() {}
+    DeliverPayload p;
+  };
+
   [[nodiscard]] std::uint64_t day(SimTime at) const {
     return static_cast<std::uint64_t>(at) >> shift_;
   }
 
-  DeliverPayload& payload(std::uint32_t idx) {
-    return slab_[idx >> kChunkBits][idx & (kChunkSize - 1)];
+  const DeliverPayload& payload(std::uint32_t idx) const {
+    return slab_[idx >> kChunkBits][idx & (kChunkSize - 1)].p;
   }
 
   /// Files a freshly pushed event into the calendar window, the overflow
@@ -353,26 +379,43 @@ class EventQueue {
 
   void append_to_bucket(Bucket& b, SimTime at, std::uint64_t seq,
                         std::uint32_t ref) {
-    if (b.head != 0 && b.head == b.items.size()) {
-      // Fully consumed leftovers (possibly from an earlier window sharing
-      // this ring slot): reset before reuse.
-      b.items.clear();
-      b.head = 0;
-      b.dirty = false;
+    if (b.first == nullptr) {
+      b.first = b.last = take_block();
+    } else {
+      if (shift_ != 0 && !b.dirty && at < b.last->items[b.fill - 1].at) {
+        b.dirty = true;  // same-at appends keep order (seq is monotonic)
+      }
+      if (b.fill == kBlockEntries) {
+        Block* blk = take_block();
+        b.last->next = blk;
+        b.last = blk;
+        b.fill = 0;
+      }
     }
-    if (shift_ != 0 && !b.dirty && b.items.size() > b.head &&
-        at < b.items.back().at) {
-      b.dirty = true;  // same-at appends keep order (seq is monotonic)
-    }
-    b.items.push_back(Entry{at, seq, ref});
+    b.last->items[b.fill++] = Entry{at, seq, ref};
     ++cal_count_;
+  }
+
+  Block* take_block() {
+    Block* blk = free_blocks_;
+    if (blk != nullptr) {
+      free_blocks_ = blk->next;
+      return blk;
+    }
+    if (fresh_ == fresh_end_) grow_blocks();
+    return fresh_++;
+  }
+
+  void release_block(Block* blk) {
+    blk->next = free_blocks_;
+    free_blocks_ = blk;
   }
 
   /// The bucket the cursor should consume from, sorted and non-empty.
   /// Precondition: !empty(). Advances the cursor / migrates as needed.
   Bucket& activate() {
     Bucket& b = buckets_[cursor_day_ & mask_];
-    if (b.head < b.items.size() && !b.dirty) return b;
+    if (b.first != nullptr && !b.dirty) return b;
     return activate_slow();
   }
 
@@ -380,7 +423,22 @@ class EventQueue {
   void migrate_from_heap();
   void maybe_widen();
   void rebuild_with(const Entry& extra);
-  void release_bucket(Bucket& b);
+  void grow_blocks();
+
+  /// Drops the first `k` pending entries of `b`, releasing every block
+  /// they empty. Precondition: `b` holds at least `k` pending entries.
+  void consume(Bucket& b, std::size_t k);
+
+  /// Calls f(Entry&) on each pending entry of `b`, in storage order.
+  template <typename F>
+  static void for_each_pending(Bucket& b, F&& f) {
+    std::size_t i = b.head;
+    for (Block* blk = b.first;; blk = blk->next, i = 0) {
+      const std::size_t end = blk == b.last ? b.fill : kBlockEntries;
+      for (; i < end; ++i) f(blk->items[i]);
+      if (blk == b.last) return;
+    }
+  }
 
   void flush_pending_frees() {
     if (pending_frees_.empty()) return;
@@ -414,6 +472,11 @@ class EventQueue {
 
   // Calendar window.
   std::vector<Bucket> buckets_;
+  std::vector<std::unique_ptr<Block[]>> block_chunks_;
+  Block* free_blocks_ = nullptr;  ///< released blocks, most recent first
+  Block* fresh_ = nullptr;        ///< next never-used block of the last chunk
+  Block* fresh_end_ = nullptr;
+  std::vector<Entry> sort_scratch_;  ///< dirty-bucket sort buffer
   std::uint64_t nb_;             ///< ring size, power of two
   std::uint64_t mask_;           ///< nb_ - 1
   std::uint64_t base_day_ = 0;   ///< first day of the window
@@ -431,7 +494,7 @@ class EventQueue {
   std::vector<std::uint32_t> refs_;  ///< parallel payload refs
 
   // Deliver payload slab: chunks never move, so popped refs stay valid.
-  std::vector<std::unique_ptr<DeliverPayload[]>> slab_;
+  std::vector<std::unique_ptr<PayloadSlot[]>> slab_;
   std::uint32_t slab_used_ = 0;  ///< high-water of materialized slots
   std::vector<std::uint32_t> free_deliveries_;
   std::vector<std::uint32_t> pending_frees_;  ///< recycle at next pop
@@ -440,8 +503,10 @@ class EventQueue {
   std::vector<std::function<void()>> pool_;
   std::vector<std::uint32_t> free_slots_;
 
-  // Open-tick state (pop_tick .. commit_tick).
+  // Open-tick state (pop_tick .. commit_tick). tick_items_ only grows;
+  // the open span is its first tick_count_ items.
   std::vector<TickItem> tick_items_;
+  std::size_t tick_count_ = 0;
   std::uint64_t tick_day_ = 0;
   bool tick_open_ = false;
 
