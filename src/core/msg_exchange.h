@@ -18,6 +18,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "core/cluster_layout.h"
@@ -81,8 +82,15 @@ class MsgExchange {
 
   // supporters[v], kept as sets of *clusters* (they are always unions of
   // whole clusters; this is equivalent to the paper's process sets and
-  // cheaper). Index 2 is ⊥.
-  std::array<DynamicBitset, 3> supporter_clusters_;
+  // cheaper): bit estimate_index(v) of credited_[x] is set once cluster x
+  // supports v.
+  std::vector<std::uint8_t> credited_;
+  // Processes covered, summed when a cluster first enters a set: per value
+  // (|supporters[v]|; index 2 is ⊥), and over the two unions the wait
+  // predicate tests.
+  std::array<ProcId, 3> support_{};
+  ProcId covered_binary_ = 0;  ///< |supporters[0] ∪ supporters[1]|
+  ProcId covered_any_ = 0;     ///< the same union with supporters[⊥]
 };
 
 }  // namespace hyco
