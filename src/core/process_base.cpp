@@ -49,13 +49,20 @@ void ProcessBase::on_message(ProcId from, const Message& m) {
     return;
   }
 
-  // PHASE message: remember it (we may not have reached (r, ph) yet), feed
-  // it to the active exchange if it matches, and — under scenario assist —
-  // answer with our own message of that (round, phase) in case the sender
-  // missed the original (the reply happens before crediting, so a decision
-  // made by the credit cannot swallow it; deciding broadcasts DECIDE
-  // anyway).
-  backlog_[{m.round, static_cast<int>(m.phase)}].emplace_back(from, m.est);
+  // PHASE message: buffer it if its (r, ph) is still ahead of this process
+  // (begin_exchange replays it), feed it to the active exchange if it
+  // matches, and — under scenario assist — answer with our own message of
+  // that (round, phase) in case the sender missed the original (the reply
+  // happens before crediting, so a decision made by the credit cannot
+  // swallow it; deciding broadcasts DECIDE anyway). A message for an
+  // (r, ph) this process has already begun is never replayed: each (r, ph)
+  // begins at most once.
+  const BacklogKey key{m.round, static_cast<int>(m.phase)};
+  if (!started_ ||
+      (exch_.active() &&
+       key > BacklogKey{exch_.round(), static_cast<int>(exch_.phase())})) {
+    backlog_[key].emplace_back(from, m.est);
+  }
   if (assist_ && !parked_ && started_) maybe_catchup_reply(from, m);
   if (!parked_ && started_ && exch_.active() && m.round == exch_.round() &&
       m.phase == exch_.phase()) {
@@ -119,6 +126,7 @@ void ProcessBase::begin_exchange(Round r, Phase ph, Estimate est) {
       ++stats_.phase_msgs_handled;
       exch_.credit(from, v);
     }
+    backlog_.erase(it);
     // Backlogged credits may satisfy the quorum before any live message
     // arrives; report the milestone exactly once, here.
     if (obs_ != nullptr && exch_.satisfied()) {
