@@ -170,20 +170,29 @@ TEST(CalendarQueue, PushBelowLiveWindowRebuilds) {
   drain_and_check(q, std::move(pending));
 }
 
-TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
-  // The wide random time range (relative to the tiny windows) keeps events
-  // flowing calendar → heap → migrated calendar, across repeated widenings,
-  // while pops must still match the stable-sort reference exactly.
+/// One fuzz input: how far push times spread, the share of operations that
+/// push, operations per round, and the largest pop_tick cap drawn.
+struct FuzzInput {
+  std::uint64_t time_range;
+  std::uint64_t push_pct;
+  int ops;
+  std::uint64_t max_cap;
+};
+
+/// Random pushes and single pops against the stable-sort reference, over
+/// every tiny geometry.
+void fuzz_pops(const FuzzInput& in) {
   for (const EventQueue::Tuning& t : tiny_geometries()) {
     Rng rng(0xCA1E);
     for (int round = 0; round < 20; ++round) {
       EventQueue q(t);
       std::vector<Expected> pending;
       std::uint64_t tag = 0;
-      for (int op = 0; op < 500; ++op) {
-        const bool do_push = pending.empty() || rng.bounded(100) < 60;
+      for (int op = 0; op < in.ops; ++op) {
+        const bool do_push =
+            pending.empty() || rng.bounded(100) < in.push_pct;
         if (do_push) {
-          const SimTime at = static_cast<SimTime>(rng.bounded(300));
+          const auto at = static_cast<SimTime>(rng.bounded(in.time_range));
           q.push_deliver(at, 0, 1, tagged(tag));
           pending.push_back({at, tag, tag});
           ++tag;
@@ -199,6 +208,16 @@ TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
       drain_and_check(q, std::move(pending));
     }
   }
+}
+
+TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
+  // The wide random time range (relative to the tiny windows) keeps events
+  // flowing calendar → heap → migrated calendar, across repeated widenings,
+  // while pops must still match the stable-sort reference exactly. The
+  // dense range piles dozens of entries on each day, so a day spans several
+  // blocks and pops and dirty sorts cross block edges.
+  fuzz_pops(FuzzInput{300, 60, 500, 0});
+  fuzz_pops(FuzzInput{8, 75, 1000, 0});
 }
 
 // --- pop_tick / commit_tick span contract ---------------------------------
@@ -312,21 +331,20 @@ TEST(CalendarQueueTick, MixedKindsKeepSeqOrderInsideTheSpan) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueueTickProperty, FuzzTickSpansMatchRepeatedPop) {
-  // pop_tick's contract: the span holds exactly the events `cap` repeated
-  // pops would return. Fuzzed over the tiny geometries with random caps,
-  // random partial commits (the halt path), and pushes between ticks —
-  // every span element and every leftover is checked against the model.
+/// Random pushes, capped pop_tick spans and partial commits against the
+/// repeated-pop reference, over every tiny geometry.
+void fuzz_ticks(const FuzzInput& in) {
   for (const EventQueue::Tuning& t : tiny_geometries()) {
     Rng rng(0x71C4);
     for (int round = 0; round < 20; ++round) {
       EventQueue q(t);
       std::vector<Expected> pending;
       std::uint64_t tag = 0;
-      for (int op = 0; op < 200; ++op) {
-        const bool do_push = pending.empty() || rng.bounded(100) < 50;
+      for (int op = 0; op < in.ops; ++op) {
+        const bool do_push =
+            pending.empty() || rng.bounded(100) < in.push_pct;
         if (do_push) {
-          const SimTime at = static_cast<SimTime>(rng.bounded(200));
+          const auto at = static_cast<SimTime>(rng.bounded(in.time_range));
           q.push_deliver(at, 0, 1, tagged(tag));
           pending.push_back({at, tag, tag});
           ++tag;
@@ -338,7 +356,7 @@ TEST(CalendarQueueTickProperty, FuzzTickSpansMatchRepeatedPop) {
                  pending[run].at == pending[0].at) {
             ++run;
           }
-          const std::uint64_t cap = 1 + rng.bounded(8);
+          const std::uint64_t cap = 1 + rng.bounded(in.max_cap);
           const std::size_t want =
               std::min<std::size_t>(run, static_cast<std::size_t>(cap));
           const TickSpan span = q.pop_tick(cap);
@@ -357,6 +375,17 @@ TEST(CalendarQueueTickProperty, FuzzTickSpansMatchRepeatedPop) {
       drain_and_check(q, std::move(pending));
     }
   }
+}
+
+TEST(CalendarQueueTickProperty, FuzzTickSpansMatchRepeatedPop) {
+  // pop_tick's contract: the span holds exactly the events `cap` repeated
+  // pops would return. Fuzzed over the tiny geometries with random caps,
+  // random partial commits (the halt path), and pushes between ticks —
+  // every span element and every leftover is checked against the model.
+  // The dense input keeps days several blocks deep, so spans, caps and
+  // partial commits cross block edges.
+  fuzz_ticks(FuzzInput{200, 50, 200, 8});
+  fuzz_ticks(FuzzInput{8, 85, 600, 80});
 }
 
 }  // namespace
