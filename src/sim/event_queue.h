@@ -20,12 +20,12 @@
 //    the cursor consumes from it. The simulator's near-future, heavily tied
 //    time distributions make this O(1) per event where a heap pays an
 //    O(log n) sift against a 10^6-deep queue.
-//  * Day storage. A day is a chain of fixed-size entry blocks (32 entries,
-//    768 bytes). Blocks come from chunks the queue owns, and a block goes
-//    back to a LIFO free list the moment its last entry is consumed, so
-//    a run's days recycle a working set of hot blocks instead of each
-//    allocating and regrowing a vector of its own. An empty day holds no
-//    block.
+//  * Day storage. A day is a chain of fixed-size blocks of 32 entries
+//    (768 bytes plus a link). Blocks come from chunks the queue owns, and
+//    a block goes back to a LIFO free list the moment its last entry is
+//    consumed, so a run's days recycle a working set of hot blocks instead
+//    of each allocating and regrowing a vector of its own. An empty day
+//    holds no block.
 //  * Overflow heap. Events beyond the window land in the 4-ary implicit
 //    min-heap (16-byte packed (at, seq) keys, parallel ref array, hole-sift
 //    pop). When the calendar drains, the window rebases onto the heap's
@@ -280,8 +280,10 @@ class EventQueue {
   static constexpr std::uint32_t kChunkBits = 12;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
-  /// Entries per calendar block. 16-entry blocks cost the skewed-calendar
-  /// perf snapshot ~18%; 32 keep every snapshot key level.
+  /// Entries per calendar block. Smaller blocks add chain hops to the
+  /// thousands-deep days of the perf snapshot's fan-out bursts; larger ones
+  /// leave more of each block empty on the one- or two-entry days of small
+  /// runs.
   static constexpr std::uint32_t kBlockEntries = 32;
   /// Blocks per chunk of block storage (~49 KB, left uninitialized).
   static constexpr std::size_t kChunkBlocks = 64;
