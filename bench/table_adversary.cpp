@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
     spec.algorithms = {Algorithm::HybridCommonCoin};
     spec.layouts = {ClusterLayout::fig1_left()};
     spec.coin_epsilons = {0.0, 0.1, 0.25, 0.5, 0.9};
-    spec.adversary_bit = 0;
     spec.runs_per_cell = runs;
     spec.base_seed = 0xAE;
     for (const auto& r : exec.run(spec)) {

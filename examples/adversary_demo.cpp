@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
       cfg.inputs = split_inputs(7);
       cfg.seed = mix64(0xADE, static_cast<std::uint64_t>(i));
       cfg.coin_epsilon = eps;
-      cfg.adversary_bit = 0;
       const auto r = run_consensus(cfg);
       if (!r.safe()) {
         std::cerr << "safety violation!\n";

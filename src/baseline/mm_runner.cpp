@@ -6,6 +6,11 @@
 
 namespace hyco {
 
+namespace {
+/// Event budget of one run: a backstop far above any terminating run.
+constexpr std::uint64_t kMaxEvents = 200'000'000;
+}  // namespace
+
 RunResult run_mm(const MmRunConfig& cfg) {
   const ProcId n = cfg.domain.n();
   const std::vector<Estimate> inputs =
@@ -14,7 +19,7 @@ RunResult run_mm(const MmRunConfig& cfg) {
                  "inputs size mismatch");
 
   World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
-  MmMemories memories(cfg.domain, cfg.shm_impl);
+  MmMemories memories(cfg.domain, ConsensusImpl::Cas);
 
   std::vector<std::unique_ptr<IConsensusProcess>> procs;
   procs.reserve(static_cast<std::size_t>(n));
@@ -34,7 +39,7 @@ RunResult run_mm(const MmRunConfig& cfg) {
         inputs[static_cast<std::size_t>(p)]);
   });
 
-  result.stop = world.sim().run(cfg.max_events);
+  result.stop = world.sim().run(kMaxEvents);
   result.end_time = world.sim().now();
   result.events = world.sim().events_executed();
   result.crashed = world.tracker().crashed_count();

@@ -22,8 +22,6 @@ struct MmRunConfig {
   DelayConfig delays = DelayConfig::uniform(50, 150);
   CrashPlan crashes;
   Round max_rounds = 5000;
-  std::uint64_t max_events = 200'000'000;
-  ConsensusImpl shm_impl = ConsensusImpl::Cas;
 };
 
 /// Runs one m&m consensus simulation. The returned RunResult's

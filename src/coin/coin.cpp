@@ -5,12 +5,12 @@
 namespace hyco {
 
 BiasedCommonCoin::BiasedCommonCoin(std::uint64_t seed, double epsilon,
-                                   std::function<int(Round)> adversary_bit)
-    : seed_(seed), epsilon_(epsilon), adversary_bit_(std::move(adversary_bit)) {
+                                   int adversary_bit)
+    : seed_(seed), epsilon_(epsilon), adversary_bit_(adversary_bit) {
   HYCO_CHECK_MSG(epsilon >= 0.0 && epsilon <= 1.0,
                  "epsilon " << epsilon << " out of [0,1]");
-  HYCO_CHECK_MSG(static_cast<bool>(adversary_bit_),
-                 "biased coin needs an adversary strategy");
+  HYCO_CHECK_MSG(adversary_bit == 0 || adversary_bit == 1,
+                 "adversary bit must be 0/1, got " << adversary_bit);
 }
 
 int BiasedCommonCoin::bit(Round r) {
@@ -21,11 +21,7 @@ int BiasedCommonCoin::bit(Round r) {
   const std::uint64_t h2 = mix64(h1, 0xAD7E);
   const double u =
       static_cast<double>(h2 >> 11) * 0x1.0p-53;  // uniform in [0,1)
-  if (u < epsilon_) {
-    const int b = adversary_bit_(r);
-    HYCO_CHECK_MSG(b == 0 || b == 1, "adversary bit must be 0/1");
-    return b;
-  }
+  if (u < epsilon_) return adversary_bit_;
   return static_cast<int>(h1 & 1U);
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "core/types.h"
 #include "util/rng.h"
@@ -64,20 +63,23 @@ class CommonCoin final : public ICommonCoin {
   std::uint64_t seed_;
 };
 
+/// The bit the adversary substitutes whenever a run's common coin is
+/// corrupted (RunConfig::coin_epsilon, ServiceRunConfig::coin_epsilon).
+inline constexpr int kAdversaryBit = 0;
+
 /// ε-biased common coin: with probability epsilon the adversary substitutes
-/// its own bit for round r. Deterministic in (seed, r), hence still common.
+/// `adversary_bit` (0 or 1) for round r's bit. Deterministic in (seed, r),
+/// hence still common.
 class BiasedCommonCoin final : public ICommonCoin {
  public:
-  /// `adversary_bit(r)` chooses the substituted bit for round r.
-  BiasedCommonCoin(std::uint64_t seed, double epsilon,
-                   std::function<int(Round)> adversary_bit);
+  BiasedCommonCoin(std::uint64_t seed, double epsilon, int adversary_bit);
 
   int bit(Round r) override;
 
  private:
   std::uint64_t seed_;
   double epsilon_;
-  std::function<int(Round)> adversary_bit_;
+  int adversary_bit_;
 };
 
 }  // namespace hyco

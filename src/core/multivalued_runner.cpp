@@ -8,6 +8,11 @@
 
 namespace hyco {
 
+namespace {
+/// Event budget of one run: a backstop far above any terminating run.
+constexpr std::uint64_t kMaxEvents = 400'000'000;
+}  // namespace
+
 MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   HYCO_CHECK_MSG(cfg.width >= 1 && cfg.width <= 64, "bad width");
@@ -30,7 +35,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   }
 
   World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
-  MemoryPool pool(n, cfg.shm_impl);
+  MemoryPool pool(n, ConsensusImpl::Cas);
   CommonCoin coin(mix64(cfg.seed, 0xC01C02));
 
   std::vector<std::unique_ptr<MultiValuedProcess>> procs;
@@ -50,7 +55,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   });
 
   MultiRunResult result;
-  result.stop = world.sim().run(cfg.max_events);
+  result.stop = world.sim().run(kMaxEvents);
   result.end_time = world.sim().now();
   result.events = world.sim().events_executed();
   result.crashed = world.tracker().crashed_count();

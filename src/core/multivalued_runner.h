@@ -29,8 +29,6 @@ struct MultiRunConfig {
   DelayConfig delays = DelayConfig::uniform(50, 150);
   CrashPlan crashes;
   Round max_rounds_per_bit = 2000;
-  std::uint64_t max_events = 400'000'000;
-  ConsensusImpl shm_impl = ConsensusImpl::Cas;
 };
 
 /// Outcome of a multivalued run.

@@ -17,6 +17,11 @@
 
 namespace hyco {
 
+namespace {
+/// Event budget of one run: a backstop far above any terminating run.
+constexpr std::uint64_t kMaxEvents = 200'000'000;
+}  // namespace
+
 const char* to_cstring(Algorithm a) {
   switch (a) {
     case Algorithm::HybridLocalCoin: return "hybrid-LC";
@@ -80,8 +85,7 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
     const std::uint64_t coin_seed = mix64(cfg_.seed, 0xC01C01);
     if (cfg_.coin_epsilon > 0.0) {
       common_coin_ = std::make_unique<BiasedCommonCoin>(
-          coin_seed, cfg_.coin_epsilon,
-          [bit = cfg_.adversary_bit](Round) { return bit; });
+          coin_seed, cfg_.coin_epsilon, kAdversaryBit);
     } else {
       common_coin_ = std::make_unique<CommonCoin>(coin_seed);
     }
@@ -162,8 +166,7 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
   }
 
   // Every live process invokes propose(v_p) at its own start time.
-  world_.schedule_starts(cfg_.start_jitter,
-                         [this](ProcId p) { start_once(p); });
+  world_.schedule_starts(kStartJitter, [this](ProcId p) { start_once(p); });
 }
 
 bool ConsensusRun::start_once(ProcId p) {
@@ -179,7 +182,7 @@ ConsensusRun::~ConsensusRun() = default;
 bool ConsensusRun::tick() {
   HYCO_CHECK_MSG(!stopped_, "tick() after the run stopped");
   const std::optional<StopReason> stop =
-      world_.sim().run_tick(cfg_.max_events);
+      world_.sim().run_tick(kMaxEvents);
   if (!stop) return false;
   result_.stop = *stop;
   stopped_ = true;

@@ -38,6 +38,12 @@ enum class Algorithm {
 
 const char* to_cstring(Algorithm a);
 
+/// Processes invoke propose() at an independent random time in
+/// [0, kStartJitter] — asynchronous processes run at their own speed.
+/// Without jitter the lowest-index member of every cluster always wins the
+/// round-1 cluster consensus (a determinism artifact).
+inline constexpr SimTime kStartJitter = 50;
+
 /// Plain-data description of one simulation run.
 struct RunConfig {
   explicit RunConfig(ClusterLayout l) : layout(std::move(l)) {}
@@ -67,20 +73,12 @@ struct RunConfig {
   ScenarioConfig scenario;
 
   Round max_rounds = 5000;          ///< parking brake for unlucky coin runs
-  std::uint64_t max_events = 200'000'000;
   ConsensusImpl shm_impl = ConsensusImpl::Cas;
 
-  /// Processes invoke propose() at an independent random time in
-  /// [0, start_jitter] — asynchronous processes run at their own speed.
-  /// Without jitter the lowest-index member of every cluster always wins
-  /// the round-1 cluster consensus (a determinism artifact).
-  SimTime start_jitter = 50;
-
   /// Common-coin imperfection (Algorithm 3 only): probability that a round's
-  /// coin is adversary-chosen. 0 = perfect coin.
+  /// coin is adversary-chosen (it then reads kAdversaryBit). 0 = perfect
+  /// coin.
   double coin_epsilon = 0.0;
-  /// The bit the adversary substitutes when the coin is corrupted.
-  int adversary_bit = 0;
 
   bool enable_trace = false;
 

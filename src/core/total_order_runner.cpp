@@ -9,6 +9,13 @@
 
 namespace hyco {
 
+namespace {
+/// Round cap of each embedded binary instance, and the run's event budget:
+/// backstops far above any terminating run.
+constexpr Round kMaxRoundsPerBit = 2000;
+constexpr std::uint64_t kMaxEvents = 800'000'000;
+}  // namespace
+
 TobRunResult run_tob(const TobRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
@@ -19,7 +26,7 @@ TobRunResult run_tob(const TobRunConfig& cfg) {
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<TobProcess>(
-        p, cfg.layout, world.net(), pool, coin, cfg.max_rounds_per_bit));
+        p, cfg.layout, world.net(), pool, coin, kMaxRoundsPerBit));
   }
   world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
     procs[static_cast<std::size_t>(to)]->on_message(from, m);
@@ -36,7 +43,7 @@ TobRunResult run_tob(const TobRunConfig& cfg) {
   }
 
   TobRunResult result;
-  world.sim().run(cfg.max_events);
+  world.sim().run(kMaxEvents);
   result.events = world.sim().events_executed();
   result.end_time = world.sim().now();
   result.crashed = tracker.crashed_count();

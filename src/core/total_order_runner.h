@@ -29,8 +29,6 @@ struct TobRunConfig {
   std::uint64_t seed = 1;
   DelayConfig delays = DelayConfig::uniform(50, 150);
   CrashPlan crashes;
-  Round max_rounds_per_bit = 2000;
-  std::uint64_t max_events = 800'000'000;
 };
 
 /// Outcome of a total-order broadcast run.

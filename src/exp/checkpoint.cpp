@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "coin/coin.h"
 #include "exp/report.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
@@ -159,9 +160,11 @@ std::uint64_t grid_fingerprint(const std::vector<ExperimentCell>& cells) {
     h = mix64(h, c.runs);
     h = mix64(h, c.base_seed);
     h = mix64(h, static_cast<std::uint64_t>(c.max_rounds));
-    h = mix64(h, static_cast<std::uint64_t>(c.start_jitter));
+    // Constants, but still mixed: dropping them would change every
+    // fingerprint, refusing old checkpoints and dist workers.
+    h = mix64(h, static_cast<std::uint64_t>(kStartJitter));
     h = mix64(h, static_cast<std::uint64_t>(c.inputs));
-    h = mix64(h, static_cast<std::uint64_t>(c.adversary_bit));
+    h = mix64(h, static_cast<std::uint64_t>(kAdversaryBit));
     // Mixed only when set: metrics-off grids keep their pre-observability
     // fingerprints, so existing checkpoints stay resumable.
     if (c.collect_obs) h = mix64(h, 0x0B5E);

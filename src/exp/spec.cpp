@@ -179,8 +179,6 @@ std::vector<ExperimentCell> ExperimentSpec::expand() const {
                 c.base_seed = base_seed;
                 c.inputs = inputs;
                 c.max_rounds = max_rounds;
-                c.start_jitter = start_jitter;
-                c.adversary_bit = adversary_bit;
                 c.collect_obs = collect_obs;
                 cells.push_back(std::move(c));
               }
@@ -217,9 +215,7 @@ RunConfig ExperimentCell::run_config(std::uint64_t run) const {
   if (crash.make) cfg.crashes = crash.make(layout);
   cfg.scenario = scenario.config;
   cfg.max_rounds = max_rounds;
-  cfg.start_jitter = start_jitter;
   cfg.coin_epsilon = coin_epsilon;
-  cfg.adversary_bit = adversary_bit;
   cfg.collect_obs = collect_obs;
   return cfg;
 }
@@ -237,7 +233,6 @@ ServiceRunConfig ExperimentCell::service_run_config(std::uint64_t run) const {
   cfg.scenario = scenario.config;
   cfg.max_rounds_per_bit = max_rounds;
   cfg.coin_epsilon = coin_epsilon;
-  cfg.adversary_bit = adversary_bit;
   cfg.clients = service.clients;
   cfg.ops_per_client = service.ops_per_client;
   cfg.batch_max = service.batch_max;

@@ -116,8 +116,6 @@ struct ExperimentSpec {
   std::uint64_t base_seed = 1;
   InputKind inputs = InputKind::Split;
   Round max_rounds = 5000;
-  SimTime start_jitter = 50;
-  int adversary_bit = 0;
 
   /// Collect per-phase latency timings on every run (RunConfig::collect_obs).
   /// Out of band: results and emitted artifacts stay byte-identical apart
@@ -152,8 +150,6 @@ struct ExperimentCell {
   std::uint64_t base_seed = 1;
   InputKind inputs = InputKind::Split;
   Round max_rounds = 5000;
-  SimTime start_jitter = 50;
-  int adversary_bit = 0;
   bool collect_obs = false;
 
   explicit ExperimentCell(ClusterLayout l) : layout(std::move(l)) {}

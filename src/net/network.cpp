@@ -99,19 +99,17 @@ void SimNetwork::deliver_event(ProcId from, ProcId to, const Message& m,
   if (trace_ != nullptr) trace_->clear_context();
 }
 
-std::size_t SimNetwork::deliver_batch(const TickItem* items,
-                                      std::size_t count,
-                                      const bool& halted) {
+void SimNetwork::deliver_batch(const TickItem* items, std::size_t count) {
   if (trace_ != nullptr) {
     // Tracing wants a record per message; the cold per-event path already
     // does exactly that.
-    return DeliverSink::deliver_batch(items, count, halted);
+    DeliverSink::deliver_batch(items, count);
+    return;
   }
   HYCO_CHECK_MSG(static_cast<bool>(deliver_), "network deliver fn not set");
   std::uint64_t delivered = 0;
   std::uint64_t dropped = 0;
-  std::size_t i = 0;
-  for (; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const TickItem& it = items[i];
     if (crashes_.is_crashed(it.to)) {
       ++dropped;
@@ -119,14 +117,9 @@ std::size_t SimNetwork::deliver_batch(const TickItem* items,
       ++delivered;
       deliver_(it.to, it.from, *it.msg);
     }
-    if (halted) {
-      ++i;
-      break;
-    }
   }
   stats_.delivered += delivered;
   stats_.dropped_receiver_crashed += dropped;
-  return i;
 }
 
 void SimNetwork::send(ProcId from, ProcId to, const Message& m) {

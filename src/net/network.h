@@ -108,8 +108,7 @@ class SimNetwork final : public INetwork, private DeliverSink {
   /// (a mid-broadcast crash fired from a handler can down a receiver midway
   /// through the run) — but hoists the trace branch and the deliver-fn load
   /// out of the n² loop. Falls back to the per-event path when tracing.
-  std::size_t deliver_batch(const TickItem* items, std::size_t count,
-                            const bool& halted) override;
+  void deliver_batch(const TickItem* items, std::size_t count) override;
 
   Simulator& sim_;
   DelayModel& delays_;

@@ -37,9 +37,8 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   std::unique_ptr<ICommonCoin> coin;
   const std::uint64_t coin_seed = mix64(cfg.seed, 0xC01C01);
   if (cfg.coin_epsilon > 0.0) {
-    coin = std::make_unique<BiasedCommonCoin>(
-        coin_seed, cfg.coin_epsilon,
-        [bit = cfg.adversary_bit](Round) { return bit; });
+    coin = std::make_unique<BiasedCommonCoin>(coin_seed, cfg.coin_epsilon,
+                                              kAdversaryBit);
   } else {
     coin = std::make_unique<CommonCoin>(coin_seed);
   }

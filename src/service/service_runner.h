@@ -47,7 +47,6 @@ struct ServiceRunConfig {
   /// Common-coin imperfection, as in RunConfig (the service always runs on
   /// the Algorithm 3 common-coin core).
   double coin_epsilon = 0.0;
-  int adversary_bit = 0;
 
   // Workload: closed-loop clients and the batching policy.
   std::uint64_t clients = 1000;

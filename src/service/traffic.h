@@ -33,7 +33,7 @@ struct TrafficConfig {
   std::uint64_t ops_per_client = 1;
   double load = 0.0;  ///< target offered load, ops/sec; 0 = no think time
   /// First arrivals spread uniformly over this window when load == 0 (a
-  /// burst at t=0 would be a determinism artifact, like start_jitter).
+  /// burst at t=0 would be a determinism artifact, like kStartJitter).
   SimTime arrival_spread = 1000;
 };
 

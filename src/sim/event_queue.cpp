@@ -1,22 +1,16 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-
 namespace hyco {
 
 EventQueue::EventQueue(const Tuning& t)
     : bucket_bits_(t.bucket_bits),
       max_bucket_bits_(t.max_bucket_bits),
-      shift_(t.shift),
-      max_shift_(t.max_shift),
       widen_threshold_mult_(t.widen_threshold_mult) {
   HYCO_CHECK_MSG(t.bucket_bits >= 1 && t.bucket_bits <= 24,
                  "bucket_bits out of range: " << t.bucket_bits);
   HYCO_CHECK_MSG(t.max_bucket_bits >= t.bucket_bits &&
                      t.max_bucket_bits <= 24,
                  "max_bucket_bits out of range: " << t.max_bucket_bits);
-  HYCO_CHECK_MSG(t.shift <= t.max_shift && t.max_shift < 63,
-                 "shift out of range: " << t.shift << "/" << t.max_shift);
   HYCO_CHECK_MSG(t.widen_threshold_mult >= 1,
                  "widen_threshold_mult must be >= 1");
   nb_ = std::uint64_t{1} << bucket_bits_;
@@ -37,28 +31,32 @@ void EventQueue::reserve(std::size_t events, std::size_t callbacks) {
   }
 }
 
+EventQueue::Bucket& EventQueue::activate() {
+  if (cal_count_ == 0) migrate_from_heap();
+  for (std::uint64_t scanned = 0; scanned <= nb_; ++scanned, ++cursor_day_) {
+    Bucket& b = buckets_[cursor_day_ & mask_];
+    if (b.first != nullptr) return b;
+  }
+  HYCO_CHECK_MSG(false, "calendar cursor ran off the window (count "
+                            << cal_count_ << ")");
+  return buckets_.front();  // unreachable
+}
+
 TickSpan EventQueue::pop_tick(std::uint64_t cap) {
-  HYCO_CHECK(!tick_open_);
   HYCO_CHECK(!empty());
   HYCO_CHECK_MSG(cap >= 1, "pop_tick needs a positive event budget");
   flush_pending_frees();
-  const Bucket& b = activate();
+  Bucket& b = activate();
   const SimTime t = b.first->items[b.head].at;
-  // Copy the minimum-time run out, block by block: handler pushes during
-  // the tick may append to this very bucket, so the span must not alias
-  // it. With shift 0 the whole bucket shares one timestamp; coarser
-  // buckets stop at the end of the sorted prefix.
+  // Copy the day out, block by block, then consume what was copied: the
+  // tick's handlers may append to this very day, so the span must not
+  // alias it.
   std::size_t k = 0;
   std::size_t i = b.head;
   for (const Block* blk = b.first;; blk = blk->next, i = 0) {
     const std::size_t end = blk == b.last ? b.fill : kBlockEntries;
     std::size_t stop = end;
     if (cap - k < stop - i) stop = i + static_cast<std::size_t>(cap - k);
-    if (shift_ != 0) {
-      std::size_t j = i;
-      while (j < stop && blk->items[j].at == t) ++j;
-      stop = j;
-    }
     if (tick_items_.size() < k + (stop - i)) {
       tick_items_.resize(k + (stop - i));
     }
@@ -69,32 +67,23 @@ TickSpan EventQueue::pop_tick(std::uint64_t cap) {
         const std::uint32_t idx = e.ref & ~kDeliverBit;
         const DeliverPayload& p = payload(idx);
         *out = TickItem{&p.msg, e.seq, p.from, p.to, idx,
-                        Event::Kind::Deliver};
+                        TickItem::Kind::Deliver};
       } else {
         *out = TickItem{nullptr, e.seq, -1, -1, e.ref,
-                        Event::Kind::Callback};
+                        TickItem::Kind::Callback};
       }
     }
     k += stop - i;
     if (stop < end || blk == b.last) break;
   }
-  tick_open_ = true;
-  tick_count_ = k;
-  tick_day_ = cursor_day_;
-  return TickSpan{t, tick_items_.data(), k};
-}
-
-void EventQueue::commit_tick(std::size_t consumed) {
-  HYCO_CHECK(tick_open_);
-  HYCO_CHECK_MSG(consumed <= tick_count_,
-                 "commit_tick(" << consumed << ") exceeds span of "
-                                << tick_count_);
-  tick_open_ = false;
-  for (std::size_t i = 0; i < consumed; ++i) {
-    const TickItem& it = tick_items_[i];
-    if (it.kind == Event::Kind::Deliver) pending_frees_.push_back(it.slot);
+  consume(b, k);
+  // The span's deliver slots recycle only at the next pop_tick, so its
+  // payloads outlive whatever the tick's handlers push.
+  for (std::size_t j = 0; j < k; ++j) {
+    const TickItem& it = tick_items_[j];
+    if (it.kind == TickItem::Kind::Deliver) pending_frees_.push_back(it.slot);
   }
-  if (consumed != 0) consume(buckets_[tick_day_ & mask_], consumed);
+  return TickSpan{t, tick_items_.data(), k};
 }
 
 void EventQueue::consume(Bucket& b, std::size_t k) {
@@ -125,41 +114,14 @@ void EventQueue::grow_blocks() {
   fresh_end_ = fresh_ + kChunkBlocks;
 }
 
-EventQueue::Bucket& EventQueue::activate_slow() {
-  if (cal_count_ == 0) migrate_from_heap();
-  for (std::uint64_t scanned = 0; scanned <= nb_; ++scanned) {
-    Bucket& b = buckets_[cursor_day_ & mask_];
-    if (b.first != nullptr) {
-      if (b.dirty) {
-        // Sort the pending entries in a scratch copy and write them back
-        // into the same slots.
-        sort_scratch_.clear();
-        for_each_pending(b, [&](Entry& e) { sort_scratch_.push_back(e); });
-        std::sort(sort_scratch_.begin(), sort_scratch_.end(),
-                  [](const Entry& a, const Entry& c) {
-                    return a.at != c.at ? a.at < c.at : a.seq < c.seq;
-                  });
-        const Entry* next = sort_scratch_.data();
-        for_each_pending(b, [&](Entry& e) { e = *next++; });
-        b.dirty = false;
-      }
-      return b;
-    }
-    ++cursor_day_;
-  }
-  HYCO_CHECK_MSG(false, "calendar cursor ran off the window (count "
-                            << cal_count_ << ")");
-  return buckets_.front();  // unreachable
-}
-
 void EventQueue::migrate_from_heap() {
   HYCO_CHECK_MSG(!heap_.empty(), "migrate with an empty overflow heap");
   maybe_widen();
   base_day_ = day(key_at(heap_.front()));
   cursor_day_ = base_day_;
   const std::uint64_t end_day = base_day_ + nb_;
-  // Heap pops come out in increasing (at, seq), so per-bucket appends stay
-  // sorted and never set `dirty`.
+  // Heap pops come out in increasing (at, seq), so each day's appends stay
+  // in seq order.
   while (!heap_.empty()) {
     const Key k = heap_.front();
     const SimTime at = key_at(k);
@@ -173,58 +135,16 @@ void EventQueue::migrate_from_heap() {
 }
 
 void EventQueue::maybe_widen() {
-  if (overflow_pushes_ < widen_threshold_mult_ * nb_) return;
+  if (bucket_bits_ == max_bucket_bits_ ||
+      overflow_pushes_ < widen_threshold_mult_ * nb_) {
+    return;
+  }
   // The calendar is empty here (we only widen at migration time), so the
-  // geometry can change freely: no entry needs remapping.
-  if (bucket_bits_ < max_bucket_bits_) {
-    ++bucket_bits_;
-    nb_ <<= 1;
-    mask_ = nb_ - 1;
-    buckets_.resize(nb_);
-  } else if (shift_ < max_shift_) {
-    ++shift_;
-  }
-}
-
-void EventQueue::rebuild_with(const Entry& extra) {
-  // A push landed before the current window with other events still live —
-  // raw-queue test workloads only (the simulator never schedules into the
-  // past). Re-route everything around a window based at the new minimum.
-  HYCO_CHECK_MSG(!tick_open_, "cannot push before the open tick's window");
-  std::vector<Entry> all;
-  all.reserve(cal_count_ + heap_.size() + 1);
-  for (Bucket& b : buckets_) {
-    if (b.first == nullptr) continue;
-    for_each_pending(b, [&](Entry& e) { all.push_back(e); });
-    for (Block* blk = b.first; blk != b.last;) {
-      Block* next = blk->next;
-      release_block(blk);
-      blk = next;
-    }
-    release_block(b.last);
-    b = Bucket{};
-  }
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    all.push_back(Entry{key_at(heap_[i]), key_seq(heap_[i]), refs_[i]});
-  }
-  heap_.clear();
-  refs_.clear();
-  all.push_back(extra);
-  std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& c) {
-    return a.at != c.at ? a.at < c.at : a.seq < c.seq;
-  });
-  cal_count_ = 0;
-  overflow_pushes_ = 0;
-  base_day_ = cursor_day_ = day(all.front().at);
-  const std::uint64_t end_day = base_day_ + nb_;
-  for (const Entry& e : all) {
-    const std::uint64_t d = day(e.at);
-    if (d < end_day) {
-      append_to_bucket(buckets_[d & mask_], e.at, e.seq, e.ref);
-    } else {
-      heap_push(make_key(e.at, e.seq), e.ref);
-    }
-  }
+  // ring can double freely: no entry needs remapping.
+  ++bucket_bits_;
+  nb_ <<= 1;
+  mask_ = nb_ - 1;
+  buckets_.resize(nb_);
 }
 
 void EventQueue::heap_pop_top() {

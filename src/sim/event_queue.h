@@ -6,20 +6,21 @@
 // unique), so the pop sequence is independent of how events are stored —
 // swapping the internal structure can never change simulation behavior.
 //
-// The queue is the hot path of every experiment: one all-to-all consensus
-// round schedules O(n²) deliveries. The structure is a two-level calendar
-// queue in front of a 4-ary heap:
+// Pushes are monotone: no event may be scheduled before the last popped
+// time (the simulator's clock). A push before it is a contract violation.
 //
-//  * Calendar front end. A ring of 2^bucket_bits day buckets, each covering
-//    a 2^shift-wide slice of virtual time, holds every event whose time
-//    falls inside the current window [base_day, base_day + buckets). Pushing
-//    is an O(1) append; popping walks a cursor over the ring. With the
-//    default shift of 0 a bucket holds exactly one timestamp, so appends are
-//    already in (at, seq) order (seq is monotonic) and no sorting ever
-//    happens; with a coarser shift a bucket is lazily sorted the first time
-//    the cursor consumes from it. The simulator's near-future, heavily tied
-//    time distributions make this O(1) per event where a heap pays an
-//    O(log n) sift against a 10^6-deep queue.
+// The queue is the hot path of every experiment: one all-to-all consensus
+// round schedules O(n²) deliveries. The structure is a calendar queue in
+// front of a 4-ary heap:
+//
+//  * Calendar front end. A ring of 2^bucket_bits day buckets, each holding
+//    the events of one timestamp, covers the current window
+//    [base_day, base_day + buckets). Pushing is an O(1) append, and since
+//    seq is monotonic a day's appends are already in (at, seq) order: no
+//    sort runs anywhere in the queue. Popping walks a cursor over the ring.
+//    The simulator's near-future, heavily tied time distributions make this
+//    O(1) per event where a heap pays an O(log n) sift against a
+//    10^6-deep queue.
 //  * Day storage. A day is a chain of fixed-size blocks of 32 entries
 //    (768 bytes plus a link). Blocks come from chunks the queue owns, and
 //    a block goes back to a LIFO free list the moment its last entry is
@@ -29,26 +30,25 @@
 //  * Overflow heap. Events beyond the window land in the 4-ary implicit
 //    min-heap (16-byte packed (at, seq) keys, parallel ref array, hole-sift
 //    pop). When the calendar drains, the window rebases onto the heap's
-//    minimum and near events migrate into buckets. Every heap time is
-//    strictly later than every calendar time, so the merged pop order is
-//    exactly the global (at, seq) order. If overflow pushes dominate between
-//    migrations the window widens (more buckets, then coarser buckets).
+//    minimum and near events migrate into buckets; an empty queue rebases
+//    it onto the cursor instead. Every heap time is strictly later than
+//    every calendar time, so the merged pop order is exactly the global
+//    (at, seq) order. If overflow pushes dominate between migrations the
+//    window doubles its bucket count.
 //
-// Same-tick batching: pop_tick() returns the whole run of events sharing
-// the minimum time as one contiguous span, in seq order — bit-identical to
-// repeated pop() — so the simulator can dispatch a broadcast burst without
-// a virtual call per message. The span is two-phase: events stay queued
-// until commit_tick() declares how many were actually consumed, which keeps
-// halt()-mid-tick semantics exact.
+// Ticks: pop_tick() removes the whole run of events sharing the minimum
+// time in one step and returns it as one contiguous span, in seq order, so
+// the simulator can dispatch a broadcast burst without a virtual call per
+// message.
 //
 // Payload rules for the n² path:
 //
 //  * No per-event heap allocation, and no per-pop Message copy. Deliver
-//    payloads live in a chunked slab whose chunks never move, so pop() and
-//    pop_tick() hand out stable `const Message*` references. A chunk's
-//    slots stay uninitialized until a push writes them. A popped slot is
-//    recycled only at the NEXT pop/pop_tick (deferred free list), so the
-//    reference stays valid across any pushes the handler makes.
+//    payloads live in a chunked slab whose chunks never move, so pop_tick()
+//    hands out stable `const Message*` references. A chunk's slots stay
+//    uninitialized until a push writes them. A popped slot is recycled only
+//    at the NEXT pop_tick() (deferred free list), so the reference stays
+//    valid across any pushes the tick's handlers make.
 //  * Generic timer/callback events (the ~10 cold call sites in runners,
 //    harnesses, and tests) park their std::function in a free-list slab;
 //    pushing into a recycled slot performs no allocation as long as the
@@ -66,42 +66,28 @@
 
 namespace hyco {
 
-/// A scheduled occurrence, as handed out by EventQueue::pop(): either a
-/// message delivery (payload referenced in the slab) or a generic callback
-/// (closure parked in the pool, referenced by slot).
-struct Event {
+/// One event of a tick (see EventQueue::pop_tick): either a message
+/// delivery (payload referenced in the slab) or a generic callback (closure
+/// parked in the pool, referenced by slot).
+struct TickItem {
   enum class Kind : std::uint8_t {
     Callback,  ///< run the pooled closure in `slot`
     Deliver,   ///< hand `*msg` from `from` to `to` via the deliver sink
   };
 
-  SimTime at = 0;
-  std::uint64_t seq = 0;  ///< insertion order; tie-breaker for equal times
-  Kind kind = Kind::Callback;
-  ProcId from = -1;        ///< Deliver: sender
-  ProcId to = -1;          ///< Deliver: receiver
-  std::uint32_t slot = 0;  ///< Callback: index into the closure pool
-  /// Deliver: the payload, in the slab. Valid until the next pop()/
-  /// pop_tick() — pushes never invalidate it (deferred slot recycling,
-  /// chunked slab storage).
-  const Message* msg = nullptr;
-};
-
-/// One event inside a same-tick span (see EventQueue::pop_tick).
-struct TickItem {
-  /// Deliver: payload in the slab, stable for the whole tick. Callback:
-  /// nullptr.
+  /// Deliver: payload in the slab, valid until the next pop_tick().
+  /// Callback: nullptr.
   const Message* msg = nullptr;
   std::uint64_t seq = 0;   ///< insertion sequence (the event's identity)
   ProcId from = -1;        ///< Deliver: sender
   ProcId to = -1;          ///< Deliver: receiver
   std::uint32_t slot = 0;  ///< Callback: closure slot; Deliver: slab index
-  Event::Kind kind = Event::Kind::Callback;
+  Kind kind = Kind::Callback;
 };
 
-/// All events sharing the minimum virtual time, in seq order. The items
-/// pointer is owned by the queue and valid until commit_tick(); handler
-/// pushes during the tick never invalidate it.
+/// Events sharing the minimum virtual time, in seq order. The items pointer
+/// is owned by the queue and valid until the next pop_tick(); pushes made
+/// during the tick never invalidate it.
 struct TickSpan {
   SimTime at = 0;
   const TickItem* items = nullptr;
@@ -119,8 +105,6 @@ class EventQueue {
   struct Tuning {
     unsigned bucket_bits = 11;      ///< initial ring size = 2^bucket_bits
     unsigned max_bucket_bits = 14;  ///< widen by doubling up to this
-    unsigned shift = 0;             ///< log2 bucket width in time units
-    unsigned max_shift = 20;        ///< then widen by coarsening up to this
     /// Widen when overflow pushes since the last migration exceed
     /// `widen_threshold_mult * bucket_count`.
     std::size_t widen_threshold_mult = 2;
@@ -133,9 +117,10 @@ class EventQueue {
   /// `events` / `callbacks` concurrent events. Never shrinks.
   void reserve(std::size_t events, std::size_t callbacks = 0);
 
-  /// Schedules a generic callback. Returns the event's insertion sequence.
+  /// Schedules a generic callback at `at`, which must not precede the last
+  /// popped time. Returns the event's insertion sequence.
   std::uint64_t push(SimTime at, std::function<void()> fn) {
-    HYCO_CHECK_MSG(at >= 0, "cannot schedule event at negative time " << at);
+    check_push_time(at);
     std::uint32_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -148,13 +133,14 @@ class EventQueue {
     return route_new(at, slot);
   }
 
-  /// Schedules a message delivery. Allocation-free in steady state: the
-  /// message is copied into a recycled slab slot, never onto the heap.
-  /// Returns the event's insertion sequence — a stable identity for the
-  /// scheduled delivery that the trace layer uses as its message id.
+  /// Schedules a message delivery at `at`, which must not precede the last
+  /// popped time. Allocation-free in steady state: the message is copied
+  /// into a recycled slab slot, never onto the heap. Returns the event's
+  /// insertion sequence — a stable identity for the scheduled delivery that
+  /// the trace layer uses as its message id.
   std::uint64_t push_deliver(SimTime at, ProcId from, ProcId to,
                              const Message& m) {
-    HYCO_CHECK_MSG(at >= 0, "cannot schedule event at negative time " << at);
+    check_push_time(at);
     std::uint32_t idx;
     if (!free_deliveries_.empty()) {
       idx = free_deliveries_.back();
@@ -173,62 +159,18 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return cal_count_ == 0 && heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return cal_count_ + heap_.size(); }
 
-  /// Time of the earliest pending event. Precondition: !empty() and no open
-  /// tick. May advance the calendar cursor / migrate from the heap.
-  [[nodiscard]] SimTime next_time() {
-    HYCO_CHECK(!tick_open_);
-    HYCO_CHECK(!empty());
-    const Bucket& b = activate();
-    return b.first->items[b.head].at;
-  }
-
-  /// Removes and returns the earliest event. Precondition: !empty() and no
-  /// open tick. For a Kind::Callback event the caller MUST follow up with
-  /// take_callback(ev.slot) to obtain the closure and recycle the slot. For
-  /// a Kind::Deliver event `ev.msg` stays valid until the next
-  /// pop()/pop_tick().
-  Event pop() {
-    HYCO_CHECK(!tick_open_);
-    HYCO_CHECK(!empty());
-    flush_pending_frees();
-    Bucket& b = activate();
-    const Entry en = b.first->items[b.head];
-    consume(b, 1);
-    Event ev;
-    ev.at = en.at;
-    ev.seq = en.seq;
-    if (en.ref & kDeliverBit) {
-      const std::uint32_t idx = en.ref & ~kDeliverBit;
-      const DeliverPayload& p = payload(idx);
-      ev.kind = Event::Kind::Deliver;
-      ev.from = p.from;
-      ev.to = p.to;
-      ev.msg = &p.msg;
-      pending_frees_.push_back(idx);  // recycled at the NEXT pop
-    } else {
-      ev.kind = Event::Kind::Callback;
-      ev.slot = en.ref;
-    }
-    return ev;
-  }
-
-  /// Opens a tick: returns every pending event at the minimum virtual time
-  /// (at most `cap` of them), in seq order — the exact events `cap` repeated
-  /// pop() calls would return. The events STAY QUEUED until commit_tick().
-  /// During the open tick the caller may push new events (at times >= the
-  /// tick time) and must call take_callback for each consumed Callback
-  /// item; it must not call pop()/next_time() until the commit.
+  /// Removes the pending events at the minimum virtual time, at most `cap`
+  /// of them, and returns them in seq order; the rest of that time's run
+  /// stays queued for the next call. Precondition: !empty(). The span and
+  /// its payloads stay valid until the next pop_tick(), whatever the
+  /// caller pushes meanwhile. The caller must call take_callback once for
+  /// each Callback item.
   TickSpan pop_tick(std::uint64_t cap);
 
-  /// Closes the tick opened by pop_tick: the first `consumed` items of the
-  /// span leave the queue (their deliver slots recycle at the next
-  /// pop/pop_tick); the rest remain pending. 0 <= consumed <= span.count.
-  void commit_tick(std::size_t consumed);
-
   /// Moves the pooled closure out of `slot` and returns the slot to the
-  /// free list. Call exactly once per popped/consumed Kind::Callback event,
-  /// before running the closure (the closure may push new events, which can
-  /// recycle or grow the pool slot it came from).
+  /// free list. Call exactly once per popped Callback item, before running
+  /// the closure (the closure may push new events, which can recycle or
+  /// grow the pool slot it came from).
   std::function<void()> take_callback(std::uint32_t slot) {
     HYCO_CHECK_MSG(slot < pool_.size(), "bad callback slot " << slot);
     std::function<void()> fn = std::move(pool_[slot]);
@@ -260,11 +202,9 @@ class EventQueue {
     return slab_used_ - free_deliveries_.size() - pending_frees_.size();
   }
 
-  // Calendar introspection for tests: current ring size / bucket-width
-  // shift (they change when the window widens) and how many events sit in
-  // the overflow heap right now.
+  // Calendar introspection for tests: current ring size (it doubles when
+  // the window widens) and how many events sit in the overflow heap now.
   [[nodiscard]] std::size_t bucket_count() const { return nb_; }
-  [[nodiscard]] unsigned bucket_shift() const { return shift_; }
   [[nodiscard]] std::size_t overflow_size() const { return heap_.size(); }
 
  private:
@@ -323,15 +263,13 @@ class EventQueue {
 
   /// One day of the calendar ring: a chain of blocks from `first`, whose
   /// entries before `head` are consumed, to `last`, filled up to `fill`.
-  /// The pending entries are kept in (at, seq) order (lazily sorted when
-  /// `dirty`, which only a shift > 0 geometry can set). A day with no
-  /// pending entry holds no block: `first` is null.
+  /// All of a day's entries share one time, so append order is seq order.
+  /// A day with no pending entry holds no block: `first` is null.
   struct Bucket {
     Block* first = nullptr;
     Block* last = nullptr;
     std::uint16_t head = 0;
     std::uint16_t fill = 0;
-    bool dirty = false;
   };
 
   /// A parked Deliver payload, in a stable slab chunk.
@@ -348,31 +286,35 @@ class EventQueue {
     DeliverPayload p;
   };
 
-  [[nodiscard]] std::uint64_t day(SimTime at) const {
-    return static_cast<std::uint64_t>(at) >> shift_;
+  /// A day is one unit of virtual time: each bucket holds one timestamp.
+  static std::uint64_t day(SimTime at) {
+    return static_cast<std::uint64_t>(at);
+  }
+
+  void check_push_time(SimTime at) const {
+    HYCO_CHECK_MSG(at >= static_cast<SimTime>(cursor_day_),
+                   "cannot schedule an event at " << at
+                       << ", before the last popped time " << cursor_day_);
   }
 
   const DeliverPayload& payload(std::uint32_t idx) const {
     return slab_[idx >> kChunkBits][idx & (kChunkSize - 1)].p;
   }
 
-  /// Files a freshly pushed event into the calendar window, the overflow
-  /// heap, or (cold, raw-queue tests only) a full rebuild when it lands
-  /// before the current window. Returns the assigned insertion sequence.
+  /// Files a freshly pushed event (checked: at or after the cursor) into
+  /// the calendar window or the overflow heap. Returns the assigned
+  /// insertion sequence.
   std::uint64_t route_new(SimTime at, std::uint32_t ref) {
     const std::uint64_t seq = next_seq_++;
     const std::uint64_t d = day(at);
-    if (d - base_day_ < nb_) {  // unsigned: d < base_day_ wraps, fails
+    if (d - base_day_ < nb_) {
       append_to_bucket(buckets_[d & mask_], at, seq, ref);
-      if (d < cursor_day_) cursor_day_ = d;
-    } else if (cal_count_ == 0 && heap_.empty()) {
-      base_day_ = cursor_day_ = d;  // empty queue: rebase the window here
+    } else if (empty() && d - cursor_day_ < nb_) {
+      base_day_ = cursor_day_;  // empty queue: slide the window to the cursor
       append_to_bucket(buckets_[d & mask_], at, seq, ref);
-    } else if (d >= base_day_ + nb_) {
+    } else {
       heap_push(make_key(at, seq), ref);
       ++overflow_pushes_;
-    } else {
-      rebuild_with(Entry{at, seq, ref});
     }
     const std::size_t sz = cal_count_ + heap_.size();
     if (sz > peak_) peak_ = sz;
@@ -383,16 +325,11 @@ class EventQueue {
                         std::uint32_t ref) {
     if (b.first == nullptr) {
       b.first = b.last = take_block();
-    } else {
-      if (shift_ != 0 && !b.dirty && at < b.last->items[b.fill - 1].at) {
-        b.dirty = true;  // same-at appends keep order (seq is monotonic)
-      }
-      if (b.fill == kBlockEntries) {
-        Block* blk = take_block();
-        b.last->next = blk;
-        b.last = blk;
-        b.fill = 0;
-      }
+    } else if (b.fill == kBlockEntries) {
+      Block* blk = take_block();
+      b.last->next = blk;
+      b.last = blk;
+      b.fill = 0;
     }
     b.last->items[b.fill++] = Entry{at, seq, ref};
     ++cal_count_;
@@ -413,34 +350,17 @@ class EventQueue {
     free_blocks_ = blk;
   }
 
-  /// The bucket the cursor should consume from, sorted and non-empty.
-  /// Precondition: !empty(). Advances the cursor / migrates as needed.
-  Bucket& activate() {
-    Bucket& b = buckets_[cursor_day_ & mask_];
-    if (b.first != nullptr && !b.dirty) return b;
-    return activate_slow();
-  }
-
-  Bucket& activate_slow();
+  /// The first non-empty day at or after the cursor, which moves onto it.
+  /// Precondition: !empty(). Migrates from the heap when the calendar is
+  /// drained.
+  Bucket& activate();
   void migrate_from_heap();
   void maybe_widen();
-  void rebuild_with(const Entry& extra);
   void grow_blocks();
 
   /// Drops the first `k` pending entries of `b`, releasing every block
   /// they empty. Precondition: `b` holds at least `k` pending entries.
   void consume(Bucket& b, std::size_t k);
-
-  /// Calls f(Entry&) on each pending entry of `b`, in storage order.
-  template <typename F>
-  static void for_each_pending(Bucket& b, F&& f) {
-    std::size_t i = b.head;
-    for (Block* blk = b.first;; blk = blk->next, i = 0) {
-      const std::size_t end = blk == b.last ? b.fill : kBlockEntries;
-      for (; i < end; ++i) f(blk->items[i]);
-      if (blk == b.last) return;
-    }
-  }
 
   void flush_pending_frees() {
     if (pending_frees_.empty()) return;
@@ -478,16 +398,13 @@ class EventQueue {
   Block* free_blocks_ = nullptr;  ///< released blocks, most recent first
   Block* fresh_ = nullptr;        ///< next never-used block of the last chunk
   Block* fresh_end_ = nullptr;
-  std::vector<Entry> sort_scratch_;  ///< dirty-bucket sort buffer
   std::uint64_t nb_;             ///< ring size, power of two
   std::uint64_t mask_;           ///< nb_ - 1
   std::uint64_t base_day_ = 0;   ///< first day of the window
-  std::uint64_t cursor_day_ = 0; ///< next day to consume; >= base_day_
+  std::uint64_t cursor_day_ = 0; ///< the last popped day; >= base_day_
   std::size_t cal_count_ = 0;    ///< pending entries in the calendar
   unsigned bucket_bits_;
   unsigned max_bucket_bits_;
-  unsigned shift_;
-  unsigned max_shift_;
   std::size_t widen_threshold_mult_;
   std::uint64_t overflow_pushes_ = 0;  ///< heap pushes since last migration
 
@@ -499,18 +416,14 @@ class EventQueue {
   std::vector<std::unique_ptr<PayloadSlot[]>> slab_;
   std::uint32_t slab_used_ = 0;  ///< high-water of materialized slots
   std::vector<std::uint32_t> free_deliveries_;
-  std::vector<std::uint32_t> pending_frees_;  ///< recycle at next pop
+  std::vector<std::uint32_t> pending_frees_;  ///< recycle at next pop_tick
 
   // Callback closure pool.
   std::vector<std::function<void()>> pool_;
   std::vector<std::uint32_t> free_slots_;
 
-  // Open-tick state (pop_tick .. commit_tick). tick_items_ only grows;
-  // the open span is its first tick_count_ items.
+  /// The last popped span (its first TickSpan::count items); only grows.
   std::vector<TickItem> tick_items_;
-  std::size_t tick_count_ = 0;
-  std::uint64_t tick_day_ = 0;
-  bool tick_open_ = false;
 
   std::uint64_t next_seq_ = 0;
   std::size_t peak_ = 0;

@@ -36,87 +36,48 @@ void Simulator::clear_deliver_sink(const DeliverSink* sink) {
   if (sink_ == sink) sink_ = nullptr;
 }
 
-std::size_t DeliverSink::deliver_batch(const TickItem* items,
-                                       std::size_t count,
-                                       const bool& halted) {
+void DeliverSink::deliver_batch(const TickItem* items, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     deliver_event(items[i].from, items[i].to, *items[i].msg, items[i].seq);
-    if (halted) return i + 1;
   }
-  return count;
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  const Event ev = queue_.pop();
-  now_ = ev.at;
-  ++executed_;
-  if (ev.kind == Event::Kind::Deliver) {
-    HYCO_CHECK_MSG(sink_ != nullptr,
-                   "Deliver event fired with no deliver sink registered");
-    sink_->deliver_event(ev.from, ev.to, *ev.msg, ev.seq);
-  } else {
-    // Move the closure out before running it: the callback may schedule new
-    // callbacks, which can recycle or grow the pool slot it came from.
-    const std::function<void()> fn = queue_.take_callback(ev.slot);
-    fn();
-  }
-  return true;
-}
-
-std::optional<StopReason> Simulator::run_tick(std::uint64_t max_events,
-                                              SimTime time_limit) {
-  // halt() is only observable from inside a dispatched event; a set flag
-  // here is a leftover from a previous Halted return, matching run()'s old
-  // on-entry reset.
-  halted_ = false;
+std::optional<StopReason> Simulator::run_tick(std::uint64_t max_events) {
   if (queue_.empty()) return StopReason::Quiescent;
   if (executed_ >= max_events) return StopReason::EventLimit;
-  // Open the tick before the time-limit check: pop_tick is two-phase, so a
-  // beyond-limit tick commits as zero-consumed and everything stays queued.
-  // This reads the minimum time off the already-activated bucket instead of
-  // paying next_time()'s separate cursor walk on every tick.
   const TickSpan span = queue_.pop_tick(max_events - executed_);
-  if (span.at > time_limit) {
-    queue_.commit_tick(0);
-    return StopReason::TimeLimit;
-  }
   now_ = span.at;
   std::size_t done = 0;
   while (done < span.count) {
     const TickItem& it = span.items[done];
-    if (it.kind == Event::Kind::Deliver) {
+    if (it.kind == TickItem::Kind::Deliver) {
       // Maximal same-tick run of deliveries: one sink call for the whole
-      // burst. The sink honors `halted_` mid-run and reports how far it got.
+      // burst.
       std::size_t j = done + 1;
       while (j < span.count &&
-             span.items[j].kind == Event::Kind::Deliver) {
+             span.items[j].kind == TickItem::Kind::Deliver) {
         ++j;
       }
       HYCO_CHECK_MSG(sink_ != nullptr,
                      "Deliver event fired with no deliver sink registered");
-      const std::size_t used =
-          sink_->deliver_batch(span.items + done, j - done, halted_);
-      executed_ += used;
-      done += used;
+      sink_->deliver_batch(span.items + done, j - done);
+      executed_ += j - done;
+      done = j;
     } else {
+      // Move the closure out before running it: the callback may schedule
+      // new callbacks, which can recycle or grow the pool slot it came from.
       const std::function<void()> fn = queue_.take_callback(it.slot);
       ++executed_;
       ++done;
       fn();
     }
-    if (halted_) break;
   }
-  // Unconsumed events (halt mid-tick, or an event-limit cap) stay queued:
-  // a fresh run() resumes exactly where this one stopped.
-  queue_.commit_tick(done);
-  if (halted_) return StopReason::Halted;
   return std::nullopt;
 }
 
-StopReason Simulator::run(std::uint64_t max_events, SimTime time_limit) {
+StopReason Simulator::run(std::uint64_t max_events) {
   for (;;) {
-    const std::optional<StopReason> stop = run_tick(max_events, time_limit);
+    const std::optional<StopReason> stop = run_tick(max_events);
     if (stop) return *stop;
   }
 }

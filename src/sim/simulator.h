@@ -8,13 +8,15 @@
 //
 // Message deliveries — the O(n²)-per-round hot path — travel as typed
 // Deliver events dispatched straight to the registered DeliverSink (the
-// network), so no closure is allocated per message. The run loop consumes
-// whole ticks: every event sharing the minimum virtual time is popped as
-// one span (EventQueue::pop_tick) and contiguous runs of Deliver events go
-// to the sink as a single deliver_batch() call, so a broadcast burst of n²
-// messages pays one virtual dispatch instead of n². schedule_in/schedule_at
-// keep their std::function signature for the sparse timer/bookkeeping call
-// sites; those closures are pool-backed inside the EventQueue.
+// network), so no closure is allocated per message. A whole tick is the
+// unit of work: every event sharing the minimum virtual time leaves the
+// queue as one span (EventQueue::pop_tick) and contiguous runs of Deliver
+// events go to the sink as a single deliver_batch() call, so a broadcast
+// burst of n² messages pays one virtual dispatch instead of n². A run stops
+// only between ticks, or when the event budget runs out inside one; the
+// rest of that tick then stays queued. schedule_in/schedule_at keep their
+// std::function signature for the sparse timer/bookkeeping call sites;
+// those closures are pool-backed inside the EventQueue.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +35,6 @@ namespace hyco {
 enum class StopReason {
   Quiescent,   ///< event queue drained — nothing can ever happen again
   EventLimit,  ///< max_events executed
-  TimeLimit,   ///< virtual clock passed the deadline
-  Halted,      ///< halt() was called from inside an event
 };
 
 /// Receiver of typed Deliver events (implemented by the network). The
@@ -48,13 +48,10 @@ class DeliverSink {
   virtual void deliver_event(ProcId from, ProcId to, const Message& m,
                              std::uint64_t seq) = 0;
 
-  /// Delivers a contiguous same-tick run in span order. `halted` aliases
-  /// the simulator's halt flag: implementations must stop after the event
-  /// that sets it and return how many events they consumed (== count
-  /// otherwise). Overrides must preserve per-event semantics exactly —
-  /// receiver crash state may change mid-run.
-  virtual std::size_t deliver_batch(const TickItem* items, std::size_t count,
-                                    const bool& halted);
+  /// Delivers a contiguous same-tick run in span order. Overrides must
+  /// preserve per-event semantics exactly — receiver crash state may change
+  /// mid-run.
+  virtual void deliver_batch(const TickItem* items, std::size_t count);
 
  protected:
   ~DeliverSink() = default;  // never deleted through this interface
@@ -106,24 +103,18 @@ class Simulator {
   /// destructor so a dangling simulator never dispatches into freed memory).
   void clear_deliver_sink(const DeliverSink* sink);
 
-  /// Runs until quiescence or a limit is hit.
-  StopReason run(std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max(),
-                 SimTime time_limit = std::numeric_limits<SimTime>::max());
+  /// Runs until quiescence or until max_events events have executed in
+  /// total (counted across calls).
+  StopReason run(
+      std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max());
 
-  /// Executes at most one virtual-time tick (all events at the minimum
-  /// time, bounded by max_events) and returns the stop reason if the run
-  /// is over, std::nullopt if there is more to do. run() is exactly this
-  /// in a loop; ConsensusRun::tick() calls it so a caller can time the
-  /// event loop apart from a run's set-up and harvest.
+  /// Executes one virtual-time tick (all events at the minimum time, cut
+  /// short only by max_events) and returns the stop reason if the run is
+  /// over, std::nullopt if there is more to do. run() is exactly this in a
+  /// loop; ConsensusRun::tick() calls it so a caller can time the event
+  /// loop apart from a run's set-up and harvest.
   std::optional<StopReason> run_tick(
-      std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max(),
-      SimTime time_limit = std::numeric_limits<SimTime>::max());
-
-  /// Executes exactly one event if one is pending; returns false otherwise.
-  bool step();
-
-  /// Requests run() to stop after the current event.
-  void halt() { halted_ = true; }
+      std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max());
 
   [[nodiscard]] bool pending() const { return !queue_.empty(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
@@ -142,7 +133,6 @@ class Simulator {
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
-  bool halted_ = false;
   DeliverSink* sink_ = nullptr;
   Rng rng_;
 };

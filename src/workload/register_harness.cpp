@@ -86,6 +86,11 @@ bool check_register_atomicity(const std::vector<RegOpRecord>& history,
   return violations.size() == before;
 }
 
+namespace {
+/// Event budget of one run: a backstop far above any terminating run.
+constexpr std::uint64_t kMaxEvents = 100'000'000;
+}  // namespace
+
 RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
@@ -143,7 +148,7 @@ RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
   // Every process issues its first operation at time 0.
   world.schedule_starts(0, issue_next);
 
-  sim.run(cfg.max_events);
+  sim.run(kMaxEvents);
   result.end_time = sim.now();
   result.crashed = tracker.crashed_count();
   result.net = world.net().stats();

@@ -39,7 +39,6 @@ struct RegisterRunConfig {
   std::uint64_t seed = 1;
   DelayConfig delays = DelayConfig::uniform(50, 150);
   CrashPlan crashes;
-  std::uint64_t max_events = 100'000'000;
 };
 
 /// Outcome of a register workload run.

@@ -1,20 +1,25 @@
 // Heap-allocation guards for the run hot path. This binary replaces the
 // global operator new and operator delete with counting versions, so a test
 // can assert that a steady-state loop allocates nothing: the event queue's
-// push_deliver → pop_tick → commit_tick cycle once its blocks, slab slots
-// and tick buffer are warm, and msg_exchange's crediting and quorum test.
+// push_deliver → pop_tick cycle once its blocks, slab slots and tick buffer
+// are warm, the simulator's tick loop over broadcast bursts, and
+// msg_exchange's crediting and quorum test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "core/cluster_layout.h"
 #include "core/msg_exchange.h"
+#include "net/delay_model.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "sim/crash.h"
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 
 namespace {
 
@@ -130,10 +135,41 @@ TEST(AllocFree, EventQueueDaysRecycleBlocksWithoutAllocating) {
     if (day < kLead) continue;
     const TickSpan span = q.pop_tick(1000);
     if (span.at == day && span.count == 40) ++full_ticks;
-    q.commit_tick(span.count);
   }
   const std::uint64_t allocated = allocations() - warm;
   EXPECT_EQ(full_ticks, kDays - kLead);
+  EXPECT_EQ(allocated, 0u);
+}
+
+TEST(AllocFree, SimulatorTickLoopAllocatesNothing) {
+  // Each cycle every process broadcasts from outside any event, so a burst
+  // of n² deliveries lands in an empty queue, and run() drains it tick by
+  // tick. Once the first cycles have warmed the queue, no cycle allocates.
+  constexpr ProcId kN = 16;
+  constexpr int kWarmCycles = 200;
+  constexpr int kCycles = 1000;
+  Simulator sim(7);
+  sim.reserve_all_to_all(kN);
+  const std::unique_ptr<DelayModel> delays =
+      make_delay_model(DelayConfig::uniform(50, 150));
+  CrashTracker crashes(static_cast<std::size_t>(kN));
+  SimNetwork net(sim, *delays, crashes, kN);
+  std::uint64_t delivered = 0;
+  net.set_deliver([&delivered](ProcId, ProcId, const Message&) {
+    ++delivered;
+  });
+  const Message m = Message::phase_msg(1, Phase::One, Estimate::One);
+  std::uint64_t warm = 0;
+  int drained = 0;
+  for (int cycle = 0; cycle < kWarmCycles + kCycles; ++cycle) {
+    if (cycle == kWarmCycles) warm = allocations();
+    for (ProcId p = 0; p < kN; ++p) net.broadcast(p, m);
+    if (sim.run() == StopReason::Quiescent) ++drained;
+  }
+  const std::uint64_t allocated = allocations() - warm;
+  EXPECT_EQ(drained, kWarmCycles + kCycles);
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(kWarmCycles + kCycles) *
+                           kN * kN);
   EXPECT_EQ(allocated, 0u);
 }
 

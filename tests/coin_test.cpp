@@ -73,18 +73,18 @@ TEST(CommonCoin, RepeatedQueriesAreStable) {
 
 TEST(BiasedCoin, EpsilonZeroMatchesFairCoin) {
   CommonCoin fair(99);
-  BiasedCommonCoin biased(99, 0.0, [](Round) { return 1; });
+  BiasedCommonCoin biased(99, 0.0, 1);
   for (Round r = 1; r <= 1000; ++r) ASSERT_EQ(biased.bit(r), fair.bit(r));
 }
 
 TEST(BiasedCoin, EpsilonOneAlwaysAdversary) {
-  BiasedCommonCoin biased(99, 1.0, [](Round) { return 1; });
+  BiasedCommonCoin biased(99, 1.0, 1);
   for (Round r = 1; r <= 1000; ++r) ASSERT_EQ(biased.bit(r), 1);
 }
 
 TEST(BiasedCoin, IntermediateEpsilonCorruptsAboutEpsilonFraction) {
   CommonCoin fair(4242);
-  BiasedCommonCoin biased(4242, 0.25, [](Round) { return 1; });
+  BiasedCommonCoin biased(4242, 0.25, 1);
   int corrupted = 0;
   const int rounds = 100000;
   for (Round r = 1; r <= rounds; ++r) {
@@ -96,19 +96,16 @@ TEST(BiasedCoin, IntermediateEpsilonCorruptsAboutEpsilonFraction) {
 }
 
 TEST(BiasedCoin, StillCommonAcrossInstances) {
-  BiasedCommonCoin a(7, 0.3, [](Round) { return 0; });
-  BiasedCommonCoin b(7, 0.3, [](Round) { return 0; });
+  BiasedCommonCoin a(7, 0.3, 0);
+  BiasedCommonCoin b(7, 0.3, 0);
   for (Round r = 1; r <= 1000; ++r) ASSERT_EQ(a.bit(r), b.bit(r));
 }
 
 TEST(BiasedCoin, ValidatesArguments) {
-  EXPECT_THROW(BiasedCommonCoin(1, -0.1, [](Round) { return 0; }),
-               ContractViolation);
-  EXPECT_THROW(BiasedCommonCoin(1, 1.1, [](Round) { return 0; }),
-               ContractViolation);
-  EXPECT_THROW(BiasedCommonCoin(1, 0.5, nullptr), ContractViolation);
-  BiasedCommonCoin bad_bit(1, 1.0, [](Round) { return 7; });
-  EXPECT_THROW(bad_bit.bit(1), ContractViolation);
+  EXPECT_THROW(BiasedCommonCoin(1, -0.1, 0), ContractViolation);
+  EXPECT_THROW(BiasedCommonCoin(1, 1.1, 0), ContractViolation);
+  EXPECT_THROW(BiasedCommonCoin(1, 1.0, 7), ContractViolation);
+  EXPECT_THROW(BiasedCommonCoin(1, 1.0, -1), ContractViolation);
 }
 
 }  // namespace

@@ -449,6 +449,49 @@ TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
   EXPECT_TRUE(recovered.count(results[2].cell.index));
 }
 
+TEST(Checkpoint, GridFingerprintsArePinned) {
+  // A change to what grid_fingerprint mixes would otherwise show only when
+  // an old checkpoint fails to resume or a dist worker is rejected.
+  ExperimentSpec plain;
+  plain.name = "pin-plain";
+  plain.algorithms = {Algorithm::HybridLocalCoin, Algorithm::HybridCommonCoin};
+  plain.layouts = {ClusterLayout::even(8, 2), ClusterLayout::even(16, 4)};
+  plain.crashes = {CrashAxis::none(),
+                   CrashAxis::of("p0@100", [](const ClusterLayout& l) {
+                     CrashPlan plan =
+                         CrashPlan::none(static_cast<std::size_t>(l.n()));
+                     plan.specs[0] = CrashSpec::at_time(100);
+                     return plan;
+                   })};
+  ScenarioConfig scn;
+  scn.link.loss = 0.05;
+  scn.partitions.push_back(parse_partition_spec("cluster:0@5ms..20ms"));
+  plain.scenarios = {ScenarioAxis::none(), ScenarioAxis::of(scn)};
+  plain.coin_epsilons = {0.0, 0.25};
+  plain.runs_per_cell = 60;
+  plain.base_seed = 7;
+  EXPECT_EQ(grid_fingerprint(plain.expand()), 0xb26577758dd8e992u);
+
+  // A --phase-metrics grid.
+  ExperimentSpec obs;
+  obs.name = "pin-obs";
+  obs.algorithms = {Algorithm::HybridCommonCoin};
+  obs.layouts = {ClusterLayout::even(8, 2), ClusterLayout::even(8, 4),
+                 ClusterLayout::even(16, 2), ClusterLayout::even(16, 4)};
+  obs.runs_per_cell = 50;
+  obs.collect_obs = true;
+  EXPECT_EQ(grid_fingerprint(obs.expand()), 0xae215d4142c27a24u);
+
+  ExperimentSpec svc;
+  svc.name = "pin-svc";
+  svc.algorithms = {Algorithm::HybridCommonCoin};
+  svc.layouts = {ClusterLayout::even(4, 2), ClusterLayout::even(6, 2)};
+  svc.services = {ServiceAxis::of(2000, 1, 16, 50000, 0.0),
+                  ServiceAxis::of(2000, 1, 64, 50000, 2000000.0)};
+  svc.runs_per_cell = 3;
+  EXPECT_EQ(grid_fingerprint(svc.expand()), 0x9c458c41b0162383u);
+}
+
 TEST(Checkpoint, ResumedRunMatchesUninterruptedByteForByte) {
   const ExperimentSpec spec = mixed_spec();
   const auto cells = spec.expand();

@@ -95,7 +95,6 @@ TEST(Indulgence, EpsilonBiasedCoinDelaysButNeverCorruptsDecisions) {
     cfg.inputs = split_inputs(7);
     cfg.seed = seed;
     cfg.coin_epsilon = 0.5;
-    cfg.adversary_bit = 0;
     const auto r = run_consensus(cfg);
     EXPECT_TRUE(r.safe()) << "seed " << seed;
     EXPECT_TRUE(r.all_correct_decided) << "seed " << seed;

@@ -13,9 +13,10 @@ namespace hyco {
 namespace {
 
 void run_next(EventQueue& q) {
-  const Event ev = q.pop();
-  ASSERT_EQ(ev.kind, Event::Kind::Callback);
-  q.take_callback(ev.slot)();
+  const TickSpan span = q.pop_tick(1);
+  ASSERT_EQ(span.count, 1u);
+  ASSERT_EQ(span.items[0].kind, TickItem::Kind::Callback);
+  q.take_callback(span.items[0].slot)();
 }
 
 TEST(EventQueue, OrdersByTime) {
@@ -45,8 +46,24 @@ TEST(EventQueue, RejectsNegativeTime) {
 
 TEST(EventQueue, PopEmptyThrows) {
   EventQueue q;
-  EXPECT_THROW(q.pop(), ContractViolation);
-  EXPECT_THROW(static_cast<void>(q.next_time()), ContractViolation);
+  EXPECT_THROW(q.pop_tick(1), ContractViolation);
+}
+
+TEST(EventQueue, PushBeforeLastPoppedTimeThrows) {
+  EventQueue q;
+  const Message m = Message::value_msg(0, 1);
+  q.push_deliver(40, 0, 1, m);
+  q.push_deliver(90, 0, 1, m);
+  EXPECT_EQ(q.pop_tick(8).at, 40);
+  EXPECT_THROW(q.push_deliver(39, 0, 1, m), ContractViolation);
+  EXPECT_THROW(q.push(0, [] {}), ContractViolation);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pool_in_use(), 0u);  // a refused push parks no closure
+  // The last popped time itself is still open.
+  q.push_deliver(40, 0, 1, m);
+  const TickSpan span = q.pop_tick(8);
+  EXPECT_EQ(span.at, 40);
+  EXPECT_EQ(span.count, 1u);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {
@@ -88,41 +105,6 @@ TEST(Simulator, EventLimitStops) {
   EXPECT_EQ(sim.events_executed(), 100u);
 }
 
-TEST(Simulator, TimeLimitStops) {
-  Simulator sim(1);
-  std::function<void()> tick = [&] { sim.schedule_in(10, tick); };
-  sim.schedule_in(0, tick);
-  EXPECT_EQ(sim.run(1'000'000, 500), StopReason::TimeLimit);
-  EXPECT_LE(sim.now(), 500);
-}
-
-TEST(Simulator, HaltStopsMidRun) {
-  Simulator sim(1);
-  int executed = 0;
-  sim.schedule_in(1, [&] {
-    ++executed;
-    sim.halt();
-  });
-  sim.schedule_in(2, [&] { ++executed; });
-  EXPECT_EQ(sim.run(), StopReason::Halted);
-  EXPECT_EQ(executed, 1);
-  // A fresh run() resumes the remaining events.
-  EXPECT_EQ(sim.run(), StopReason::Quiescent);
-  EXPECT_EQ(executed, 2);
-}
-
-TEST(Simulator, StepExecutesExactlyOne) {
-  Simulator sim(1);
-  int fired = 0;
-  sim.schedule_in(1, [&] { ++fired; });
-  sim.schedule_in(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, RunTickExecutesOneTickAtATime) {
   Simulator sim(1);
   std::vector<int> fired;
@@ -138,22 +120,19 @@ TEST(Simulator, RunTickExecutesOneTickAtATime) {
   EXPECT_EQ(sim.run_tick(), std::optional<StopReason>(StopReason::Quiescent));
 }
 
-TEST(Simulator, HaltMidTickLeavesRestQueued) {
-  // Three same-time events; the first halts. The other two must survive
-  // the tick (two-phase commit) and run on a fresh run().
+TEST(Simulator, EventLimitMidTickLeavesRestQueued) {
+  // Three same-time events and a budget of one: the other two stay queued
+  // and run, in order, on a fresh run().
   Simulator sim(1);
-  int executed = 0;
-  sim.schedule_in(1, [&] {
-    ++executed;
-    sim.halt();
-  });
-  sim.schedule_in(1, [&] { ++executed; });
-  sim.schedule_in(1, [&] { ++executed; });
-  EXPECT_EQ(sim.run(), StopReason::Halted);
-  EXPECT_EQ(executed, 1);
-  EXPECT_EQ(sim.events_executed(), 1u);
+  std::vector<int> fired;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_in(1, [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_EQ(sim.run(1), StopReason::EventLimit);
+  EXPECT_EQ(fired, (std::vector<int>{0}));
   EXPECT_EQ(sim.run(), StopReason::Quiescent);
-  EXPECT_EQ(executed, 3);
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.events_executed(), 3u);
 }
 
 namespace {
@@ -165,10 +144,9 @@ struct CountingSink : DeliverSink {
                      std::uint64_t) override {
     ++messages;
   }
-  std::size_t deliver_batch(const TickItem* items, std::size_t count,
-                            const bool& halted) override {
+  void deliver_batch(const TickItem* items, std::size_t count) override {
     ++batches;
-    return DeliverSink::deliver_batch(items, count, halted);
+    DeliverSink::deliver_batch(items, count);
   }
 };
 }  // namespace
