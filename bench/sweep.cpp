@@ -25,28 +25,26 @@
 //   --replay=N      re-run up to N failing seeds with tracing on
 //   --quiet         suppress the ASCII table
 //
-// Streaming pipeline (bounded memory for multi-million-run grids; see
-// README "Streaming sweeps"):
-//   --stream          drop per-run records: memory stays O(cells) while
-//                     CSV/JSON stay byte-identical to batch mode
-//   --max-records=N   batch mode: retain at most N records per cell (the
-//                     lowest run indices win)
+// Streaming pipeline (every sweep streams: each chunk folds into its
+// cell's accumulator and no per-run record is kept, so memory stays
+// O(cells) for multi-million-run grids; see README "Streaming sweeps"):
 //   --chunk=N         max runs per work unit (auto-shrunk so every worker
 //                     has chunks to steal; grain never changes output bytes)
 //                     [1024]
-//   --checkpoint=PATH append each completed chunk's and cell's exact
-//                     accumulator state to PATH (flushed per block; an
-//                     existing checkpoint is never truncated without
-//                     --resume)
+//   --checkpoint=PATH append each completed chunk's exact accumulator state
+//                     to PATH (flushed per block; an existing checkpoint is
+//                     never truncated without --resume)
 //   --resume          load PATH first and skip its completed work. Resume
 //                     is *chunk-granular*: a cell interrupted mid-flight
 //                     re-runs only its uncovered run ranges, so even a
 //                     single monster cell resumes where it left off. Final
 //                     artifacts are byte-identical to an uninterrupted run.
 //                     The loaded trail is also rewritten in place as its
-//                     compacted equivalent (temp file + rename), so
-//                     repeated crash/resume cycles never grow the file
-//                     without bound.
+//                     compacted equivalent (one block per contiguous chunk
+//                     chain; temp file + rename), so repeated crash/resume
+//                     cycles never grow the file without bound. An older
+//                     build's checkpoints, with their per-cell blocks,
+//                     still resume.
 //   --progress        1 Hz stderr line: runs & cells done, runs/s, ETA.
 //                     With --service the rate and ETA count decided
 //                     service ops instead of runs (a single service run
@@ -58,14 +56,14 @@
 //                     accumulators. Emits the same artifacts as a local
 //                     run — byte-identical at any worker count, lease
 //                     grain, or arrival order. Combines with --checkpoint
-//                     (the work ledger doubles as the chunk checkpoint).
+//                     (every folded chunk appends a block).
 //   --connect=HOST:PORT  work for a coordinator started with the *same
 //                     grid flags* (the handshake verifies the grid
 //                     fingerprint). Emits no artifacts locally.
-//                     Local-executor knobs (--threads/--chunk/--stream/
-//                     --max-records) are rejected in both modes: workers
-//                     parallelize with --workers, coordinators shape work
-//                     units with --lease.
+//                     Local-executor knobs (--threads/--chunk) are
+//                     rejected in both modes: workers parallelize with
+//                     --workers, coordinators shape work units with
+//                     --lease.
 //   --workers=N       with --connect: parallel worker sessions [1]
 //   --reconnect=N     with --connect: mid-sweep recovery budget — after a
 //                     lost connection (sever, coordinator crash/restart) a
@@ -406,8 +404,7 @@ DistFlags parse_dist_flags(const Options& opts) {
                           << " (artifacts are emitted by the --serve"
                              " coordinator)");
     }
-    for (const char* banned :
-         {"threads", "chunk", "stream", "max-records", "progress"}) {
+    for (const char* banned : {"threads", "chunk", "progress"}) {
       HYCO_CHECK_MSG(!opts.has(banned),
                      "--" << banned << " cannot combine with --connect"
                           << " (worker parallelism is --workers=N; the"
@@ -417,8 +414,7 @@ DistFlags parse_dist_flags(const Options& opts) {
   if (f.serve) {
     // These shape the *local* executor, which never runs in coordinator
     // mode — reject them so a silently dead knob can't mislead anyone.
-    for (const char* banned :
-         {"threads", "chunk", "stream", "max-records"}) {
+    for (const char* banned : {"threads", "chunk"}) {
       HYCO_CHECK_MSG(!opts.has(banned),
                      "--" << banned << " cannot combine with --serve"
                           << " (workers execute the runs; use --lease to"
@@ -663,9 +659,9 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Checkpoint/resume, chunk-granular (plan_resume): completed cells
-    // reload bit-exactly and skip entirely; a partially-completed cell
-    // reloads its folded chunk ranges and re-runs only the complement.
+    // Checkpoint/resume, chunk-granular (plan_resume): every cell reloads
+    // its folded chunk ranges bit-exactly and re-runs only the complement,
+    // so a fully covered cell runs nothing.
     const std::string ckpt_path = opts.get_string("checkpoint");
     CheckpointData loaded;
     bool loaded_file = false;
@@ -682,12 +678,6 @@ int main(int argc, char** argv) {
       }
     }
     ResumePlan plan = plan_resume(cells, std::move(loaded));
-    if (loaded_file) {
-      std::cerr << "sweep: resumed " << plan.resumed_runs << " of " << total
-                << " runs (" << plan.checkpoint.cells.size() << " of "
-                << cells.size() << " cells complete) from " << ckpt_path
-                << "\n";
-    }
 
     std::ofstream ckpt_out;
     if (!ckpt_path.empty()) {
@@ -712,10 +702,10 @@ int main(int argc, char** argv) {
         write_checkpoint_header(ckpt_out, fingerprint);
       } else {
         // Before appending more blocks, rewrite the loaded trail as its
-        // compacted equivalent (cell blocks + one merged chunk block per
-        // contiguous chain) via a temporary + rename, so repeated
-        // crash/resume cycles cannot grow the file without bound — and a
-        // kill mid-rewrite leaves the old file untouched.
+        // compacted equivalent (one merged chunk block per contiguous
+        // chain) via a temporary + rename, so repeated crash/resume cycles
+        // cannot grow the file without bound — and a kill mid-rewrite
+        // leaves the old file untouched.
         const std::string tmp_path = ckpt_path + ".tmp";
         {
           std::ofstream compact(tmp_path, std::ios::trunc);
@@ -736,9 +726,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const bool stream = opts.get_bool("stream");
     const auto t0 = std::chrono::steady_clock::now();
-    std::atomic<std::uint64_t> cells_done{plan.checkpoint.cells.size()};
+    std::atomic<std::uint64_t> cells_done{0};
     std::atomic<std::uint64_t> ops_done{0};
     std::atomic<std::int64_t> last_print_ms{-1000};
     const bool want_progress = opts.get_bool("progress");
@@ -803,28 +792,27 @@ int main(int argc, char** argv) {
     };
 
     // One sink folds every run, whether local threads or --serve workers
-    // execute it: it starts from the checkpoint's blocks, and its hooks
-    // append each new chunk and finished cell.
+    // execute it, and keeps no per-run record: it starts from the
+    // checkpoint's blocks, and its hooks append each new chunk and count
+    // finished cells.
     CollectingSink::Options sink_opts;
-    sink_opts.retain_records = !stream;
-    if (opts.has("max-records")) {
-      const auto cap = opts.get_int("max-records");
-      HYCO_CHECK_MSG(cap >= 0, "--max-records must be >= 0, got " << cap);
-      sink_opts.max_records_per_cell = static_cast<std::uint64_t>(cap);
-    }
     if (ckpt_out.is_open()) {
       sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
                                std::uint64_t end, const CellAccumulator& acc) {
         append_checkpoint_chunk(ckpt_out, cell.index, begin, end, acc);
       };
     }
-    sink_opts.on_complete = [&](const ExperimentCell& cell,
-                                const CellAccumulator& acc) {
+    sink_opts.on_complete = [&](const ExperimentCell&,
+                                const CellAccumulator&) {
       cells_done.fetch_add(1, std::memory_order_relaxed);
-      if (ckpt_out.is_open()) append_checkpoint_cell(ckpt_out, cell.index, acc);
     };
     CollectingSink sink(cells, std::move(sink_opts));
-    sink.resume(std::move(plan.checkpoint));
+    cells_done = sink.resume(std::move(plan.checkpoint));
+    if (loaded_file) {
+      std::cerr << "sweep: resumed " << plan.resumed_runs << " of " << total
+                << " runs (" << cells_done << " of " << cells.size()
+                << " cells complete) from " << ckpt_path << "\n";
+    }
 
     if (dist_flags.serve) {
       // Coordinator mode: the ledger leases the spans to TCP workers and
@@ -869,8 +857,7 @@ int main(int argc, char** argv) {
       const unsigned workers = exec.worker_count(total - plan.resumed_runs);
       std::cerr << "sweep: " << cells.size() << " cells x "
                 << spec.runs_per_cell << " seeds = " << total << " runs on "
-                << workers << " threads"
-                << (stream ? " [streaming]" : "") << "\n";
+                << workers << " threads\n";
       exec.run(cells, plan.spans, sink);
     }
     const std::vector<CellResult> results = sink.take_results();

@@ -7,9 +7,8 @@
 // Determinism contract: the sink sees exactly-once chunk accumulators over
 // the spans it was given. Because every accumulator component is
 // merge-order-invariant (exp/sink.h), a CollectingSink — and every CSV/JSON
-// byte rendered from it — ends up identical to a single-machine `--stream`
-// run at any worker count, lease grain, arrival order, or worker failure
-// pattern.
+// byte rendered from it — ends up identical to a single-machine run at any
+// worker count, lease grain, arrival order, or worker failure pattern.
 //
 // Fault handling: a worker disconnect re-queues its leased chunks; a lease
 // older than lease_ttl is re-queued even without a disconnect (a wedged

@@ -18,9 +18,8 @@
 // re-executed elsewhere.
 //
 // The ledger is transport-agnostic plain state (owners are opaque ids,
-// time is injected), so the same machine backs the TCP coordinator and the
-// single-machine chunk checkpoint, and tests can drive every transition
-// without sockets or sleeps.
+// time is injected): the TCP coordinator is its only user, and tests can
+// drive every transition without sockets or sleeps.
 #pragma once
 
 #include <chrono>

@@ -1,7 +1,8 @@
 // Worker side of the distributed sweep engine: connects to a coordinator,
 // leases chunk-sized run ranges, executes them through the exact same
-// run_consensus()/CellAccumulator pipeline a local sweep uses, and ships
-// the accumulator state back over the wire.
+// ExperimentCell::run_record()/CellAccumulator pipeline a local sweep uses
+// (consensus and service cells alike), and ships the accumulator state
+// back over the wire.
 //
 // A worker is launched with the *same grid flags* as the coordinator (the
 // grid itself never crosses the wire); the Hello handshake compares grid

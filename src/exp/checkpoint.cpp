@@ -223,15 +223,6 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
   }
 }
 
-void append_checkpoint_cell(std::ostream& out, std::uint64_t cell_index,
-                            const CellAccumulator& acc) {
-  out << "cell " << cell_index << ' ' << acc.runs << ' ' << acc.terminated
-      << ' ' << acc.violations << '\n';
-  write_accumulator_state(out, acc);
-  out << "done " << cell_index << '\n';
-  out.flush();
-}
-
 void append_checkpoint_chunk(std::ostream& out, std::uint64_t cell_index,
                              std::uint64_t begin, std::uint64_t end,
                              const CellAccumulator& acc) {
@@ -390,9 +381,6 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
 void write_compacted_checkpoint(std::ostream& out, std::uint64_t fingerprint,
                                 const CheckpointData& data) {
   write_checkpoint_header(out, fingerprint);
-  for (const auto& [index, acc] : data.cells) {
-    append_checkpoint_cell(out, index, acc);
-  }
   for (const auto& [index, list] : data.chunks) {
     // `list` is sorted and overlap-free (load_checkpoint_data's contract);
     // fuse each maximal run of adjacent ranges into one block.
@@ -454,10 +442,12 @@ CheckpointData load_checkpoint_data(std::istream& in,
     std::uint64_t runs = 0, term = 0, viol = 0;
     if (is_chunk) {
       if (!(ls >> index >> begin >> end >> runs >> term >> viol)) continue;
-      if (begin >= end) continue;
     } else {
+      // An older writer's finished-cell block: the chunk [0, runs).
       if (!(ls >> index >> runs >> term >> viol)) continue;
+      end = runs;
     }
+    if (begin >= end) continue;
 
     CellAccumulator acc;
     std::string stop;
@@ -485,24 +475,13 @@ CheckpointData load_checkpoint_data(std::istream& in,
     acc.runs = runs;
     acc.terminated = term;
     acc.violations = viol;
-    if (is_chunk) {
-      data.chunks[index].push_back({begin, end, std::move(acc)});
-    } else {
-      acc.finalize();
-      data.cells.insert_or_assign(index, std::move(acc));
-    }
+    data.chunks[index].push_back({begin, end, std::move(acc)});
   }
 
-  // Chunk blocks of completed cells are redundant: the cell block holds the
-  // merged whole.
-  for (const auto& [index, acc] : data.cells) {
-    (void)acc;
-    data.chunks.erase(index);
-  }
   // Per cell: sort chunk ranges and drop overlaps (a re-executed chunk that
-  // raced its expired lease, or file corruption — folding both would count
-  // runs twice). First writer wins, matching the coordinator's
-  // exactly-once ledger.
+  // raced its expired lease, a legacy cell block over its own trail, or
+  // file corruption — folding both would count runs twice). First writer
+  // wins, matching the coordinator's exactly-once ledger.
   for (auto& [index, list] : data.chunks) {
     (void)index;
     std::stable_sort(list.begin(), list.end(),
@@ -527,9 +506,6 @@ ResumePlan plan_resume(const std::vector<ExperimentCell>& cells,
   ck = std::move(checkpoint);
   // A corrupted block could carry an out-of-grid index or range; drop it
   // and re-run that work instead of indexing out of bounds.
-  std::erase_if(ck.cells, [&](const auto& kv) {
-    return kv.first >= cells.size();
-  });
   for (auto it = ck.chunks.begin(); it != ck.chunks.end();) {
     auto& trail = it->second;
     if (it->first < cells.size()) {
@@ -549,30 +525,17 @@ ResumePlan plan_resume(const std::vector<ExperimentCell>& cells,
                                         << " (expected a whole grid)");
     const std::uint64_t runs = cells[pos].runs;
     plan.resumed_runs += runs;
-    if (ck.cells.contains(pos)) continue;
-    const auto trail = ck.chunks.find(pos);
-    if (trail == ck.chunks.end()) {
-      plan.spans.push_back({pos, 0, runs});
-      continue;
-    }
     // The trail is sorted and overlap-free; its gaps are the complement.
-    const std::size_t first_gap = plan.spans.size();
     std::uint64_t cursor = 0;
-    for (const ChunkCheckpoint& chunk : trail->second) {
-      if (chunk.begin > cursor) plan.spans.push_back({pos, cursor, chunk.begin});
-      cursor = chunk.end;
+    if (const auto trail = ck.chunks.find(pos); trail != ck.chunks.end()) {
+      for (const ChunkCheckpoint& chunk : trail->second) {
+        if (chunk.begin > cursor) {
+          plan.spans.push_back({pos, cursor, chunk.begin});
+        }
+        cursor = chunk.end;
+      }
     }
     if (cursor < runs) plan.spans.push_back({pos, cursor, runs});
-    if (plan.spans.size() > first_gap) continue;
-    // Killed between the last chunk and the cell block: the trail is the
-    // whole cell, and the compacted rewrite lands it as a cell block.
-    CellAccumulator acc = std::move(trail->second.front().acc);
-    for (std::size_t i = 1; i < trail->second.size(); ++i) {
-      acc.merge(trail->second[i].acc);
-    }
-    acc.finalize();
-    ck.cells.emplace(pos, std::move(acc));
-    ck.chunks.erase(trail);
   }
   for (const RunSpan& s : plan.spans) plan.resumed_runs -= s.length();
   return plan;

@@ -9,8 +9,8 @@
 // chunk into a fresh CellAccumulator and hands it to the sink; because
 // every accumulator component is merge-order-invariant (see exp/sink.h),
 // the per-cell statistics — and any report rendered from them — are
-// bit-identical whether the grid ran on 1 thread or 64, streamed or
-// batched.
+// bit-identical whether the grid ran on 1 thread or 64, with or without
+// retained records.
 #pragma once
 
 #include <cstdint>

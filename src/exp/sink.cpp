@@ -25,14 +25,13 @@ constexpr std::uint64_t kSaltSvcBatches = 0x9E8;
 constexpr std::uint64_t kSaltSvcSlots = 0x9E9;
 
 /// Max-heap order on run index: the *highest* retained run index sits at
-/// the top, so bounded rings deterministically keep the lowest indices.
+/// the top, so the failure ring deterministically keeps the lowest indices.
 bool run_less(const RunRecord& a, const RunRecord& b) { return a.run < b.run; }
 
-/// Bounded insert keeping the `cap` records with the lowest run indices.
-void bounded_push(std::vector<RunRecord>& heap, const RunRecord& r,
-                  std::size_t cap) {
-  if (cap == 0) return;
-  if (heap.size() < cap) {
+/// Bounded insert keeping the kFailureCapacity failures with the lowest
+/// run indices.
+void push_failure(std::vector<RunRecord>& heap, const RunRecord& r) {
+  if (heap.size() < CellAccumulator::kFailureCapacity) {
     heap.push_back(r);
     std::push_heap(heap.begin(), heap.end(), run_less);
     return;
@@ -139,7 +138,7 @@ void CellAccumulator::add(const RunRecord& r) {
                       mix64(r.seed, kSaltDecisionTime));
   }
   if (!r.safe_ok) ++violations;
-  if (!r.success) bounded_push(failures, r, kFailureCapacity);
+  if (!r.success) push_failure(failures, r);
   obs.add(r.obs);
   if (r.service.active) {
     svc_ops.add(r.service.ops, mix64(r.seed, kSaltSvcOps));
@@ -171,7 +170,7 @@ void CellAccumulator::merge(const CellAccumulator& other) {
   svc_batches.merge(other.svc_batches);
   svc_slots.merge(other.svc_slots);
   for (const RunRecord& r : other.failures) {
-    bounded_push(failures, r, kFailureCapacity);
+    push_failure(failures, r);
   }
   obs.merge(other.obs);
 }
@@ -203,18 +202,24 @@ void CollectingSink::Slot::fold(CellAccumulator&& chunk) {
   }
 }
 
-void CollectingSink::resume(CheckpointData checkpoint) {
-  const auto fold = [&](std::uint64_t pos, CellAccumulator&& acc) {
+std::uint64_t CollectingSink::resume(CheckpointData checkpoint) {
+  std::uint64_t completed = 0;
+  for (auto& [pos, trail] : checkpoint.chunks) {
     HYCO_CHECK_MSG(pos < slots_.size(),
                    "resume: cell position " << pos << " out of range");
     Slot& slot = *slots_[pos];
     const std::lock_guard<std::mutex> lock(slot.mu);
-    slot.fold(std::move(acc));
-  };
-  for (auto& [pos, acc] : checkpoint.cells) fold(pos, std::move(acc));
-  for (auto& [pos, trail] : checkpoint.chunks) {
-    for (ChunkCheckpoint& c : trail) fold(pos, std::move(c.acc));
+    std::uint64_t covered = 0;
+    for (ChunkCheckpoint& c : trail) {
+      covered += c.end - c.begin;
+      slot.fold(std::move(c.acc));
+    }
+    if (covered == cells_[pos].runs) {
+      slot.acc.finalize();
+      ++completed;
+    }
   }
+  return completed;
 }
 
 void CollectingSink::absorb(std::uint64_t cell_pos, std::uint64_t begin,
@@ -230,14 +235,7 @@ void CollectingSink::absorb(std::uint64_t cell_pos, std::uint64_t begin,
   const std::lock_guard<std::mutex> lock(slot.mu);
   slot.fold(std::move(chunk));
   if (opts_.retain_records) {
-    const auto cap = opts_.max_records_per_cell;
-    if (cap == std::numeric_limits<std::uint64_t>::max()) {
-      slot.records.insert(slot.records.end(), records.begin(), records.end());
-    } else {
-      for (const RunRecord& r : records) {
-        bounded_push(slot.records, r, static_cast<std::size_t>(cap));
-      }
-    }
+    slot.records.insert(slot.records.end(), records.begin(), records.end());
   }
 }
 

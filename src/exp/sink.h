@@ -5,21 +5,19 @@
 // bounded worst-failure ring — and hand it to a CollectingSink. Every
 // accumulator component is a pure function of the run *multiset* (integer
 // sums; priority-keyed reservoirs; run-index-bounded rings), so merging
-// chunks in any order or grouping produces bit-identical cell statistics:
-// streaming execution is byte-identical to batch at any thread count by
-// construction, and memory stays O(cells), not O(runs).
+// chunks in any order or grouping produces bit-identical cell statistics
+// at any thread count by construction, and memory stays O(cells), not
+// O(runs).
 //
 // CollectingSink is the only place chunks merge: the local executor and
 // the distributed coordinator both fold into it, and a resumed sweep seeds
-// it with its checkpoint. It can optionally retain raw RunRecords (batch
-// mode — the thin record-keeping sink existing tests pin
-// streaming-vs-batch equivalence against), and invokes per-chunk and
-// per-cell hooks (checkpoint appends, live progress).
+// it with its checkpoint. It can optionally retain raw RunRecords (for
+// callers that read per-run metrics; sweep never does), and invokes
+// per-chunk and per-cell hooks (checkpoint appends, live progress).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -184,7 +182,7 @@ struct ChunkProfile {
 };
 
 /// One finished cell: its grid coordinates plus merged statistics, and —
-/// batch mode only — the retained per-run records.
+/// when the sink retains records — the per-run records.
 struct CellResult {
   explicit CellResult(ExperimentCell c) : cell(std::move(c)) {}
   CellResult(ExperimentCell c, CellAccumulator a)
@@ -192,7 +190,7 @@ struct CellResult {
 
   ExperimentCell cell;
   CellAccumulator acc;
-  /// Raw per-run metrics in run order; empty under streaming sinks.
+  /// Raw per-run metrics in run order; empty unless the sink retains them.
   std::vector<RunRecord> records;
   /// Wall-clock execution profile; all-zero unless the executor profiled.
   ChunkProfile profile;
@@ -233,21 +231,16 @@ struct RunSpan {
 /// Where executed chunks land, and the only place they merge: the local
 /// executor and the distributed coordinator both fold into it, and a
 /// resumed sweep seeds it with its checkpoint. It merges chunks into one
-/// accumulator per cell and yields CellResults in cell order. With
-/// `retain_records` it is the thin batch-mode sink (records kept, bounded
-/// by `max_records_per_cell`, the lowest run indices winning —
-/// deterministic under any schedule); without, it is the bounded-memory
-/// streaming sink. The executor-facing methods may be called concurrently
-/// from worker threads.
+/// accumulator per cell and yields CellResults in cell order; memory stays
+/// O(cells) unless `retain_records` also keeps every run's record. The
+/// executor-facing methods may be called concurrently from worker threads.
 class CollectingSink {
  public:
   struct Options {
     bool retain_records = false;
-    std::uint64_t max_records_per_cell =
-        std::numeric_limits<std::uint64_t>::max();
     /// Invoked once per finished cell (from a worker thread; completions
     /// are serialized by the sink) with the cell and its final, finalized
-    /// accumulator — the checkpoint-append / live-emission hook.
+    /// accumulator — the live-progress hook.
     std::function<void(const ExperimentCell&, const CellAccumulator&)>
         on_complete;
     /// Invoked once per absorbed chunk (serialized by the sink) with the
@@ -261,8 +254,8 @@ class CollectingSink {
 
   CollectingSink(std::vector<ExperimentCell> cells, Options opts);
 
-  /// True when workers should also collect raw RunRecords per chunk
-  /// (batch mode); a streaming sink never sees a record.
+  /// True when workers should also collect raw RunRecords per chunk;
+  /// otherwise the sink never sees a record.
   [[nodiscard]] bool wants_records() const { return opts_.retain_records; }
 
   /// Folds one finished chunk — runs [begin, end) of cell `cell_pos`
@@ -288,11 +281,13 @@ class CollectingSink {
 
   /// Seeds the cells with the runs a resumed checkpoint already folded
   /// (its keys are cell positions, which on a whole expanded grid are the
-  /// cell indices; see plan_resume). A cell block becomes that cell's
-  /// finished result, and a chunk trail is merged into the cell before
-  /// the runs still to execute. No hook fires for them: the checkpoint
-  /// already holds those blocks. Call before execution starts.
-  void resume(CheckpointData checkpoint);
+  /// cell indices; see plan_resume): each chunk trail is merged into its
+  /// cell before the runs still to execute. A cell the trail covers in
+  /// full never reaches on_cell_complete(), so it is finalized here;
+  /// returns how many such cells there are. No hook fires for any of
+  /// them: the checkpoint already holds those blocks. Call before
+  /// execution starts.
+  std::uint64_t resume(CheckpointData checkpoint);
 
   /// Results in cell order; call after the executor returns.
   [[nodiscard]] std::vector<CellResult> take_results();

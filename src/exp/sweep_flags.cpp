@@ -24,10 +24,8 @@ const std::vector<SweepFlag>& sweep_flag_registry() {
       {"replay", "re-run up to N failing seeds with tracing on"},
       {"quiet", "suppress the ASCII table"},
       // Streaming pipeline.
-      {"stream", "drop per-run records; memory stays O(cells)"},
-      {"max-records", "retain at most N records per cell (batch mode)"},
       {"chunk", "max runs per local work unit"},
-      {"checkpoint", "append completed chunk/cell accumulator state to PATH"},
+      {"checkpoint", "append each completed chunk's accumulator state to PATH"},
       {"resume", "load the checkpoint first and skip its completed work"},
       {"progress", "1 Hz stderr line: runs & cells done, runs/s, ETA"},
       // Distributed sweeps.

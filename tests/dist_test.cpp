@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -491,21 +492,81 @@ dist::WorkerOptions worker_options(std::uint16_t port, unsigned sessions) {
   return w;
 }
 
+/// A well-formed Hello for this grid.
+dist::HelloMsg make_hello(std::uint64_t fp, std::size_t n_cells,
+                          std::uint64_t reconnect = 0) {
+  dist::HelloMsg hello;
+  hello.fingerprint = fp;
+  hello.cells = n_cells;
+  hello.reconnect = reconnect;
+  return hello;
+}
+
+/// A raw session that completes the handshake and takes one lease it never
+/// folds. Returns its socket, or -1 when any step fails.
+int take_one_lease(std::uint16_t port, std::uint64_t fp, std::size_t n_cells) {
+  const int fd = dist::connect_once({"127.0.0.1", port});
+  if (fd < 0) return -1;
+  dist::Frame f;
+  const bool leased =
+      dist::send_frame(fd, dist::MsgType::kHello,
+                       dist::encode_hello(make_hello(fp, n_cells))) &&
+      dist::recv_frame(fd, f) && f.type == dist::MsgType::kWelcome &&
+      dist::send_frame(fd, dist::MsgType::kLeaseReq, "") &&
+      dist::recv_frame(fd, f) && f.type == dist::MsgType::kLease;
+  if (!leased) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(DistributedSweep, TwoWorkersMatchLocalByteForByte) {
+  // Both workers get work by construction, not by timing: a raw session
+  // holds one lease so the grid cannot finish, the one-session worker
+  // starts only after a run has folded (which only the two-session worker
+  // can have done), and the held lease goes back once all four
+  // connections are up.
   const ExperimentSpec spec = dist_spec();
   const std::string reference = reference_artifacts(spec);
   const auto cells = spec.expand();
   const std::uint64_t fp = grid_fingerprint(cells);
 
+  std::mutex mu;
+  std::condition_variable changed;
+  std::uint64_t folded = 0;
+  std::size_t connections = 0;
+  CoordinatorOptions opts = test_coordinator_options();
+  opts.progress = [&](std::uint64_t runs, std::uint64_t, std::size_t conns) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      folded = runs;
+      connections = conns;
+    }
+    changed.notify_all();
+  };
+  const auto await = [&](const auto& ready) {
+    std::unique_lock<std::mutex> lock(mu);
+    return changed.wait_for(lock, std::chrono::minutes(1), ready);
+  };
+
   const std::string distributed =
-      serve_grid(spec, test_coordinator_options(), [&](std::uint16_t port) {
+      serve_grid(spec, std::move(opts), [&](std::uint16_t port) {
+        const int held = take_one_lease(port, fp, cells.size());
+        ASSERT_GE(held, 0);
         std::thread w1([&] {
           const auto r = dist::run_worker(cells, fp, worker_options(port, 2));
           EXPECT_TRUE(r.completed) << r.error;
           EXPECT_GT(r.runs_executed, 0u);
         });
-        const auto r2 = dist::run_worker(cells, fp, worker_options(port, 1));
-        EXPECT_TRUE(r2.completed) << r2.error;
+        EXPECT_TRUE(await([&] { return folded > 0; }));
+        std::thread w2([&] {
+          const auto r2 = dist::run_worker(cells, fp, worker_options(port, 1));
+          EXPECT_TRUE(r2.completed) << r2.error;
+        });
+        EXPECT_TRUE(await([&] { return connections == 4; }));
+        ::close(held);
+        w2.join();
         w1.join();
       });
   EXPECT_EQ(distributed, reference);
@@ -541,19 +602,8 @@ TEST(DistributedSweep, WorkerKilledMidChunkLeavesOutputIdentical) {
       serve_grid(spec, test_coordinator_options(), [&](std::uint16_t port) {
         // The "killed" worker: completes the handshake, takes a lease, and
         // vanishes without folding it. Its chunk must re-queue.
-        const int fd = dist::connect_once({"127.0.0.1", port});
+        const int fd = take_one_lease(port, fp, cells.size());
         ASSERT_GE(fd, 0);
-        dist::HelloMsg hello;
-        hello.fingerprint = fp;
-        hello.cells = cells.size();
-        ASSERT_TRUE(dist::send_frame(fd, dist::MsgType::kHello,
-                                     dist::encode_hello(hello)));
-        dist::Frame f;
-        ASSERT_TRUE(dist::recv_frame(fd, f));
-        ASSERT_EQ(f.type, dist::MsgType::kWelcome);
-        ASSERT_TRUE(dist::send_frame(fd, dist::MsgType::kLeaseReq, ""));
-        ASSERT_TRUE(dist::recv_frame(fd, f));
-        ASSERT_EQ(f.type, dist::MsgType::kLease);
         ::close(fd);  // SIGKILL equivalent: the TCP connection just dies
 
         const auto r = dist::run_worker(cells, fp, worker_options(port, 2));
@@ -575,19 +625,8 @@ TEST(DistributedSweep, ExpiredLeaseOnWedgedWorkerIsReassigned) {
       serve_grid(spec, std::move(opts), [&](std::uint16_t port) {
         // The wedged worker: leases a chunk and then sits on it, connection
         // alive, well past the lease TTL.
-        wedged_fd = dist::connect_once({"127.0.0.1", port});
+        wedged_fd = take_one_lease(port, fp, cells.size());
         ASSERT_GE(wedged_fd, 0);
-        dist::HelloMsg hello;
-        hello.fingerprint = fp;
-        hello.cells = cells.size();
-        ASSERT_TRUE(dist::send_frame(wedged_fd, dist::MsgType::kHello,
-                                     dist::encode_hello(hello)));
-        dist::Frame f;
-        ASSERT_TRUE(dist::recv_frame(wedged_fd, f));
-        ASSERT_EQ(f.type, dist::MsgType::kWelcome);
-        ASSERT_TRUE(dist::send_frame(wedged_fd, dist::MsgType::kLeaseReq, ""));
-        ASSERT_TRUE(dist::recv_frame(wedged_fd, f));
-        ASSERT_EQ(f.type, dist::MsgType::kLease);
         std::this_thread::sleep_for(std::chrono::milliseconds(400));
 
         // A live worker drains the grid, the expired chunk included.
@@ -596,16 +635,6 @@ TEST(DistributedSweep, ExpiredLeaseOnWedgedWorkerIsReassigned) {
       });
   if (wedged_fd >= 0) ::close(wedged_fd);
   EXPECT_EQ(distributed, reference_artifacts(spec));
-}
-
-/// A well-formed Hello for this grid.
-dist::HelloMsg make_hello(std::uint64_t fp, std::size_t n_cells,
-                          std::uint64_t reconnect = 0) {
-  dist::HelloMsg hello;
-  hello.fingerprint = fp;
-  hello.cells = n_cells;
-  hello.reconnect = reconnect;
-  return hello;
 }
 
 TEST(DistributedSweep, AdaptiveLeaseTailShrinksToFloor) {
@@ -703,8 +732,8 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   // dies abruptly after three (every socket torn down, no Done — the
   // injected SIGKILL), and a second coordinator resumes from the
   // checkpoint on the *same port*. The workers, started before the crash,
-  // ride it out with backoff + re-hello. Checkpointed cells/chunks merge
-  // under the restarted run's results; the combined artifacts must be
+  // ride it out with backoff + re-hello. Checkpointed chunks merge under
+  // the restarted run's results; the combined artifacts must be
   // byte-identical to a never-crashed run.
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
@@ -716,10 +745,6 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
                            std::uint64_t end, const CellAccumulator& acc) {
     append_checkpoint_chunk(ckpt, cell.index, begin, end, acc);
-  };
-  sink_opts.on_complete = [&](const ExperimentCell& cell,
-                              const CellAccumulator& acc) {
-    append_checkpoint_cell(ckpt, cell.index, acc);
   };
 
   CoordinatorOptions opts = test_coordinator_options();
@@ -1027,7 +1052,6 @@ TEST(ChunkCheckpoint, MidCellResumeMatchesUninterruptedByteForByte) {
   }
 
   ResumePlan plan = plan_resume(cells, load_checkpoint_data(file, fp));
-  EXPECT_TRUE(plan.checkpoint.cells.empty());
   ASSERT_EQ(plan.checkpoint.chunks.size(), 1u);
   EXPECT_EQ(plan.resumed_runs, 180u);
   ASSERT_EQ(plan.spans.size(), 2u);  // [120, 200) and [260, 300)
@@ -1045,7 +1069,7 @@ TEST(ChunkCheckpoint, MidCellResumeMatchesUninterruptedByteForByte) {
   EXPECT_EQ(render_artifacts(spec.name, sink.take_results()), reference);
 }
 
-TEST(ChunkCheckpoint, LoaderDropsOverlapsTruncationAndCoveredChunks) {
+TEST(ChunkCheckpoint, LoaderDropsDuplicatesOverlapsAndTruncation) {
   const auto cells = dist_spec().expand();
   const std::uint64_t fp = grid_fingerprint(cells);
 
@@ -1055,22 +1079,21 @@ TEST(ChunkCheckpoint, LoaderDropsOverlapsTruncationAndCoveredChunks) {
     acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
   }
 
-  // Cell 0 has a cell block → its chunk blocks are redundant. Cell 1 keeps
-  // [0,10) and [10,20); an overlapping [5,15) (a raced duplicate) drops.
+  // Cell 0's [0,10) is written twice (a re-executed chunk) → one copy
+  // stays. Cell 1 keeps [0,10) and [10,20); an overlapping [5,15) (a raced
+  // duplicate) drops.
   std::stringstream file;
   write_checkpoint_header(file, fp);
   append_checkpoint_chunk(file, 0, 0, 10, acc);
-  CellAccumulator whole = acc;
-  whole.finalize();
-  append_checkpoint_cell(file, 0, whole);
+  append_checkpoint_chunk(file, 0, 0, 10, acc);
   append_checkpoint_chunk(file, 1, 0, 10, acc);
   append_checkpoint_chunk(file, 1, 5, 15, acc);
   append_checkpoint_chunk(file, 1, 10, 20, acc);
 
   const CheckpointData data = load_checkpoint_data(file, fp);
-  EXPECT_EQ(data.cells.size(), 1u);
-  EXPECT_TRUE(data.cells.count(0));
-  ASSERT_EQ(data.chunks.size(), 1u);
+  ASSERT_EQ(data.chunks.size(), 2u);
+  ASSERT_EQ(data.chunks.at(0).size(), 1u);
+  EXPECT_EQ(data.chunks.at(0)[0].end, 10u);
   const auto& list = data.chunks.at(1);
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list[0].begin, 0u);
@@ -1091,7 +1114,7 @@ TEST(ChunkCheckpoint, LoaderDropsOverlapsTruncationAndCoveredChunks) {
   EXPECT_EQ(partial.chunks.at(1).size(), 1u);
 }
 
-TEST(ChunkCheckpoint, CompactionMergesChainsAndDropsCoveredTrails) {
+TEST(ChunkCheckpoint, CompactionMergesEachChainIntoOneBlock) {
   const auto cells = dist_spec().expand();
   const std::uint64_t fp = grid_fingerprint(cells);
 
@@ -1101,14 +1124,13 @@ TEST(ChunkCheckpoint, CompactionMergesChainsAndDropsCoveredTrails) {
     acc.add(extract_record(k, cfg.seed, run_consensus(cfg)));
   }
 
-  // Cell 0: chunk trail + cell block. Cell 1: a contiguous [0,10)+[10,20)
-  // chain and a detached [30,40).
+  // Cell 0: a trail covering all 40 runs. Cell 1: a contiguous
+  // [0,10)+[10,20) chain and a detached [30,40).
   std::stringstream file;
   write_checkpoint_header(file, fp);
-  append_checkpoint_chunk(file, 0, 0, 10, acc);
-  CellAccumulator whole = acc;
-  whole.finalize();
-  append_checkpoint_cell(file, 0, whole);
+  for (std::uint64_t b = 0; b < 40; b += 10) {
+    append_checkpoint_chunk(file, 0, b, b + 10, acc);
+  }
   append_checkpoint_chunk(file, 1, 0, 10, acc);
   append_checkpoint_chunk(file, 1, 10, 20, acc);
   append_checkpoint_chunk(file, 1, 30, 40, acc);
@@ -1118,12 +1140,14 @@ TEST(ChunkCheckpoint, CompactionMergesChainsAndDropsCoveredTrails) {
   write_compacted_checkpoint(compact, fp, data);
   EXPECT_LT(compact.str().size(), file.str().size());
 
-  // The rewrite keeps the cell block, merges the chain into one block, and
-  // leaves the gap before [30,40) open.
+  // The rewrite lands the finished cell as the one block [0,40), merges
+  // cell 1's chain into one block, and leaves the gap before [30,40) open.
   const CheckpointData out = load_checkpoint_data(compact, fp);
-  EXPECT_EQ(out.cells.size(), 1u);
-  EXPECT_EQ(out.cells.count(0), 1u);
-  ASSERT_EQ(out.chunks.size(), 1u);
+  ASSERT_EQ(out.chunks.size(), 2u);
+  ASSERT_EQ(out.chunks.at(0).size(), 1u);
+  EXPECT_EQ(out.chunks.at(0)[0].begin, 0u);
+  EXPECT_EQ(out.chunks.at(0)[0].end, 40u);
+  EXPECT_EQ(out.chunks.at(0)[0].acc.runs, 40u);
   const auto& list = out.chunks.at(1);
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list[0].begin, 0u);
@@ -1168,7 +1192,6 @@ TEST(ChunkCheckpoint, CompactedRewriteResumesByteForByte) {
   EXPECT_LT(compact.str().size(), file.str().size());
 
   const CheckpointData reloaded = load_checkpoint_data(compact, fp);
-  EXPECT_TRUE(reloaded.cells.empty());
   ASSERT_EQ(reloaded.chunks.size(), 1u);
   const auto& list = reloaded.chunks.at(0);
   ASSERT_EQ(list.size(), 2u);  // [20,30)+[30,40) merged; the gap survives

@@ -1,7 +1,8 @@
-// docs/cli.md must document every flag the sweep binary accepts: the
-// registry in src/exp/sweep_flags.cpp is the single source of truth (the
-// binary rejects anything outside it), and this test fails the build when
-// a flag lands without its documentation.
+// docs/cli.md must document exactly the flags the sweep binary accepts:
+// the registry in src/exp/sweep_flags.cpp is the single source of truth
+// (the binary rejects anything outside it), and these tests fail the build
+// when a flag lands without its documentation or leaves the registry while
+// its table row stays.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -31,6 +32,26 @@ TEST(DocsCli, EveryRegisteredFlagIsDocumented) {
         << "docs/cli.md does not mention --" << f.name
         << " (registered in src/exp/sweep_flags.cpp as: " << f.summary << ")";
   }
+}
+
+TEST(DocsCli, EveryDocumentedFlagIsRegistered) {
+  const std::string doc = read_doc("/docs/cli.md");
+  ASSERT_FALSE(doc.empty());
+  // A flag's row opens with "| `--name" (then "=VALUE`" or "`").
+  const std::string row = "| `--";
+  std::size_t rows = 0;
+  std::istringstream lines(doc);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(row, 0) != 0) continue;
+    const std::size_t end = line.find_first_of("=`", row.size());
+    ASSERT_NE(end, std::string::npos) << line;
+    const std::string name = line.substr(row.size(), end - row.size());
+    EXPECT_TRUE(is_sweep_flag(name))
+        << "docs/cli.md documents --" << name
+        << ", which src/exp/sweep_flags.cpp does not register";
+    ++rows;
+  }
+  EXPECT_GE(rows, 40u) << "docs/cli.md flag rows did not parse";
 }
 
 TEST(DocsCli, RegistryHasNoDuplicatesAndRejectsUnknowns) {

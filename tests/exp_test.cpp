@@ -1,7 +1,8 @@
 // Unit tests for the experiment engine (src/exp/): grid expansion,
-// thread-count-independent execution, the streaming sink pipeline
-// (streaming-vs-batch byte equivalence, bounded failure rings, checkpoint
-// save/load/resume), report emission, and failure replay.
+// thread-count-independent execution, the streaming sink pipeline (byte
+// equivalence with and without record retention, bounded failure rings,
+// checkpoint save/load/resume, older checkpoints), report emission, and
+// failure replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -272,7 +273,7 @@ TEST(StreamingPipeline, StreamingSinkRetainsNoRecords) {
   }
 }
 
-TEST(StreamingPipeline, FailureRingKeepsLowestRunsAndRecordCapApplies) {
+TEST(StreamingPipeline, FailureRingKeepsLowestRuns) {
   ExperimentSpec spec = mixed_spec();
   spec.algorithms = {Algorithm::HybridLocalCoin};
   spec.layouts = {ClusterLayout::even(4, 2)};
@@ -289,10 +290,7 @@ TEST(StreamingPipeline, FailureRingKeepsLowestRunsAndRecordCapApplies) {
   ParallelExecutor::Options opts;
   opts.threads = 4;
   opts.chunk_size = 2;
-  CollectingSink::Options sink_opts;
-  sink_opts.retain_records = true;
-  sink_opts.max_records_per_cell = 4;
-  CollectingSink sink(cells, std::move(sink_opts));
+  CollectingSink sink(cells, {});
   ParallelExecutor(opts).run(cells, sink);
   const auto results = sink.take_results();
   ASSERT_EQ(results.size(), 1u);
@@ -300,8 +298,6 @@ TEST(StreamingPipeline, FailureRingKeepsLowestRunsAndRecordCapApplies) {
   EXPECT_EQ(r.terminated(), 0u);  // covering set dead => every run fails
   ASSERT_EQ(r.failures().size(), kRing);  // capped, lowest runs win, sorted
   for (std::size_t i = 0; i < kRing; ++i) EXPECT_EQ(r.failures()[i].run, i);
-  ASSERT_EQ(r.records.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(r.records[i].run, i);
 }
 
 TEST(StreamingPipeline, CellCompletionFiresOncePerCell) {
@@ -381,14 +377,16 @@ TEST(Checkpoint, RoundTripsCellStateExactly) {
   std::stringstream file;
   write_checkpoint_header(file, fp);
   for (const auto& r : results) {
-    append_checkpoint_cell(file, r.cell.index, r.acc);
+    append_checkpoint_chunk(file, r.cell.index, 0, r.runs(), r.acc);
   }
 
   const auto reload = [&](std::istream& in) {
-    const auto loaded = load_checkpoint_data(in, fp).cells;
+    const auto loaded = load_checkpoint_data(in, fp).chunks;
     EXPECT_EQ(loaded.size(), results.size());
     std::vector<CellResult> rebuilt;
-    for (const auto& c : cells) rebuilt.emplace_back(c, loaded.at(c.index));
+    for (const auto& c : cells) {
+      rebuilt.emplace_back(c, loaded.at(c.index).at(0).acc);
+    }
     return render_artifacts(spec.name, rebuilt);
   };
   const std::string expected = render_artifacts(spec.name, results);
@@ -412,10 +410,13 @@ TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
   const auto results = ParallelExecutor().run(cells);
   const std::uint64_t fp = grid_fingerprint(cells);
 
+  const auto append_cell = [&](std::ostream& out, const CellResult& r) {
+    append_checkpoint_chunk(out, r.cell.index, 0, r.runs(), r.acc);
+  };
   std::stringstream file;
   write_checkpoint_header(file, fp);
-  append_checkpoint_cell(file, results[0].cell.index, results[0].acc);
-  append_checkpoint_cell(file, results[1].cell.index, results[1].acc);
+  append_cell(file, results[0]);
+  append_cell(file, results[1]);
   std::string text = file.str();
 
   // Fingerprint mismatch refuses outright.
@@ -424,26 +425,26 @@ TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
 
   // A truncated trailing block (kill mid-append) is dropped silently.
   std::istringstream cut(text.substr(0, text.size() - 40));
-  const auto partial = load_checkpoint_data(cut, fp).cells;
+  const auto partial = load_checkpoint_data(cut, fp).chunks;
   EXPECT_EQ(partial.size(), 1u);
   EXPECT_TRUE(partial.count(results[0].cell.index));
 
   // A partial block *followed by* complete blocks (kill mid-append, then a
   // resumed session appends more) must cost only the partial cell. The cut
   // lands after whole lines, so the loader is mid-block when it reads the
-  // next block's "cell" header — it must resync on that line, not swallow
+  // next block's "chunk" header — it must resync on that line, not swallow
   // the complete block that follows it.
   std::ostringstream spliced;
   write_checkpoint_header(spliced, fp);
   const std::string block0 = text.substr(
-      text.find("cell "), text.find("done ") - text.find("cell "));
+      text.find("chunk "), text.find("done ") - text.find("chunk "));
   std::size_t third_newline = 0;
   for (int i = 0; i < 3; ++i) third_newline = block0.find('\n', third_newline) + 1;
   spliced << block0.substr(0, third_newline);  // header + first metric pair
-  append_checkpoint_cell(spliced, results[1].cell.index, results[1].acc);
-  append_checkpoint_cell(spliced, results[2].cell.index, results[2].acc);
+  append_cell(spliced, results[1]);
+  append_cell(spliced, results[2]);
   std::istringstream spliced_in(spliced.str());
-  const auto recovered = load_checkpoint_data(spliced_in, fp).cells;
+  const auto recovered = load_checkpoint_data(spliced_in, fp).chunks;
   EXPECT_EQ(recovered.size(), 2u);
   EXPECT_TRUE(recovered.count(results[1].cell.index));
   EXPECT_TRUE(recovered.count(results[2].cell.index));
@@ -502,7 +503,7 @@ TEST(Checkpoint, ResumedRunMatchesUninterruptedByteForByte) {
       render_artifacts(spec.name, ParallelExecutor().run(cells));
 
   // "Interrupted" run: execute only the first half of the cells,
-  // checkpointing each as it completes.
+  // checkpointing each chunk as it completes.
   std::stringstream file;
   write_checkpoint_header(file, fp);
   {
@@ -510,10 +511,10 @@ TEST(Checkpoint, ResumedRunMatchesUninterruptedByteForByte) {
                                            cells.begin() + cells.size() / 2);
     std::mutex mu;
     CollectingSink::Options sink_opts;
-    sink_opts.on_complete = [&](const ExperimentCell& cell,
-                                const CellAccumulator& acc) {
+    sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
+                             std::uint64_t end, const CellAccumulator& acc) {
       const std::lock_guard<std::mutex> lock(mu);
-      append_checkpoint_cell(file, cell.index, acc);
+      append_checkpoint_chunk(file, cell.index, begin, end, acc);
     };
     CollectingSink sink(first_half, std::move(sink_opts));
     ParallelExecutor::Options opts;
@@ -523,7 +524,7 @@ TEST(Checkpoint, ResumedRunMatchesUninterruptedByteForByte) {
 
   // Resume: load, run only what's missing, emit.
   ResumePlan plan = plan_resume(cells, load_checkpoint_data(file, fp));
-  ASSERT_EQ(plan.checkpoint.cells.size(), cells.size() / 2);
+  ASSERT_EQ(plan.checkpoint.chunks.size(), cells.size() / 2);
   ASSERT_EQ(plan.spans.size(), cells.size() - cells.size() / 2);
   CollectingSink sink(cells, {});
   sink.resume(std::move(plan.checkpoint));
@@ -541,9 +542,9 @@ TEST(ResumePlan, DropsForeignBlocksAndCompletesCoveredCells) {
   const std::string reference = render_artifacts(spec.name, whole);
 
   // The interrupted session folded all of cell 0 and runs [0, 2) of cell 1
-  // as chunk blocks, and no cell block. The file also holds a finished
-  // cell 2, a cell block for a cell outside the grid, and a cell-1 chunk
-  // that runs past the cell's run count.
+  // as chunk blocks. The file also holds a finished cell 2 as one block, a
+  // block for a cell outside the grid, and a cell-1 chunk that runs past
+  // the cell's run count.
   std::stringstream file;
   write_checkpoint_header(file, fp);
   {
@@ -557,17 +558,20 @@ TEST(ResumePlan, DropsForeignBlocksAndCompletesCoveredCells) {
     opts.threads = 1;
     ParallelExecutor(opts).run(cells, {{0, 0, runs}, {1, 0, 2}}, sink);
   }
-  append_checkpoint_cell(file, 2, whole[2].acc);
-  append_checkpoint_cell(file, 99, whole[3].acc);
+  append_checkpoint_chunk(file, 2, 0, runs, whole[2].acc);
+  append_checkpoint_chunk(file, 99, 0, runs, whole[3].acc);
   append_checkpoint_chunk(file, 1, 2, runs + 3, whole[1].acc);
 
   ResumePlan plan = plan_resume(cells, load_checkpoint_data(file, fp));
-  // Cell 0's trail became a cell block; the foreign blocks are gone.
-  EXPECT_EQ(plan.checkpoint.cells.size(), 2u);
-  EXPECT_EQ(plan.checkpoint.cells.count(0), 1u);
-  EXPECT_EQ(plan.checkpoint.cells.at(0).runs, runs);
-  EXPECT_EQ(plan.checkpoint.cells.count(2), 1u);
-  ASSERT_EQ(plan.checkpoint.chunks.size(), 1u);
+  // Cells 0 and 2 are covered; the foreign blocks are gone.
+  ASSERT_EQ(plan.checkpoint.chunks.size(), 3u);
+  std::uint64_t cell0_runs = 0;
+  for (const ChunkCheckpoint& c : plan.checkpoint.chunks.at(0)) {
+    cell0_runs += c.acc.runs;
+  }
+  EXPECT_EQ(cell0_runs, runs);
+  ASSERT_EQ(plan.checkpoint.chunks.at(2).size(), 1u);
+  EXPECT_EQ(plan.checkpoint.chunks.at(2)[0].end, runs);
   ASSERT_EQ(plan.checkpoint.chunks.at(1).size(), 1u);
   EXPECT_EQ(plan.checkpoint.chunks.at(1)[0].end, 2u);
   EXPECT_EQ(plan.resumed_runs, runs + runs + 2);
@@ -583,13 +587,158 @@ TEST(ResumePlan, DropsForeignBlocksAndCompletesCoveredCells) {
   }
 
   CollectingSink sink(cells, {});
-  sink.resume(std::move(plan.checkpoint));
+  EXPECT_EQ(sink.resume(std::move(plan.checkpoint)), 2u);
   ParallelExecutor().run(cells, plan.spans, sink);
   const auto results = sink.take_results();
   ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].cell.index, i);
     EXPECT_EQ(results[i].runs(), runs);
+  }
+  EXPECT_EQ(render_artifacts(spec.name, results), reference);
+}
+
+/// Resumes `text` over `cells` the way sweep --resume does, checks that the
+/// checkpoint covered `resumed_runs` runs, and renders the artifacts.
+std::string resume_artifacts(const std::string& name,
+                             const std::vector<ExperimentCell>& cells,
+                             const std::string& text,
+                             std::uint64_t resumed_runs) {
+  std::istringstream in(text);
+  ResumePlan plan =
+      plan_resume(cells, load_checkpoint_data(in, grid_fingerprint(cells)));
+  EXPECT_EQ(plan.resumed_runs, resumed_runs);
+  CollectingSink sink(cells, {});
+  sink.resume(std::move(plan.checkpoint));
+  ParallelExecutor().run(cells, plan.spans, sink);
+  return render_artifacts(name, sink.take_results());
+}
+
+/// The block older writers appended for each finished cell, after its
+/// chunk blocks: the cell's finalized accumulator between "cell I RUNS
+/// TERM VIOL" and "done I".
+void append_legacy_cell(std::ostream& out, std::uint64_t cell_index,
+                        const CellAccumulator& acc) {
+  out << "cell " << cell_index << ' ' << acc.runs << ' ' << acc.terminated
+      << ' ' << acc.violations << '\n';
+  write_accumulator_state(out, acc);
+  out << "done " << cell_index << '\n';
+}
+
+TEST(Checkpoint, OlderCellBlocksStillResume) {
+  const ExperimentSpec spec = mixed_spec();
+  const auto cells = spec.expand();
+  const std::uint64_t runs = spec.runs_per_cell;
+  const std::uint64_t fp = grid_fingerprint(cells);
+  const auto whole = ParallelExecutor().run(cells);
+  const std::string reference = render_artifacts(spec.name, whole);
+
+  // An older session cut after half the grid: each finished cell's chunk
+  // blocks, then its cell block.
+  std::stringstream trail;
+  write_checkpoint_header(trail, fp);
+  {
+    const std::vector<ExperimentCell> first_half(
+        cells.begin(), cells.begin() + cells.size() / 2);
+    CollectingSink::Options sink_opts;
+    sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
+                             std::uint64_t end, const CellAccumulator& acc) {
+      append_checkpoint_chunk(trail, cell.index, begin, end, acc);
+    };
+    sink_opts.on_complete = [&](const ExperimentCell& cell,
+                                const CellAccumulator& acc) {
+      append_legacy_cell(trail, cell.index, acc);
+    };
+    CollectingSink sink(first_half, std::move(sink_opts));
+    ParallelExecutor::Options opts;
+    opts.threads = 4;
+    opts.chunk_size = 2;
+    ParallelExecutor(opts).run(first_half, sink);
+  }
+  // Each cell block overlaps its own chunk blocks, and one copy of the
+  // runs stays.
+  std::istringstream trail_in(trail.str());
+  const CheckpointData loaded = load_checkpoint_data(trail_in, fp);
+  ASSERT_EQ(loaded.chunks.size(), cells.size() / 2);
+  for (const auto& [index, list] : loaded.chunks) {
+    std::uint64_t covered = 0;
+    for (const ChunkCheckpoint& c : list) covered += c.end - c.begin;
+    EXPECT_EQ(covered, runs) << "cell " << index;
+  }
+  const std::uint64_t half = cells.size() / 2 * runs;
+  EXPECT_EQ(resume_artifacts(spec.name, cells, trail.str(), half), reference);
+
+  // What an older --resume compacted that file to: cell blocks only. Each
+  // loads as its cell's one chunk [0, runs).
+  std::stringstream compacted;
+  write_checkpoint_header(compacted, fp);
+  for (std::size_t i = 0; i < cells.size() / 2; ++i) {
+    append_legacy_cell(compacted, i, whole[i].acc);
+  }
+  std::istringstream compacted_in(compacted.str());
+  const CheckpointData cell_blocks = load_checkpoint_data(compacted_in, fp);
+  ASSERT_EQ(cell_blocks.chunks.size(), cells.size() / 2);
+  for (const auto& [index, list] : cell_blocks.chunks) {
+    ASSERT_EQ(list.size(), 1u) << "cell " << index;
+    EXPECT_EQ(list[0].begin, 0u);
+    EXPECT_EQ(list[0].end, runs);
+  }
+  EXPECT_EQ(resume_artifacts(spec.name, cells, compacted.str(), half),
+            reference);
+
+  // A cell block with no chunk blocks, between other cells' trails.
+  std::stringstream mixed;
+  write_checkpoint_header(mixed, fp);
+  append_checkpoint_chunk(mixed, 0, 0, runs, whole[0].acc);
+  append_legacy_cell(mixed, 1, whole[1].acc);
+  append_checkpoint_chunk(mixed, 3, 0, runs, whole[3].acc);
+  EXPECT_EQ(resume_artifacts(spec.name, cells, mixed.str(), 3 * runs),
+            reference);
+}
+
+TEST(Checkpoint, ResumedCompleteTrailListsFailuresInRunOrder) {
+  // A trail that covers its cell in full leaves nothing to execute, so the
+  // cell never reaches on_cell_complete(); resume() must still sort its
+  // failure ring into run order, or the JSON lists failing seeds out of
+  // order.
+  ExperimentSpec spec = mixed_spec();
+  spec.algorithms = {Algorithm::HybridLocalCoin};
+  spec.layouts = {ClusterLayout::even(4, 2)};
+  spec.crashes = {CrashAxis::of("covering-dead", [](const ClusterLayout& l) {
+    Rng rng(3);
+    return failure_patterns::kill_covering_set(l, rng, 0).plan;
+  })};
+  spec.runs_per_cell = 12;
+  const auto cells = spec.expand();
+  const std::uint64_t fp = grid_fingerprint(cells);
+  const std::string reference =
+      render_artifacts(spec.name, ParallelExecutor().run(cells));
+
+  std::stringstream file;
+  write_checkpoint_header(file, fp);
+  {
+    CollectingSink::Options sink_opts;
+    sink_opts.on_chunk = [&](const ExperimentCell& cell, std::uint64_t begin,
+                             std::uint64_t end, const CellAccumulator& acc) {
+      append_checkpoint_chunk(file, cell.index, begin, end, acc);
+    };
+    CollectingSink sink(cells, std::move(sink_opts));
+    ParallelExecutor::Options opts;
+    opts.threads = 1;
+    opts.chunk_size = 3;
+    ParallelExecutor(opts).run(cells, sink);
+  }
+
+  ResumePlan plan = plan_resume(cells, load_checkpoint_data(file, fp));
+  ASSERT_TRUE(plan.spans.empty());
+  CollectingSink sink(cells, {});
+  EXPECT_EQ(sink.resume(std::move(plan.checkpoint)), cells.size());
+  const auto results = sink.take_results();
+  ASSERT_EQ(results.size(), 1u);
+  const auto& failures = results[0].failures();
+  ASSERT_EQ(failures.size(), spec.runs_per_cell);
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    EXPECT_EQ(failures[i].run, i);
   }
   EXPECT_EQ(render_artifacts(spec.name, results), reference);
 }

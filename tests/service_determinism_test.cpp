@@ -246,7 +246,7 @@ TEST(ServiceDeterminism, CheckpointRoundTripsTheServiceBlock) {
   write_checkpoint_header(ckpt, fingerprint);
   const auto direct = ParallelExecutor(opts).run(spec);
   for (const auto& res : direct) {
-    append_checkpoint_cell(ckpt, res.cell.index, res.acc);
+    append_checkpoint_chunk(ckpt, res.cell.index, 0, res.runs(), res.acc);
   }
   const std::string text = ckpt.str();
   EXPECT_NE(text.find("\no svc_latency_ns "), std::string::npos);
@@ -255,10 +255,11 @@ TEST(ServiceDeterminism, CheckpointRoundTripsTheServiceBlock) {
   const auto reload = [&](const std::string& file) {
     std::istringstream in(file);
     CheckpointData loaded = load_checkpoint_data(in, fingerprint);
-    EXPECT_EQ(loaded.cells.size(), cells.size());
+    EXPECT_EQ(loaded.chunks.size(), cells.size());
     std::vector<CellResult> restored;
-    for (auto& [index, acc] : loaded.cells) {
-      restored.emplace_back(cells[index], std::move(acc));
+    for (auto& [index, list] : loaded.chunks) {
+      EXPECT_EQ(list.size(), 1u);
+      restored.emplace_back(cells[index], std::move(list.at(0).acc));
     }
     return service_report(restored);
   };
