@@ -1,7 +1,4 @@
 // T-ABL — ablations of the reproduction's design choices (DESIGN.md §4):
-//   * consensus-object construction: CAS vs LL/SC cluster memories
-//     (identical outcomes expected — both linearize the same winner —
-//     with slightly different primitive-op counts);
 //   * delay distribution: constant vs uniform vs exponential (round counts
 //     should be distribution-robust; simulated latency shifts);
 //   * DECIDE gossip contribution: measured as the share of processes whose
@@ -27,39 +24,6 @@ int main(int argc, char** argv) {
 
   std::cout << "T-ABL: design-choice ablations (n=7, split inputs, " << runs
             << " seeds)\n\n";
-
-  Table shm("cluster memory primitive: CAS vs LL/SC");
-  shm.set_columns({"impl", "algorithm", "identical decisions vs CAS",
-                   "mean rounds", "primitive ops (cas+sc attempts)"});
-  for (const Algorithm alg :
-       {Algorithm::HybridLocalCoin, Algorithm::HybridCommonCoin}) {
-    int identical = 0;
-    Summary rounds_cas, rounds_llsc, ops_cas, ops_llsc;
-    for (int i = 0; i < runs; ++i) {
-      RunConfig cfg(layout);
-      cfg.alg = alg;
-      cfg.inputs = split_inputs(7);
-      cfg.seed = mix64(0xAB1, static_cast<std::uint64_t>(i));
-      cfg.shm_impl = ConsensusImpl::Cas;
-      const auto a = run_consensus(cfg);
-      cfg.shm_impl = ConsensusImpl::LlSc;
-      const auto b = run_consensus(cfg);
-      identical += (a.decided_value == b.decided_value &&
-                    a.decision_rounds == b.decision_rounds)
-                       ? 1
-                       : 0;
-      rounds_cas.add(static_cast<double>(a.max_decision_round));
-      rounds_llsc.add(static_cast<double>(b.max_decision_round));
-      ops_cas.add(static_cast<double>(a.shm.cas_attempts));
-      ops_llsc.add(static_cast<double>(b.shm.sc_attempts + b.shm.ll_ops));
-    }
-    shm.add_row_values("CAS", to_cstring(alg), "-", fixed(rounds_cas.mean()),
-                       fixed(ops_cas.mean(), 0));
-    shm.add_row_values("LL/SC", to_cstring(alg),
-                       std::to_string(identical) + "/" + std::to_string(runs),
-                       fixed(rounds_llsc.mean()), fixed(ops_llsc.mean(), 0));
-  }
-  shm.print(std::cout);
 
   Table delays("delay distribution robustness (hybrid-CC)");
   delays.set_columns({"distribution", "mean rounds", "p95 rounds",
@@ -113,9 +77,7 @@ int main(int argc, char** argv) {
   }
   gossip.print(std::cout);
 
-  std::cout << "Expected shape: LL/SC row shows identical decisions on every"
-               " seed (both constructions linearize\nthe first proposal);"
-               " round counts are delay-distribution robust; only simulated"
-               " latency scales.\n";
+  std::cout << "Expected shape: round counts are delay-distribution robust;"
+               " only simulated latency scales.\n";
   return 0;
 }

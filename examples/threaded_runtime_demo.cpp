@@ -1,9 +1,9 @@
-// Threaded-runtime demo: the blocking variants of Algorithms 2 and 3
-// running on REAL threads — one std::thread per process, mailbox channels,
-// and cluster consensus on std::atomic compare_exchange. Includes a crash
-// of three processes mid-run.
+// Threaded-runtime demo: the simulator's Algorithm 2 and 3 processes running
+// on REAL threads — one std::thread per process fed from its mailbox, and
+// cluster consensus on std::atomic compare_exchange. Includes three
+// mid-broadcast crashes.
 //
-// Run: ./build/examples/threaded_runtime_demo [--seed=N]
+// Run: ./build/example_threaded_runtime_demo [--seed=N]
 #include <iostream>
 
 #include "runtime/threaded_runner.h"
@@ -22,13 +22,15 @@ void report(const char* title, const ThreadRunResult& r,
             << ", validity " << (r.validity_ok ? "ok" : "VIOLATED")
             << ", deadline hit: " << (r.deadline_hit ? "yes" : "no") << '\n';
   for (ProcId p = 0; p < layout.n(); ++p) {
-    const auto& o = r.outcomes[static_cast<std::size_t>(p)];
+    const auto idx = static_cast<std::size_t>(p);
+    const auto& d = r.decisions[idx];
     std::cout << "    p" << p << ": "
-              << (o.decision ? ("decided " + std::string(to_cstring(*o.decision)))
-                             : (o.crashed ? "crashed" : "undecided"))
-              << " after " << o.rounds << " round(s)\n";
+              << (d ? "decided " + std::string(to_cstring(*d)) : "undecided")
+              << " after " << r.proc_stats[idx].rounds_entered
+              << " round(s)\n";
   }
-  std::cout << "  messages sent: " << r.messages_sent << "\n\n";
+  std::cout << "  crashed: " << r.crashed
+            << ", messages sent: " << r.messages_sent << "\n\n";
 }
 
 }  // namespace
@@ -41,14 +43,14 @@ int main(int argc, char** argv) {
 
   {
     ThreadRunConfig cfg(layout);
-    cfg.alg = ThreadAlgorithm::CommonCoin;
+    cfg.alg = Algorithm::HybridCommonCoin;
     cfg.seed = seed;
     report("Algorithm 3 (common coin), no crashes:", run_threaded(cfg),
            layout);
   }
   {
     ThreadRunConfig cfg(layout);
-    cfg.alg = ThreadAlgorithm::LocalCoin;
+    cfg.alg = Algorithm::HybridLocalCoin;
     cfg.seed = seed + 1;
     report("Algorithm 2 (local coin), no crashes:", run_threaded(cfg),
            layout);
@@ -58,12 +60,16 @@ int main(int argc, char** argv) {
     // mid-broadcast; the covering set {P0,P1,P2} keeps survivors, so the
     // rest must still decide.
     ThreadRunConfig cfg(layout);
-    cfg.alg = ThreadAlgorithm::CommonCoin;
+    cfg.alg = Algorithm::HybridCommonCoin;
     cfg.seed = seed + 2;
-    cfg.crashes.assign(7, {});
-    cfg.crashes[0] = {1, 3};  // p0 dies in round 1, serving 3 peers
-    cfg.crashes[3] = {2, 1};  // p3 dies in round 2, serving 1 peer
-    cfg.crashes[5] = {1, 0};  // p5 dies in round 1, serving nobody
+    cfg.crashes = CrashPlan::none(7);
+    // p0 dies in its round-1 broadcast, serving 3 peers.
+    cfg.crashes.specs[0] = CrashSpec::on_broadcast(0, 3);
+    // p3 dies in its second broadcast (round 2's PHASE message, or the
+    // DECIDE of a round-1 decision), serving 1 peer.
+    cfg.crashes.specs[3] = CrashSpec::on_broadcast(1, 1);
+    // p5 dies in its round-1 broadcast, serving nobody.
+    cfg.crashes.specs[5] = CrashSpec::on_broadcast(0, 0);
     report("Algorithm 3 with three mid-broadcast crashes:",
            run_threaded(cfg), layout);
   }

@@ -4,22 +4,17 @@
 
 namespace hyco {
 
-MmMemories::MmMemories(const MmDomain& domain, ConsensusImpl impl) {
+MmMemories::MmMemories(const MmDomain& domain) {
   memories_.reserve(static_cast<std::size_t>(domain.n()));
   for (ProcId i = 0; i < domain.n(); ++i) {
-    // Reuse ClusterMemory as the lazily-grown consensus array; the "cluster"
-    // id doubles as the owner id of the p_i-centered memory.
-    memories_.push_back(
-        std::make_unique<ClusterMemory>(i, domain.n(), impl));
+    // Reuse ClusterMemory as the round-indexed consensus array; the
+    // "cluster" id doubles as the owner id of the p_i-centered memory.
+    memories_.push_back(std::make_unique<ClusterMemory>(i, domain.n()));
   }
 }
 
-IConsensusObject& MmMemories::cons(ProcId owner, Round r, Phase ph) {
+ClusterMemory::Cons MmMemories::cons(ProcId owner, Round r, Phase ph) {
   return memories_.at(static_cast<std::size_t>(owner))->cons(r, ph);
-}
-
-const ShmOpCounts& MmMemories::counts(ProcId owner) const {
-  return memories_.at(static_cast<std::size_t>(owner))->counts();
 }
 
 ShmOpCounts MmMemories::total() const {

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -33,16 +34,12 @@ namespace hyco {
 /// "p_i-centered" memory shared by S_i = {i} ∪ N(i).
 class MmMemories {
  public:
-  MmMemories(const MmDomain& domain, ConsensusImpl impl = ConsensusImpl::Cas);
+  explicit MmMemories(const MmDomain& domain);
 
   /// The consensus object CONS_i[r, ph] of p_i's memory.
-  IConsensusObject& cons(ProcId owner, Round r, Phase ph);
+  ClusterMemory::Cons cons(ProcId owner, Round r, Phase ph);
 
-  [[nodiscard]] const ShmOpCounts& counts(ProcId owner) const;
   [[nodiscard]] ShmOpCounts total() const;
-  [[nodiscard]] std::uint64_t memories_touched_in_phase() const {
-    return memories_.size();  // all n, by construction
-  }
 
  private:
   std::vector<std::unique_ptr<ClusterMemory>> memories_;

@@ -19,7 +19,7 @@ RunResult run_mm(const MmRunConfig& cfg) {
                  "inputs size mismatch");
 
   World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
-  MmMemories memories(cfg.domain, ConsensusImpl::Cas);
+  MmMemories memories(cfg.domain);
 
   std::vector<std::unique_ptr<IConsensusProcess>> procs;
   procs.reserve(static_cast<std::size_t>(n));

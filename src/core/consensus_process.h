@@ -1,6 +1,8 @@
 // Uniform surface of every binary-consensus process implementation (the two
 // hybrid algorithms, the pure message-passing Ben-Or baseline, and the m&m
-// comparator), so the simulation runner can drive them interchangeably.
+// comparator), so a host can drive them interchangeably: the simulation
+// runner delivers each message in an event, and the thread host
+// (src/runtime/) from each process's mailbox on its own thread.
 #pragma once
 
 #include <cstdint>

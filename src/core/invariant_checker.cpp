@@ -66,18 +66,17 @@ void InvariantChecker::on_est2(ProcId p, Round r, Estimate v) {
   }
 }
 
-void InvariantChecker::on_rec(ProcId p, Round r,
-                              const std::vector<Estimate>& rec) {
-  const bool has0 = std::find(rec.begin(), rec.end(), Estimate::Zero) != rec.end();
-  const bool has1 = std::find(rec.begin(), rec.end(), Estimate::One) != rec.end();
-  const bool hasb = std::find(rec.begin(), rec.end(), Estimate::Bot) != rec.end();
+void InvariantChecker::on_rec(ProcId p, Round r, EstimateSet rec) {
+  const bool has0 = contains(rec, Estimate::Zero);
+  const bool has1 = contains(rec, Estimate::One);
+  const bool hasb = contains(rec, Estimate::Bot);
   if (has0 && has1) {
     std::ostringstream os;
     os << "rec of p" << p << " at round " << r
        << " contains both 0 and 1 (WA1 consequence violated)";
     violate(os.str());
   }
-  if (rec.empty()) {
+  if (rec == 0) {
     std::ostringstream os;
     os << "rec of p" << p << " at round " << r << " is empty";
     violate(os.str());

@@ -38,7 +38,7 @@ class InvariantChecker {
   void on_est2(ProcId p, Round r, Estimate v);
 
   /// p's rec set at the end of phase 2 of round r (WA2).
-  void on_rec(ProcId p, Round r, const std::vector<Estimate>& rec);
+  void on_rec(ProcId p, Round r, EstimateSet rec);
 
   /// p decided v in round r (agreement + validity).
   void on_decide(ProcId p, Round r, Estimate v);

@@ -1,7 +1,5 @@
 #include "core/local_coin_process.h"
 
-#include <algorithm>
-
 #include "util/assert.h"
 
 namespace hyco {
@@ -63,18 +61,13 @@ void LocalCoinProcess::complete_phase1() {
 
 void LocalCoinProcess::complete_phase2() {
   // Line 10: rec = distinct est2 values credited during this phase.
-  const auto rec = exch_.values_received();
+  const EstimateSet rec = exch_.values_received();
   if (checker_ != nullptr) checker_->on_rec(self_, round_, rec);
 
-  const bool has_bot =
-      std::find(rec.begin(), rec.end(), Estimate::Bot) != rec.end();
-  Estimate v = Estimate::Bot;
-  for (const Estimate e : rec) {
-    if (is_binary(e)) {
-      v = e;
-      break;
-    }
-  }
+  const bool has_bot = contains(rec, Estimate::Bot);
+  const Estimate v = contains(rec, Estimate::Zero)  ? Estimate::Zero
+                     : contains(rec, Estimate::One) ? Estimate::One
+                                                    : Estimate::Bot;
 
   if (is_binary(v) && !has_bot) {
     // Line 12: rec = {v} — decide (DECIDE gossip happens inside decide()).

@@ -64,10 +64,10 @@ ProcId MsgExchange::support(Estimate v) const {
   return support_[estimate_index(v)];
 }
 
-std::vector<Estimate> MsgExchange::values_received() const {
-  std::vector<Estimate> vals;
-  for (const Estimate e : kAllEstimates) {
-    if (support_[estimate_index(e)] > 0) vals.push_back(e);
+EstimateSet MsgExchange::values_received() const {
+  EstimateSet vals = 0;
+  for (const Estimate v : kAllEstimates) {
+    if (support_[estimate_index(v)] > 0) vals |= estimate_set({v});
   }
   return vals;
 }

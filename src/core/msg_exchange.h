@@ -50,8 +50,8 @@ class MsgExchange {
   /// |supporters[v]| — processes supporting v under cluster closure.
   [[nodiscard]] ProcId support(Estimate v) const;
 
-  /// Distinct values with non-empty supporter sets, in index order.
-  [[nodiscard]] std::vector<Estimate> values_received() const;
+  /// The values with non-empty supporter sets.
+  [[nodiscard]] EstimateSet values_received() const;
 
   [[nodiscard]] Round round() const { return round_; }
   [[nodiscard]] Phase phase() const { return phase_; }

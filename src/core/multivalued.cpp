@@ -12,9 +12,7 @@ ClusterMemory& MemoryPool::get(InstanceId instance, ClusterId cluster) {
   const auto key = std::make_pair(instance, cluster);
   auto it = memories_.find(key);
   if (it == memories_.end()) {
-    it = memories_
-             .emplace(key,
-                      std::make_unique<ClusterMemory>(cluster, n_, impl_))
+    it = memories_.emplace(key, std::make_unique<ClusterMemory>(cluster, n_))
              .first;
   }
   return *it->second;

@@ -67,7 +67,7 @@ class InstanceNetwork final : public INetwork {
 /// each embedded binary instance gets fresh CONS arrays.
 class MemoryPool {
  public:
-  MemoryPool(ProcId n, ConsensusImpl impl) : n_(n), impl_(impl) {}
+  explicit MemoryPool(ProcId n) : n_(n) {}
 
   ClusterMemory& get(InstanceId instance, ClusterId cluster);
 
@@ -76,7 +76,6 @@ class MemoryPool {
 
  private:
   ProcId n_;
-  ConsensusImpl impl_;
   std::map<std::pair<InstanceId, ClusterId>, std::unique_ptr<ClusterMemory>>
       memories_;
 };

@@ -35,7 +35,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   }
 
   World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
-  MemoryPool pool(n, ConsensusImpl::Cas);
+  MemoryPool pool(n);
   CommonCoin coin(mix64(cfg.seed, 0xC01C02));
 
   std::vector<std::unique_ptr<MultiValuedProcess>> procs;

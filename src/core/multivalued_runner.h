@@ -10,7 +10,7 @@
 #include "core/multivalued.h"
 #include "net/delay_model.h"
 #include "net/network.h"
-#include "shm/consensus_object.h"
+#include "shm/op_counts.h"
 #include "sim/crash.h"
 #include "sim/simulator.h"
 

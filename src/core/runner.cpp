@@ -70,14 +70,7 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
   checker_ = std::make_unique<InvariantChecker>(cfg_.layout);
   checker_->set_inputs(inputs_);
 
-  // Cluster memories (hybrid algorithms only touch their own cluster's).
-  if (cfg_.alg != Algorithm::BenOr) {
-    memories_.reserve(static_cast<std::size_t>(cfg_.layout.m()));
-    for (ClusterId x = 0; x < cfg_.layout.m(); ++x) {
-      memories_.push_back(
-          std::make_unique<ClusterMemory>(x, n, cfg_.shm_impl));
-    }
-  }
+  memories_ = make_cluster_memories(cfg_.alg, cfg_.layout);
 
   // The common coin (Algorithm 3). BiasedCommonCoin models an imperfect
   // coin for the T-ADV ablation.
@@ -93,30 +86,9 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
 
   procs_.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
-    const std::uint64_t coin_seed =
-        mix64(cfg_.seed, 0x10CA1 + static_cast<std::uint64_t>(p));
-    switch (cfg_.alg) {
-      case Algorithm::HybridLocalCoin: {
-        auto& mem = *memories_[static_cast<std::size_t>(
-            cfg_.layout.cluster_of(p))];
-        procs_.push_back(std::make_unique<LocalCoinProcess>(
-            p, cfg_.layout, net, mem, coin_seed, checker_.get(),
-            cfg_.max_rounds));
-        break;
-      }
-      case Algorithm::HybridCommonCoin: {
-        auto& mem = *memories_[static_cast<std::size_t>(
-            cfg_.layout.cluster_of(p))];
-        procs_.push_back(std::make_unique<CommonCoinProcess>(
-            p, cfg_.layout, net, mem, *common_coin_, checker_.get(),
-            cfg_.max_rounds));
-        break;
-      }
-      case Algorithm::BenOr:
-        procs_.push_back(std::make_unique<BenOrProcess>(
-            p, n, net, coin_seed, cfg_.max_rounds));
-        break;
-    }
+    procs_.push_back(make_consensus_process(
+        cfg_.alg, p, cfg_.layout, net, memories_, common_coin_.get(),
+        cfg_.seed, checker_.get(), cfg_.max_rounds));
   }
 
   // Per-phase latency observer (opt-in) and/or trace mirror. Both read
@@ -244,6 +216,39 @@ RunResult run_consensus(const RunConfig& cfg) {
   while (!run.tick()) {
   }
   return run.finish();
+}
+
+std::vector<std::unique_ptr<ClusterMemory>> make_cluster_memories(
+    Algorithm alg, const ClusterLayout& layout) {
+  std::vector<std::unique_ptr<ClusterMemory>> memories;
+  if (alg == Algorithm::BenOr) return memories;
+  memories.reserve(static_cast<std::size_t>(layout.m()));
+  for (ClusterId x = 0; x < layout.m(); ++x) {
+    memories.push_back(std::make_unique<ClusterMemory>(x, layout.n()));
+  }
+  return memories;
+}
+
+std::unique_ptr<IConsensusProcess> make_consensus_process(
+    Algorithm alg, ProcId p, const ClusterLayout& layout, INetwork& net,
+    const std::vector<std::unique_ptr<ClusterMemory>>& memories,
+    ICommonCoin* coin, std::uint64_t seed, InvariantChecker* checker,
+    Round max_rounds) {
+  const std::uint64_t coin_seed =
+      mix64(seed, 0x10CA1 + static_cast<std::uint64_t>(p));
+  if (alg == Algorithm::BenOr) {
+    return std::make_unique<BenOrProcess>(p, layout.n(), net, coin_seed,
+                                          max_rounds);
+  }
+  ClusterMemory& mem =
+      *memories.at(static_cast<std::size_t>(layout.cluster_of(p)));
+  if (alg == Algorithm::HybridLocalCoin) {
+    return std::make_unique<LocalCoinProcess>(p, layout, net, mem, coin_seed,
+                                              checker, max_rounds);
+  }
+  HYCO_CHECK_MSG(coin != nullptr, "Algorithm 3 needs a common coin");
+  return std::make_unique<CommonCoinProcess>(p, layout, net, mem, *coin,
+                                             checker, max_rounds);
 }
 
 SimNetwork::DeliverFn decision_timing_deliver(

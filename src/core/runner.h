@@ -20,7 +20,6 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "scenario/scenario.h"
-#include "shm/consensus_object.h"
 #include "shm/op_counts.h"
 #include "sim/crash.h"
 #include "sim/simulator.h"
@@ -73,7 +72,6 @@ struct RunConfig {
   ScenarioConfig scenario;
 
   Round max_rounds = 5000;          ///< parking brake for unlucky coin runs
-  ConsensusImpl shm_impl = ConsensusImpl::Cas;
 
   /// Common-coin imperfection (Algorithm 3 only): probability that a round's
   /// coin is adversary-chosen (it then reads kAdversaryBit). 0 = perfect
@@ -198,6 +196,22 @@ class ConsensusRun {
 
 /// Builds and runs one simulation (ConsensusRun ticked to completion).
 RunResult run_consensus(const RunConfig& cfg);
+
+/// The cluster memories of a run of `alg`: one MEM_x per cluster of
+/// `layout` for the hybrid algorithms, none for Ben-Or.
+std::vector<std::unique_ptr<ClusterMemory>> make_cluster_memories(
+    Algorithm alg, const ClusterLayout& layout);
+
+/// Builds process p of `alg`. Both hosts, ConsensusRun and run_threaded
+/// (src/runtime/), build their processes here. `memories` comes from
+/// make_cluster_memories; `coin` is Algorithm 3's common coin (unused
+/// otherwise); `seed` derives p's local-coin stream; `checker` may be
+/// nullptr.
+std::unique_ptr<IConsensusProcess> make_consensus_process(
+    Algorithm alg, ProcId p, const ClusterLayout& layout, INetwork& net,
+    const std::vector<std::unique_ptr<ClusterMemory>>& memories,
+    ICommonCoin* coin, std::uint64_t seed, InvariantChecker* checker,
+    Round max_rounds);
 
 /// The deliver hook run_consensus and run_mm share: hands each message to
 /// its process and stamps r.last_decision_time when the delivery makes

@@ -19,7 +19,7 @@ constexpr std::uint64_t kMaxEvents = 800'000'000;
 TobRunResult run_tob(const TobRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   World world(n, cfg.seed, cfg.crashes, make_delay_model(cfg.delays));
-  MemoryPool pool(n, ConsensusImpl::Cas);
+  MemoryPool pool(n);
   CommonCoin coin(mix64(cfg.seed, 0xC01C03));
 
   std::vector<std::unique_ptr<TobProcess>> procs;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <ostream>
 #include <string>
 
@@ -55,6 +56,24 @@ constexpr std::size_t estimate_index(Estimate e) {
 /// The three estimate values, in index order; handy for iteration.
 inline constexpr Estimate kAllEstimates[3] = {Estimate::Zero, Estimate::One,
                                               Estimate::Bot};
+
+/// A set of estimates as a 3-bit mask: bit estimate_index(v) is set iff v
+/// is a member.
+using EstimateSet = std::uint8_t;
+
+/// The set of the listed estimates.
+constexpr EstimateSet estimate_set(std::initializer_list<Estimate> vs) {
+  EstimateSet s = 0;
+  for (const Estimate v : vs) {
+    s |= static_cast<EstimateSet>(1u << estimate_index(v));
+  }
+  return s;
+}
+
+/// True iff v is a member of s.
+constexpr bool contains(EstimateSet s, Estimate v) {
+  return ((s >> estimate_index(v)) & 1u) != 0;
+}
 
 inline const char* to_cstring(Estimate e) {
   switch (e) {

@@ -106,8 +106,8 @@ struct ResultMsg {
 /// on any socket error (the peer is gone; no errno inspection needed).
 bool send_frame(int fd, MsgType type, const std::string& payload);
 
-/// Blocking read of one complete frame. Returns false on EOF, socket error,
-/// or an oversized/malformed length prefix.
+/// Reads one complete frame, blocking until it arrives. Returns false on
+/// EOF, socket error, or an oversized/malformed length prefix.
 bool recv_frame(int fd, Frame& out);
 
 /// Incremental frame decoder for the coordinator's poll loop: feed() raw

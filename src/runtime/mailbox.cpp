@@ -28,14 +28,4 @@ void Mailbox::close() {
   cv_.notify_all();
 }
 
-bool Mailbox::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
-std::size_t Mailbox::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return q_.size();
-}
-
 }  // namespace hyco

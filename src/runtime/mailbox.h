@@ -1,6 +1,6 @@
-// Blocking multi-producer single-consumer mailbox: the per-process inbox of
-// the threaded runtime. Reliable-channel semantics: push never drops (until
-// close), pop blocks until a message or closure.
+// Multi-producer single-consumer mailbox: the per-process inbox of the
+// thread host. Reliable-channel semantics: push never drops (until close),
+// pop blocks until a message or closure.
 #pragma once
 
 #include <condition_variable>
@@ -33,11 +33,8 @@ class Mailbox {
   /// Unblocks all waiting consumers; subsequent pushes are dropped.
   void close();
 
-  [[nodiscard]] bool closed() const;
-  [[nodiscard]] std::size_t size() const;
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Envelope> q_;
   bool closed_ = false;

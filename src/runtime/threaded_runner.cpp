@@ -1,12 +1,14 @@
 #include "runtime/threaded_runner.h"
 
-#include <algorithm>
 #include <condition_variable>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
 
-#include "core/runner.h"
+#include "coin/coin.h"
+#include "runtime/thread_network.h"
+#include "shm/cluster_memory.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -18,84 +20,69 @@ ThreadRunResult run_threaded(const ThreadRunConfig& cfg) {
       cfg.inputs.empty() ? split_inputs(n) : cfg.inputs;
   HYCO_CHECK_MSG(inputs.size() == static_cast<std::size_t>(n),
                  "inputs size mismatch");
-  std::vector<ThreadCrashSpec> crashes = cfg.crashes;
-  if (crashes.empty()) crashes.assign(static_cast<std::size_t>(n), {});
-  HYCO_CHECK_MSG(crashes.size() == static_cast<std::size_t>(n),
-                 "crash spec size mismatch");
 
-  ThreadNetwork net(n);
-  std::vector<std::unique_ptr<ThreadClusterMemory>> memories;
-  memories.reserve(static_cast<std::size_t>(cfg.layout.m()));
-  for (ClusterId x = 0; x < cfg.layout.m(); ++x) {
-    memories.push_back(std::make_unique<ThreadClusterMemory>(x));
-  }
+  ThreadNetwork net(n, cfg.crashes, cfg.seed);
+  const auto memories = make_cluster_memories(cfg.alg, cfg.layout);
   CommonCoin coin(mix64(cfg.seed, 0xC01C01));
-
-  ThreadRunResult result;
-  result.outcomes.assign(static_cast<std::size_t>(n), {});
+  std::vector<std::unique_ptr<IConsensusProcess>> procs;
+  procs.reserve(static_cast<std::size_t>(n));
+  for (ProcId p = 0; p < n; ++p) {
+    procs.push_back(make_consensus_process(cfg.alg, p, cfg.layout, net,
+                                           memories, &coin, cfg.seed,
+                                           nullptr, cfg.max_rounds));
+  }
 
   std::mutex done_mu;
   std::condition_variable done_cv;
   ProcId done_count = 0;
+  std::vector<std::exception_ptr> failures(static_cast<std::size_t>(n));
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  for (ProcId p = 0; p < n; ++p) {
-    threads.emplace_back([&, p] {
-      const auto idx = static_cast<std::size_t>(p);
-      auto& mem = *memories[static_cast<std::size_t>(
-          cfg.layout.cluster_of(p))];
-      const std::uint64_t s = mix64(cfg.seed, 0x7EAD + static_cast<std::uint64_t>(p));
-      BlockingOutcome out;
-      if (cfg.alg == ThreadAlgorithm::LocalCoin) {
-        BlockingLocalCoin proc(p, cfg.layout, net, mem, crashes[idx],
-                               cfg.max_rounds, s);
-        out = proc.propose(inputs[idx]);
-      } else {
-        BlockingCommonCoin proc(p, cfg.layout, net, mem, coin, crashes[idx],
-                                cfg.max_rounds, s);
-        out = proc.propose(inputs[idx]);
-      }
-      {
-        std::lock_guard<std::mutex> lock(done_mu);
-        result.outcomes[idx] = out;
-        ++done_count;
-      }
-      done_cv.notify_one();
-    });
-  }
-
+  ThreadRunResult result;
   {
-    std::unique_lock<std::mutex> lock(done_mu);
-    const bool finished = done_cv.wait_for(
-        lock, cfg.deadline, [&] { return done_count == n; });
-    result.deadline_hit = !finished;
-  }
-  // Unblock any stragglers (timeout path) and let everyone exit.
-  net.close_all();
-  for (auto& t : threads) t.join();
-
-  // Harvest.
-  bool all_correct_decided = true;
-  for (ProcId p = 0; p < n; ++p) {
-    const auto idx = static_cast<std::size_t>(p);
-    const BlockingOutcome& out = result.outcomes[idx];
-    result.max_decision_round = std::max(result.max_decision_round, out.rounds);
-    if (out.decision.has_value()) {
-      if (!result.decided_value.has_value()) {
-        result.decided_value = out.decision;
-      } else if (*result.decided_value != *out.decision) {
-        result.agreement_ok = false;
-      }
-    } else if (crashes[idx].at_round < 0) {
-      all_correct_decided = false;  // correct process failed to decide
+    std::vector<std::jthread> threads;
+    // Destroyed before `threads` on every way out of this block: the
+    // mailboxes close, so each jthread's join finds its actor unblocked.
+    const struct CloseMailboxes {
+      ThreadNetwork& net;
+      ~CloseMailboxes() { net.close_all(); }
+    } close_mailboxes{net};
+    threads.reserve(static_cast<std::size_t>(n));
+    for (ProcId p = 0; p < n; ++p) {
+      threads.emplace_back([&, p] {
+        const auto idx = static_cast<std::size_t>(p);
+        IConsensusProcess& proc = *procs[idx];
+        Mailbox& inbox = net.mailbox(p);
+        try {
+          proc.start(inputs[idx]);
+          Envelope e;
+          while (!proc.decided() && !proc.parked() && !net.crashed(p) &&
+                 inbox.pop(e) == Mailbox::PopResult::Ok) {
+            proc.on_message(e.from, e.msg);
+          }
+        } catch (...) {
+          failures[idx] = std::current_exception();
+        }
+        {
+          std::lock_guard<std::mutex> lock(done_mu);
+          ++done_count;
+        }
+        done_cv.notify_one();
+      });
     }
+    std::unique_lock<std::mutex> lock(done_mu);
+    result.deadline_hit = !done_cv.wait_for(
+        lock, cfg.deadline, [&] { return done_count == n; });
   }
-  result.all_correct_decided = all_correct_decided;
-  if (result.decided_value.has_value()) {
-    result.validity_ok = std::find(inputs.begin(), inputs.end(),
-                                   *result.decided_value) != inputs.end();
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
   }
+
+  CrashTracker tracker(static_cast<std::size_t>(n));
+  for (ProcId p = 0; p < n; ++p) {
+    if (net.crashed(p)) tracker.crash(p, 0);
+  }
+  result.crashed = tracker.crashed_count();
+  harvest_decisions(procs, inputs, tracker, result);
   result.messages_sent = net.messages_sent();
   return result;
 }

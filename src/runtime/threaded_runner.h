@@ -1,54 +1,51 @@
-// Thread-per-process runner for the blocking algorithm variants: spawns one
-// thread per process, waits for all live processes to finish (with a
-// wall-clock deadline), then shuts the network down and joins.
+// Thread host of the event-driven consensus processes: one std::thread per
+// process, each an actor that calls start(input) and then feeds its mailbox
+// to on_message until the process decides, parks or crashes. The processes
+// are the ones the simulator runs (make_consensus_process), a cluster's
+// members share one ClusterMemory, and the harvest is the simulator's
+// (harvest_decisions). The runner waits for every thread or a wall-clock
+// deadline, then closes the mailboxes and joins.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "core/cluster_layout.h"
+#include "core/runner.h"
 #include "core/types.h"
-#include "runtime/blocking_process.h"
+#include "sim/crash.h"
 
 namespace hyco {
-
-/// Which blocking algorithm to run.
-enum class ThreadAlgorithm { LocalCoin, CommonCoin };
 
 /// Description of one threaded run.
 struct ThreadRunConfig {
   explicit ThreadRunConfig(ClusterLayout l) : layout(std::move(l)) {}
 
   ClusterLayout layout;
-  ThreadAlgorithm alg = ThreadAlgorithm::CommonCoin;
+  Algorithm alg = Algorithm::HybridCommonCoin;
   std::vector<Estimate> inputs;  ///< empty = split inputs
   std::uint64_t seed = 1;
   Round max_rounds = 2000;
-  std::vector<ThreadCrashSpec> crashes;  ///< empty = nobody crashes
+  CrashPlan crashes;  ///< empty = nobody crashes; OnBroadcast specs only
   std::chrono::milliseconds deadline{10'000};
 };
 
-/// Aggregated outcome of a threaded run.
-struct ThreadRunResult {
-  std::vector<BlockingOutcome> outcomes;  ///< per process
-  std::optional<Estimate> decided_value;
-  bool all_correct_decided = false;  ///< every non-crash-scripted process
-  bool agreement_ok = true;
-  bool validity_ok = true;
-  bool deadline_hit = false;
-  Round max_decision_round = 0;
+/// A threaded run's result: the simulator's RunResult fields the harvest
+/// fills (decisions, rounds, process stats, crashed, verdicts), plus what
+/// only a thread host has.
+struct ThreadRunResult : RunResult {
+  bool deadline_hit = false;  ///< some thread was still running at the deadline
   std::uint64_t messages_sent = 0;
 
   [[nodiscard]] bool success() const {
-    return all_correct_decided && agreement_ok && validity_ok &&
-           !deadline_hit;
+    return RunResult::success() && !deadline_hit;
   }
 };
 
-/// Runs one threaded consensus instance.
+/// Runs one consensus instance on threads. An exception on a process's
+/// thread (a ContractViolation from its handler) is rethrown here once
+/// every thread has joined.
 ThreadRunResult run_threaded(const ThreadRunConfig& cfg);
 
 }  // namespace hyco

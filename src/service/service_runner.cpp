@@ -29,7 +29,7 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   SimNetwork& net = world.net();
   CrashTracker& tracker = world.tracker();
 
-  MemoryPool pool(n, ConsensusImpl::Cas);
+  MemoryPool pool(n);
 
   // The service always runs the Algorithm 3 common-coin core (the TOB's
   // embedded instances need the shared coin); same seed stream and

@@ -11,22 +11,14 @@ namespace hyco {
 /// one m&m per-process memory).
 struct ShmOpCounts {
   std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
   std::uint64_t cas_attempts = 0;
   std::uint64_t cas_successes = 0;
-  std::uint64_t ll_ops = 0;
-  std::uint64_t sc_attempts = 0;
-  std::uint64_t sc_successes = 0;
   std::uint64_t consensus_proposals = 0;
 
   ShmOpCounts& operator+=(const ShmOpCounts& o) {
     reads += o.reads;
-    writes += o.writes;
     cas_attempts += o.cas_attempts;
     cas_successes += o.cas_successes;
-    ll_ops += o.ll_ops;
-    sc_attempts += o.sc_attempts;
-    sc_successes += o.sc_successes;
     consensus_proposals += o.consensus_proposals;
     return *this;
   }

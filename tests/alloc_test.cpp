@@ -2,8 +2,8 @@
 // global operator new and operator delete with counting versions, so a test
 // can assert that a steady-state loop allocates nothing: the event queue's
 // push_deliver → pop_tick cycle once its blocks, slab slots and tick buffer
-// are warm, the simulator's tick loop over broadcast bursts, and
-// msg_exchange's crediting and quorum test.
+// are warm, the simulator's tick loop over broadcast bursts, msg_exchange's
+// crediting, quorum test and rec set, and the cluster memory's proposals.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "net/delay_model.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "shm/cluster_memory.h"
 #include "sim/crash.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -175,13 +176,15 @@ TEST(AllocFree, SimulatorTickLoopAllocatesNothing) {
 
 TEST(AllocFree, MsgExchangeCreditAndQuorumTestAllocateNothing) {
   // Sixteen exchanges at n = 16, m = 4, alternating phases; every process
-  // is credited and the quorum and support are read after each credit.
+  // is credited, the quorum and support are read after each credit, and
+  // the rec set once the exchange is complete.
   const auto layout = ClusterLayout::even(16, 4);
   NullNetwork net(16);
   MsgExchange ex(layout, net, 0);
   std::uint64_t allocated = 0;
   int full_rounds = 0;
   int satisfied_reads = 0;
+  int full_recs = 0;
   for (Round r = 1; r <= 16; ++r) {
     const Phase ph = r % 2 == 1 ? Phase::One : Phase::Two;
     const std::uint64_t before = allocations();
@@ -199,12 +202,61 @@ TEST(AllocFree, MsgExchangeCreditAndQuorumTestAllocateNothing) {
         ex.support(Estimate::Bot) == (ph == Phase::Two ? 16 : 0)) {
       ++full_rounds;
     }
+    const EstimateSet want =
+        ph == Phase::Two
+            ? estimate_set({Estimate::Zero, Estimate::One, Estimate::Bot})
+            : estimate_set({Estimate::Zero, Estimate::One});
+    if (ex.values_received() == want) ++full_recs;
     allocated += allocations() - before;
   }
   EXPECT_EQ(full_rounds, 16);
+  EXPECT_EQ(full_recs, 16);
   // The third cluster's first member tips coverage past n/2 = 8.
   EXPECT_EQ(satisfied_reads, 16 * (16 - 8));
   EXPECT_EQ(allocated, 0u);
+}
+
+TEST(AllocFree, ClusterMemoryFirstChunkAllocatesNothing) {
+  // Every member of a 4-process cluster proposes to both phases of every
+  // round the inline first chunk holds.
+  ClusterMemory mem(0, 16);
+  const std::uint64_t before = allocations();
+  int agreed = 0;
+  for (Round r = 1; r <= ClusterMemory::kFirstChunkRounds; ++r) {
+    for (const Phase ph : {Phase::One, Phase::Two}) {
+      const Estimate first = estimate_from_bit(r % 2);
+      for (ProcId p = 0; p < 4; ++p) {
+        const Estimate v = p == 0 ? first : estimate_from_bit(p % 2);
+        if (mem.cons(r, ph).propose(p, v) == first) ++agreed;
+      }
+    }
+  }
+  const std::uint64_t allocated = allocations() - before;
+  EXPECT_EQ(agreed, ClusterMemory::kFirstChunkRounds * 2 * 4);
+  EXPECT_EQ(mem.objects_created(),
+            static_cast<std::uint64_t>(ClusterMemory::kFirstChunkRounds) * 2);
+  EXPECT_EQ(allocated, 0u);
+}
+
+TEST(AllocFree, ClusterMemoryAllocatesOneChunkPerDoubling) {
+  // Proposals to both phases of rounds 1..1000: past the first chunk, the
+  // memory may allocate once each time the rounds it holds double.
+  constexpr Round kRounds = 1000;
+  int doublings = 0;
+  for (Round held = ClusterMemory::kFirstChunkRounds; held < kRounds;
+       held *= 2) {
+    ++doublings;
+  }
+  ClusterMemory mem(0, 2);
+  const std::uint64_t before = allocations();
+  for (Round r = 1; r <= kRounds; ++r) {
+    mem.cons(r, Phase::One).propose(0, Estimate::One);
+    mem.cons(r, Phase::Two).propose(1, Estimate::Bot);
+  }
+  const std::uint64_t allocated = allocations() - before;
+  EXPECT_EQ(mem.objects_created(), 2u * kRounds);
+  EXPECT_EQ(doublings, 7);
+  EXPECT_LE(allocated, static_cast<std::uint64_t>(doublings));
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 // the registry in src/exp/sweep_flags.cpp is the single source of truth
 // (the binary rejects anything outside it), and these tests fail the build
 // when a flag lands without its documentation or leaves the registry while
-// its table row stays.
+// its table row stays. Every repository path the README, docs/ and the
+// verify notes cite must exist.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/sweep_flags.h"
 
@@ -72,6 +76,39 @@ TEST(DocsCli, ArchitectureAndPaperMapExistAndAreLinkedFromReadme) {
   EXPECT_NE(readme.find("docs/architecture.md"), std::string::npos);
   EXPECT_NE(readme.find("docs/paper-map.md"), std::string::npos);
   EXPECT_NE(readme.find("docs/cli.md"), std::string::npos);
+}
+
+TEST(DocsCli, EveryCitedRepositoryPathExists) {
+  // A cited path starts at a top-level source directory and names a file
+  // with a known extension, or a directory with a trailing slash.
+  // `src/exp/spec.cpp:195` cites src/exp/spec.cpp; `<build>/bench/x.json`
+  // and `bench/sweep` (a binary) are not repository paths.
+  const std::regex token(
+      R"((^|[^\w./<>$-])((src|bench|tests|examples|docs)/[\w./-]*))");
+  const std::regex cited(R"(.*(/|\.(h|cpp|md|py|json|yml)))");
+  const std::filesystem::path root(HYCO_SOURCE_DIR);
+  std::vector<std::string> docs = {"/README.md",
+                                   "/.claude/skills/verify/SKILL.md"};
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root / "docs")) {
+    if (entry.path().extension() == ".md") {
+      docs.push_back("/docs/" + entry.path().filename().string());
+    }
+  }
+  std::size_t checked = 0;
+  for (const std::string& doc : docs) {
+    const std::string text = read_doc(doc.c_str());
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), token);
+         it != std::sregex_iterator(); ++it) {
+      std::string path = (*it)[2].str();
+      while (path.back() == '.') path.pop_back();  // sentence punctuation
+      if (!std::regex_match(path, cited)) continue;
+      EXPECT_TRUE(std::filesystem::exists(root / path))
+          << doc << " cites " << path << ", which does not exist";
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 50u) << "no cited paths parsed";
 }
 
 }  // namespace

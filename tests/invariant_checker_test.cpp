@@ -17,7 +17,7 @@ TEST(InvariantChecker, CleanTraceIsOk) {
   c.set_inputs(std::vector<Estimate>(7, Estimate::One));
   for (ProcId p = 0; p < 7; ++p) c.on_est1(p, 1, Estimate::One);
   for (ProcId p = 0; p < 7; ++p) c.on_est2(p, 1, Estimate::One);
-  for (ProcId p = 0; p < 7; ++p) c.on_rec(p, 1, {Estimate::One});
+  for (ProcId p = 0; p < 7; ++p) c.on_rec(p, 1, estimate_set({Estimate::One}));
   for (ProcId p = 0; p < 7; ++p) c.on_decide(p, 1, Estimate::One);
   EXPECT_TRUE(c.ok()) << c.violations()[0];
   EXPECT_EQ(c.decided_value(), Estimate::One);
@@ -69,8 +69,9 @@ TEST(InvariantChecker, BotEst2NeverTriggersWa1) {
 TEST(InvariantChecker, CatchesWa2Violation) {
   const auto l = layout();
   InvariantChecker c(l);
-  c.on_rec(0, 2, {Estimate::One});   // rec = {v}
-  c.on_rec(2, 2, {Estimate::Bot});   // rec = {⊥}: mutually exclusive
+  c.on_rec(0, 2, estimate_set({Estimate::One}));  // rec = {v}
+  // rec = {⊥}: mutually exclusive with {v}
+  c.on_rec(2, 2, estimate_set({Estimate::Bot}));
   EXPECT_FALSE(c.ok());
   EXPECT_NE(c.violations()[0].find("WA2"), std::string::npos);
 }
@@ -78,30 +79,31 @@ TEST(InvariantChecker, CatchesWa2Violation) {
 TEST(InvariantChecker, Wa2OrderIndependent) {
   const auto l = layout();
   InvariantChecker c(l);
-  c.on_rec(2, 2, {Estimate::Bot});
-  c.on_rec(0, 2, {Estimate::One});
+  c.on_rec(2, 2, estimate_set({Estimate::Bot}));
+  c.on_rec(0, 2, estimate_set({Estimate::One}));
   EXPECT_FALSE(c.ok());
 }
 
 TEST(InvariantChecker, MixedRecIsCompatibleWithBoth) {
   const auto l = layout();
   InvariantChecker c(l);
-  c.on_rec(0, 2, {Estimate::One});
-  c.on_rec(1, 2, {Estimate::One, Estimate::Bot});  // {v,⊥} is fine
+  c.on_rec(0, 2, estimate_set({Estimate::One}));
+  // {v,⊥} is fine
+  c.on_rec(1, 2, estimate_set({Estimate::One, Estimate::Bot}));
   EXPECT_TRUE(c.ok());
 }
 
 TEST(InvariantChecker, CatchesRecWithBothBinaryValues) {
   const auto l = layout();
   InvariantChecker c(l);
-  c.on_rec(0, 1, {Estimate::Zero, Estimate::One});
+  c.on_rec(0, 1, estimate_set({Estimate::Zero, Estimate::One}));
   EXPECT_FALSE(c.ok());
 }
 
 TEST(InvariantChecker, CatchesEmptyRec) {
   const auto l = layout();
   InvariantChecker c(l);
-  c.on_rec(0, 1, {});
+  c.on_rec(0, 1, estimate_set({}));
   EXPECT_FALSE(c.ok());
 }
 

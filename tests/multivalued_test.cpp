@@ -52,7 +52,7 @@ TEST(MultiValued, DecidedIndexWaitsForItsValue) {
   // n = 4: two index bits, VALUE/MULTIDECIDE at instance 0, bit k at k + 1.
   const auto layout = ClusterLayout::from_sizes({2, 2});
   RecordingNetwork net(4);
-  MemoryPool pool(4, ConsensusImpl::Cas);
+  MemoryPool pool(4);
   CommonCoin coin(1);
   MultiValuedProcess p(0, layout, net, pool, coin, /*max_rounds_per_bit=*/100);
   p.start(100);  // p0 knows only origin 0, so it proposes index bit 0

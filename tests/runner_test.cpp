@@ -85,24 +85,6 @@ TEST(Runner, MessageComplexityIsNSquaredPerPhase) {
   EXPECT_EQ(r.net.unicasts_sent, 3u * 8u * 8u);
 }
 
-TEST(Runner, LlScMemoryGivesSameDecisions) {
-  RunConfig cas_cfg(ClusterLayout::from_sizes({2, 3, 2}));
-  cas_cfg.alg = Algorithm::HybridLocalCoin;
-  cas_cfg.inputs = split_inputs(7);
-  cas_cfg.seed = 1234;
-  cas_cfg.shm_impl = ConsensusImpl::Cas;
-  auto llsc_cfg = cas_cfg;
-  llsc_cfg.shm_impl = ConsensusImpl::LlSc;
-  const auto a = run_consensus(cas_cfg);
-  const auto b = run_consensus(llsc_cfg);
-  ASSERT_TRUE(a.success());
-  ASSERT_TRUE(b.success());
-  // Same seed, same schedule, both consensus constructions linearize the
-  // same winning proposals -> identical outcomes.
-  EXPECT_EQ(a.decided_value, b.decided_value);
-  EXPECT_EQ(a.decision_rounds, b.decision_rounds);
-}
-
 TEST(Runner, EmptyInputsDefaultToSplit) {
   RunConfig cfg(ClusterLayout::from_sizes({2, 2}));
   cfg.alg = Algorithm::HybridCommonCoin;

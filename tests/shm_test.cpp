@@ -1,127 +1,57 @@
-// Unit tests for the shared-memory substrate: registers, CAS and LL/SC
-// cells, the two consensus-object constructions (both must satisfy the
-// consensus spec: agreement on the first proposal, wait-freedom, and —
-// critically for Algorithm 2 — ⊥ must be proposable), and cluster memory.
+// Unit tests for the shared-memory substrate: the cluster memory's CAS
+// consensus objects must satisfy the consensus spec (agreement on the first
+// proposal, wait-freedom, and — critically for Algorithm 2 — ⊥ must be
+// proposable), grow past their inline chunk, count exactly, and stay
+// linearizable when threads race through the same objects.
 #include <gtest/gtest.h>
 
-#include "runtime/atomic_memory.h"
-#include "shm/atomic_register.h"
-#include "shm/cas_cell.h"
+#include <atomic>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "shm/cluster_memory.h"
-#include "shm/consensus_object.h"
-#include "shm/llsc_cell.h"
 #include "util/assert.h"
 
 namespace hyco {
 namespace {
 
-TEST(AtomicRegister, ReadsLastWrite) {
-  ShmOpCounts counts;
-  AtomicRegister<int> reg(&counts);
-  EXPECT_FALSE(reg.read().has_value());
-  reg.write(7);
-  EXPECT_EQ(reg.read(), 7);
-  reg.write(9);
-  EXPECT_EQ(reg.read(), 9);
-  EXPECT_TRUE(reg.written());
-  EXPECT_EQ(counts.writes, 2u);
-  EXPECT_EQ(counts.reads, 3u);
+TEST(ConsensusObjectContract, FirstProposalWins) {
+  ClusterMemory mem(0, 8);
+  EXPECT_EQ(mem.cons(1).propose(0, Estimate::One), Estimate::One);
+  EXPECT_EQ(mem.cons(1).propose(1, Estimate::Zero), Estimate::One);
+  EXPECT_EQ(mem.cons(1).propose(2, Estimate::One), Estimate::One);
+  EXPECT_EQ(mem.counts().consensus_proposals, 3u);
 }
 
-TEST(CasCell, SwapsOnlyOnExpectedMatch) {
-  ShmOpCounts counts;
-  CasCell<int> cell(&counts);
-  EXPECT_TRUE(cell.compare_and_swap(std::nullopt, 1));
-  EXPECT_FALSE(cell.compare_and_swap(std::nullopt, 2));  // already 1
-  EXPECT_EQ(cell.read(), 1);
-  EXPECT_TRUE(cell.compare_and_swap(1, 3));
-  EXPECT_EQ(cell.read(), 3);
-  EXPECT_EQ(counts.cas_attempts, 3u);
-  EXPECT_EQ(counts.cas_successes, 2u);
-}
-
-TEST(LlScCell, StoreConditionalFailsAfterInterveningWrite) {
-  ShmOpCounts counts;
-  LlScCell<int> cell(3, &counts);
-  // p0 links, p1 writes in between, p0's SC must fail.
-  EXPECT_FALSE(cell.load_linked(0).has_value());
-  (void)cell.load_linked(1);
-  EXPECT_TRUE(cell.store_conditional(1, 5));
-  EXPECT_FALSE(cell.store_conditional(0, 6));
-  EXPECT_EQ(cell.read(), 5);
-  EXPECT_EQ(counts.sc_attempts, 2u);
-  EXPECT_EQ(counts.sc_successes, 1u);
-}
-
-TEST(LlScCell, ScWithoutLinkFails) {
-  LlScCell<int> cell(2);
-  EXPECT_FALSE(cell.store_conditional(0, 1));
-}
-
-// Both consensus constructions must satisfy the same object spec.
-class ConsensusObjectContract : public ::testing::TestWithParam<ConsensusImpl> {
- protected:
-  std::unique_ptr<IConsensusObject> make() {
-    return make_consensus_object(GetParam(), 8, &counts_);
-  }
-  ShmOpCounts counts_;
-};
-
-TEST_P(ConsensusObjectContract, FirstProposalWins) {
-  auto obj = make();
-  EXPECT_FALSE(obj->decided().has_value());
-  EXPECT_EQ(obj->propose(0, Estimate::One), Estimate::One);
-  EXPECT_EQ(obj->propose(1, Estimate::Zero), Estimate::One);
-  EXPECT_EQ(obj->propose(2, Estimate::One), Estimate::One);
-  EXPECT_EQ(obj->decided(), Estimate::One);
-  EXPECT_EQ(counts_.consensus_proposals, 3u);
-}
-
-TEST_P(ConsensusObjectContract, BotIsAProposableValue) {
+TEST(ConsensusObjectContract, BotIsAProposableValue) {
   // Algorithm 2 proposes ⊥ to CONS_x[r,2]; the object must treat ⊥ as a
   // first-class value, not as "undecided".
-  auto obj = make();
-  EXPECT_EQ(obj->propose(0, Estimate::Bot), Estimate::Bot);
-  EXPECT_EQ(obj->propose(1, Estimate::One), Estimate::Bot);
-  EXPECT_EQ(obj->decided(), Estimate::Bot);
+  ClusterMemory mem(0, 8);
+  EXPECT_EQ(mem.cons(1, Phase::Two).propose(0, Estimate::Bot), Estimate::Bot);
+  EXPECT_EQ(mem.cons(1, Phase::Two).propose(1, Estimate::One), Estimate::Bot);
 }
 
-TEST_P(ConsensusObjectContract, IdempotentReProposal) {
-  auto obj = make();
-  EXPECT_EQ(obj->propose(3, Estimate::Zero), Estimate::Zero);
-  EXPECT_EQ(obj->propose(3, Estimate::Zero), Estimate::Zero);
+TEST(ConsensusObjectContract, IdempotentReProposal) {
+  ClusterMemory mem(0, 8);
+  EXPECT_EQ(mem.cons(1).propose(3, Estimate::Zero), Estimate::Zero);
+  EXPECT_EQ(mem.cons(1).propose(3, Estimate::Zero), Estimate::Zero);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothImpls, ConsensusObjectContract,
-                         ::testing::Values(ConsensusImpl::Cas,
-                                           ConsensusImpl::LlSc));
-
-TEST(AtomicConsensus, SameContractOnStdAtomic) {
-  AtomicConsensus obj;
-  EXPECT_FALSE(obj.decided().has_value());
-  EXPECT_EQ(obj.propose(0, Estimate::Bot), Estimate::Bot);
-  EXPECT_EQ(obj.propose(1, Estimate::One), Estimate::Bot);
-  EXPECT_EQ(obj.decided(), Estimate::Bot);
-  EXPECT_EQ(obj.proposals(), 2u);
-}
-
-TEST(ClusterMemory, LazyCreationAndStableIdentity) {
+TEST(ClusterMemory, ObjectsAreDistinctPerRoundAndPhase) {
   ClusterMemory mem(0, 4);
-  auto& a = mem.cons(1, Phase::One);
-  auto& b = mem.cons(1, Phase::One);
-  EXPECT_EQ(&a, &b);
-  auto& c = mem.cons(1, Phase::Two);
-  EXPECT_NE(&a, &c);
-  auto& d = mem.cons(2, Phase::One);
-  EXPECT_NE(&a, &d);
+  EXPECT_EQ(mem.cons(1, Phase::One).propose(0, Estimate::One), Estimate::One);
+  EXPECT_EQ(mem.cons(1, Phase::One).propose(1, Estimate::Zero), Estimate::One);
+  EXPECT_EQ(mem.cons(1, Phase::Two).propose(1, Estimate::Zero), Estimate::Zero);
+  EXPECT_EQ(mem.cons(2, Phase::One).propose(2, Estimate::Bot), Estimate::Bot);
   EXPECT_EQ(mem.objects_created(), 3u);
 }
 
 TEST(ClusterMemory, SinglePhaseAccessorIsPhaseOne) {
   ClusterMemory mem(1, 4);
-  auto& a = mem.cons(3);
-  auto& b = mem.cons(3, Phase::One);
-  EXPECT_EQ(&a, &b);
+  EXPECT_EQ(mem.cons(3).propose(0, Estimate::Zero), Estimate::Zero);
+  EXPECT_EQ(mem.cons(3, Phase::One).propose(1, Estimate::One), Estimate::Zero);
+  EXPECT_EQ(mem.cluster(), 1);
 }
 
 TEST(ClusterMemory, RoundsStartAtOne) {
@@ -130,21 +60,81 @@ TEST(ClusterMemory, RoundsStartAtOne) {
   EXPECT_THROW(mem.cons(-3, Phase::One), ContractViolation);
 }
 
+TEST(ClusterMemory, ProposerIdsAreBoundedByN) {
+  ClusterMemory mem(0, 4);
+  EXPECT_THROW(mem.cons(1).propose(4, Estimate::One), ContractViolation);
+  EXPECT_THROW(mem.cons(1).propose(-1, Estimate::One), ContractViolation);
+  EXPECT_EQ(mem.counts().consensus_proposals, 0u);
+}
+
 TEST(ClusterMemory, CountsAggregateAcrossObjects) {
   ClusterMemory mem(0, 4);
   mem.cons(1, Phase::One).propose(0, Estimate::Zero);
   mem.cons(1, Phase::Two).propose(0, Estimate::Bot);
   mem.cons(2, Phase::One).propose(1, Estimate::One);
-  EXPECT_EQ(mem.counts().consensus_proposals, 3u);
+  mem.cons(2, Phase::One).propose(2, Estimate::Zero);
+  const ShmOpCounts c = mem.counts();
+  EXPECT_EQ(c.consensus_proposals, 4u);
+  EXPECT_EQ(c.cas_attempts, 4u);
+  EXPECT_EQ(c.reads, 4u);
+  EXPECT_EQ(c.cas_successes, 3u);
+  EXPECT_EQ(mem.objects_created(), 3u);
 }
 
-TEST(ThreadClusterMemory, LazyAndStable) {
-  ThreadClusterMemory mem(2);
-  auto& a = mem.cons(1, Phase::One);
-  auto& b = mem.cons(1, Phase::One);
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(mem.objects_created(), 1u);
-  EXPECT_EQ(mem.cluster(), 2);
+TEST(ClusterMemory, EveryRoundKeepsItsOwnObjectsAcrossChunks) {
+  // Rounds 1..1000 span the inline chunk and seven doubling chunks. Each
+  // object keeps the first value proposed to it, whatever the order the
+  // rounds are touched in.
+  ClusterMemory mem(0, 2);
+  const auto first = [](Round r, Phase ph) {
+    return estimate_from_bit((r + static_cast<int>(ph)) % 2);
+  };
+  for (Round r = 1000; r >= 1; --r) {
+    for (const Phase ph : {Phase::One, Phase::Two}) {
+      EXPECT_EQ(mem.cons(r, ph).propose(0, first(r, ph)), first(r, ph));
+    }
+  }
+  for (Round r = 1; r <= 1000; ++r) {
+    for (const Phase ph : {Phase::One, Phase::Two}) {
+      EXPECT_EQ(mem.cons(r, ph).propose(1, Estimate::Bot), first(r, ph));
+    }
+  }
+  EXPECT_EQ(mem.objects_created(), 2000u);
+  EXPECT_EQ(mem.counts().consensus_proposals, 4000u);
+}
+
+TEST(ClusterMemory, ThreadsRacingThroughChunksReadOneWinnerPerObject) {
+  // Eight threads propose their own parity to both phases of rounds
+  // 1..200, crossing five chunk boundaries, each publishing chunks as it
+  // goes. Every thread must read the same winner for every object, and the
+  // counters must be exact.
+  constexpr int kThreads = 8;
+  constexpr Round kRounds = 200;
+  ClusterMemory mem(0, kThreads);
+  std::vector<std::vector<Estimate>> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (ProcId p = 0; p < kThreads; ++p) {
+    threads.emplace_back([&, p] {
+      auto& mine = seen[static_cast<std::size_t>(p)];
+      mine.reserve(2 * kRounds);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (Round r = 1; r <= kRounds; ++r) {
+        for (const Phase ph : {Phase::One, Phase::Two}) {
+          mine.push_back(mem.cons(r, ph).propose(p, estimate_from_bit(p % 2)));
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (ProcId p = 1; p < kThreads; ++p) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(p)], seen[0]) << "p" << p;
+  }
+  EXPECT_EQ(mem.objects_created(), 2u * kRounds);
+  EXPECT_EQ(mem.counts().consensus_proposals,
+            static_cast<std::uint64_t>(kThreads) * 2 * kRounds);
+  EXPECT_EQ(mem.counts().cas_successes, 2u * kRounds);
 }
 
 TEST(OpCounts, Accumulate) {
