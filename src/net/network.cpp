@@ -37,7 +37,8 @@ void SimNetwork::trace_message(TraceKind kind, ProcId proc, ProcId peer,
                   .proc = proc, .peer = peer, .mid = mid, .msg = m});
 }
 
-void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
+void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m,
+                                   std::uint32_t payload) {
   SimTime hold = 0;
   int copies = 1;
   if (scenario_ != nullptr) {
@@ -70,7 +71,7 @@ void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
     // here and the Deliver/Drop record when it fires share mid = seq + 1,
     // giving the offline DAG its send->deliver edges. seq assignment is
     // unconditional in the queue, so reading it never perturbs the run.
-    const std::uint64_t seq = sim_.schedule_deliver(hold + d, from, to, m);
+    const std::uint64_t seq = sim_.schedule_staged(hold + d, payload, to);
     if (trace_ != nullptr) {
       trace_message(TraceKind::Send, from, to, m, seq + 1, DropCause::None);
     }
@@ -129,7 +130,9 @@ void SimNetwork::send(ProcId from, ProcId to, const Message& m) {
     ++stats_.dropped_sender_crashed;
     return;
   }
-  schedule_delivery(from, to, m);
+  const std::uint32_t payload = sim_.stage(from, m);
+  schedule_delivery(from, to, m, payload);
+  sim_.unpin(payload);
 }
 
 void SimNetwork::broadcast(ProcId from, const Message& m) {
@@ -141,6 +144,9 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
   ++stats_.broadcasts;
   const auto idx = static_cast<std::size_t>(from);
   const std::int32_t my_broadcast = broadcast_counts_[idx]++;
+  // One payload serves every receiver; each scheduled copy only queues an
+  // entry that refers to it.
+  const std::uint32_t payload = sim_.stage(from, m);
 
   // Scripted mid-broadcast crash: deliver to a random subset, then halt.
   if (plan_ != nullptr) {
@@ -155,8 +161,9 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
       std::iota(scratch_.begin(), scratch_.end(), 0);
       sim_.rng().partial_shuffle(scratch_, k);
       for (std::size_t i = 0; i < k; ++i) {
-        schedule_delivery(from, scratch_[i], m);
+        schedule_delivery(from, scratch_[i], m, payload);
       }
+      sim_.unpin(payload);
       crashes_.crash(from, sim_.now());
       if (trace_ != nullptr) {
         trace_->record({.at = sim_.now(), .kind = TraceKind::Crash,
@@ -168,8 +175,9 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
   }
 
   for (ProcId to = 0; to < n_; ++to) {
-    schedule_delivery(from, to, m);
+    schedule_delivery(from, to, m, payload);
   }
+  sim_.unpin(payload);
 }
 
 }  // namespace hyco

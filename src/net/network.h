@@ -57,8 +57,10 @@ class INetwork {
 ///
 /// Deliveries ride the simulator's typed Deliver events (the network
 /// registers itself as the DeliverSink), so sending a message allocates
-/// nothing: the payload travels inline in the event node and comes straight
-/// back through deliver_event() when it fires.
+/// nothing: a broadcast or send stages its message once in the simulator's
+/// payload slab, each scheduled copy queues a 16-byte entry that refers to
+/// it, and the message comes straight back through deliver_event() when a
+/// copy fires.
 class SimNetwork final : public INetwork, private DeliverSink {
  public:
   /// Called for each delivery to a live process.
@@ -90,7 +92,10 @@ class SimNetwork final : public INetwork, private DeliverSink {
   [[nodiscard]] const NetStats& stats() const { return stats_; }
 
  private:
-  void schedule_delivery(ProcId from, ProcId to, const Message& m);
+  /// Applies the scenario to one receiver of staged `payload` (which holds
+  /// `m` from `from`) and schedules each copy that survives.
+  void schedule_delivery(ProcId from, ProcId to, const Message& m,
+                         std::uint32_t payload);
   /// Records a Send/Deliver/Drop of `m` at `proc` (see sim/trace.h).
   void trace_message(TraceKind kind, ProcId proc, ProcId peer,
                      const Message& m, std::uint64_t mid, DropCause cause);

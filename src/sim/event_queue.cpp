@@ -18,13 +18,14 @@ EventQueue::EventQueue(const Tuning& t)
   buckets_.resize(nb_);
 }
 
-void EventQueue::reserve(std::size_t events, std::size_t callbacks) {
-  // Deliver payloads: pre-size the chunk pointer table (chunks themselves
-  // materialize on demand — one allocation per 4096 slots, and existing
-  // chunks never move) and the free lists that can grow to slab size.
-  const std::size_t chunks = (events + kChunkSize - 1) >> kChunkBits;
+void EventQueue::reserve(std::size_t payloads, std::size_t callbacks) {
+  // Payloads: pre-size the chunk pointer table (chunks themselves
+  // materialize on demand — one allocation per kChunkSize slots, and
+  // existing chunks never move) and the free list that can grow to slab
+  // size.
+  const std::size_t chunks = (payloads + kChunkSize - 1) >> kChunkBits;
   if (chunks > slab_.capacity()) slab_.reserve(chunks);
-  if (events > free_deliveries_.capacity()) free_deliveries_.reserve(events);
+  if (payloads > free_payloads_.capacity()) free_payloads_.reserve(payloads);
   if (callbacks > pool_.capacity()) {
     pool_.reserve(callbacks);
     free_slots_.reserve(callbacks);
@@ -47,10 +48,11 @@ TickSpan EventQueue::pop_tick(std::uint64_t cap) {
   HYCO_CHECK_MSG(cap >= 1, "pop_tick needs a positive event budget");
   flush_pending_frees();
   Bucket& b = activate();
-  const SimTime t = b.first->items[b.head].at;
+  const auto t = static_cast<SimTime>(cursor_day_);
   // Copy the day out, block by block, then consume what was copied: the
   // tick's handlers may append to this very day, so the span must not
-  // alias it.
+  // alias it. A payload whose last entry leaves here recycles only at the
+  // next pop_tick, so it outlives whatever the tick's handlers push.
   std::size_t k = 0;
   std::size_t i = b.head;
   for (const Block* blk = b.first;; blk = blk->next, i = 0) {
@@ -63,13 +65,14 @@ TickSpan EventQueue::pop_tick(std::uint64_t cap) {
     TickItem* out = tick_items_.data() + k;
     for (std::size_t j = i; j < stop; ++j, ++out) {
       const Entry& e = blk->items[j];
-      if (e.ref & kDeliverBit) {
-        const std::uint32_t idx = e.ref & ~kDeliverBit;
-        const DeliverPayload& p = payload(idx);
-        *out = TickItem{&p.msg, e.seq, p.from, p.to, idx,
+      if (e.target.ref & kDeliverBit) {
+        const std::uint32_t idx = e.target.ref & ~kDeliverBit;
+        Payload& p = payload(idx);
+        *out = TickItem{&p.msg, e.seq, p.from, e.target.to, idx,
                         TickItem::Kind::Deliver};
+        if (--p.refs == 0) pending_frees_.push_back(idx);
       } else {
-        *out = TickItem{nullptr, e.seq, -1, -1, e.ref,
+        *out = TickItem{nullptr, e.seq, -1, -1, e.target.ref,
                         TickItem::Kind::Callback};
       }
     }
@@ -77,12 +80,6 @@ TickSpan EventQueue::pop_tick(std::uint64_t cap) {
     if (stop < end || blk == b.last) break;
   }
   consume(b, k);
-  // The span's deliver slots recycle only at the next pop_tick, so its
-  // payloads outlive whatever the tick's handlers push.
-  for (std::size_t j = 0; j < k; ++j) {
-    const TickItem& it = tick_items_[j];
-    if (it.kind == TickItem::Kind::Deliver) pending_frees_.push_back(it.slot);
-  }
   return TickSpan{t, tick_items_.data(), k};
 }
 
@@ -127,9 +124,9 @@ void EventQueue::migrate_from_heap() {
     const SimTime at = key_at(k);
     const std::uint64_t d = day(at);
     if (d >= end_day) break;
-    const std::uint32_t ref = refs_.front();
+    const Target target = refs_.front();
     heap_pop_top();
-    append_to_bucket(buckets_[d & mask_], at, key_seq(k), ref);
+    append_to_bucket(buckets_[d & mask_], Entry{key_seq(k), target});
   }
   overflow_pushes_ = 0;
 }

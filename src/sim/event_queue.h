@@ -22,7 +22,7 @@
 //    O(1) per event where a heap pays an O(log n) sift against a
 //    10^6-deep queue.
 //  * Day storage. A day is a chain of fixed-size blocks of 32 entries
-//    (768 bytes plus a link). Blocks come from chunks the queue owns, and
+//    (512 bytes plus a link). Blocks come from chunks the queue owns, and
 //    a block goes back to a LIFO free list the moment its last entry is
 //    consumed, so a run's days recycle a working set of hot blocks instead
 //    of each allocating and regrowing a vector of its own. An empty day
@@ -43,12 +43,18 @@
 //
 // Payload rules for the n² path:
 //
-//  * No per-event heap allocation, and no per-pop Message copy. Deliver
-//    payloads live in a chunked slab whose chunks never move, so pop_tick()
-//    hands out stable `const Message*` references. A chunk's slots stay
-//    uninitialized until a push writes them. A popped slot is recycled only
-//    at the NEXT pop_tick() (deferred free list), so the reference stays
-//    valid across any pushes the tick's handlers make.
+//  * One payload per broadcast. stage() parks a {from, refcount, Message}
+//    payload in a chunked slab and returns it pinned; push_staged() files
+//    one 16-byte calendar entry {seq, payload ref, to} per receiver and
+//    counts it on the payload; unpin() drops the pin. An entry carries no
+//    time, since its day bucket holds exactly one timestamp. A payload no
+//    entry was pushed for is freed when its pin drops.
+//  * No per-event heap allocation, and no per-pop Message copy. Slab chunks
+//    never move, so pop_tick() hands out stable `const Message*`
+//    references, and a chunk's slots stay uninitialized until stage()
+//    writes them. A payload whose last entry a pop_tick() removes is
+//    recycled only at the NEXT pop_tick() (deferred free list), so the
+//    reference stays valid across any pushes the tick's handlers make.
 //  * Generic timer/callback events (the ~10 cold call sites in runners,
 //    harnesses, and tests) park their std::function in a free-list slab;
 //    pushing into a recycled slot performs no allocation as long as the
@@ -67,8 +73,8 @@
 namespace hyco {
 
 /// One event of a tick (see EventQueue::pop_tick): either a message
-/// delivery (payload referenced in the slab) or a generic callback (closure
-/// parked in the pool, referenced by slot).
+/// delivery (its staged payload referenced in the slab) or a generic
+/// callback (closure parked in the pool, referenced by slot).
 struct TickItem {
   enum class Kind : std::uint8_t {
     Callback,  ///< run the pooled closure in `slot`
@@ -81,7 +87,7 @@ struct TickItem {
   std::uint64_t seq = 0;   ///< insertion sequence (the event's identity)
   ProcId from = -1;        ///< Deliver: sender
   ProcId to = -1;          ///< Deliver: receiver
-  std::uint32_t slot = 0;  ///< Callback: closure slot; Deliver: slab index
+  std::uint32_t slot = 0;  ///< Callback: closure slot; Deliver: payload index
   Kind kind = Kind::Callback;
 };
 
@@ -95,8 +101,8 @@ struct TickSpan {
 };
 
 /// Calendar-fronted priority queue of events ordered by (at, seq), with
-/// free-list slabs for both payload kinds. Not thread-safe (the simulator
-/// is single-threaded).
+/// free-list slabs for staged payloads and callback closures. Not
+/// thread-safe (the simulator is single-threaded).
 class EventQueue {
  public:
   /// Calendar geometry. The defaults suit the simulator's workloads (dense
@@ -113,9 +119,10 @@ class EventQueue {
   EventQueue() : EventQueue(Tuning{}) {}
   explicit EventQueue(const Tuning& t);
 
-  /// Pre-sizes the deliver slab index space and the closure pool for
-  /// `events` / `callbacks` concurrent events. Never shrinks.
-  void reserve(std::size_t events, std::size_t callbacks = 0);
+  /// Pre-sizes the payload slab's index space for `payloads` concurrently
+  /// staged payloads, and the closure pool for `callbacks` concurrent
+  /// callbacks. Never shrinks.
+  void reserve(std::size_t payloads, std::size_t callbacks = 0);
 
   /// Schedules a generic callback at `at`, which must not precede the last
   /// popped time. Returns the event's insertion sequence.
@@ -130,30 +137,51 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(pool_.size());
       pool_.push_back(std::move(fn));
     }
-    return route_new(at, slot);
+    return route_new(at, slot, -1);
   }
 
-  /// Schedules a message delivery at `at`, which must not precede the last
-  /// popped time. Allocation-free in steady state: the message is copied
-  /// into a recycled slab slot, never onto the heap. Returns the event's
-  /// insertion sequence — a stable identity for the scheduled delivery that
-  /// the trace layer uses as its message id.
-  std::uint64_t push_deliver(SimTime at, ProcId from, ProcId to,
-                             const Message& m) {
-    check_push_time(at);
+  /// Stages one message from `from` for a fan-out of deliveries and returns
+  /// its payload index, pinned: the payload lives until the pin is dropped
+  /// (unpin) and every entry pushed for it has been popped. Allocation-free
+  /// in steady state: the message is copied into a recycled slab slot.
+  std::uint32_t stage(ProcId from, const Message& m) {
     std::uint32_t idx;
-    if (!free_deliveries_.empty()) {
-      idx = free_deliveries_.back();
-      free_deliveries_.pop_back();
+    if (!free_payloads_.empty()) {
+      idx = free_payloads_.back();
+      free_payloads_.pop_back();
     } else {
       idx = slab_used_++;
       if ((idx >> kChunkBits) >= slab_.size()) {
         slab_.emplace_back(new PayloadSlot[kChunkSize]);
       }
     }
-    slab_[idx >> kChunkBits][idx & (kChunkSize - 1)].p =
-        DeliverPayload{from, to, m};
-    return route_new(at, idx | kDeliverBit);
+    payload(idx) = Payload{from, 1, m};
+    return idx;
+  }
+
+  /// Schedules the delivery of staged payload `idx` to `to` at `at`, which
+  /// must not precede the last popped time. Returns the event's insertion
+  /// sequence — a stable identity for the scheduled delivery that the trace
+  /// layer uses as its message id.
+  std::uint64_t push_staged(SimTime at, std::uint32_t idx, ProcId to) {
+    check_push_time(at);
+    ++payload(idx).refs;
+    return route_new(at, idx | kDeliverBit, to);
+  }
+
+  /// Drops stage()'s pin on payload `idx`, freeing it if no entry holds it.
+  void unpin(std::uint32_t idx) {
+    if (--payload(idx).refs == 0) free_payloads_.push_back(idx);
+  }
+
+  /// One delivery on a payload of its own: stage, push and unpin.
+  std::uint64_t push_deliver(SimTime at, ProcId from, ProcId to,
+                             const Message& m) {
+    check_push_time(at);  // before staging, so a rejected push leaks nothing
+    const std::uint32_t idx = stage(from, m);
+    const std::uint64_t seq = push_staged(at, idx, to);
+    unpin(idx);
+    return seq;
   }
 
   [[nodiscard]] bool empty() const { return cal_count_ == 0 && heap_.empty(); }
@@ -189,8 +217,9 @@ class EventQueue {
   [[nodiscard]] std::size_t peak_size() const { return peak_; }
 
   // Pool introspection for tests and benchmarks: total slots ever
-  // materialized, and how many of them are currently in use. A deliver slot
-  // awaiting its deferred recycle counts as free (its event is gone).
+  // materialized, and how many of them are currently in use. The deliver
+  // pool counts staged payloads: one is in use while pinned or while an
+  // entry holds it, and one awaiting its deferred recycle counts as free.
   [[nodiscard]] std::size_t pool_capacity() const { return pool_.size(); }
   [[nodiscard]] std::size_t pool_in_use() const {
     return pool_.size() - free_slots_.size();
@@ -199,7 +228,7 @@ class EventQueue {
     return slab_used_;
   }
   [[nodiscard]] std::size_t deliver_pool_in_use() const {
-    return slab_used_ - free_deliveries_.size() - pending_frees_.size();
+    return slab_used_ - free_payloads_.size() - pending_frees_.size();
   }
 
   // Calendar introspection for tests: current ring size (it doubles when
@@ -215,9 +244,12 @@ class EventQueue {
   /// bits index into the corresponding one.
   static constexpr std::uint32_t kDeliverBit = 0x8000'0000u;
 
-  /// Deliver slab chunking: fixed-size chunks that never move once
-  /// allocated, so `const Message*` references survive slab growth.
-  static constexpr std::uint32_t kChunkBits = 12;
+  /// Payload slab chunking: fixed-size chunks that never move once
+  /// allocated, so `const Message*` references survive slab growth. A
+  /// payload serves a whole broadcast, so a run holds O(n) of them: 256
+  /// slots (10 KB) cover an n = 8 run in one chunk and an n = 128 run in a
+  /// few, where a chunk sized for deliveries would mostly sit unwritten.
+  static constexpr std::uint32_t kChunkBits = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
   /// Entries per calendar block. Smaller blocks add chain hops to the
@@ -225,15 +257,15 @@ class EventQueue {
   /// leave more of each block empty on the one- or two-entry days of small
   /// runs.
   static constexpr std::uint32_t kBlockEntries = 32;
-  /// Blocks per chunk of block storage (~49 KB, left uninitialized).
+  /// Blocks per chunk of block storage (~33 KB, left uninitialized).
   static constexpr std::size_t kChunkBlocks = 64;
 
   /// What the overflow heap orders: (at, seq) packed into one 128-bit
   /// integer, high half `at` (non-negative by contract, so unsigned compare
   /// is exact), low half `seq`. One register-pair compare replaces the
   /// two-field lexicographic compare, and four 16-byte keys share a cache
-  /// line. Payload refs ride in a parallel array (refs_[i] belongs to
-  /// heap_[i]) so the sift only drags 4 extra bytes per moved node.
+  /// line. (ref, to) pairs ride in a parallel array (refs_[i] belongs to
+  /// heap_[i]) so the sift only drags 8 extra bytes per moved node.
   using Key = unsigned __int128;
 
   static Key make_key(SimTime at, std::uint64_t seq) {
@@ -246,13 +278,20 @@ class EventQueue {
     return static_cast<std::uint64_t>(k);
   }
 
-  /// A calendar entry: explicit (at, seq) plus the payload ref. 24 bytes —
-  /// packing into a 16-byte Key would pad the struct to 32.
-  struct Entry {
-    SimTime at;
-    std::uint64_t seq;
+  /// What an event points at: the payload ref and, for a delivery, the
+  /// receiver (-1 for a callback).
+  struct Target {
     std::uint32_t ref;
+    ProcId to;
   };
+
+  /// A calendar entry, 16 bytes. Its time is its day's: a bucket holds
+  /// exactly one timestamp.
+  struct Entry {
+    std::uint64_t seq;
+    Target target;
+  };
+  static_assert(sizeof(Entry) == 16);
 
   /// A run of one day's entries; `next` links the day's chain, or the free
   /// list once the block is released.
@@ -272,18 +311,20 @@ class EventQueue {
     std::uint16_t fill = 0;
   };
 
-  /// A parked Deliver payload, in a stable slab chunk.
-  struct DeliverPayload {
+  /// A staged message and its sender, shared by every entry pushed for it,
+  /// in a stable slab chunk. `refs` counts those entries still queued, plus
+  /// one while stage()'s pin holds.
+  struct Payload {
     ProcId from;
-    ProcId to;
+    std::uint32_t refs;
     Message msg;
   };
 
-  /// A slab slot: constructing a chunk writes nothing, and push_deliver's
+  /// A slab slot: constructing a chunk writes nothing, and stage()'s
   /// assignment starts the payload's lifetime.
   union PayloadSlot {
     PayloadSlot() {}
-    DeliverPayload p;
+    Payload p;
   };
 
   /// A day is one unit of virtual time: each bucket holds one timestamp.
@@ -297,23 +338,24 @@ class EventQueue {
                        << ", before the last popped time " << cursor_day_);
   }
 
-  const DeliverPayload& payload(std::uint32_t idx) const {
+  Payload& payload(std::uint32_t idx) {
     return slab_[idx >> kChunkBits][idx & (kChunkSize - 1)].p;
   }
 
   /// Files a freshly pushed event (checked: at or after the cursor) into
   /// the calendar window or the overflow heap. Returns the assigned
   /// insertion sequence.
-  std::uint64_t route_new(SimTime at, std::uint32_t ref) {
+  std::uint64_t route_new(SimTime at, std::uint32_t ref, ProcId to) {
     const std::uint64_t seq = next_seq_++;
     const std::uint64_t d = day(at);
+    const Entry e{seq, Target{ref, to}};
     if (d - base_day_ < nb_) {
-      append_to_bucket(buckets_[d & mask_], at, seq, ref);
+      append_to_bucket(buckets_[d & mask_], e);
     } else if (empty() && d - cursor_day_ < nb_) {
       base_day_ = cursor_day_;  // empty queue: slide the window to the cursor
-      append_to_bucket(buckets_[d & mask_], at, seq, ref);
+      append_to_bucket(buckets_[d & mask_], e);
     } else {
-      heap_push(make_key(at, seq), ref);
+      heap_push(make_key(at, seq), e.target);
       ++overflow_pushes_;
     }
     const std::size_t sz = cal_count_ + heap_.size();
@@ -321,8 +363,7 @@ class EventQueue {
     return seq;
   }
 
-  void append_to_bucket(Bucket& b, SimTime at, std::uint64_t seq,
-                        std::uint32_t ref) {
+  void append_to_bucket(Bucket& b, const Entry& e) {
     if (b.first == nullptr) {
       b.first = b.last = take_block();
     } else if (b.fill == kBlockEntries) {
@@ -331,7 +372,7 @@ class EventQueue {
       b.last = blk;
       b.fill = 0;
     }
-    b.last->items[b.fill++] = Entry{at, seq, ref};
+    b.last->items[b.fill++] = e;
     ++cal_count_;
   }
 
@@ -364,14 +405,14 @@ class EventQueue {
 
   void flush_pending_frees() {
     if (pending_frees_.empty()) return;
-    free_deliveries_.insert(free_deliveries_.end(), pending_frees_.begin(),
-                            pending_frees_.end());
+    free_payloads_.insert(free_payloads_.end(), pending_frees_.begin(),
+                          pending_frees_.end());
     pending_frees_.clear();
   }
 
-  void heap_push(Key k, std::uint32_t ref) {
+  void heap_push(Key k, Target t) {
     heap_.push_back(k);
-    refs_.push_back(ref);
+    refs_.push_back(t);
     sift_up(heap_.size() - 1);
   }
 
@@ -380,7 +421,7 @@ class EventQueue {
 
   void sift_up(std::size_t i) {
     const Key k = heap_[i];
-    const std::uint32_t r = refs_[i];
+    const Target r = refs_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
       if (k >= heap_[parent]) break;
@@ -409,13 +450,13 @@ class EventQueue {
   std::uint64_t overflow_pushes_ = 0;  ///< heap pushes since last migration
 
   // Overflow heap (times strictly beyond the window).
-  std::vector<Key> heap_;            ///< (at, seq) sort keys
-  std::vector<std::uint32_t> refs_;  ///< parallel payload refs
+  std::vector<Key> heap_;      ///< (at, seq) sort keys
+  std::vector<Target> refs_;   ///< parallel (ref, to) pairs
 
-  // Deliver payload slab: chunks never move, so popped refs stay valid.
+  // Payload slab: chunks never move, so popped refs stay valid.
   std::vector<std::unique_ptr<PayloadSlot[]>> slab_;
   std::uint32_t slab_used_ = 0;  ///< high-water of materialized slots
-  std::vector<std::uint32_t> free_deliveries_;
+  std::vector<std::uint32_t> free_payloads_;
   std::vector<std::uint32_t> pending_frees_;  ///< recycle at next pop_tick
 
   // Callback closure pool.

@@ -8,7 +8,8 @@
 //
 // Message deliveries — the O(n²)-per-round hot path — travel as typed
 // Deliver events dispatched straight to the registered DeliverSink (the
-// network), so no closure is allocated per message. A whole tick is the
+// network), so no closure is allocated per message, and a broadcast stages
+// its message once for all of its receivers. A whole tick is the
 // unit of work: every event sharing the minimum virtual time leaves the
 // queue as one span (EventQueue::pop_tick) and contiguous runs of Deliver
 // events go to the sink as a single deliver_batch() call, so a broadcast
@@ -66,18 +67,20 @@ class Simulator {
   /// Current virtual time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Pre-sizes the event heap / callback pool (see EventQueue::reserve).
-  void reserve(std::size_t events, std::size_t callbacks = 0) {
-    queue_.reserve(events, callbacks);
+  /// Pre-sizes the payload slab / callback pool (see EventQueue::reserve).
+  void reserve(std::size_t payloads, std::size_t callbacks = 0) {
+    queue_.reserve(payloads, callbacks);
   }
 
-  /// Pre-sizing for an n-process all-to-all protocol: one phase keeps ~n²
-  /// deliveries in flight, plus up to 2n start/crash timers. Every runner
-  /// calls this right after construction so the hot path never reallocates
-  /// mid-run.
+  /// Pre-sizing for an n-process all-to-all protocol. Its ~n² deliveries
+  /// in flight share one staged payload per broadcast, and a fault-free
+  /// consensus run holds at most ~3.6n payloads at once (n = 8 to 128), so
+  /// 4n cover it (sends and held copies grow the free list past that);
+  /// plus up to 2n start/crash timers. Every runner calls this right after
+  /// construction so the hot path seldom reallocates mid-run.
   void reserve_all_to_all(ProcId n) {
     const auto nn = static_cast<std::size_t>(n);
-    reserve(nn * nn + 2 * nn, 2 * nn);
+    reserve(4 * nn, 2 * nn);
   }
 
   /// Schedules `fn` to run `delay` nanoseconds from now (delay >= 0).
@@ -86,11 +89,26 @@ class Simulator {
   /// Schedules `fn` at absolute virtual time `at` (>= now()).
   void schedule_at(SimTime at, std::function<void()> fn);
 
-  /// Schedules a message delivery `delay` nanoseconds from now. The message
-  /// is stored inline in the event node — no allocation — and dispatched to
-  /// the deliver sink when it fires. Requires a sink by dispatch time.
-  /// Returns the event's insertion sequence (assigned unconditionally, so
-  /// observing it is free of side effects on the run).
+  /// Stages message `m` from `from` once for a fan-out of deliveries and
+  /// returns its pinned payload (see EventQueue::stage). Pair every stage()
+  /// with one unpin() once the fan-out is scheduled.
+  std::uint32_t stage(ProcId from, const Message& m) {
+    return queue_.stage(from, m);
+  }
+
+  /// Schedules the delivery of staged `payload` to `to`, `delay`
+  /// nanoseconds from now; it is dispatched to the deliver sink when it
+  /// fires. Requires a sink by dispatch time. Returns the event's insertion
+  /// sequence (assigned unconditionally, so observing it is free of side
+  /// effects on the run).
+  std::uint64_t schedule_staged(SimTime delay, std::uint32_t payload,
+                                ProcId to);
+
+  /// Drops stage()'s pin on `payload`.
+  void unpin(std::uint32_t payload) { queue_.unpin(payload); }
+
+  /// One delivery on a payload of its own: stage, schedule_staged and
+  /// unpin in one call. Returns the event's insertion sequence.
   std::uint64_t schedule_deliver(SimTime delay, ProcId from, ProcId to,
                                  const Message& m);
 

@@ -4,6 +4,8 @@
 // push_deliver → pop_tick cycle once its blocks, slab slots and tick buffer
 // are warm, the simulator's tick loop over broadcast bursts, msg_exchange's
 // crediting, quorum test and rec set, and the cluster memory's proposals.
+// The counters also sum the bytes requested, which bounds what one cold
+// all-to-all wave costs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,18 +27,25 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 std::uint64_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+std::uint64_t bytes_allocated() {
+  return g_bytes.load(std::memory_order_relaxed);
+}
+
 void* counted(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n == 0 ? 1 : n);
 }
 
 void* counted_aligned(std::size_t n, std::align_val_t al) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
   void* p = nullptr;
   if (posix_memalign(&p, a < sizeof(void*) ? sizeof(void*) : a,
@@ -172,6 +181,39 @@ TEST(AllocFree, SimulatorTickLoopAllocatesNothing) {
   EXPECT_EQ(delivered, static_cast<std::uint64_t>(kWarmCycles + kCycles) *
                            kN * kN);
   EXPECT_EQ(allocated, 0u);
+}
+
+TEST(AllocFree, OneColdAllToAllWaveAllocatesUnderHalfAMegabyte) {
+  // Every process of a fresh, reserved n = 128 simulator broadcasts once
+  // and run() drains the wave: 16,384 deliveries, all pending at once, over
+  // the ~101 days of a uniform 50-150 delay, ~6 day blocks each. Where each
+  // pending delivery held a 40-byte copy of its message and a 24-byte
+  // calendar entry, the copies took 4 chunks of 4,096 slots (640 KB) and
+  // the entries 9 chunks of 64 776-byte blocks (437 KB): 1,094 KB with the
+  // tick buffers. With one staged payload per broadcast and 16-byte
+  // entries, the payloads fit one 10 KB chunk and the entries 9 chunks of
+  // 520-byte blocks (293 KB): ~320 KB. The bound is half the former,
+  // 547 KB, which the staged layout meets with room and the per-delivery
+  // one cannot.
+  constexpr ProcId kN = 128;
+  constexpr std::uint64_t kBound = 547 * 1024;
+  Simulator sim(7);
+  sim.reserve_all_to_all(kN);
+  const std::unique_ptr<DelayModel> delays =
+      make_delay_model(DelayConfig::uniform(50, 150));
+  CrashTracker crashes(static_cast<std::size_t>(kN));
+  SimNetwork net(sim, *delays, crashes, kN);
+  std::uint64_t delivered = 0;
+  net.set_deliver([&delivered](ProcId, ProcId, const Message&) {
+    ++delivered;
+  });
+  const Message m = Message::phase_msg(1, Phase::One, Estimate::One);
+  const std::uint64_t before = bytes_allocated();
+  for (ProcId p = 0; p < kN; ++p) net.broadcast(p, m);
+  EXPECT_EQ(sim.run(), StopReason::Quiescent);
+  const std::uint64_t bytes = bytes_allocated() - before;
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(kN) * kN);
+  EXPECT_LE(bytes, kBound) << bytes / 1024 << " KB for one wave";
 }
 
 TEST(AllocFree, MsgExchangeCreditAndQuorumTestAllocateNothing) {

@@ -2,10 +2,10 @@
 // Tuning geometries force the overflow heap, heap→calendar migration and
 // window doubling — paths the default 2048-bucket window never hits in
 // unit-sized tests. pop_tick() spans are checked against a stable-sort
-// reference model, including caps and pushes made during a tick. Pushes are
-// monotone (never before the last popped time), as the simulator's are. The
-// generic (at, seq) ordering and slab-reuse properties live in
-// event_queue_test.cpp.
+// reference model, including caps, pushes made during a tick and staged
+// payloads shared by several entries. Pushes are monotone (never before the
+// last popped time), as the simulator's are. The generic (at, seq) ordering
+// and slab-reuse properties live in event_queue_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +29,8 @@ struct Expected {
   SimTime at = 0;
   std::uint64_t order = 0;  ///< push order — the tie-breaker contract
   std::uint64_t tag = 0;    ///< payload identity
+  ProcId from = 0;
+  ProcId to = 1;
 };
 
 bool model_less(const Expected& a, const Expected& b) {
@@ -37,7 +39,8 @@ bool model_less(const Expected& a, const Expected& b) {
 }
 
 /// Drains `q` one whole tick at a time, checking every span against the
-/// model: each span is the complete run of the model's next time.
+/// model: each span is the complete run of the model's next time. A
+/// drained queue holds no payload.
 void drain_and_check(EventQueue& q, std::vector<Expected> pending) {
   std::sort(pending.begin(), pending.end(), model_less);
   std::size_t next = 0;
@@ -50,12 +53,15 @@ void drain_and_check(EventQueue& q, std::vector<Expected> pending) {
       EXPECT_EQ(pending[next].at, span.at);
       ASSERT_EQ(span.items[i].kind, TickItem::Kind::Deliver);
       EXPECT_EQ(span.items[i].msg->value, pending[next].tag);
+      EXPECT_EQ(span.items[i].from, pending[next].from);
+      EXPECT_EQ(span.items[i].to, pending[next].to);
     }
     if (next < pending.size()) {
       EXPECT_GT(pending[next].at, span.at) << "span stopped short";
     }
   }
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.deliver_pool_in_use(), 0u);
 }
 
 /// The geometries the fuzzers run over: three tiny windows that force the
@@ -170,30 +176,50 @@ struct FuzzInput {
 struct FuzzCoverage {
   std::vector<bool> overflowed;
   std::vector<bool> doubled;
+  /// A payload was staged after a capped pop left part of its day queued.
+  std::vector<bool> staged_mid_tick;
 };
 
 /// Random monotone pushes and (capped) pop_tick spans against the
-/// stable-sort reference, over every fuzz geometry.
+/// stable-sort reference, over every fuzz geometry. Each push stages one
+/// payload from a random sender and gives it a fan-out of 0-3 entries, each
+/// with its own time and receiver; the payload count in use is checked
+/// after every operation.
 FuzzCoverage fuzz(const FuzzInput& in) {
   FuzzCoverage cov;
   for (const EventQueue::Tuning& t : fuzz_geometries()) {
     Rng rng(0xCA1E);
     bool overflowed = false;
     bool doubled = false;
+    bool staged_mid_tick = false;
     for (int round = 0; round < 20; ++round) {
       EventQueue q(t);
       std::vector<Expected> pending;
+      std::vector<std::uint64_t> entries_left;  ///< per payload tag
+      std::size_t live_payloads = 0;
       SimTime now = 0;  // the last popped time
-      std::uint64_t tag = 0;
+      std::uint64_t order = 0;
+      bool tick_split = false;  // the last pop left part of its day queued
       for (int op = 0; op < in.ops; ++op) {
         const bool do_push =
             pending.empty() || rng.bounded(100) < in.push_pct;
         if (do_push) {
-          const SimTime at =
-              now + static_cast<SimTime>(rng.bounded(in.time_range));
-          q.push_deliver(at, 0, 1, tagged(tag));
-          pending.push_back({at, tag, tag});
-          ++tag;
+          const std::uint64_t tag = entries_left.size();
+          const auto from = static_cast<ProcId>(rng.bounded(8));
+          const std::uint32_t payload = q.stage(from, tagged(tag));
+          const std::uint64_t fan_out = rng.bounded(4);
+          for (std::uint64_t e = 0; e < fan_out; ++e) {
+            const SimTime at =
+                now + static_cast<SimTime>(rng.bounded(in.time_range));
+            const auto to = static_cast<ProcId>(rng.bounded(8));
+            q.push_staged(at, payload, to);
+            pending.push_back({at, order++, tag, from, to});
+          }
+          q.unpin(payload);
+          entries_left.push_back(fan_out);
+          if (fan_out > 0) ++live_payloads;
+          EXPECT_EQ(q.deliver_pool_in_use(), live_payloads);
+          staged_mid_tick = staged_mid_tick || tick_split;
           overflowed = overflowed || q.overflow_size() > 0;
           continue;
         }
@@ -213,7 +239,12 @@ FuzzCoverage fuzz(const FuzzInput& in) {
         if (span.at != pending[0].at || span.count != want) return cov;
         for (std::size_t i = 0; i < span.count; ++i) {
           EXPECT_EQ(span.items[i].msg->value, pending[i].tag);
+          EXPECT_EQ(span.items[i].from, pending[i].from);
+          EXPECT_EQ(span.items[i].to, pending[i].to);
+          if (--entries_left[pending[i].tag] == 0) --live_payloads;
         }
+        EXPECT_EQ(q.deliver_pool_in_use(), live_payloads);
+        tick_split = want < run;
         now = span.at;
         pending.erase(pending.begin(),
                       pending.begin() + static_cast<std::ptrdiff_t>(want));
@@ -223,6 +254,7 @@ FuzzCoverage fuzz(const FuzzInput& in) {
     }
     cov.overflowed.push_back(overflowed);
     cov.doubled.push_back(doubled);
+    cov.staged_mid_tick.push_back(staged_mid_tick);
   }
   return cov;
 }
@@ -232,10 +264,12 @@ TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
   // calendar → heap → migrated calendar, across repeated doublings, while
   // every whole-tick span must still match the stable-sort reference. Even
   // the default window overflows: it stays put while the queue holds
-  // events, and the cursor drifts towards its end. The dense range piles
-  // dozens of entries on each day, so a day spans several blocks and spans
-  // cross block edges; the far range jumps past whole windows.
-  const FuzzCoverage wide = fuzz(FuzzInput{300, 60, 500, 0});
+  // events, and the cursor drifts towards its end (800 operations, since
+  // fan-outs keep more entries pending, which slows the drift). The dense
+  // range piles dozens of entries on each day, so a day spans several
+  // blocks and spans cross block edges; the far range jumps past whole
+  // windows.
+  const FuzzCoverage wide = fuzz(FuzzInput{300, 60, 800, 0});
   EXPECT_EQ(wide.overflowed, (std::vector<bool>{true, true, true, true}));
   EXPECT_EQ(wide.doubled, (std::vector<bool>{true, true, false, false}));
   fuzz(FuzzInput{8, 75, 1000, 0});
@@ -326,10 +360,13 @@ TEST(CalendarQueueTickProperty, FuzzCappedSpansMatchModel) {
   // order, on the following pops, interleaved with monotone pushes — every
   // span element and every leftover is checked against the model. The
   // dense input keeps days several blocks deep, so spans and caps cross
-  // block edges.
+  // block edges, and stages payloads between the pops of a split day, some
+  // of whose entries join that same day.
   const FuzzCoverage wide = fuzz(FuzzInput{200, 50, 200, 8});
   EXPECT_EQ(wide.overflowed, (std::vector<bool>{true, true, true, true}));
-  fuzz(FuzzInput{8, 85, 600, 80});
+  const FuzzCoverage dense = fuzz(FuzzInput{8, 85, 600, 80});
+  EXPECT_EQ(dense.staged_mid_tick,
+            (std::vector<bool>{true, true, true, true}));
   fuzz(FuzzInput{5000, 60, 400, 4});
 }
 

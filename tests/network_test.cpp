@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "core/cluster_layout.h"
 #include "net/delay_model.h"
 #include "net/network.h"
+#include "scenario/engine.h"
 #include "sim/simulator.h"
+#include "sim/trace.h"
 #include "util/assert.h"
 
 namespace hyco {
@@ -168,6 +172,157 @@ TEST(SimNetwork, MidBroadcastCrashDeliversSubsetThenHalts) {
   f.net.broadcast(2, msg());  // dead: nothing flows
   f.sim.run();
   EXPECT_EQ(f.deliveries.size(), after_partial);
+}
+
+TEST(SimNetwork, MidBroadcastCrashCopiesCarryTheSendersMessage) {
+  // Every copy a crashing broadcast schedules shares its one payload: each
+  // delivered copy carries the sender's message and id. The sender's own
+  // copy, if drawn, is dropped at its (now crashed) receiver.
+  const Message m = Message::value_msg(3, 0xBEEF);
+  CrashPlan plan = CrashPlan::none(7);
+  plan.specs[3] = CrashSpec::on_broadcast(0, 4);
+  NetFixture f(7, &plan);
+  f.net.broadcast(3, m);
+  f.sim.run();
+  EXPECT_TRUE(f.tracker.is_crashed(3));
+  EXPECT_EQ(f.net.stats().unicasts_sent, 4u);
+  EXPECT_EQ(f.deliveries.size() + f.net.stats().dropped_receiver_crashed, 4u);
+  for (const auto& d : f.deliveries) {
+    EXPECT_EQ(d.from, 3);
+    EXPECT_EQ(d.m, m);
+    EXPECT_NE(d.to, 3);
+  }
+}
+
+TEST(SimNetwork, MidBroadcastCrashToNoReceiverDeliversNothing) {
+  CrashPlan plan = CrashPlan::none(4);
+  plan.specs[1] = CrashSpec::on_broadcast(0, 0);
+  NetFixture f(4, &plan);
+  f.net.broadcast(1, msg());
+  f.sim.run();
+  EXPECT_TRUE(f.tracker.is_crashed(1));
+  EXPECT_TRUE(f.deliveries.empty());
+  EXPECT_EQ(f.net.stats().unicasts_sent, 0u);
+  EXPECT_EQ(f.net.stats().broadcasts, 1u);
+  // A live process's traffic still flows after the empty fan-out.
+  f.net.broadcast(0, msg());
+  f.sim.run();
+  EXPECT_EQ(f.deliveries.size(), 3u);
+}
+
+/// One side of the broadcast-vs-sends comparison: a network at n = 9 under
+/// loss, duplication, reordering and a cut from the first cluster that
+/// heals at 20,000, far past the default 2,048-day calendar window, so
+/// held copies wait in the overflow heap. Every event is traced.
+struct ScenarioTwin {
+  static constexpr ProcId kN = 9;
+  static constexpr SimTime kHeal = 20'000;
+
+  static ScenarioConfig scenario() {
+    ScenarioConfig cfg;
+    cfg.link.loss = 0.2;
+    cfg.link.dup = 0.2;
+    cfg.link.reorder_max = 100;
+    PartitionSpec cut;
+    cut.kind = PartitionSpec::Kind::Clusters;
+    cut.ids = {0};
+    cut.start = 0;
+    cut.heal = kHeal;
+    cfg.partitions.push_back(cut);
+    return cfg;
+  }
+
+  ScenarioTwin()
+      : sim(11),
+        engine(scenario(), ClusterLayout::even(kN, 3),
+               make_delay_model(DelayConfig::uniform(50, 150))),
+        tracker(static_cast<std::size_t>(kN)),
+        trace(1 << 14),
+        net(sim, engine.channel(), tracker, kN, nullptr, &trace) {
+    trace.enable(true);
+    net.set_scenario(&engine);
+    net.set_deliver([this](ProcId to, ProcId from, const Message& m) {
+      log.push_back({sim.now(), from, to, m});
+    });
+  }
+
+  struct Delivery {
+    SimTime at;
+    ProcId from;
+    ProcId to;
+    Message m;
+    bool operator==(const Delivery&) const = default;
+  };
+
+  /// Each process's message in wave `w`.
+  static Message wave_msg(ProcId p, int w) {
+    return Message::value_msg(p, static_cast<std::uint64_t>(100 * w + p));
+  }
+
+  std::vector<TraceRecord> records() const {
+    std::vector<TraceRecord> out;
+    trace.for_each([&out](const TraceRecord& r) { out.push_back(r); });
+    return out;
+  }
+
+  Simulator sim;
+  ScenarioEngine engine;
+  CrashTracker tracker;
+  Trace trace;
+  SimNetwork net;
+  std::vector<Delivery> log;
+};
+
+TEST(SimNetwork, BroadcastMatchesSendsUnderScenarioFaults) {
+  // A broadcast stages one payload for all of its copies; n sends stage
+  // one each. Under per-copy loss, duplication, reordering and a healing
+  // cut, both must draw, schedule, hold and deliver the same copies: the
+  // same delivery log, the same Send/Deliver/Drop records and message ids,
+  // and the same stats but for the broadcast count. A second wave goes out
+  // mid-cut from a timer, behind the first wave's held copies.
+  ScenarioTwin bcast;
+  ScenarioTwin sends;
+  constexpr ProcId n = ScenarioTwin::kN;
+  for (int w = 0; w < 2; ++w) {
+    const SimTime at = w == 0 ? 0 : 5'000;
+    bcast.sim.schedule_at(at, [&bcast, w] {
+      for (ProcId p = 0; p < n; ++p) {
+        bcast.net.broadcast(p, ScenarioTwin::wave_msg(p, w));
+      }
+    });
+    sends.sim.schedule_at(at, [&sends, w] {
+      for (ProcId p = 0; p < n; ++p) {
+        for (ProcId to = 0; to < n; ++to) {
+          sends.net.send(p, to, ScenarioTwin::wave_msg(p, w));
+        }
+      }
+    });
+  }
+  bcast.sim.run();
+  sends.sim.run();
+
+  EXPECT_EQ(bcast.log, sends.log);
+  EXPECT_EQ(bcast.records(), sends.records());
+  EXPECT_LT(bcast.trace.recorded(), bcast.trace.capacity());  // no wrap
+  const NetStats& a = bcast.net.stats();
+  const NetStats& b = sends.net.stats();
+  EXPECT_EQ(a.broadcasts, 2u * n);
+  EXPECT_EQ(b.broadcasts, 0u);
+  EXPECT_EQ(a.unicasts_sent, b.unicasts_sent);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.dropped_sender_crashed, b.dropped_sender_crashed);
+  EXPECT_EQ(a.dropped_receiver_crashed, b.dropped_receiver_crashed);
+  EXPECT_EQ(a.dropped_partitioned, b.dropped_partitioned);
+  EXPECT_EQ(a.dropped_lost, b.dropped_lost);
+  EXPECT_EQ(a.duplicated, b.duplicated);
+  EXPECT_EQ(a.held_partitioned, b.held_partitioned);
+  // The scenario did each kind of work, and held copies arrived after the
+  // heal.
+  EXPECT_GT(a.dropped_lost, 0u);
+  EXPECT_GT(a.duplicated, 0u);
+  EXPECT_GT(a.held_partitioned, 0u);
+  ASSERT_FALSE(bcast.log.empty());
+  EXPECT_GE(bcast.log.back().at, ScenarioTwin::kHeal);
 }
 
 TEST(SimNetwork, OutOfRangeIdsThrow) {
