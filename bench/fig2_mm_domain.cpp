@@ -1,11 +1,12 @@
 // FIG2 — reproduction of Figure 2 + appendix: the uniform m&m shared-memory
 // domain of 5 processes. Verifies the constructed S_i sets against the
 // paper's list, then runs the m&m consensus comparator on the domain.
+// Exits 1 when a constructed S_i differs from the paper's.
 // Usage: fig2_mm_domain [--runs=N]
 #include <iostream>
 
 #include "baseline/mm_domain.h"
-#include "baseline/mm_runner.h"
+#include "core/runner.h"
 #include "util/options.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -45,9 +46,9 @@ int main(int argc, char** argv) {
   Summary rounds;
   int terminated = 0, violations = 0;
   for (int i = 0; i < runs; ++i) {
-    MmRunConfig cfg(d);
+    RunConfig cfg(d);
     cfg.seed = mix64(0xF162, static_cast<std::uint64_t>(i));
-    const auto r = run_mm(cfg);
+    const auto r = run_consensus(cfg);
     terminated += r.all_correct_decided ? 1 : 0;
     violations += (r.agreement_ok && r.validity_ok) ? 0 : 1;
     rounds.add(static_cast<double>(r.max_decision_round));
@@ -59,10 +60,10 @@ int main(int argc, char** argv) {
   Table inv("Per-process consensus-object invocations per phase (claim: a_i + 1)");
   inv.set_columns({"process", "claimed a_i+1", "measured"});
   {
-    MmRunConfig cfg(d);
+    RunConfig cfg(d);
     cfg.inputs = std::vector<Estimate>(5, Estimate::Zero);  // 1-round run
     cfg.seed = 99;
-    const auto r = run_mm(cfg);
+    const auto r = run_consensus(cfg);
     for (ProcId p = 0; p < d.n(); ++p) {
       const auto& st = r.proc_stats[static_cast<std::size_t>(p)];
       const double per_phase =
@@ -75,5 +76,5 @@ int main(int argc, char** argv) {
     }
   }
   inv.print(std::cout);
-  return 0;
+  return all_match ? 0 : 1;
 }

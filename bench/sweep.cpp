@@ -3,152 +3,16 @@
 // (src/exp/) fans all (cell × seed) runs across worker threads; aggregates
 // are bit-identical at every --threads value.
 //
+// Usage: sweep [--flag=value ...]
+//
 // Example (reproduces the shape of T-ROUNDS' first table):
 //   sweep --alg=common_coin --n=4,8,16,32,64 --m=4 --runs=300 \
 //         --threads=8 --json=out.json
 //
-// Flags:
-//   --alg=A,B       local_coin | common_coin | ben_or      [local_coin]
-//   --n=8,16,32     process counts                         [8]
-//   --m=1,4         cluster counts (cells with m > n skip) [1]
-//   --runs=N        seeds per cell                         [40]
-//   --threads=K     workers; 0 = hardware concurrency      [0]
-//   --seed=S        base seed                              [1]
-//   --eps=0,0.25    common-coin corruption probabilities   [0]
-//   --inputs=KIND   split | all0 | all1                    [split]
-//   --delay=SPEC    uniform:LO:HI | constant:T | exp:MEAN  [uniform:50:150]
-//   --crash=C,...   none | minority | covering-dead | mid-broadcast  [none]
-//   --max-rounds=R  per-run round cap                      [5000]
-//   --json=PATH     write JSON report (- for stdout)
-//   --csv=PATH      write CSV report (- for stdout)
-//   --csv-shard=N   shard the CSV into PATH.000, PATH.001, … N cells each
-//   --replay=N      re-run up to N failing seeds with tracing on
-//   --quiet         suppress the ASCII table
-//
-// Streaming pipeline (every sweep streams: each chunk folds into its
-// cell's accumulator and no per-run record is kept, so memory stays
-// O(cells) for multi-million-run grids; see README "Streaming sweeps"):
-//   --chunk=N         max runs per work unit (auto-shrunk so every worker
-//                     has chunks to steal; grain never changes output bytes)
-//                     [1024]
-//   --checkpoint=PATH append each completed chunk's exact accumulator state
-//                     to PATH (flushed per block; an existing checkpoint is
-//                     never truncated without --resume)
-//   --resume          load PATH first and skip its completed work. Resume
-//                     is *chunk-granular*: a cell interrupted mid-flight
-//                     re-runs only its uncovered run ranges, so even a
-//                     single monster cell resumes where it left off. Final
-//                     artifacts are byte-identical to an uninterrupted run.
-//                     The loaded trail is also rewritten in place as its
-//                     compacted equivalent (one block per contiguous chunk
-//                     chain; temp file + rename), so repeated crash/resume
-//                     cycles never grow the file without bound. An older
-//                     build's checkpoints, with their per-cell blocks,
-//                     still resume.
-//   --progress        1 Hz stderr line: runs & cells done, runs/s, ETA.
-//                     With --service the rate and ETA count decided
-//                     service ops instead of runs (a single service run
-//                     can take minutes; runs/s would read 0 throughout)
-//
-// Distributed sweeps (src/dist/; see README "Distributed sweeps"):
-//   --serve=PORT      coordinate: listen on PORT, lease chunk-sized run
-//                     ranges to connecting workers, and merge their
-//                     accumulators. Emits the same artifacts as a local
-//                     run — byte-identical at any worker count, lease
-//                     grain, or arrival order. Combines with --checkpoint
-//                     (every folded chunk appends a block).
-//   --connect=HOST:PORT  work for a coordinator started with the *same
-//                     grid flags* (the handshake verifies the grid
-//                     fingerprint). Emits no artifacts locally.
-//                     Local-executor knobs (--threads/--chunk) are
-//                     rejected in both modes: workers parallelize with
-//                     --workers, coordinators shape work units with
-//                     --lease.
-//   --workers=N       with --connect: parallel worker sessions [1]
-//   --reconnect=N     with --connect: mid-sweep recovery budget — after a
-//                     lost connection (sever, coordinator crash/restart) a
-//                     session redials with jittered exponential backoff
-//                     and re-Hellos, giving up after N consecutive failed
-//                     attempts (the counter resets on every successful
-//                     re-handshake). 0 = a mid-sweep disconnect is fatal [5]
-//   --lease=N         with --serve: runs per lease chunk [4096]
-//   --lease-floor=N   with --serve: adaptive-tail floor — as the pending
-//                     pool drains, lease sizes halve from --lease down to
-//                     N so the last chunks finish on all workers together
-//                     instead of one straggler. Never changes output
-//                     bytes; set equal to --lease to disable [32]
-//   --lease-ttl=SEC   with --serve: re-queue leases not folded in SEC [60].
-//                     Size --lease so a chunk comfortably finishes within
-//                     the TTL: an expired lease is re-executed elsewhere
-//                     (late results are dropped as duplicates — output is
-//                     unaffected, but the work is done twice and the
-//                     coordinator warns on stderr).
-//
-// Adversarial scenario flags (src/scenario/; all default off — combined
-// into one scenario axis value applied to every cell):
-//   --loss=P        per-link message loss probability      [0]
-//   --dup=P         per-link duplication probability       [0]
-//   --reorder=T     bounded-reordering jitter (ns/us/ms)   [0]
-//   --partition=S,... scheduled cuts, KIND:IDS[:flap=D:period=D][@START..HEAL]
-//                   with KIND cluster | procs | split; HEAL may be "never";
-//                   flap/period make a square-wave cut/heal cycle
-//                   (e.g. cluster:0-1@5ms..20ms, cluster:0:flap=2ms:period=4ms)
-//   --recover=S,... crash-recovery cycles, PID@DOWN..UP or
-//                   cluster:X@DOWN..UP (e.g. 3@2ms..8ms)
-//   --coin-attack=BIT:BOOST delay round>=2 phase-1 carriers of BIT by BOOST
-//   --skew=S,...    clock skew / slow processes: proc:ID:xF or
-//                   cluster:ID:xF step-speed multipliers (e.g. proc:3:x4
-//                   makes p3's steps 4x slower; x0.5 makes a fast process)
-//
-// Observability (src/obs/; see README "Observability" — every section is
-// opt-in and strictly appended, so default artifacts stay byte-identical):
-//   --log-level=L     trace | debug | info | warn | error       [warn]
-//   --net-stats       append per-cell message-class counter columns
-//                     (delivered / dropped_* / duplicated / held) to
-//                     CSV/JSON
-//   --phase-metrics   collect per-phase latency timings (phase1/phase2 ns,
-//                     decide spread, coin flips) and append their columns.
-//                     Changes the grid fingerprint (timed and untimed runs
-//                     checkpoint separately) but never the base columns.
-//   --profile         append executor wall/cpu/msgs-per-sec columns (host
-//                     timing — NOT deterministic; local mode only)
-//   --trace-out=PATH  after the sweep, re-run one (cell, run) with tracing
-//                     on and export its event timeline ("-" for stdout)
-//   --trace-cell=I    cell index to trace                       [0]
-//   --trace-run=K     run index within the cell to trace        [0]
-//   --trace-format=F  jsonl | binary                            [jsonl]
-//   --trace-cap=N     trace ring capacity in records; a run that records
-//                     more keeps the trailing window and the export is
-//                     marked truncated                          [65536]
-//   --health=PORT     with --serve: read-only HTTP progress endpoint
-//                     (0 = kernel-assigned; printed on stderr). Serves one
-//                     "hyco-health/2" JSON document per request, including
-//                     the recovery counters (lease expiries, re-queued
-//                     chunks, worker reconnects, checkpoint flush age).
-//
-// Replicated service workload (src/service/; see README "Replicated
-// service" and docs/cli.md for the full flag registry):
-//   --service         run the replicated-state-machine workload: closed-
-//                     loop clients submit ops, replicas batch them into
-//                     sequenced consensus slots, and cells report decided-
-//                     ops/sec plus client-latency p50/p99/p999 decomposed
-//                     into batching-wait / slot-queueing / consensus
-//                     components. Forces the hybrid common-coin algorithm;
-//                     rejects --alg, --inputs, --phase-metrics, and
-//                     --crash=mid-broadcast. Combines with --trace-out:
-//                     the traced re-run records service milestones (op /
-//                     flush / slot / deliver) alongside network events.
-//   --clients=N       simulated closed-loop clients            [100000]
-//   --ops-per-client=K  ops each client submits (bounds a run) [1]
-//   --batch=B,...     max ops per proposed batch (axis)        [64]
-//   --batch-delay=D   ns a partial batch waits before flushing
-//                     (0 = flush every op)                     [50000]
-//   --svc-load=R,...  offered load in ops/sec across all clients;
-//                     0 = no think time (axis)                 [0]
-//
+// docs/cli.md documents every flag, its default and its exit codes.
 // Unknown --flags are rejected (exit 2): the registry in
-// src/exp/sweep_flags.cpp is the single source of truth, and docs/cli.md
-// documents every entry (enforced by tests and CI).
+// src/exp/sweep_flags.cpp is the single source of truth, and
+// tests/docs_cli_test.cpp and CI check docs/cli.md against it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>

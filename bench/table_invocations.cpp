@@ -10,13 +10,18 @@
 #include <iostream>
 
 #include "baseline/mm_domain.h"
-#include "baseline/mm_runner.h"
 #include "core/runner.h"
 #include "util/table.h"
 
 using namespace hyco;
 
 namespace {
+
+// Consensus objects the system touched per phase: one round = 2 phases.
+double objects_per_phase(const RunResult& r) {
+  return static_cast<double>(r.consensus_objects) /
+         (2.0 * static_cast<double>(r.max_decision_round));
+}
 
 // One hybrid measurement row: run to decision, derive per-process-per-phase
 // invocations and system objects per phase from the instrumentation.
@@ -34,21 +39,17 @@ void hybrid_row(Table& t, const char* label, const ClusterLayout& layout) {
         max_per_phase, static_cast<double>(st.cons_invocations) /
                            (2.0 * static_cast<double>(st.rounds_entered)));
   }
-  // One LC round = 2 phases; objects materialized = 2 * m for round 1.
-  const double objects_per_phase =
-      static_cast<double>(r.consensus_objects) /
-      (2.0 * static_cast<double>(r.max_decision_round));
   t.add_row_values(label, "hybrid", layout.n(), layout.m(), "1",
                    fixed(max_per_phase, 1), std::to_string(layout.m()),
-                   fixed(objects_per_phase, 1));
+                   fixed(objects_per_phase(r), 1));
 }
 
 void mm_row(Table& t, const char* label, const MmDomain& d) {
-  MmRunConfig cfg(d);
+  RunConfig cfg(d);
   cfg.inputs = std::vector<Estimate>(static_cast<std::size_t>(d.n()),
                                      Estimate::Zero);
   cfg.seed = 0x12;
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
 
   ProcId max_deg = 0;
   for (ProcId i = 0; i < d.n(); ++i) max_deg = std::max(max_deg, d.degree(i));
@@ -62,7 +63,7 @@ void mm_row(Table& t, const char* label, const MmDomain& d) {
   t.add_row_values(label, "m&m", d.n(), "n/a",
                    "a_i+1 (max " + std::to_string(max_deg + 1) + ")",
                    fixed(max_per_phase, 1), std::to_string(d.n()),
-                   std::to_string(d.n()));
+                   fixed(objects_per_phase(r), 1));
 }
 
 }  // namespace

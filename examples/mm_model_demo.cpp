@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "baseline/mm_domain.h"
-#include "baseline/mm_runner.h"
 #include "core/runner.h"
 
 using namespace hyco;
@@ -18,9 +17,9 @@ int main() {
                " {p0p1, p1p2, p2p3, p2p4, p3p4}\n";
   std::cout << "memory domains: " << d.to_string() << "\n\n";
 
-  MmRunConfig cfg(d);
+  RunConfig cfg(d);
   cfg.seed = 5;
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
   std::cout << "m&m consensus on this domain: decided "
             << (r.decided_value ? to_cstring(*r.decided_value) : "nothing")
             << " in " << r.max_decision_round << " round(s), "

@@ -1,15 +1,23 @@
 #include "baseline/ben_or.h"
 
+#include "baseline/mm_domain.h"
+#include "shm/cluster_memory.h"
 #include "util/assert.h"
 
 namespace hyco {
 
-BenOrProcess::BenOrProcess(ProcId self, ProcId n, INetwork& net,
-                           std::uint64_t coin_seed, Round max_rounds)
+BenOrProcess::BenOrProcess(
+    ProcId self, ProcId n, INetwork& net, std::uint64_t coin_seed,
+    Round max_rounds, const MmDomain* domain,
+    std::span<const std::unique_ptr<ClusterMemory>> memories)
     : self_(self), n_(n), net_(net), coin_(coin_seed),
-      max_rounds_(max_rounds) {
+      max_rounds_(max_rounds), domain_(domain), memories_(memories) {
   HYCO_CHECK_MSG(self >= 0 && self < n, "bad process id " << self);
   HYCO_CHECK_MSG(max_rounds >= 1, "max_rounds must be >= 1");
+  HYCO_CHECK_MSG(domain == nullptr || (domain->n() == n &&
+                                       memories.size() ==
+                                           static_cast<std::size_t>(n)),
+                 "an m&m domain needs n = " << n << " processes and memories");
 }
 
 BenOrProcess::Tally& BenOrProcess::tally(Round r, Phase ph) {
@@ -17,6 +25,19 @@ BenOrProcess::Tally& BenOrProcess::tally(Round r, Phase ph) {
   auto it = tallies_.find(key);
   if (it == tallies_.end()) it = tallies_.emplace(key, Tally(n_)).first;
   return it->second;
+}
+
+Estimate BenOrProcess::propose_to_domain(Phase ph, Estimate v) {
+  if (domain_ == nullptr) return v;
+  ++stats_.cons_invocations;
+  const Estimate own =
+      memories_[static_cast<std::size_t>(self_)]->cons(round_, ph).propose(
+          self_, v);
+  for (const ProcId j : domain_->neighbors(self_)) {
+    ++stats_.cons_invocations;
+    memories_[static_cast<std::size_t>(j)]->cons(round_, ph).propose(self_, v);
+  }
+  return own;
 }
 
 void BenOrProcess::start(Estimate proposal) {
@@ -36,6 +57,7 @@ void BenOrProcess::enter_round() {
   ++round_;
   ++stats_.rounds_entered;
   phase_ = Phase::One;
+  est1_ = propose_to_domain(Phase::One, est1_);
   net_.broadcast(self_, Message::phase_msg(round_, Phase::One, est1_));
 }
 
@@ -94,6 +116,7 @@ void BenOrProcess::complete_phase1() {
     }
   }
   phase_ = Phase::Two;
+  est2_ = propose_to_domain(Phase::Two, est2_);
   net_.broadcast(self_, Message::phase_msg(round_, Phase::Two, est2_));
 }
 
@@ -103,8 +126,9 @@ void BenOrProcess::complete_phase2() {
   const bool has1 = t.counts[estimate_index(Estimate::One)] > 0;
   const bool has_bot = t.counts[estimate_index(Estimate::Bot)] > 0;
   // Two distinct phase-2 values are impossible (each comes from a majority
-  // of phase-1 senders, and majorities intersect); guard anyway so a bug
-  // here can never decide unsafely.
+  // of phase-1 senders, and majorities intersect; an m&m memory's winner is
+  // one of the values proposed to it, so m&m's est2 is that value or ⊥
+  // too); guard anyway so a bug here can never decide unsafely.
   HYCO_CHECK_MSG(!(has0 && has1),
                  "Ben-Or saw both 0 and 1 in phase 2 of round " << round_);
   const Estimate v = has0 ? Estimate::Zero

@@ -1,5 +1,6 @@
 // Pure message-passing Ben-Or randomized binary consensus (PODC 1983) —
-// the baseline the paper extends.
+// the baseline the paper extends — and, given an m&m memory domain, the
+// m&m comparator of Section III-C.
 //
 // This is an INDEPENDENT implementation (no cluster machinery, plain
 // counting of distinct senders), as the paper describes for the m = n
@@ -9,13 +10,24 @@
 // cross-validates hybrid(m = n) against this implementation; the T-FT
 // experiment uses it to show that pure message passing cannot survive a
 // majority of crashes while the hybrid model can.
+//
+// The m&m comparator is a faithful-to-the-comparison analog of Algorithm 2
+// on the m&m memory layout (it is NOT a line-by-line reimplementation of
+// the PODC'18 algorithms): before each phase's broadcast, p_i proposes its
+// value to the consensus object of EVERY memory it can touch — its own
+// p_i-centered memory plus its α_i neighbours' (α_i + 1 invocations, the
+// count the paper contrasts with the hybrid model's single invocation) —
+// and adopts the winner of its own. The message exchange still counts
+// distinct senders: the m&m model has no cluster closure, so "one for
+// all" is unavailable and a crashed neighbour's support is simply lost.
 #pragma once
 
 #include <array>
 #include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "coin/coin.h"
 #include "core/consensus_process.h"
@@ -25,12 +37,19 @@
 
 namespace hyco {
 
+class ClusterMemory;
+class MmDomain;
+
 /// One Ben-Or process. Tolerates f < n/2 crashes; blocks otherwise
 /// (expected, and exercised by the fault-tolerance experiment).
 class BenOrProcess final : public IConsensusProcess {
  public:
+  /// Without `domain`, plain Ben-Or. With it, the m&m comparator:
+  /// `memories` are the domain's n memories, memory i being p_i's,
+  /// shared by S_i = {i} ∪ N(i). Both must outlive the process.
   BenOrProcess(ProcId self, ProcId n, INetwork& net, std::uint64_t coin_seed,
-               Round max_rounds);
+               Round max_rounds, const MmDomain* domain = nullptr,
+               std::span<const std::unique_ptr<ClusterMemory>> memories = {});
 
   void start(Estimate proposal) override;
   void on_message(ProcId from, const Message& m) override;
@@ -70,6 +89,10 @@ class BenOrProcess final : public IConsensusProcess {
   };
 
   Tally& tally(Round r, Phase ph);
+  /// m&m: proposes `v` to the α_i + 1 reachable memories' CONS[round, ph],
+  /// own memory first, and returns the own memory's winner. Plain Ben-Or
+  /// returns `v`.
+  Estimate propose_to_domain(Phase ph, Estimate v);
   void enter_round();
   void progress();
   void complete_phase1();
@@ -82,6 +105,8 @@ class BenOrProcess final : public IConsensusProcess {
   INetwork& net_;
   LocalCoin coin_;
   Round max_rounds_;
+  const MmDomain* domain_;
+  std::span<const std::unique_ptr<ClusterMemory>> memories_;
 
   Round round_ = 0;
   Phase phase_ = Phase::One;

@@ -12,7 +12,7 @@
 #include "net/message.h"
 
 namespace hyco::obs {
-class IRunObserver;
+class RunObserver;
 }  // namespace hyco::obs
 
 namespace hyco {
@@ -64,7 +64,7 @@ class IConsensusProcess {
   /// must outlive the process; nullptr detaches. Observation never feeds
   /// back into algorithm state, so an instrumented run is byte-identical
   /// to an uninstrumented one. Default: ignored (baselines report zeros).
-  virtual void set_observer(obs::IRunObserver* /*o*/) {}
+  virtual void set_observer(obs::RunObserver* /*o*/) {}
 
   [[nodiscard]] virtual bool decided() const = 0;
   [[nodiscard]] virtual std::optional<Estimate> decision() const = 0;

@@ -55,7 +55,7 @@ class ProcessBase : public IConsensusProcess {
 
   void set_scenario_assist(bool on) override { assist_ = on; }
 
-  void set_observer(obs::IRunObserver* o) override { obs_ = o; }
+  void set_observer(obs::RunObserver* o) override { obs_ = o; }
 
   [[nodiscard]] bool decided() const override {
     return decision_.has_value();
@@ -102,7 +102,7 @@ class ProcessBase : public IConsensusProcess {
   Round round_ = 0;
   Estimate proposal_ = Estimate::Bot;  ///< the value passed to start()
   ProcessStats stats_;
-  obs::IRunObserver* obs_ = nullptr;  ///< optional, not owned
+  obs::RunObserver* obs_ = nullptr;  ///< optional, not owned
 
  private:
   /// Scenario assist: answer a PHASE message from `from` by retransmitting

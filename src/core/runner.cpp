@@ -10,7 +10,6 @@
 #include "core/local_coin_process.h"
 #include "obs/observer.h"
 #include "obs/phase_timings.h"
-#include "obs/trace_observer.h"
 #include "shm/cluster_memory.h"
 #include "sim/trace.h"
 #include "util/assert.h"
@@ -20,6 +19,28 @@ namespace hyco {
 namespace {
 /// Event budget of one run: a backstop far above any terminating run.
 constexpr std::uint64_t kMaxEvents = 200'000'000;
+
+/// Hands each message to its process and stamps r.last_decision_time when
+/// the delivery makes that process decide.
+SimNetwork::DeliverFn decision_timing_deliver(
+    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
+    const Simulator& sim, RunResult& r) {
+  return [&procs, &sim, &r](ProcId to, ProcId from, const Message& m) {
+    IConsensusProcess& proc = *procs[static_cast<std::size_t>(to)];
+    const bool was_decided = proc.decided();
+    proc.on_message(from, m);
+    if (!was_decided && proc.decided()) r.last_decision_time = sim.now();
+  };
+}
+
+/// Whether `layout` is the singletons of n, cluster p holding process p.
+bool is_singletons(const ClusterLayout& layout, ProcId n) {
+  if (layout.n() != n) return false;
+  for (ProcId p = 0; p < n; ++p) {
+    if (layout.cluster_of(p) != p) return false;
+  }
+  return true;
+}
 }  // namespace
 
 const char* to_cstring(Algorithm a) {
@@ -27,6 +48,7 @@ const char* to_cstring(Algorithm a) {
     case Algorithm::HybridLocalCoin: return "hybrid-LC";
     case Algorithm::HybridCommonCoin: return "hybrid-CC";
     case Algorithm::BenOr: return "ben-or";
+    case Algorithm::Mm: return "m&m";
   }
   return "?";
 }
@@ -65,6 +87,13 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
   const ProcId n = cfg_.layout.n();
   HYCO_CHECK_MSG(inputs_.size() == static_cast<std::size_t>(n),
                  "inputs size " << inputs_.size() << " != n " << n);
+  HYCO_CHECK_MSG(cfg_.mm_domain.has_value() == (cfg_.alg == Algorithm::Mm),
+                 "an m&m memory domain goes with Algorithm::Mm only, and "
+                 "Algorithm::Mm needs one");
+  HYCO_CHECK_MSG(!cfg_.mm_domain ||
+                     is_singletons(cfg_.layout, cfg_.mm_domain->n()),
+                 "an m&m run's layout must be the singletons of its domain's "
+                 "n, got " << cfg_.layout.to_string());
   SimNetwork& net = world_.net();
 
   checker_ = std::make_unique<InvariantChecker>(cfg_.layout);
@@ -87,33 +116,22 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
   procs_.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs_.push_back(make_consensus_process(
-        cfg_.alg, p, cfg_.layout, net, memories_, common_coin_.get(),
+        cfg_.alg, p, cfg_.layout, net, memories_,
+        cfg_.mm_domain ? &*cfg_.mm_domain : nullptr, common_coin_.get(),
         cfg_.seed, checker_.get(), cfg_.max_rounds));
   }
 
-  // Per-phase latency observer (opt-in) and/or trace mirror. Both read
-  // sim.now() but never mutate simulation state, so instrumented runs are
-  // byte-identical. When both are requested they share the processes'
-  // single observer slot through a fanout.
+  // Per-phase latency timings (opt-in) and the trace's phase records share
+  // one observer. It reads sim.now() but never mutates simulation state,
+  // so instrumented runs are byte-identical.
   const auto now = [this] { return world_.sim().now(); };
   if (cfg_.collect_obs) {
     timings_ = std::make_unique<obs::PhaseTimings>(n, now);
   }
-  if (trace_ != nullptr) {
-    trace_obs_ = std::make_unique<obs::TraceObserver>(*trace_, now);
-  }
-  obs::IRunObserver* observer = nullptr;
-  if (timings_ != nullptr && trace_obs_ != nullptr) {
-    obs_fanout_ = std::make_unique<obs::ObserverFanout>(timings_.get(),
-                                                        trace_obs_.get());
-    observer = obs_fanout_.get();
-  } else if (timings_ != nullptr) {
-    observer = timings_.get();
-  } else if (trace_obs_ != nullptr) {
-    observer = trace_obs_.get();
-  }
-  if (observer != nullptr) {
-    for (auto& proc : procs_) proc->set_observer(observer);
+  if (timings_ != nullptr || trace_ != nullptr) {
+    observer_ =
+        std::make_unique<obs::RunObserver>(timings_.get(), trace_, now);
+    for (auto& proc : procs_) proc->set_observer(observer_.get());
   }
 
   net.set_deliver(decision_timing_deliver(procs_, world_.sim(), result_));
@@ -232,8 +250,15 @@ std::vector<std::unique_ptr<ClusterMemory>> make_cluster_memories(
 std::unique_ptr<IConsensusProcess> make_consensus_process(
     Algorithm alg, ProcId p, const ClusterLayout& layout, INetwork& net,
     const std::vector<std::unique_ptr<ClusterMemory>>& memories,
-    ICommonCoin* coin, std::uint64_t seed, InvariantChecker* checker,
-    Round max_rounds) {
+    const MmDomain* mm_domain, ICommonCoin* coin, std::uint64_t seed,
+    InvariantChecker* checker, Round max_rounds) {
+  if (alg == Algorithm::Mm) {
+    HYCO_CHECK_MSG(mm_domain != nullptr, "m&m needs its memory domain");
+    return std::make_unique<BenOrProcess>(
+        p, layout.n(), net,
+        mix64(seed, 0x33A7 + static_cast<std::uint64_t>(p)), max_rounds,
+        mm_domain, memories);
+  }
   const std::uint64_t coin_seed =
       mix64(seed, 0x10CA1 + static_cast<std::uint64_t>(p));
   if (alg == Algorithm::BenOr) {
@@ -249,17 +274,6 @@ std::unique_ptr<IConsensusProcess> make_consensus_process(
   HYCO_CHECK_MSG(coin != nullptr, "Algorithm 3 needs a common coin");
   return std::make_unique<CommonCoinProcess>(p, layout, net, mem, *coin,
                                              checker, max_rounds);
-}
-
-SimNetwork::DeliverFn decision_timing_deliver(
-    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
-    const Simulator& sim, RunResult& r) {
-  return [&procs, &sim, &r](ProcId to, ProcId from, const Message& m) {
-    IConsensusProcess& proc = *procs[static_cast<std::size_t>(to)];
-    const bool was_decided = proc.decided();
-    proc.on_message(from, m);
-    if (!was_decided && proc.decided()) r.last_decision_time = sim.now();
-  };
 }
 
 void harvest_decisions(

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/mm_domain.h"
 #include "core/cluster_layout.h"
 #include "core/consensus_process.h"
 #include "core/types.h"
@@ -33,6 +34,7 @@ enum class Algorithm {
   HybridLocalCoin,   ///< the paper's Algorithm 2
   HybridCommonCoin,  ///< the paper's Algorithm 3
   BenOr,             ///< pure message-passing baseline (uses layout.n() only)
+  Mm,                ///< the m&m comparator (Section III-C; needs a domain)
 };
 
 const char* to_cstring(Algorithm a);
@@ -46,9 +48,17 @@ inline constexpr SimTime kStartJitter = 50;
 /// Plain-data description of one simulation run.
 struct RunConfig {
   explicit RunConfig(ClusterLayout l) : layout(std::move(l)) {}
+  /// An m&m run on `d`: its layout is the singletons of d.n(), so memory
+  /// i is p_i's and a scenario's cluster ids are process ids.
+  explicit RunConfig(MmDomain d)
+      : layout(ClusterLayout::singletons(d.n())),
+        alg(Algorithm::Mm),
+        mm_domain(std::move(d)) {}
 
   ClusterLayout layout;
   Algorithm alg = Algorithm::HybridLocalCoin;
+  /// The m&m memory domain; set exactly when alg is Algorithm::Mm.
+  std::optional<MmDomain> mm_domain;
 
   /// Proposals, one per process (binary). Empty = all processes propose 0/1
   /// alternating by index (a split input).
@@ -138,9 +148,8 @@ struct RunResult {
 };
 
 namespace obs {
-class ObserverFanout;
 class PhaseTimings;
-class TraceObserver;
+class RunObserver;
 }  // namespace obs
 
 class ClusterMemory;
@@ -186,8 +195,7 @@ class ConsensusRun {
   std::unique_ptr<ICommonCoin> common_coin_;
   std::vector<std::unique_ptr<IConsensusProcess>> procs_;
   std::unique_ptr<obs::PhaseTimings> timings_;
-  std::unique_ptr<obs::TraceObserver> trace_obs_;
-  std::unique_ptr<obs::ObserverFanout> obs_fanout_;
+  std::unique_ptr<obs::RunObserver> observer_;
   std::vector<char> started_;
   RunResult result_;
   bool stopped_ = false;
@@ -198,29 +206,23 @@ class ConsensusRun {
 RunResult run_consensus(const RunConfig& cfg);
 
 /// The cluster memories of a run of `alg`: one MEM_x per cluster of
-/// `layout` for the hybrid algorithms, none for Ben-Or.
+/// `layout` for the hybrid algorithms and m&m (whose singleton clusters
+/// make memory i p_i's), none for Ben-Or.
 std::vector<std::unique_ptr<ClusterMemory>> make_cluster_memories(
     Algorithm alg, const ClusterLayout& layout);
 
 /// Builds process p of `alg`. Both hosts, ConsensusRun and run_threaded
 /// (src/runtime/), build their processes here. `memories` comes from
-/// make_cluster_memories; `coin` is Algorithm 3's common coin (unused
-/// otherwise); `seed` derives p's local-coin stream; `checker` may be
-/// nullptr.
+/// make_cluster_memories; `mm_domain` is m&m's domain (unused otherwise);
+/// `coin` is Algorithm 3's common coin (unused otherwise); `seed` derives
+/// p's local-coin stream; `checker` may be nullptr.
 std::unique_ptr<IConsensusProcess> make_consensus_process(
     Algorithm alg, ProcId p, const ClusterLayout& layout, INetwork& net,
     const std::vector<std::unique_ptr<ClusterMemory>>& memories,
-    ICommonCoin* coin, std::uint64_t seed, InvariantChecker* checker,
-    Round max_rounds);
+    const MmDomain* mm_domain, ICommonCoin* coin, std::uint64_t seed,
+    InvariantChecker* checker, Round max_rounds);
 
-/// The deliver hook run_consensus and run_mm share: hands each message to
-/// its process and stamps r.last_decision_time when the delivery makes
-/// that process decide.
-SimNetwork::DeliverFn decision_timing_deliver(
-    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
-    const Simulator& sim, RunResult& r);
-
-/// The decision harvest run_consensus and run_mm share: fills r's
+/// The decision harvest run_consensus and run_threaded share: fills r's
 /// per-process decisions, decision rounds and stats, its deepest rounds,
 /// and its termination, agreement and validity verdicts (a decided value
 /// must be one of `inputs`).

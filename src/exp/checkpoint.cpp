@@ -185,7 +185,7 @@ void write_accumulator_state(std::ostream& out, const CellAccumulator& acc) {
   write_metric(out, "dtime", acc.decision_time);
   out << "f " << CellAccumulator::kFailureCapacity << ' '
       << acc.failures.size();
-  for (const RunRecord& r : acc.failures) {
+  for (const RunScalars& r : acc.failures) {
     out << ' ' << r.run << ',' << r.seed << ',' << (r.terminated ? 1 : 0)
         << ',' << (r.safe_ok ? 1 : 0) << ',' << (r.success ? 1 : 0) << ','
         << r.rounds << ',' << r.decision_time << ',' << r.msgs << ','
@@ -287,7 +287,7 @@ bool read_accumulator_state(std::istream& in, CellAccumulator& out,
   for (std::size_t i = 0; i < fcount; ++i) {
     std::string tok;
     if (!(fls >> tok)) return bail();
-    RunRecord r;
+    RunScalars r;
     int t = 0, s = 0, su = 0;
     std::istringstream ts(tok);
     const auto eat = [&](auto& field) {

@@ -26,11 +26,13 @@ constexpr std::uint64_t kSaltSvcSlots = 0x9E9;
 
 /// Max-heap order on run index: the *highest* retained run index sits at
 /// the top, so the failure ring deterministically keeps the lowest indices.
-bool run_less(const RunRecord& a, const RunRecord& b) { return a.run < b.run; }
+bool run_less(const RunScalars& a, const RunScalars& b) {
+  return a.run < b.run;
+}
 
 /// Bounded insert keeping the kFailureCapacity failures with the lowest
 /// run indices.
-void push_failure(std::vector<RunRecord>& heap, const RunRecord& r) {
+void push_failure(std::vector<RunScalars>& heap, const RunScalars& r) {
   if (heap.size() < CellAccumulator::kFailureCapacity) {
     heap.push_back(r);
     std::push_heap(heap.begin(), heap.end(), run_less);
@@ -169,7 +171,7 @@ void CellAccumulator::merge(const CellAccumulator& other) {
   svc_rate.merge(other.svc_rate);
   svc_batches.merge(other.svc_batches);
   svc_slots.merge(other.svc_slots);
-  for (const RunRecord& r : other.failures) {
+  for (const RunScalars& r : other.failures) {
     push_failure(failures, r);
   }
   obs.merge(other.obs);

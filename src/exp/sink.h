@@ -54,9 +54,9 @@ struct ServiceRunStats {
   obs::LogHistogram consensus_hist;
 };
 
-/// Compact per-run metrics extracted from a RunResult (a full RunResult per
-/// run would hold O(n) vectors; large grids only need these scalars).
-struct RunRecord {
+/// The scalars of one run: what the failure ring holds and a checkpoint
+/// keeps of each failing run.
+struct RunScalars {
   std::uint64_t run = 0;  ///< run index within the cell
   std::uint64_t seed = 0;
   bool terminated = false;  ///< RunResult::all_correct_decided
@@ -69,6 +69,13 @@ struct RunRecord {
   std::uint64_t consensus_objects = 0;
   std::uint64_t events = 0;
   std::uint64_t crashed = 0;
+
+  bool operator==(const RunScalars&) const = default;
+};
+
+/// Compact per-run metrics extracted from a RunResult (a full RunResult per
+/// run would hold O(n) vectors; large grids only need these scalars).
+struct RunRecord : RunScalars {
   obs::ObsSample obs;  ///< observability counters (RunResult::obs)
   ServiceRunStats service;  ///< inactive unless the cell runs the service
 };
@@ -149,7 +156,7 @@ struct CellAccumulator {
   /// with the lowest run indices — a deterministic replay work list that
   /// survives streaming execution (no retained records needed). Sorted by
   /// run index after finalize().
-  std::vector<RunRecord> failures;
+  std::vector<RunScalars> failures;
 
   void add(const RunRecord& r);
   void merge(const CellAccumulator& other);
@@ -208,7 +215,7 @@ struct CellResult {
     return acc.decision_time;
   }
   [[nodiscard]] const obs::ObsAccumulator& obs() const { return acc.obs; }
-  [[nodiscard]] const std::vector<RunRecord>& failures() const {
+  [[nodiscard]] const std::vector<RunScalars>& failures() const {
     return acc.failures;
   }
   [[nodiscard]] double termination_rate() const {

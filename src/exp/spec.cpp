@@ -157,6 +157,11 @@ std::vector<ExperimentCell> ExperimentSpec::expand() const {
                    "coin_epsilon must be in [0, 1], got " << eps);
   }
   for (const DelayAxis& d : delays) check_delay(d);
+  for (const Algorithm alg : algorithms) {
+    HYCO_CHECK_MSG(alg != Algorithm::Mm,
+                   "a grid has no m&m memory-domain axis; run m&m through "
+                   "run_consensus(RunConfig(domain))");
+  }
 
   std::vector<ExperimentCell> cells;
   cells.reserve(cell_count());

@@ -102,6 +102,7 @@ struct ExperimentCell;
 struct ExperimentSpec {
   std::string name = "experiment";
 
+  /// Not Algorithm::Mm: a grid has no memory-domain axis.
   std::vector<Algorithm> algorithms{Algorithm::HybridLocalCoin};
   std::vector<ClusterLayout> layouts;
   std::vector<DelayAxis> delays{DelayAxis{}};
@@ -130,7 +131,8 @@ struct ExperimentSpec {
 
   /// Expands the grid row-major in axis declaration order: algorithms ▸
   /// layouts ▸ delays ▸ crashes ▸ scenarios ▸ coin_epsilons ▸ services.
-  /// Throws ContractViolation if any axis is empty or runs_per_cell < 1.
+  /// Throws ContractViolation if any axis is empty, runs_per_cell < 1 or
+  /// an algorithm is Algorithm::Mm.
   [[nodiscard]] std::vector<ExperimentCell> expand() const;
 };
 

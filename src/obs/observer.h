@@ -1,60 +1,62 @@
-// Run-observer interface: the hook surface consensus processes report
-// through when observability is on. Observers are strictly passive — they
-// read the simulation (typically just its clock) and never touch the seeded
-// RNG, the network, or process state, so installing one cannot change a
-// run's outcome by construction.
+// The run observer: the hook ProcessBase reports phase begins, quorum
+// satisfactions and decisions through when a run collects phase timings
+// or a trace. It forwards each event to the run's PhaseTimings and mirrors
+// it into the trace ring as a PhaseStart/Quorum/Decide record carrying the
+// round (and phase). Records inherit the trace's causal context (the
+// delivery being dispatched), so a Decide chains back to the message whose
+// arrival triggered it. Strictly passive — it reads the clock and writes
+// the timings and the trace, never the seeded RNG, the network or process
+// state — so installing it cannot change a run's outcome by construction.
+// Ben-Or and m&m do not route through ProcessBase and report nothing: their
+// phase metrics stay zero and their traces hold network records only.
 #pragma once
 
+#include <functional>
+#include <utility>
+
 #include "core/types.h"
+#include "obs/phase_timings.h"
+#include "sim/trace.h"
 
 namespace hyco::obs {
 
-/// Phase-level consensus events, reported by ProcessBase. BenOr (the pure
-/// message-passing baseline) does not route through ProcessBase and reports
-/// nothing — its phase metrics stay zero.
-class IRunObserver {
+class RunObserver {
  public:
-  virtual ~IRunObserver() = default;
+  /// Either sink may be null; both must outlive the observer. `now` stamps
+  /// the trace records.
+  RunObserver(PhaseTimings* timings, Trace* trace,
+              std::function<SimTime()> now)
+      : timings_(timings), trace_(trace), now_(std::move(now)) {}
 
   /// Process `p` begins the exchange of (round `r`, phase `ph`).
-  virtual void on_phase_begin(ProcId p, Round r, Phase ph) = 0;
+  void on_phase_begin(ProcId p, Round r, Phase ph) {
+    if (timings_ != nullptr) timings_->on_phase_begin(p, r, ph);
+    record(TraceKind::PhaseStart, p, r, ph);
+  }
 
   /// Process `p` decides in round `r`.
-  virtual void on_decide(ProcId p, Round r) = 0;
+  void on_decide(ProcId p, Round r) {
+    if (timings_ != nullptr) timings_->on_decide(p, r);
+    record(TraceKind::Decide, p, r, Phase::One);
+  }
 
   /// Process `p`'s message exchange for (round `r`, phase `ph`) just
   /// crossed its quorum threshold (credited clusters cover a majority).
-  /// Default no-op so existing observers keep compiling unchanged.
-  virtual void on_quorum_satisfied(ProcId p, Round r, Phase ph) {
-    (void)p;
-    (void)r;
-    (void)ph;
-  }
-};
-
-/// Fans observer events out to up to two downstream observers, so phase
-/// timing and trace recording can both be installed on one process (each
-/// process holds a single observer pointer).
-class ObserverFanout final : public IRunObserver {
- public:
-  ObserverFanout(IRunObserver* a, IRunObserver* b) : a_(a), b_(b) {}
-
-  void on_phase_begin(ProcId p, Round r, Phase ph) override {
-    if (a_ != nullptr) a_->on_phase_begin(p, r, ph);
-    if (b_ != nullptr) b_->on_phase_begin(p, r, ph);
-  }
-  void on_decide(ProcId p, Round r) override {
-    if (a_ != nullptr) a_->on_decide(p, r);
-    if (b_ != nullptr) b_->on_decide(p, r);
-  }
-  void on_quorum_satisfied(ProcId p, Round r, Phase ph) override {
-    if (a_ != nullptr) a_->on_quorum_satisfied(p, r, ph);
-    if (b_ != nullptr) b_->on_quorum_satisfied(p, r, ph);
+  void on_quorum_satisfied(ProcId p, Round r, Phase ph) {
+    if (timings_ != nullptr) timings_->on_quorum_satisfied(p, r, ph);
+    record(TraceKind::Quorum, p, r, ph);
   }
 
  private:
-  IRunObserver* a_;
-  IRunObserver* b_;
+  void record(TraceKind kind, ProcId p, Round r, Phase ph) {
+    if (trace_ == nullptr) return;
+    trace_->record({.at = now_(), .kind = kind, .phase = ph, .proc = p,
+                    .round = r});
+  }
+
+  PhaseTimings* timings_;
+  Trace* trace_;
+  std::function<SimTime()> now_;
 };
 
 }  // namespace hyco::obs

@@ -1,9 +1,10 @@
-// Per-phase latency instrumentation: an IRunObserver that converts phase
-// begin/decide events into sim-time spans. Each process has at most one
-// open phase; the next phase-begin (or its decision) closes it and credits
-// the elapsed sim-time to that phase's bucket. Time comes from an injected
-// clock callback (the runner passes the simulator's now()), so the observer
-// itself is simulation-agnostic and unit-testable with a fake clock.
+// Per-phase latency instrumentation: converts the phase begin/decide
+// events the run observer (obs/observer.h) forwards into sim-time spans.
+// Each process has at most one open phase; the next phase-begin (or its
+// decision) closes it and credits the elapsed sim-time to that phase's
+// bucket. Time comes from an injected clock callback (the runner passes
+// the simulator's now()), so the timings are simulation-agnostic and
+// unit-testable with a fake clock.
 #pragma once
 
 #include <cstdint>
@@ -12,17 +13,16 @@
 
 #include "core/types.h"
 #include "obs/metrics.h"
-#include "obs/observer.h"
 
 namespace hyco::obs {
 
-class PhaseTimings final : public IRunObserver {
+class PhaseTimings {
  public:
   PhaseTimings(ProcId n, std::function<SimTime()> now);
 
-  void on_phase_begin(ProcId p, Round r, Phase ph) override;
-  void on_decide(ProcId p, Round r) override;
-  void on_quorum_satisfied(ProcId p, Round r, Phase ph) override;
+  void on_phase_begin(ProcId p, Round r, Phase ph);
+  void on_decide(ProcId p, Round r);
+  void on_quorum_satisfied(ProcId p, Round r, Phase ph);
 
   /// Writes the latency metrics into `s`: total closed phase-1/phase-2
   /// span ns (summed over processes and rounds), the spread between the

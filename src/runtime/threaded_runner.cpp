@@ -15,6 +15,9 @@
 namespace hyco {
 
 ThreadRunResult run_threaded(const ThreadRunConfig& cfg) {
+  HYCO_CHECK_MSG(cfg.alg != Algorithm::Mm,
+                 "m&m runs in the simulator only: a threaded run has no "
+                 "memory domain");
   const ProcId n = cfg.layout.n();
   const std::vector<Estimate> inputs =
       cfg.inputs.empty() ? split_inputs(n) : cfg.inputs;
@@ -28,8 +31,9 @@ ThreadRunResult run_threaded(const ThreadRunConfig& cfg) {
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(make_consensus_process(cfg.alg, p, cfg.layout, net,
-                                           memories, &coin, cfg.seed,
-                                           nullptr, cfg.max_rounds));
+                                           memories, nullptr, &coin,
+                                           cfg.seed, nullptr,
+                                           cfg.max_rounds));
   }
 
   std::mutex done_mu;

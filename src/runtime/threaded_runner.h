@@ -23,7 +23,7 @@ struct ThreadRunConfig {
   explicit ThreadRunConfig(ClusterLayout l) : layout(std::move(l)) {}
 
   ClusterLayout layout;
-  Algorithm alg = Algorithm::HybridCommonCoin;
+  Algorithm alg = Algorithm::HybridCommonCoin;  ///< not Algorithm::Mm
   std::vector<Estimate> inputs;  ///< empty = split inputs
   std::uint64_t seed = 1;
   Round max_rounds = 2000;

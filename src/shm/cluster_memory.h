@@ -24,8 +24,10 @@
 namespace hyco {
 
 /// MEM_x: the CONS_x[r, ph] objects of one cluster plus their counters.
-/// Only the processes of cluster x may touch their MEM_x; the runner
-/// enforces this wiring, and the memory records which cluster it is for.
+/// Only the processes of cluster x may touch their MEM_x (in an m&m run,
+/// whose clusters are singletons, memory x is shared by x and its
+/// neighbours); the runner enforces this wiring, and the memory records
+/// which cluster it is for.
 /// Thread-safe: the members of a cluster may propose from their own
 /// threads.
 class ClusterMemory {

@@ -404,6 +404,40 @@ TEST(Checkpoint, RoundTripsCellStateExactly) {
   EXPECT_EQ(reload(old_file), expected);
 }
 
+TEST(Checkpoint, FullFailureRingRoundTripsEveryField) {
+  // A full ring whose entries differ in every field, through the state a
+  // checkpoint block (and the dist wire) carries.
+  CellAccumulator acc;
+  for (std::uint64_t i = 0; i < CellAccumulator::kFailureCapacity; ++i) {
+    RunRecord rec;
+    rec.run = 3 * i + 1;
+    rec.seed = mix64(0xF1, i);
+    rec.terminated = i % 2 == 0;
+    rec.safe_ok = i % 3 != 0;
+    rec.success = false;
+    rec.rounds = static_cast<Round>(i % 7);
+    rec.decision_time =
+        rec.terminated ? static_cast<SimTime>(1000 * i + 7) : kSimTimeNever;
+    rec.msgs = 100 + i;
+    rec.shm_proposals = 200 + 2 * i;
+    rec.consensus_objects = 300 + 3 * i;
+    rec.events = 400 + 4 * i;
+    rec.crashed = i % 5;
+    acc.add(rec);
+  }
+  acc.finalize();
+  ASSERT_EQ(acc.failures.size(), CellAccumulator::kFailureCapacity);
+
+  std::stringstream state;
+  write_accumulator_state(state, acc);
+  CellAccumulator back;
+  ASSERT_TRUE(read_accumulator_state(state, back));
+  ASSERT_EQ(back.failures.size(), acc.failures.size());
+  for (std::size_t k = 0; k < acc.failures.size(); ++k) {
+    EXPECT_TRUE(back.failures[k] == acc.failures[k]) << "entry " << k;
+  }
+}
+
 TEST(Checkpoint, RefusesDifferentGridAndToleratesTruncation) {
   const ExperimentSpec spec = mixed_spec();
   const auto cells = spec.expand();

@@ -1,12 +1,21 @@
 // Tests of the m&m comparator: the Figure 2 domain must match the paper's
 // appendix exactly, the per-process consensus-invocation count must be
-// α_i + 1 per phase (the Section III-C comparison), and the algorithm must
-// be safe and (crash-free) live.
+// α_i + 1 per phase (the Section III-C comparison), the algorithm must be
+// safe under every fault kind and (crash-free) live, and the configs
+// run_consensus cannot run as m&m are rejected on the caller's thread.
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <string>
+#include <vector>
+
 #include "baseline/mm_domain.h"
-#include "baseline/mm_runner.h"
+#include "core/runner.h"
+#include "exp/spec.h"
+#include "runtime/threaded_runner.h"
+#include "scenario/scenario.h"
 #include "util/assert.h"
+#include "util/rng.h"
 
 namespace hyco {
 namespace {
@@ -56,17 +65,17 @@ TEST(MmDomain, ToStringMentionsAllSets) {
 }
 
 TEST(MmConsensus, CrashFreeTerminatesOnFig2) {
-  MmRunConfig cfg(MmDomain::fig2());
+  RunConfig cfg(MmDomain::fig2());
   cfg.seed = 7;
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
   ASSERT_TRUE(r.success());
 }
 
 TEST(MmConsensus, UnanimousDecidesProposal) {
-  MmRunConfig cfg(MmDomain::fig2());
+  RunConfig cfg(MmDomain::fig2());
   cfg.inputs = std::vector<Estimate>(5, Estimate::One);
   cfg.seed = 8;
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
   ASSERT_TRUE(r.success());
   EXPECT_EQ(r.decided_value, Estimate::One);
 }
@@ -75,10 +84,10 @@ TEST(MmConsensus, InvocationsPerPhaseAreDegreePlusOne) {
   // The Section III-C count: per phase, p_i invokes α_i + 1 consensus
   // objects. Over R rounds of 2 phases: 2 * R * (α_i + 1) invocations.
   const auto d = MmDomain::fig2();
-  MmRunConfig cfg(d);
+  RunConfig cfg(d);
   cfg.inputs = std::vector<Estimate>(5, Estimate::Zero);  // 1-round run
   cfg.seed = 9;
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
   ASSERT_TRUE(r.success());
   for (ProcId p = 0; p < 5; ++p) {
     const auto& st = r.proc_stats[static_cast<std::size_t>(p)];
@@ -92,22 +101,72 @@ TEST(MmConsensus, InvocationsPerPhaseAreDegreePlusOne) {
 TEST(MmConsensus, SystemTouchesNMemoriesPerPhase) {
   // n distinct p_i-centered memories exist and all are touched (every
   // memory has at least its owner proposing to it).
-  MmRunConfig cfg(MmDomain::fig2());
+  RunConfig cfg(MmDomain::fig2());
   cfg.inputs = std::vector<Estimate>(5, Estimate::Zero);
   cfg.seed = 10;
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
   ASSERT_TRUE(r.success());
   // Every phase proposes sum_i (α_i + 1) = n + 2|E| times in total.
   const std::uint64_t total_per_phase = 5 + 2 * 5;
   EXPECT_GE(r.shm.consensus_proposals, 2 * total_per_phase);  // >= 1 round
 }
 
+TEST(MmConsensus, OneRoundTouchesTwoObjectsPerMemory) {
+  // A one-round run materializes CONS_i[1, 1] and CONS_i[1, 2] in each of
+  // the n p_i-centered memories: 2n objects, 10 on Figure 2.
+  RunConfig cfg(MmDomain::fig2());
+  cfg.inputs = std::vector<Estimate>(5, Estimate::Zero);
+  cfg.seed = 10;
+  const auto r = run_consensus(cfg);
+  ASSERT_TRUE(r.success());
+  ASSERT_EQ(r.max_decision_round, 1);
+  EXPECT_EQ(r.consensus_objects, 10u);
+}
+
+TEST(MmConsensus, SafeUnderEveryFaultKind) {
+  // Figure 2's domain under each scenario fault: agreement and validity on
+  // every run; the termination rate of each is reported.
+  struct Fault {
+    std::string name;
+    ScenarioConfig scenario;
+  };
+  std::vector<Fault> faults(5);
+  faults[0].name = "loss 0.1 + dup 0.1 + reorder 100";
+  faults[0].scenario.link = {.loss = 0.1, .dup = 0.1, .reorder_max = 100};
+  faults[1].name = "cut procs:0-1@100..2000";
+  faults[1].scenario.partitions.push_back(
+      parse_partition_spec("procs:0-1@100..2000"));
+  faults[2].name = "recovery 4@50..1500";
+  faults[2].scenario.recoveries.push_back(parse_recovery_spec("4@50..1500"));
+  faults[3].name = "skew proc:2:x4";
+  faults[3].scenario.skews.push_back(parse_skew_spec("proc:2:x4"));
+  faults[4].name = "coin attack 0:500";
+  faults[4].scenario.coin_attack = {.enabled = true, .bit = 0, .boost = 500};
+
+  constexpr std::uint64_t kSeeds = 100;
+  for (const Fault& f : faults) {
+    std::uint64_t terminated = 0;
+    for (std::uint64_t s = 0; s < kSeeds; ++s) {
+      RunConfig cfg(MmDomain::fig2());
+      cfg.seed = mix64(0x3AF7, s);
+      cfg.scenario = f.scenario;
+      const auto r = run_consensus(cfg);
+      EXPECT_TRUE(r.agreement_ok && r.validity_ok)
+          << f.name << ", seed " << cfg.seed;
+      terminated += r.all_correct_decided ? 1 : 0;
+    }
+    std::cout << "m&m under " << f.name << ": " << terminated << "/"
+              << kSeeds << " runs terminated\n";
+    EXPECT_GT(terminated, 0u) << f.name;
+  }
+}
+
 class MmSafetySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MmSafetySweep, SplitInputsSafeOnFig2) {
-  MmRunConfig cfg(MmDomain::fig2());
+  RunConfig cfg(MmDomain::fig2());
   cfg.seed = GetParam();
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
   EXPECT_TRUE(r.agreement_ok && r.validity_ok) << "seed " << GetParam();
   EXPECT_TRUE(r.all_correct_decided) << "seed " << GetParam();
 }
@@ -120,21 +179,60 @@ TEST(MmConsensus, NoOneForAllClosure) {
   // Even though the m&m domain graph is connected, counting has no cluster
   // closure, so the run must block (quiesce undecided) — the hybrid model
   // with a majority cluster would terminate here.
-  MmRunConfig cfg(MmDomain::fig2());
+  RunConfig cfg(MmDomain::fig2());
   cfg.crashes = CrashPlan::none(5);
   for (const ProcId p : {2, 3, 4}) {
     cfg.crashes.specs[static_cast<std::size_t>(p)] = CrashSpec::at_time(0);
   }
   cfg.seed = 11;
-  const auto r = run_mm(cfg);
+  const auto r = run_consensus(cfg);
   EXPECT_FALSE(r.decided_value.has_value());
   EXPECT_TRUE(r.agreement_ok && r.validity_ok);
 }
 
 TEST(MmConsensus, RejectsCrashPlanOfTheWrongSize) {
-  MmRunConfig cfg(MmDomain::fig2());
+  RunConfig cfg(MmDomain::fig2());
   cfg.crashes = CrashPlan::none(3);
-  EXPECT_THROW(run_mm(cfg), ContractViolation);
+  EXPECT_THROW(run_consensus(cfg), ContractViolation);
+}
+
+TEST(MmConfig, GridRejectsMm) {
+  // A grid has no memory-domain axis.
+  ExperimentSpec spec;
+  spec.algorithms = {Algorithm::HybridLocalCoin, Algorithm::Mm};
+  spec.layouts = {ClusterLayout::singletons(5)};
+  EXPECT_THROW((void)spec.expand(), ContractViolation);
+}
+
+TEST(MmConfig, ThreadHostRejectsMm) {
+  ThreadRunConfig cfg(ClusterLayout::singletons(5));
+  cfg.alg = Algorithm::Mm;
+  EXPECT_THROW(run_threaded(cfg), ContractViolation);
+}
+
+TEST(MmConfig, DomainOnlyWithMm) {
+  RunConfig with_domain(MmDomain::fig2());
+  with_domain.alg = Algorithm::BenOr;
+  EXPECT_THROW(run_consensus(with_domain), ContractViolation);
+
+  RunConfig without_domain(ClusterLayout::singletons(5));
+  without_domain.alg = Algorithm::Mm;
+  EXPECT_THROW(run_consensus(without_domain), ContractViolation);
+}
+
+TEST(MmConfig, LayoutMustBeTheDomainsSingletons) {
+  RunConfig clustered(MmDomain::fig2());
+  clustered.layout = ClusterLayout::from_sizes({3, 2});
+  EXPECT_THROW(run_consensus(clustered), ContractViolation);
+
+  // One process per cluster, but cluster 0 holds p1.
+  RunConfig permuted(MmDomain::fig2());
+  permuted.layout = ClusterLayout({{1}, {0}, {2}, {3}, {4}});
+  EXPECT_THROW(run_consensus(permuted), ContractViolation);
+
+  RunConfig other_n(MmDomain::fig2());
+  other_n.mm_domain = MmDomain(4, {{0, 1}, {2, 3}});
+  EXPECT_THROW(run_consensus(other_n), ContractViolation);
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // compared against a recorded constant. The cases cover scripted crashes
 // (down from the start and mid-run), every scenario fault (loss,
 // duplication, reordering, a healing cut, crash-recovery rejoins, clock
-// skew), trace records of every kind the writers emit, and all six
-// drivers. Any change to how a run is wired — event order, seed streams,
-// crash or rejoin scheduling, start times — moves a digest.
+// skew), trace records of every kind the writers emit, and all five
+// drivers (m&m runs through run_consensus). Any change to how a run is
+// wired — event order, seed streams, crash or rejoin scheduling, start
+// times — moves a digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "baseline/mm_runner.h"
 #include "core/multivalued_runner.h"
 #include "core/runner.h"
 #include "core/total_order_runner.h"
@@ -367,14 +367,44 @@ TEST(WorldPin, Register) {
   expect_digest(digest(r), 0x0459e75dcf164858ULL);
 }
 
-TEST(WorldPin, MmBaseline) {
-  MmRunConfig cfg(MmDomain::fig2());
+RunConfig mm_config() {
+  RunConfig cfg(MmDomain::fig2());
   cfg.seed = 0x33A;
   cfg.crashes = CrashPlan::none(5);
   cfg.crashes.specs[4] = CrashSpec::at_time(250);
-  const RunResult r = run_mm(cfg);
+  return cfg;
+}
+
+/// m&m's schedule is the one its own driver ran: with the two fields that
+/// driver left at 0 cleared, the digest is that driver's pin.
+TEST(WorldPin, MmBaseline) {
+  const RunResult r = run_consensus(mm_config());
   EXPECT_TRUE(r.safe());
-  expect_digest(digest(r), 0x60eab0a3df0b1a99ULL);
+  expect_digest(digest(r), 0x8f9ce72bedcee176ULL);
+  RunResult cleared = r;
+  cleared.consensus_objects = 0;
+  cleared.obs = {};
+  expect_digest(digest(cleared), 0x60eab0a3df0b1a99ULL);
+}
+
+/// A traced m&m run records the network's sends and deliveries, and its
+/// result equals the untraced one (MmBaseline).
+TEST(WorldPin, MmTraced) {
+  RunConfig cfg = mm_config();
+  Trace trace(1 << 16);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &trace;
+  const RunResult r = run_consensus(cfg);
+  std::size_t sends = 0, delivers = 0;
+  trace.for_each([&](const TraceRecord& rec) {
+    sends += rec.kind == TraceKind::Send ? 1 : 0;
+    delivers += rec.kind == TraceKind::Deliver ? 1 : 0;
+  });
+  EXPECT_GT(sends, 0u);
+  EXPECT_GT(delivers, 0u);
+  EXPECT_EQ(trace.recorded(), trace.size());
+  expect_digest(digest(trace), 0x9ebc6959569d8bf5ULL);
+  expect_digest(digest(r), 0x8f9ce72bedcee176ULL);
 }
 
 TEST(WorldPin, ServiceWithRejoin) {
