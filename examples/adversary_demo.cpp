@@ -4,7 +4,7 @@
 // schedulers with probability 1 — the demo shows both algorithms deciding
 // anyway, and how the ε-biased coin degrades Algorithm 3 gracefully.
 //
-// Run: ./build/examples/adversary_demo [--runs=N]
+// Run: ./build/example_adversary_demo [--runs=N]
 #include <iostream>
 #include <memory>
 

@@ -3,7 +3,7 @@
 // does not grow with n. The demo sweeps n to make the claim visible and
 // prints the round-count histogram for the largest system.
 //
-// Run: ./build/examples/common_coin_demo [--runs=N]
+// Run: ./build/example_common_coin_demo [--runs=N]
 #include <algorithm>
 #include <iomanip>
 #include <iostream>

@@ -8,7 +8,7 @@
 // (4 > 7/2 processes). Pure message passing (Ben-Or) provably blocks here;
 // the demo runs it side by side.
 //
-// Run: ./build/examples/majority_cluster [--seed=N]
+// Run: ./build/example_majority_cluster [--seed=N]
 #include <iostream>
 
 #include "core/runner.h"

@@ -3,7 +3,7 @@
 // paper's appendix lists them, runs the m&m consensus comparator, and
 // contrasts its consensus-object usage with the hybrid model's.
 //
-// Run: ./build/examples/mm_model_demo
+// Run: ./build/example_mm_model_demo
 #include <iostream>
 
 #include "baseline/mm_domain.h"

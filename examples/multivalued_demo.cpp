@@ -4,7 +4,7 @@
 // and decides that proposer's value — never a frankenstein bit pattern —
 // and it still works when six of the seven processes crash (one-for-all).
 //
-// Run: ./build/examples/multivalued_demo [--seed=N]
+// Run: ./build/example_multivalued_demo [--seed=N]
 #include <iostream>
 
 #include "core/multivalued_runner.h"

@@ -2,9 +2,8 @@
 // Figure 1 (left) decomposition — three clusters of sizes {2, 3, 2} — using
 // the local-coin Algorithm 2 on the deterministic simulator.
 //
-// Build & run:
-//   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart [--seed=N]
+// Build: cmake -B build -G Ninja && cmake --build build
+// Run: ./build/example_quickstart [--seed=N]
 #include <iostream>
 
 #include "core/runner.h"

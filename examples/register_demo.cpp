@@ -4,7 +4,7 @@
 // Then the majority-crash scenario: the lone survivor of the majority
 // cluster keeps reading and writing — a process-majority ABD would block.
 //
-// Run: ./build/examples/register_demo [--seed=N]
+// Run: ./build/example_register_demo [--seed=N]
 #include <iostream>
 
 #include "util/options.h"

@@ -3,7 +3,7 @@
 // the identical log — and the ordering service keeps running after a
 // majority of processes crash (covering clusters survive).
 //
-// Run: ./build/examples/total_order_demo [--seed=N]
+// Run: ./build/example_total_order_demo [--seed=N]
 #include <iostream>
 
 #include "core/total_order_runner.h"

@@ -25,4 +25,14 @@ int BiasedCommonCoin::bit(Round r) {
   return static_cast<int>(h1 & 1U);
 }
 
+std::unique_ptr<ICommonCoin> make_common_coin(std::uint64_t seed,
+                                              double epsilon) {
+  const std::uint64_t coin_seed = mix64(seed, 0xC01C01);
+  if (epsilon > 0.0) {
+    return std::make_unique<BiasedCommonCoin>(coin_seed, epsilon,
+                                              kAdversaryBit);
+  }
+  return std::make_unique<CommonCoin>(coin_seed);
+}
+
 }  // namespace hyco

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/types.h"
 #include "util/rng.h"
@@ -81,5 +82,12 @@ class BiasedCommonCoin final : public ICommonCoin {
   double epsilon_;
   int adversary_bit_;
 };
+
+/// The common coin of a run seeded `seed`: a BiasedCommonCoin reading
+/// kAdversaryBit when epsilon > 0, a perfect CommonCoin otherwise. Both
+/// hash from mix64(seed, 0xC01C01), so every driver of Algorithm 3 (and the
+/// TOB above it) flips the same bits for the same seed.
+std::unique_ptr<ICommonCoin> make_common_coin(std::uint64_t seed,
+                                              double epsilon);
 
 }  // namespace hyco

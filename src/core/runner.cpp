@@ -104,13 +104,7 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
   // The common coin (Algorithm 3). BiasedCommonCoin models an imperfect
   // coin for the T-ADV ablation.
   if (cfg_.alg == Algorithm::HybridCommonCoin) {
-    const std::uint64_t coin_seed = mix64(cfg_.seed, 0xC01C01);
-    if (cfg_.coin_epsilon > 0.0) {
-      common_coin_ = std::make_unique<BiasedCommonCoin>(
-          coin_seed, cfg_.coin_epsilon, kAdversaryBit);
-    } else {
-      common_coin_ = std::make_unique<CommonCoin>(coin_seed);
-    }
+    common_coin_ = make_common_coin(cfg_.seed, cfg_.coin_epsilon);
   }
 
   procs_.reserve(static_cast<std::size_t>(n));

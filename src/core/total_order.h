@@ -78,9 +78,6 @@ class TobProcess {
   [[nodiscard]] const std::vector<std::uint64_t>& delivered() const {
     return log_;
   }
-  /// Payloads known but not yet delivered here.
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
-  [[nodiscard]] int current_slot() const { return slot_; }
 
  private:
   [[nodiscard]] InstanceId slot_base(int slot) const {

@@ -11,16 +11,10 @@
 //  * MULTIDECIDE(value)   — decision gossip for the multivalued layer;
 // and stamps every message with an `instance` id so one network can carry
 // many embedded binary consensus instances (one per decided bit).
-//
-// A fixed-width binary codec is provided so the same structs could travel
-// over a real transport; the simulator passes them by value.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <ostream>
-#include <span>
 
 #include "core/types.h"
 
@@ -85,20 +79,10 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
-/// Highest valid MsgKind — the serialization bound for decoders.
+/// Highest valid MsgKind — the bound trace readers check kinds against.
 inline constexpr MsgKind kMsgKindLast = MsgKind::TobSubmit;
 
 /// Human-readable form, e.g. "PHASE(r=2,ph1,est=0)" or "DECIDE(1)".
 std::ostream& operator<<(std::ostream& os, const Message& m);
-
-/// Number of bytes of the fixed-width encoding.
-inline constexpr std::size_t kMessageWireSize = 23;
-
-/// Encodes `m` into exactly kMessageWireSize bytes (little-endian fields).
-std::array<std::uint8_t, kMessageWireSize> encode(const Message& m);
-
-/// Decodes bytes produced by encode(); returns nullopt on malformed input
-/// (bad kind/phase/estimate tags or wrong size).
-std::optional<Message> decode(std::span<const std::uint8_t> bytes);
 
 }  // namespace hyco

@@ -10,7 +10,6 @@
 #include "runtime/thread_network.h"
 #include "shm/cluster_memory.h"
 #include "util/assert.h"
-#include "util/rng.h"
 
 namespace hyco {
 
@@ -26,12 +25,12 @@ ThreadRunResult run_threaded(const ThreadRunConfig& cfg) {
 
   ThreadNetwork net(n, cfg.crashes, cfg.seed);
   const auto memories = make_cluster_memories(cfg.alg, cfg.layout);
-  CommonCoin coin(mix64(cfg.seed, 0xC01C01));
+  const std::unique_ptr<ICommonCoin> coin = make_common_coin(cfg.seed, 0.0);
   std::vector<std::unique_ptr<IConsensusProcess>> procs;
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(make_consensus_process(cfg.alg, p, cfg.layout, net,
-                                           memories, nullptr, &coin,
+                                           memories, nullptr, coin.get(),
                                            cfg.seed, nullptr,
                                            cfg.max_rounds));
   }

@@ -30,7 +30,6 @@ void Batcher::add(std::uint64_t op_id) {
 
 void Batcher::flush() {
   ++epoch_;
-  ++flushes_;
   std::vector<std::uint64_t> out;
   out.swap(buf_);
   flush_fn_(std::move(out));

@@ -29,8 +29,6 @@ class Batcher {
   /// Buffers one op; may flush synchronously (size reached or delay 0).
   void add(std::uint64_t op_id);
 
-  [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
-
  private:
   void flush();
 
@@ -42,7 +40,6 @@ class Batcher {
   // Each flush bumps the epoch; a deadline timer only fires for the batch
   // that scheduled it (stale timers from already-flushed batches are no-ops).
   std::uint64_t epoch_ = 0;
-  std::uint64_t flushes_ = 0;
 };
 
 }  // namespace hyco

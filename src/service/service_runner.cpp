@@ -5,12 +5,12 @@
 
 #include "coin/coin.h"
 #include "core/multivalued.h"
+#include "core/total_order.h"
 #include "core/world.h"
-#include "service/replica.h"
+#include "service/batcher.h"
 #include "service/traffic.h"
 #include "sim/trace.h"
 #include "util/assert.h"
-#include "util/rng.h"
 
 namespace hyco {
 
@@ -30,30 +30,19 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   CrashTracker& tracker = world.tracker();
 
   MemoryPool pool(n);
-
   // The service always runs the Algorithm 3 common-coin core (the TOB's
-  // embedded instances need the shared coin); same seed stream and
-  // imperfect-coin ablation as run_consensus.
-  std::unique_ptr<ICommonCoin> coin;
-  const std::uint64_t coin_seed = mix64(cfg.seed, 0xC01C01);
-  if (cfg.coin_epsilon > 0.0) {
-    coin = std::make_unique<BiasedCommonCoin>(coin_seed, cfg.coin_epsilon,
-                                              kAdversaryBit);
-  } else {
-    coin = std::make_unique<CommonCoin>(coin_seed);
-  }
+  // embedded instances need the shared coin), with run_consensus's seed
+  // stream and imperfect-coin ablation.
+  const std::unique_ptr<ICommonCoin> coin =
+      make_common_coin(cfg.seed, cfg.coin_epsilon);
 
+  ServiceRunResult result;
+  result.slot_logs.resize(static_cast<std::size_t>(n));
   BatchRegistry registry;
-  std::vector<std::unique_ptr<ServiceReplica>> replicas;
-  replicas.reserve(static_cast<std::size_t>(n));
-  for (ProcId p = 0; p < n; ++p) {
-    replicas.push_back(std::make_unique<ServiceReplica>(
-        p, cfg.layout, net, pool, *coin, sim, tracker, registry,
-        cfg.max_rounds_per_bit, cfg.batch_max, cfg.batch_delay));
-  }
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
-    replicas[static_cast<std::size_t>(to)]->on_message(from, m);
-  });
+  std::vector<std::unique_ptr<TobProcess>> tobs;
+  std::vector<std::unique_ptr<Batcher>> batchers;
+  // Sim time each replica started each slot's consensus; -1 = never.
+  std::vector<std::vector<SimTime>> slot_started(static_cast<std::size_t>(n));
 
   TrafficConfig tcfg;
   tcfg.clients = cfg.clients;
@@ -61,65 +50,87 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   tcfg.load = cfg.load;
   TrafficEngine traffic(
       sim, tracker, tcfg, cfg.seed, n,
-      [&replicas, &sim, trace](ProcId origin, std::uint64_t op_id) {
+      [&batchers, &sim, trace](ProcId origin, std::uint64_t op_id) {
         if (trace != nullptr) {
           trace->record({.at = sim.now(), .kind = TraceKind::SvcOp,
                          .proc = origin, .args = {op_id}});
         }
-        replicas[static_cast<std::size_t>(origin)]->submit_op(op_id);
+        batchers[static_cast<std::size_t>(origin)]->add(op_id);
       });
 
-  // An op completes for its client when the origin replica delivers the
-  // batch containing it (every replica delivers every batch; the client is
-  // attached to one). Delivery also closes the attribution chain: the op's
-  // latency splits exactly into batching wait (submit -> flush), slot
-  // queueing (flush -> the deciding slot's consensus start at the
-  // completing replica), and consensus/delivery (slot start -> now).
-  ExactMoments batch_wait;
-  obs::LogHistogram batch_wait_hist;
-  ExactMoments seq_wait;
-  obs::LogHistogram seq_wait_hist;
-  ExactMoments consensus;
-  obs::LogHistogram consensus_hist;
   for (ProcId p = 0; p < n; ++p) {
-    ServiceReplica& rep = *replicas[static_cast<std::size_t>(p)];
-    rep.set_on_deliver([&, p](const Batch& batch, int slot) {
+    const auto i = static_cast<std::size_t>(p);
+    TobProcess& tob = *tobs.emplace_back(std::make_unique<TobProcess>(
+        p, cfg.layout, net, pool, *coin, cfg.max_rounds_per_bit));
+    tob.set_slot_start_hook([&, p, i](int slot) {
+      std::vector<SimTime>& started = slot_started[i];
+      const auto s = static_cast<std::size_t>(slot);
+      if (started.size() <= s) started.resize(s + 1, -1);
+      started[s] = sim.now();
+      if (trace != nullptr) {
+        trace->record({.at = sim.now(), .kind = TraceKind::SvcSlot,
+                       .proc = p, .args = {static_cast<std::uint64_t>(slot)}});
+      }
+    });
+    // Every slot lands in replica p's log, NOOPs included, so the checker
+    // can verify gap-free sequencing. An op completes for its client when
+    // the origin replica delivers the batch containing it (every replica
+    // delivers every batch; the client is attached to one). Delivery also
+    // closes the attribution chain: the op's latency splits exactly into
+    // batching wait (submit -> flush), slot queueing (flush -> the deciding
+    // slot's consensus start at the completing replica), and
+    // consensus/delivery (slot start -> now).
+    tob.set_deliver_hook([&, p, i](int slot, std::uint64_t payload) {
+      result.slot_logs[i].push_back(SlotRecord{slot, payload});
+      if (payload == TobProcess::kNoop) return;
+      const Batch& batch = registry.get(payload);
       if (trace != nullptr) {
         trace->record({.at = sim.now(), .kind = TraceKind::SvcDeliver,
                        .proc = p,
                        .args = {static_cast<std::uint64_t>(slot), batch.id,
                                 batch.ops.size()}});
       }
+      // The start is -1 when this replica never ran the slot (e.g. it
+      // learned the decision from peers); the max() clamps the span to
+      // start no earlier than the batch existed.
+      const auto s = static_cast<std::size_t>(slot);
+      const SimTime started =
+          s < slot_started[i].size() ? slot_started[i][s] : -1;
+      const SimTime begin = std::max(started, batch.flushed_at);
       for (const std::uint64_t op_id : batch.ops) {
         if (!traffic.on_op_completed(op_id, sim.now())) continue;
         const ClientOp& op = traffic.ops()[op_id - 1];
-        // slot_started_at is -1 when this replica never ran the slot
-        // (e.g. it learned the decision from peers); the max() clamps the
-        // span to start no earlier than the batch existed.
-        const SimTime started =
-            replicas[static_cast<std::size_t>(p)]->slot_started_at(slot);
-        const SimTime s = std::max(started, batch.flushed_at);
-        batch_wait.add(
-            static_cast<std::uint64_t>(batch.flushed_at - op.submit_time));
-        batch_wait_hist.add(
-            static_cast<std::uint64_t>(batch.flushed_at - op.submit_time));
-        seq_wait.add(static_cast<std::uint64_t>(s - batch.flushed_at));
-        seq_wait_hist.add(static_cast<std::uint64_t>(s - batch.flushed_at));
-        consensus.add(static_cast<std::uint64_t>(sim.now() - s));
-        consensus_hist.add(static_cast<std::uint64_t>(sim.now() - s));
+        const auto batch_wait =
+            static_cast<std::uint64_t>(batch.flushed_at - op.submit_time);
+        const auto seq_wait =
+            static_cast<std::uint64_t>(begin - batch.flushed_at);
+        const auto consensus = static_cast<std::uint64_t>(sim.now() - begin);
+        result.batch_wait.add(batch_wait);
+        result.batch_wait_hist.add(batch_wait);
+        result.seq_wait.add(seq_wait);
+        result.seq_wait_hist.add(seq_wait);
+        result.consensus.add(consensus);
+        result.consensus_hist.add(consensus);
       }
     });
-    if (trace != nullptr) {
-      rep.set_on_flush([trace, &sim, p](const Batch& batch) {
-        trace->record({.at = sim.now(), .kind = TraceKind::SvcFlush,
-                       .proc = p, .args = {batch.id, batch.ops.size()}});
-      });
-      rep.set_on_slot_start([trace, &sim, p](int slot) {
-        trace->record({.at = sim.now(), .kind = TraceKind::SvcSlot,
-                       .proc = p, .args = {static_cast<std::uint64_t>(slot)}});
-      });
-    }
+    batchers.push_back(std::make_unique<Batcher>(
+        sim, cfg.batch_max, cfg.batch_delay,
+        [&, p, i](std::vector<std::uint64_t> ops) {
+          // A deadline timer may fire after this replica crashed; a dead
+          // replica must not originate proposals.
+          if (tracker.is_crashed(p)) return;
+          const std::uint64_t id = registry.mint(std::move(ops), sim.now());
+          tobs[i]->submit(id);
+          if (trace != nullptr) {
+            trace->record({.at = sim.now(), .kind = TraceKind::SvcFlush,
+                           .proc = p,
+                           .args = {id, registry.get(id).ops.size()}});
+          }
+        }));
   }
+  net.set_deliver([&tobs](ProcId to, ProcId from, const Message& m) {
+    tobs[static_cast<std::size_t>(to)]->on_message(from, m);
+  });
 
   for (const CrashSpec& spec : cfg.crashes.specs) {
     HYCO_CHECK_MSG(spec.kind != CrashSpec::Kind::OnBroadcast,
@@ -134,7 +145,6 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
 
   traffic.start();
 
-  ServiceRunResult result;
   result.stop = sim.run(cfg.max_events);
   result.end_time = sim.now();
   result.events = sim.events_executed();
@@ -148,18 +158,8 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   result.batches = registry.count();
   result.latency = traffic.latency();
   result.latency_hist = traffic.latency_hist();
-  result.batch_wait = batch_wait;
-  result.batch_wait_hist = batch_wait_hist;
-  result.seq_wait = seq_wait;
-  result.seq_wait_hist = seq_wait_hist;
-  result.consensus = consensus;
-  result.consensus_hist = consensus_hist;
-
-  result.slot_logs.reserve(static_cast<std::size_t>(n));
-  for (ProcId p = 0; p < n; ++p) {
-    const auto& log = replicas[static_cast<std::size_t>(p)]->slot_log();
+  for (const std::vector<SlotRecord>& log : result.slot_logs) {
     result.slots = std::max<std::uint64_t>(result.slots, log.size());
-    result.slot_logs.push_back(log);
   }
 
   ServiceCheckReport check = check_service_logs(result.slot_logs);

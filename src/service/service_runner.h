@@ -1,7 +1,8 @@
 // One-call driver for the replicated service: builds the run's World
-// (core/world.h), then the coin, replicas, batchers, and the closed-loop
-// traffic engine for a configuration; runs to quiescence (or a limit); and
-// returns the decided slot logs plus throughput/latency instrumentation.
+// (core/world.h), then the coin, each process's total-order broadcast
+// (TobProcess) and batcher, and the closed-loop traffic engine for a
+// configuration; runs to quiescence (or a limit); and returns the decided
+// slot logs plus throughput/latency instrumentation.
 // The service analogue of run_consensus() — every service test and the
 // experiment engine's service cells go through run_service().
 #pragma once

@@ -38,8 +38,8 @@ void TrafficEngine::start() {
     SimTime at = 0;
     if (think_mean_ns_ > 0.0) {
       at = think_time();
-    } else if (cfg_.arrival_spread > 0) {
-      at = rng_.uniform(0, cfg_.arrival_spread);
+    } else {
+      at = rng_.uniform(0, kArrivalSpread);
     }
     schedule_submit(c, at);
   }
@@ -66,7 +66,6 @@ bool TrafficEngine::on_op_completed(std::uint64_t op_id, SimTime now) {
   ClientOp& op = ops_.at(op_id - 1);
   if (op.completed) return false;
   op.completed = true;
-  op.complete_time = now;
   ++completed_;
   const auto lat = static_cast<std::uint64_t>(now - op.submit_time);
   latency_.add(lat);

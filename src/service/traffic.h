@@ -32,10 +32,12 @@ struct TrafficConfig {
   std::uint64_t clients = 1000;
   std::uint64_t ops_per_client = 1;
   double load = 0.0;  ///< target offered load, ops/sec; 0 = no think time
-  /// First arrivals spread uniformly over this window when load == 0 (a
-  /// burst at t=0 would be a determinism artifact, like kStartJitter).
-  SimTime arrival_spread = 1000;
 };
+
+/// First arrivals spread uniformly over [0, kArrivalSpread] ns when
+/// load == 0 (a burst at t=0 would be a determinism artifact, like
+/// kStartJitter).
+inline constexpr SimTime kArrivalSpread = 1000;
 
 class TrafficEngine {
  public:

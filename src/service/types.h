@@ -26,14 +26,12 @@ struct ClientOp {
   ProcId origin = 0;         ///< replica the client is attached to
   SimTime submit_time = 0;
   bool completed = false;
-  SimTime complete_time = 0;
 };
 
 /// A batch of client ops proposed as one consensus value (its id).
 struct Batch {
   std::uint64_t id = 0;  ///< 1-based, globally sequential; 0 is the TOB NOOP
-  ProcId origin = 0;     ///< replica whose batcher flushed it
-  SimTime flushed_at = 0;  ///< when the origin's batcher flushed it
+  SimTime flushed_at = 0;  ///< when its replica's batcher flushed it
   std::vector<std::uint64_t> ops;  ///< ClientOp ids, submission order
 };
 
@@ -41,11 +39,9 @@ struct Batch {
 /// in event order, which the single-threaded simulator makes deterministic.
 class BatchRegistry {
  public:
-  std::uint64_t mint(ProcId origin, std::vector<std::uint64_t> ops,
-                     SimTime flushed_at = 0) {
+  std::uint64_t mint(std::vector<std::uint64_t> ops, SimTime flushed_at) {
     Batch b;
     b.id = batches_.size() + 1;
-    b.origin = origin;
     b.flushed_at = flushed_at;
     b.ops = std::move(ops);
     batches_.push_back(std::move(b));

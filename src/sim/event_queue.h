@@ -209,9 +209,6 @@ class EventQueue {
     return fn;
   }
 
-  /// Total number of events ever pushed.
-  [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
-
   /// High-water mark of size() — the peak number of concurrently pending
   /// events (feeds the perf snapshot's queue-depth metric).
   [[nodiscard]] std::size_t peak_size() const { return peak_; }

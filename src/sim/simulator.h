@@ -136,7 +136,6 @@ class Simulator {
 
   [[nodiscard]] bool pending() const { return !queue_.empty(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.pushed(); }
 
   /// Peak number of concurrently pending events (perf instrumentation).
   [[nodiscard]] std::size_t peak_queue_depth() const {

@@ -502,18 +502,33 @@ dist::HelloMsg make_hello(std::uint64_t fp, std::size_t n_cells,
   return hello;
 }
 
+/// A raw session that sends its Hello and a LeaseReq back to back, without
+/// waiting for the Welcome, so it works against a coordinator that is bound
+/// but not yet serving. Returns its socket, or -1 when any step fails.
+int request_one_lease(std::uint16_t port, std::uint64_t fp,
+                      std::size_t n_cells) {
+  const int fd = dist::connect_once({"127.0.0.1", port});
+  if (fd < 0) return -1;
+  const bool sent =
+      dist::send_frame(fd, dist::MsgType::kHello,
+                       dist::encode_hello(make_hello(fp, n_cells))) &&
+      dist::send_frame(fd, dist::MsgType::kLeaseReq, "");
+  if (!sent) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 /// A raw session that completes the handshake and takes one lease it never
 /// folds. Returns its socket, or -1 when any step fails.
 int take_one_lease(std::uint16_t port, std::uint64_t fp, std::size_t n_cells) {
-  const int fd = dist::connect_once({"127.0.0.1", port});
+  const int fd = request_one_lease(port, fp, n_cells);
   if (fd < 0) return -1;
   dist::Frame f;
-  const bool leased =
-      dist::send_frame(fd, dist::MsgType::kHello,
-                       dist::encode_hello(make_hello(fp, n_cells))) &&
-      dist::recv_frame(fd, f) && f.type == dist::MsgType::kWelcome &&
-      dist::send_frame(fd, dist::MsgType::kLeaseReq, "") &&
-      dist::recv_frame(fd, f) && f.type == dist::MsgType::kLease;
+  const bool leased = dist::recv_frame(fd, f) &&
+                      f.type == dist::MsgType::kWelcome &&
+                      dist::recv_frame(fd, f) && f.type == dist::MsgType::kLease;
   if (!leased) {
     ::close(fd);
     return -1;
@@ -735,6 +750,11 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   // ride it out with backoff + re-hello. Checkpointed chunks merge under
   // the restarted run's results; the combined artifacts must be
   // byte-identical to a never-crashed run.
+  //
+  // Both workers rejoin by construction, not by timing: a raw session
+  // holds one of the resumed grid's chunks, so the grid cannot finish
+  // (and close the port) before both workers are back, and it lets go
+  // once all three connections are up.
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
   const std::uint64_t fp = grid_fingerprint(cells);
@@ -783,10 +803,22 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   ASSERT_FALSE(plan.spans.empty());
   ASSERT_GT(plan.resumed_runs, 0u);
 
+  int held = -1;
   CoordinatorOptions opts2 = test_coordinator_options();
   opts2.port = port;  // the endpoint the workers keep redialing
+  opts2.progress = [&](std::uint64_t, std::uint64_t, std::size_t conns) {
+    if (conns == 3 && held >= 0) {
+      ::close(held);
+      held = -1;
+    }
+  };
   Coordinator second(cells, plan.spans, fp, std::move(opts2));
   second.bind();
+  // Sent before serve() starts: the coordinator reads the LeaseReq with
+  // the Hello, while a worker needs a Welcome round trip per lease, so
+  // the raw session's lease comes before the workers could drain the grid.
+  held = request_one_lease(port, fp, cells.size());
+  ASSERT_GE(held, 0);
   CollectingSink sink(cells, {});
   sink.resume(std::move(plan.checkpoint));
   second.serve(sink);

@@ -3,7 +3,8 @@
 // (the binary rejects anything outside it), and these tests fail the build
 // when a flag lands without its documentation or leaves the registry while
 // its table row stays. Every repository path the README, docs/ and the
-// verify notes cite must exist.
+// verify notes cite must exist, and every example's header must name the
+// binary CMake builds for it.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -109,6 +110,33 @@ TEST(DocsCli, EveryCitedRepositoryPathExists) {
     }
   }
   EXPECT_GE(checked, 50u) << "no cited paths parsed";
+}
+
+TEST(DocsCli, EveryExampleHeaderRunsItsBuiltBinary) {
+  // CMakeLists.txt builds examples/<stem>.cpp as build/example_<stem>, and
+  // the "Run:" line of each example's header comment must name that file.
+  const std::filesystem::path root(HYCO_SOURCE_DIR);
+  std::size_t checked = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root / "examples")) {
+    if (entry.path().extension() != ".cpp") continue;
+    const std::string want =
+        "// Run: ./build/example_" + entry.path().stem().string();
+    std::ifstream in(entry.path());
+    std::string run;
+    for (std::string line;
+         std::getline(in, line) && line.rfind("//", 0) == 0;) {
+      if (line.rfind("// Run:", 0) == 0) run = line;
+    }
+    const bool names_binary =
+        run.rfind(want, 0) == 0 &&
+        (run.size() == want.size() || run[want.size()] == ' ');
+    EXPECT_TRUE(names_binary)
+        << entry.path().filename().string() << "'s header reads \"" << run
+        << "\", want \"" << want << "\" (plus any flags)";
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no example sources found";
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Unit tests for the wire message struct and its binary codec
-// (net/message.h), plus the execution trace (sim/trace.h).
+// Unit tests for the wire message struct (net/message.h), plus the
+// execution trace (sim/trace.h).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -29,80 +29,6 @@ TEST(Message, StreamOperatorMentionsContents) {
   std::ostringstream d;
   d << Message::decide_msg(Estimate::One);
   EXPECT_EQ(d.str(), "DECIDE(1)");
-}
-
-// Codec roundtrip across the full message domain.
-class MessageRoundtrip
-    : public ::testing::TestWithParam<std::tuple<int, Round, int, int>> {};
-
-TEST_P(MessageRoundtrip, EncodeDecodeIdentity) {
-  const auto [kind, round, phase, est] = GetParam();
-  Message m;
-  m.kind = static_cast<MsgKind>(kind);
-  m.round = round;
-  m.phase = static_cast<Phase>(phase);
-  m.est = static_cast<Estimate>(est);
-  const auto bytes = encode(m);
-  const auto back = decode(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, m);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllShapes, MessageRoundtrip,
-    ::testing::Combine(::testing::Values(1, 2),            // kind
-                       ::testing::Values(0, 1, 7, 100000,  // round
-                                         2147483647),
-                       ::testing::Values(1, 2),            // phase
-                       ::testing::Values(0, 1, 2)));       // estimate
-
-TEST(MessageCodec, RejectsWrongSize) {
-  std::vector<std::uint8_t> small(kMessageWireSize - 1, 0);
-  EXPECT_FALSE(decode(small).has_value());
-  std::vector<std::uint8_t> big(kMessageWireSize + 1, 0);
-  EXPECT_FALSE(decode(big).has_value());
-}
-
-TEST(MessageCodec, RejectsBadTags) {
-  auto bytes = encode(Message::phase_msg(1, Phase::One, Estimate::Zero));
-  bytes[0] = 9;  // bad kind
-  EXPECT_FALSE(decode(bytes).has_value());
-  bytes = encode(Message::phase_msg(1, Phase::One, Estimate::Zero));
-  bytes[9] = 3;  // bad phase
-  EXPECT_FALSE(decode(bytes).has_value());
-  bytes = encode(Message::phase_msg(1, Phase::One, Estimate::Zero));
-  bytes[10] = 7;  // bad estimate
-  EXPECT_FALSE(decode(bytes).has_value());
-}
-
-TEST(MessageCodec, RoundtripsExtensionKinds) {
-  const Message val = Message::value_msg(3, 0xDEADBEEFCAFEULL);
-  const auto back_val = decode(encode(val));
-  ASSERT_TRUE(back_val.has_value());
-  EXPECT_EQ(*back_val, val);
-
-  const Message md = Message::multi_decide_msg(42);
-  const auto back_md = decode(encode(md));
-  ASSERT_TRUE(back_md.has_value());
-  EXPECT_EQ(*back_md, md);
-
-  Message reg;
-  reg.kind = MsgKind::RegAck;
-  reg.instance = 77;
-  reg.round = 12;
-  reg.origin = 4;
-  reg.value = 0xFFFFFFFFFFFFFFFFULL;
-  const auto back_reg = decode(encode(reg));
-  ASSERT_TRUE(back_reg.has_value());
-  EXPECT_EQ(*back_reg, reg);
-}
-
-TEST(MessageCodec, InstanceStampSurvivesRoundtrip) {
-  Message m = Message::phase_msg(5, Phase::Two, Estimate::One);
-  m.instance = 13;
-  const auto back = decode(encode(m));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->instance, 13);
 }
 
 TEST(Trace, DisabledRecordsNothing) {

@@ -12,6 +12,7 @@
 #include "scenario/scenario.h"
 #include "service/checker.h"
 #include "service/service_runner.h"
+#include "sim/trace.h"
 #include "util/assert.h"
 
 namespace hyco {
@@ -161,6 +162,39 @@ TEST(ServiceE2E, SafeUnderMessageLossWithCorruptedCoin) {
   const ServiceRunResult r = run_service(cfg);
   EXPECT_TRUE(r.safe_ok) << (r.violations.empty() ? "" : r.violations[0]);
   EXPECT_TRUE(r.terminated);
+  EXPECT_TRUE(check_service_logs(r.slot_logs).ok);
+}
+
+TEST(ServiceE2E, CrashedProcessProposesNoBatch) {
+  // p0's four clients submit in [0, 1000] ns, so its batch sits below
+  // batch_max when p0 crashes at 5 us; the batch's deadline timer fires
+  // after the crash and must flush nothing into the TOB.
+  constexpr SimTime kCrashAt = 5'000;
+  ServiceRunConfig cfg(ClusterLayout::even(4, 2));
+  cfg.seed = 61;
+  cfg.clients = 16;
+  cfg.batch_max = 64;
+  cfg.batch_delay = 50'000;
+  cfg.crashes = CrashPlan::none(4);
+  cfg.crashes.specs[0] = CrashSpec::at_time(kCrashAt);
+  Trace trace(1 << 16);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &trace;
+  const ServiceRunResult r = run_service(cfg);
+
+  std::uint64_t p0_ops = 0, flushes = 0;
+  trace.for_each([&](const TraceRecord& rec) {
+    if (rec.kind == TraceKind::SvcOp && rec.proc == 0) ++p0_ops;
+    if (rec.kind != TraceKind::SvcFlush) return;
+    ++flushes;
+    if (rec.proc == 0) {
+      EXPECT_LT(rec.at, kCrashAt) << "p0 flushed batch " << rec.args[0];
+    }
+  });
+  EXPECT_EQ(p0_ops, 4u);
+  EXPECT_EQ(r.crashed, 1u);
+  EXPECT_EQ(r.batches, flushes);
+  EXPECT_TRUE(r.safe_ok) << (r.violations.empty() ? "" : r.violations[0]);
   EXPECT_TRUE(check_service_logs(r.slot_logs).ok);
 }
 
