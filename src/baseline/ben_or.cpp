@@ -61,25 +61,26 @@ void BenOrProcess::enter_round() {
   net_.broadcast(self_, Message::phase_msg(round_, Phase::One, est1_));
 }
 
-void BenOrProcess::on_message(ProcId from, const Message& m) {
+bool BenOrProcess::on_message(ProcId from, const Message& m) {
   if (decided()) {
     // Decision-gossip reply for scenario runs (see ProcessBase::on_message).
     if (assist_ && m.kind != MsgKind::Decide) {
       net_.send(self_, from, Message::decide_msg(*decision_));
     }
-    return;
+    return false;
   }
   if (m.kind == MsgKind::Decide) {
     decide(m.est);
-    return;
+    return true;
   }
   Tally& t = tally(m.round, m.phase);
   const auto idx = static_cast<std::size_t>(from);
-  if (t.senders.test(idx)) return;  // defensive: count each sender once
+  if (t.senders.test(idx)) return false;  // defensive: count each sender once
   t.senders.set(idx);
   ++t.counts[estimate_index(m.est)];
   ++stats_.phase_msgs_handled;
   progress();
+  return decided();
 }
 
 void BenOrProcess::on_recover() {

@@ -52,7 +52,7 @@ class BenOrProcess final : public IConsensusProcess {
                std::span<const std::unique_ptr<ClusterMemory>> memories = {});
 
   void start(Estimate proposal) override;
-  void on_message(ProcId from, const Message& m) override;
+  bool on_message(ProcId from, const Message& m) override;
 
   /// Crash-recovery rejoin: retransmits the current (round, phase) message
   /// (peers dedup by sender) or re-gossips DECIDE. Scenario assist covers

@@ -33,8 +33,12 @@ class IConsensusProcess {
   /// The paper's propose(v): records the proposal and enters round 1.
   virtual void start(Estimate proposal) = 0;
 
-  /// Delivery hook for every message addressed to this process.
-  virtual void on_message(ProcId from, const Message& m) = 0;
+  /// Delivery hook for every message addressed to this process. Returns
+  /// true exactly when this message took the process from undecided to
+  /// decided (a host stamps its decision time from it, with no decided()
+  /// call around each delivery); false for every message to a process that
+  /// had already decided.
+  virtual bool on_message(ProcId from, const Message& m) = 0;
 
   /// Crash-recovery hook (src/scenario/): the process just rejoined with
   /// its state intact but missed every message delivered while it was

@@ -30,7 +30,7 @@ void ProcessBase::start(Estimate proposal) {
   on_exchange_progress();
 }
 
-void ProcessBase::on_message(ProcId from, const Message& m) {
+bool ProcessBase::on_message(ProcId from, const Message& m) {
   if (decided()) {
     // A decided process has returned from propose(). Under scenarios
     // (recovery, loss) the sender may have missed the DECIDE broadcast;
@@ -40,13 +40,13 @@ void ProcessBase::on_message(ProcId from, const Message& m) {
     if (assist_ && m.kind != MsgKind::Decide) {
       net_.send(self_, from, Message::decide_msg(*decision_));
     }
-    return;
+    return false;
   }
 
   if (m.kind == MsgKind::Decide) {
     // Algorithm 2 line 17 / Algorithm 3 line 13: forward, then return.
     decide(m.est);
-    return;
+    return true;
   }
 
   // PHASE message: buffer it if its (r, ph) is still ahead of this process
@@ -74,6 +74,7 @@ void ProcessBase::on_message(ProcId from, const Message& m) {
     }
     on_exchange_progress();
   }
+  return decided();
 }
 
 void ProcessBase::maybe_catchup_reply(ProcId from, const Message& m) {

@@ -39,7 +39,8 @@ class ProcessBase : public IConsensusProcess {
   void start(Estimate proposal) override;
 
   /// Runtime delivery hook for every message addressed to this process.
-  void on_message(ProcId from, const Message& m) override;
+  /// Returns whether this message made the process decide.
+  bool on_message(ProcId from, const Message& m) override;
 
   /// Crash-recovery rejoin: retransmits the active exchange's PHASE message
   /// (or re-gossips DECIDE when already decided). Peers answer with decide
@@ -57,9 +58,7 @@ class ProcessBase : public IConsensusProcess {
 
   void set_observer(obs::RunObserver* o) override { obs_ = o; }
 
-  [[nodiscard]] bool decided() const override {
-    return decision_.has_value();
-  }
+  [[nodiscard]] bool decided() const final { return decision_.has_value(); }
   [[nodiscard]] std::optional<Estimate> decision() const override {
     return decision_;
   }

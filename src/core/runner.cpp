@@ -26,10 +26,9 @@ SimNetwork::DeliverFn decision_timing_deliver(
     const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
     const Simulator& sim, RunResult& r) {
   return [&procs, &sim, &r](ProcId to, ProcId from, const Message& m) {
-    IConsensusProcess& proc = *procs[static_cast<std::size_t>(to)];
-    const bool was_decided = proc.decided();
-    proc.on_message(from, m);
-    if (!was_decided && proc.decided()) r.last_decision_time = sim.now();
+    if (procs[static_cast<std::size_t>(to)]->on_message(from, m)) {
+      r.last_decision_time = sim.now();
+    }
   };
 }
 

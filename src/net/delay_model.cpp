@@ -6,15 +6,22 @@
 
 namespace hyco {
 
-UniformDelay::UniformDelay(SimTime lo, SimTime hi) : lo_(lo), hi_(hi) {
-  HYCO_CHECK_MSG(lo >= 0 && hi >= lo, "bad uniform delay range [" << lo << ','
-                                                                  << hi << ']');
+void DelayModel::draw(ProcId from, const Message& m, SimTime now, Rng& rng,
+                      std::span<FanoutCopy> copies) {
+  for (FanoutCopy& c : copies) c.delay = delay(from, c.to, m, now, rng);
 }
 
-SimTime UniformDelay::delay(ProcId, ProcId, const Message&, SimTime,
-                            Rng& rng) {
-  return rng.uniform(lo_, hi_);
+namespace {
+/// Checks a uniform delay range before UniformDraw sees it.
+UniformDraw checked_uniform(SimTime lo, SimTime hi) {
+  HYCO_CHECK_MSG(lo >= 0 && hi >= lo, "bad uniform delay range [" << lo << ','
+                                                                  << hi << ']');
+  return UniformDraw(lo, hi);
 }
+}  // namespace
+
+UniformDelay::UniformDelay(SimTime lo, SimTime hi)
+    : uniform_(checked_uniform(lo, hi)) {}
 
 ExponentialDelay::ExponentialDelay(double mean_ns, SimTime floor_ns)
     : mean_(mean_ns), floor_(floor_ns) {

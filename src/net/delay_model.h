@@ -1,16 +1,23 @@
 // Message-delay models: the semantics of "asynchronous but reliable"
-// channels. Transit times are arbitrary-but-finite; each model draws the
-// delay of one message. The adversarial model lets experiments hand the
-// scheduler to an adversary that inspects message contents (e.g. to try to
-// keep the system split between 0-supporters and 1-supporters — the attack
+// channels. Transit times are arbitrary-but-finite; delay() draws the
+// delay of one message, and draw() the delays of a whole fan-out in one
+// call. The network draws every fan-out (a broadcast's receivers, a send's
+// copies) through draw(): the constant and uniform models override it
+// with a loop that makes no virtual call per copy, and every other model
+// keeps one delay() per copy, in copy order, so both paths consume the
+// same draws. The adversarial model lets experiments hand the scheduler
+// to an adversary that inspects message contents (e.g. to try to keep the
+// system split between 0-supporters and 1-supporters — the attack
 // randomized consensus defeats).
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "core/types.h"
 #include "net/message.h"
+#include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace hyco {
@@ -23,6 +30,12 @@ class DelayModel {
   /// Delay (>= 0) for a message from `from` to `to` sent at time `now`.
   virtual SimTime delay(ProcId from, ProcId to, const Message& m, SimTime now,
                         Rng& rng) = 0;
+
+  /// Sets the delay of every copy of one fan-out of `m` from `from` at
+  /// `now`, in copy order. An override must draw exactly what one delay()
+  /// per copy, in copy order, would. Default: that loop.
+  virtual void draw(ProcId from, const Message& m, SimTime now, Rng& rng,
+                    std::span<FanoutCopy> copies);
 };
 
 /// Every message takes exactly `fixed` time units.
@@ -32,20 +45,36 @@ class ConstantDelay final : public DelayModel {
   SimTime delay(ProcId, ProcId, const Message&, SimTime, Rng&) override {
     return fixed_;
   }
+  void draw(ProcId, const Message&, SimTime, Rng&,
+            std::span<FanoutCopy> copies) override {
+    for (FanoutCopy& c : copies) c.delay = fixed_;
+  }
 
  private:
   SimTime fixed_;
 };
 
-/// Uniformly random transit in [lo, hi].
+/// Uniformly random transit in [lo, hi], drawn without a division
+/// (UniformDraw).
 class UniformDelay final : public DelayModel {
  public:
   UniformDelay(SimTime lo, SimTime hi);
-  SimTime delay(ProcId, ProcId, const Message&, SimTime, Rng& rng) override;
+  SimTime delay(ProcId, ProcId, const Message&, SimTime, Rng& rng) override {
+    return uniform_(rng);
+  }
+  void draw(ProcId, const Message&, SimTime, Rng& rng,
+            std::span<FanoutCopy> copies) override {
+    // Local copies stay in registers: a store through `copies` may alias
+    // the generator's 64-bit state words, so drawing on `rng` itself would
+    // reload them after every copy.
+    Rng local = rng;
+    const UniformDraw uniform = uniform_;
+    for (FanoutCopy& c : copies) c.delay = uniform(local);
+    rng = local;
+  }
 
  private:
-  SimTime lo_;
-  SimTime hi_;
+  UniformDraw uniform_;
 };
 
 /// Exponentially distributed transit with the given mean (heavy-ish tail —

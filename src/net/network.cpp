@@ -19,8 +19,12 @@ SimNetwork::SimNetwork(Simulator& sim, DelayModel& delays,
       plan_(plan),
       trace_(trace),
       broadcast_counts_(static_cast<std::size_t>(n), 0),
-      scratch_(static_cast<std::size_t>(n)) {
+      everyone_(static_cast<std::size_t>(n)),
+      scratch_(static_cast<std::size_t>(n)),
+      copies_(2 * static_cast<std::size_t>(n)) {
   HYCO_CHECK_MSG(n > 0, "network needs at least one process");
+  std::iota(everyone_.begin(), everyone_.end(), 0);
+  if (trace_ != nullptr) drops_.reserve(static_cast<std::size_t>(n));
   if (plan_ != nullptr) {
     HYCO_CHECK_MSG(plan_->specs.size() == static_cast<std::size_t>(n),
                    "crash plan size mismatch");
@@ -37,45 +41,73 @@ void SimNetwork::trace_message(TraceKind kind, ProcId proc, ProcId peer,
                   .proc = proc, .peer = peer, .mid = mid, .msg = m});
 }
 
-void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m,
-                                   std::uint32_t payload) {
-  SimTime hold = 0;
-  int copies = 1;
-  if (scenario_ != nullptr) {
-    // Partition: a finite cut holds the message until it heals (reliable,
-    // adversarially slow); a permanent cut drops it.
-    const SimTime release = scenario_->release_time(from, to, sim_.now());
-    if (release == kSimTimeNever) {
-      ++stats_.dropped_partitioned;
-      if (trace_ != nullptr) {
-        trace_message(TraceKind::Drop, from, to, m, 0, DropCause::Partitioned);
-      }
-      return;
+void SimNetwork::plan(ProcId from, std::span<const ProcId> receivers,
+                      const Message& m) {
+  if (scenario_ == nullptr) {
+    // Fault-free: one copy per receiver, every delay drawn in one call.
+    const std::span<FanoutCopy> copies(copies_.data(), receivers.size());
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      copies[i].to = receivers[i];
     }
-    hold = release - sim_.now();
-    if (hold > 0) ++stats_.held_partitioned;
-    copies = scenario_->draw_copies(m, sim_.rng());
-    if (copies == 0) {
-      ++stats_.dropped_lost;
-      if (trace_ != nullptr) {
-        trace_message(TraceKind::Drop, from, to, m, 0, DropCause::Lost);
-      }
-      return;
-    }
-    stats_.duplicated += static_cast<std::uint64_t>(copies - 1);
+    delays_.draw(from, m, sim_.now(), sim_.rng(), copies);
+    planned_ = copies.size();
+    return;
   }
-  for (int c = 0; c < copies; ++c) {
-    const SimTime d = delays_.delay(from, to, m, sim_.now(), sim_.rng());
-    ++stats_.unicasts_sent;
-    // The scheduled event's seq is the message identity: the Send record
-    // here and the Deliver/Drop record when it fires share mid = seq + 1,
-    // giving the offline DAG its send->deliver edges. seq assignment is
-    // unconditional in the queue, so reading it never perturbs the run.
-    const std::uint64_t seq = sim_.schedule_staged(hold + d, payload, to);
+  for (const ProcId to : receivers) plan_under_scenario(from, to, m);
+}
+
+void SimNetwork::plan_under_scenario(ProcId from, ProcId to,
+                                     const Message& m) {
+  // Partition: a finite cut holds the message until it heals (reliable,
+  // adversarially slow); a permanent cut drops it.
+  const SimTime release = scenario_->release_time(from, to, sim_.now());
+  if (release == kSimTimeNever) {
+    ++stats_.dropped_partitioned;
     if (trace_ != nullptr) {
-      trace_message(TraceKind::Send, from, to, m, seq + 1, DropCause::None);
+      drops_.push_back({planned_, to, DropCause::Partitioned});
+    }
+    return;
+  }
+  const SimTime hold = release - sim_.now();
+  if (hold > 0) ++stats_.held_partitioned;
+  const int copies = scenario_->draw_copies(m, sim_.rng());
+  if (copies == 0) {
+    ++stats_.dropped_lost;
+    if (trace_ != nullptr) drops_.push_back({planned_, to, DropCause::Lost});
+    return;
+  }
+  stats_.duplicated += static_cast<std::uint64_t>(copies - 1);
+  const std::span<FanoutCopy> out(copies_.data() + planned_,
+                                  static_cast<std::size_t>(copies));
+  for (FanoutCopy& c : out) c.to = to;
+  delays_.draw(from, m, sim_.now(), sim_.rng(), out);
+  for (FanoutCopy& c : out) c.delay += hold;
+  planned_ += out.size();
+}
+
+void SimNetwork::file_plan(ProcId from, const Message& m,
+                           std::uint32_t payload) {
+  const std::span<const FanoutCopy> copies(copies_.data(), planned_);
+  planned_ = 0;
+  // The scheduled event's seq is the message identity: the Send record
+  // here and the Deliver/Drop record when it fires share mid = seq + 1,
+  // giving the offline DAG its send->deliver edges. Copy i's seq is the
+  // first copy's plus i, and seq assignment is unconditional in the queue,
+  // so reading it never perturbs the run.
+  const std::uint64_t first = sim_.schedule_fanout(payload, copies);
+  stats_.unicasts_sent += copies.size();
+  if (trace_ == nullptr) return;
+  auto drop = drops_.begin();
+  for (std::size_t i = 0; i <= copies.size(); ++i) {
+    for (; drop != drops_.end() && drop->before == i; ++drop) {
+      trace_message(TraceKind::Drop, from, drop->to, m, 0, drop->cause);
+    }
+    if (i < copies.size()) {
+      trace_message(TraceKind::Send, from, copies[i].to, m, first + i + 1,
+                    DropCause::None);
     }
   }
+  drops_.clear();
 }
 
 void SimNetwork::deliver_event(ProcId from, ProcId to, const Message& m,
@@ -131,7 +163,8 @@ void SimNetwork::send(ProcId from, ProcId to, const Message& m) {
     return;
   }
   const std::uint32_t payload = sim_.stage(from, m);
-  schedule_delivery(from, to, m, payload);
+  plan(from, {&to, 1}, m);
+  file_plan(from, m, payload);
   sim_.unpin(payload);
 }
 
@@ -145,7 +178,7 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
   const auto idx = static_cast<std::size_t>(from);
   const std::int32_t my_broadcast = broadcast_counts_[idx]++;
   // One payload serves every receiver; each scheduled copy only queues an
-  // entry that refers to it.
+  // entry that refers to it, and one push files them all.
   const std::uint32_t payload = sim_.stage(from, m);
 
   // Scripted mid-broadcast crash: deliver to a random subset, then halt.
@@ -160,9 +193,8 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
           std::clamp<std::int32_t>(spec.deliver_count, 0, n_));
       std::iota(scratch_.begin(), scratch_.end(), 0);
       sim_.rng().partial_shuffle(scratch_, k);
-      for (std::size_t i = 0; i < k; ++i) {
-        schedule_delivery(from, scratch_[i], m, payload);
-      }
+      plan(from, {scratch_.data(), k}, m);
+      file_plan(from, m, payload);
       sim_.unpin(payload);
       crashes_.crash(from, sim_.now());
       if (trace_ != nullptr) {
@@ -174,9 +206,8 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
     }
   }
 
-  for (ProcId to = 0; to < n_; ++to) {
-    schedule_delivery(from, to, m, payload);
-  }
+  plan(from, everyone_, m);
+  file_plan(from, m, payload);
   sim_.unpin(payload);
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -57,10 +58,16 @@ class INetwork {
 ///
 /// Deliveries ride the simulator's typed Deliver events (the network
 /// registers itself as the DeliverSink), so sending a message allocates
-/// nothing: a broadcast or send stages its message once in the simulator's
-/// payload slab, each scheduled copy queues a 16-byte entry that refers to
-/// it, and the message comes straight back through deliver_event() when a
-/// copy fires.
+/// nothing. A send, a broadcast and a mid-broadcast crash's subset all take
+/// one path: stage the message once in the simulator's payload slab, plan
+/// the copies per receiver into a reusable buffer, and file the whole plan
+/// with one Simulator::schedule_fanout() — each copy a 16-byte entry that
+/// refers to the payload. Without a scenario every receiver gets one copy
+/// and the plan's delays come from one DelayModel::draw() call; a scenario
+/// plans each receiver in turn (release time, copy count, then each copy's
+/// delay), which is the draw order of sending copy by copy. Trace records
+/// follow the push, in plan order. The message comes straight back through
+/// deliver_batch() when a copy fires.
 class SimNetwork final : public INetwork, private DeliverSink {
  public:
   /// Called for each delivery to a live process.
@@ -78,7 +85,7 @@ class SimNetwork final : public INetwork, private DeliverSink {
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// Installs the run's fault-injection engine (nullptr = none). When set,
-  /// every scheduled delivery consults the engine: partitioned messages are
+  /// every receiver's copies consult the engine: partitioned messages are
   /// held until the cut heals (or dropped when it never does) and each send
   /// draws a copy count (loss/duplication). The engine must outlive the
   /// network. Delay shaping (reordering, coin attack) rides the engine's
@@ -92,10 +99,26 @@ class SimNetwork final : public INetwork, private DeliverSink {
   [[nodiscard]] const NetStats& stats() const { return stats_; }
 
  private:
-  /// Applies the scenario to one receiver of staged `payload` (which holds
-  /// `m` from `from`) and schedules each copy that survives.
-  void schedule_delivery(ProcId from, ProcId to, const Message& m,
-                         std::uint32_t payload);
+  /// A receiver the scenario dropped, and how many copies were planned
+  /// before it (its place among the trace records).
+  struct PlannedDrop {
+    std::size_t before;
+    ProcId to;
+    DropCause cause;
+  };
+
+  /// Plans the copies of `m` from `from` to each of `receivers`, in order,
+  /// into copies_: one copy each, drawn in one call, without a scenario;
+  /// otherwise per receiver under the scenario (plan_under_scenario).
+  void plan(ProcId from, std::span<const ProcId> receivers, const Message& m);
+  /// One receiver under the scenario: its release time, its copy count,
+  /// then each copy's delay (plus any partition hold). A dropped receiver
+  /// is counted, and noted for the trace.
+  void plan_under_scenario(ProcId from, ProcId to, const Message& m);
+  /// Files the plan's copies of staged `payload` in one push and counts
+  /// them; when tracing, then records a Send per copy (mid = seq + 1) and a
+  /// Drop per dropped receiver, in plan order. Empties the plan.
+  void file_plan(ProcId from, const Message& m, std::uint32_t payload);
   /// Records a Send/Deliver/Drop of `m` at `proc` (see sim/trace.h).
   void trace_message(TraceKind kind, ProcId proc, ProcId peer,
                      const Message& m, std::uint64_t mid, DropCause cause);
@@ -109,10 +132,11 @@ class SimNetwork final : public INetwork, private DeliverSink {
                      std::uint64_t seq) override;
 
   /// DeliverSink: a same-tick run of deliveries in one call. Semantically
-  /// identical to deliver_event per item — the crash check stays per item
-  /// (a mid-broadcast crash fired from a handler can down a receiver midway
-  /// through the run) — but hoists the trace branch and the deliver-fn load
-  /// out of the n² loop. Falls back to the per-event path when tracing.
+  /// identical to deliver_event per item — the crash check, an inline
+  /// bitset test, stays per item (a mid-broadcast crash fired from a
+  /// handler can down a receiver midway through the run) — but hoists the
+  /// trace branch and the deliver-fn load out of the n² loop. Falls back to
+  /// the per-event path when tracing.
   void deliver_batch(const TickItem* items, std::size_t count) override;
 
   Simulator& sim_;
@@ -124,7 +148,13 @@ class SimNetwork final : public INetwork, private DeliverSink {
   ScenarioEngine* scenario_ = nullptr;
   DeliverFn deliver_;
   std::vector<std::int32_t> broadcast_counts_;
-  std::vector<ProcId> scratch_;  ///< reusable mid-broadcast target buffer
+  std::vector<ProcId> everyone_;  ///< 0 … n-1: a broadcast's receivers
+  std::vector<ProcId> scratch_;   ///< reusable mid-broadcast target buffer
+  /// The fan-out being planned: its first planned_ entries. 2n entries
+  /// hold any plan, since a receiver gets at most two copies.
+  std::vector<FanoutCopy> copies_;
+  std::size_t planned_ = 0;
+  std::vector<PlannedDrop> drops_;  ///< the plan's drops, when tracing
   NetStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "scenario/faulty_channel.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.h"
@@ -8,7 +9,11 @@ namespace hyco {
 
 FaultyChannel::FaultyChannel(DelayModel& inner, const LinkFaultConfig& link,
                              const CoinAttackConfig& coin_attack)
-    : inner_(inner), link_(link), coin_attack_(coin_attack) {
+    : inner_(inner),
+      link_(link),
+      // A negative bound fails the check below; until then draw over [0, 0].
+      reorder_(0, std::max<SimTime>(link.reorder_max, 0)),
+      coin_attack_(coin_attack) {
   HYCO_CHECK_MSG(link.loss >= 0.0 && link.loss <= 1.0,
                  "loss probability must be in [0, 1], got " << link.loss);
   HYCO_CHECK_MSG(link.dup >= 0.0 && link.dup <= 1.0,
@@ -32,7 +37,7 @@ SimTime FaultyChannel::delay(ProcId from, ProcId to, const Message& m,
                              SimTime now, Rng& rng) {
   SimTime d = inner_.delay(from, to, m, now, rng);
   if (link_.reorder_max > 0) {
-    d += rng.uniform(0, link_.reorder_max);
+    d += reorder_(rng);
   }
   if (is_targeted_coin_carrier(m)) {
     d += coin_attack_.boost;

@@ -2,13 +2,15 @@
 //
 // Wraps an inner model and adds, per message:
 //  * bounded reordering: an extra uniform delay in [0, reorder_max], so a
-//    later message can overtake an earlier one by at most reorder_max;
+//    later message can overtake an earlier one by at most reorder_max
+//    (drawn without a division: the bound is fixed at construction);
 //  * the adversarial coin-attack boost for coin-carrying messages (PHASE,
 //    round >= 2, phase 1 — the messages championing the previous round's
 //    coin-derived estimates) whose estimate matches the targeted bit;
 //  * a copy count per send (copies()): 0 = lost, 2 = duplicated. The
 //    network draws the copy count once per send and then draws one delay
-//    per surviving copy, all from the run's seeded Rng.
+//    per surviving copy, all from the run's seeded Rng. The channel keeps
+//    DelayModel's per-copy draw(): each copy's delay is one delay() call.
 #pragma once
 
 #include <vector>
@@ -49,6 +51,7 @@ class FaultyChannel final : public DelayModel {
  private:
   DelayModel& inner_;
   LinkFaultConfig link_;
+  UniformDraw reorder_;  ///< the jitter in [0, reorder_max]
   CoinAttackConfig coin_attack_;
   const std::vector<double>* speed_ = nullptr;  ///< per-proc skew factors
 };

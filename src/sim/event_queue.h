@@ -43,12 +43,13 @@
 //
 // Payload rules for the n² path:
 //
-//  * One payload per broadcast. stage() parks a {from, refcount, Message}
-//    payload in a chunked slab and returns it pinned; push_staged() files
-//    one 16-byte calendar entry {seq, payload ref, to} per receiver and
-//    counts it on the payload; unpin() drops the pin. An entry carries no
-//    time, since its day bucket holds exactly one timestamp. A payload no
-//    entry was pushed for is freed when its pin drops.
+//  * One payload per broadcast, one push per fan-out. stage() parks a
+//    {from, refcount, Message} payload in a chunked slab and returns it
+//    pinned; push_fanout() files one 16-byte calendar entry {seq, payload
+//    ref, to} per copy of the fan-out in a single call, adding the copies'
+//    references to the payload at once; unpin() drops the pin. An entry
+//    carries no time, since its day bucket holds exactly one timestamp. A
+//    payload no entry was pushed for is freed when its pin drops.
 //  * No per-event heap allocation, and no per-pop Message copy. Slab chunks
 //    never move, so pop_tick() hands out stable `const Message*`
 //    references, and a chunk's slots stay uninitialized until stage()
@@ -61,9 +62,11 @@
 //    callable fits std::function's small-buffer optimization.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -71,6 +74,13 @@
 #include "util/assert.h"
 
 namespace hyco {
+
+/// One copy of a fan-out (EventQueue::push_fanout): its receiver and its
+/// delay from the push time. A delay model's draw() fills in the delays.
+struct FanoutCopy {
+  SimTime delay = 0;
+  ProcId to = -1;
+};
 
 /// One event of a tick (see EventQueue::pop_tick): either a message
 /// delivery (its staged payload referenced in the slab) or a generic
@@ -137,7 +147,9 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(pool_.size());
       pool_.push_back(std::move(fn));
     }
-    return route_new(at, slot, -1);
+    const std::uint64_t seq = route_new(at, Target{slot, -1});
+    note_size();
+    return seq;
   }
 
   /// Stages one message from `from` for a fan-out of deliveries and returns
@@ -159,14 +171,31 @@ class EventQueue {
     return idx;
   }
 
-  /// Schedules the delivery of staged payload `idx` to `to` at `at`, which
-  /// must not precede the last popped time. Returns the event's insertion
-  /// sequence — a stable identity for the scheduled delivery that the trace
-  /// layer uses as its message id.
-  std::uint64_t push_staged(SimTime at, std::uint32_t idx, ProcId to) {
+  /// Files a fan-out of staged payload `idx` in one call: copy i is a
+  /// delivery to copies[i].to at `at + copies[i].delay`. `at` must not
+  /// precede the last popped time and no delay may be negative; both are
+  /// checked before anything is filed, so a rejected fan-out files nothing
+  /// and adds no reference to the payload. Each copy still gets its own
+  /// seq, in copy order, and its own route (calendar day, window slide or
+  /// overflow heap), so the queue ends up exactly as if the copies had been
+  /// pushed one at a time. Returns the first copy's insertion sequence;
+  /// copy i's is that plus i — a stable identity for the scheduled
+  /// delivery that the trace layer uses as its message id.
+  std::uint64_t push_fanout(SimTime at, std::uint32_t idx,
+                            std::span<const FanoutCopy> copies) {
     check_push_time(at);
-    ++payload(idx).refs;
-    return route_new(at, idx | kDeliverBit, to);
+    SimTime min_delay = 0;
+    for (const FanoutCopy& c : copies) {
+      min_delay = std::min(min_delay, c.delay);
+    }
+    HYCO_CHECK_MSG(min_delay >= 0, "negative delay " << min_delay);
+    payload(idx).refs += static_cast<std::uint32_t>(copies.size());
+    const std::uint64_t first = next_seq_;
+    for (const FanoutCopy& c : copies) {
+      route_new(at + c.delay, Target{idx | kDeliverBit, c.to});
+    }
+    note_size();  // the size only grew during the fan-out
+    return first;
   }
 
   /// Drops stage()'s pin on payload `idx`, freeing it if no entry holds it.
@@ -174,12 +203,14 @@ class EventQueue {
     if (--payload(idx).refs == 0) free_payloads_.push_back(idx);
   }
 
-  /// One delivery on a payload of its own: stage, push and unpin.
+  /// One delivery on a payload of its own: stage, push a fan-out of one
+  /// and unpin.
   std::uint64_t push_deliver(SimTime at, ProcId from, ProcId to,
                              const Message& m) {
     check_push_time(at);  // before staging, so a rejected push leaks nothing
     const std::uint32_t idx = stage(from, m);
-    const std::uint64_t seq = push_staged(at, idx, to);
+    const FanoutCopy copy{0, to};
+    const std::uint64_t seq = push_fanout(at, idx, {&copy, 1});
     unpin(idx);
     return seq;
   }
@@ -341,11 +372,11 @@ class EventQueue {
 
   /// Files a freshly pushed event (checked: at or after the cursor) into
   /// the calendar window or the overflow heap. Returns the assigned
-  /// insertion sequence.
-  std::uint64_t route_new(SimTime at, std::uint32_t ref, ProcId to) {
+  /// insertion sequence. The caller updates the peak size (note_size).
+  std::uint64_t route_new(SimTime at, Target target) {
     const std::uint64_t seq = next_seq_++;
     const std::uint64_t d = day(at);
-    const Entry e{seq, Target{ref, to}};
+    const Entry e{seq, target};
     if (d - base_day_ < nb_) {
       append_to_bucket(buckets_[d & mask_], e);
     } else if (empty() && d - cursor_day_ < nb_) {
@@ -355,9 +386,12 @@ class EventQueue {
       heap_push(make_key(at, seq), e.target);
       ++overflow_pushes_;
     }
+    return seq;
+  }
+
+  void note_size() {
     const std::size_t sz = cal_count_ + heap_.size();
     if (sz > peak_) peak_ = sz;
-    return seq;
   }
 
   void append_to_bucket(Bucket& b, const Entry& e) {

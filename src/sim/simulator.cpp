@@ -19,12 +19,6 @@ void Simulator::schedule_at(SimTime at, std::function<void()> fn) {
   queue_.push(at, std::move(fn));
 }
 
-std::uint64_t Simulator::schedule_staged(SimTime delay, std::uint32_t payload,
-                                         ProcId to) {
-  HYCO_CHECK_MSG(delay >= 0, "negative delay " << delay);
-  return queue_.push_staged(now_ + delay, payload, to);
-}
-
 std::uint64_t Simulator::schedule_deliver(SimTime delay, ProcId from,
                                           ProcId to, const Message& m) {
   HYCO_CHECK_MSG(delay >= 0, "negative delay " << delay);

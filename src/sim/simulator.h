@@ -8,12 +8,14 @@
 //
 // Message deliveries — the O(n²)-per-round hot path — travel as typed
 // Deliver events dispatched straight to the registered DeliverSink (the
-// network), so no closure is allocated per message, and a broadcast stages
-// its message once for all of its receivers. A whole tick is the
-// unit of work: every event sharing the minimum virtual time leaves the
-// queue as one span (EventQueue::pop_tick) and contiguous runs of Deliver
-// events go to the sink as a single deliver_batch() call, so a broadcast
-// burst of n² messages pays one virtual dispatch instead of n². A run stops
+// network), so no closure is allocated per message. A broadcast pays once,
+// not once per receiver, on both ends: it stages its message once and
+// files all of its copies in one schedule_fanout() call, and a whole tick
+// is the unit of work on the way out — every event sharing the minimum
+// virtual time leaves the queue as one span (EventQueue::pop_tick) and
+// contiguous runs of Deliver events go to the sink as a single
+// deliver_batch() call, so a burst of n² messages pays one virtual
+// dispatch into the network instead of n². A run stops
 // only between ticks, or when the event budget runs out inside one; the
 // rest of that tick then stays queued. schedule_in/schedule_at keep their
 // std::function signature for the sparse timer/bookkeeping call sites;
@@ -24,6 +26,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "core/types.h"
 #include "net/message.h"
@@ -96,18 +99,23 @@ class Simulator {
     return queue_.stage(from, m);
   }
 
-  /// Schedules the delivery of staged `payload` to `to`, `delay`
-  /// nanoseconds from now; it is dispatched to the deliver sink when it
-  /// fires. Requires a sink by dispatch time. Returns the event's insertion
-  /// sequence (assigned unconditionally, so observing it is free of side
-  /// effects on the run).
-  std::uint64_t schedule_staged(SimTime delay, std::uint32_t payload,
-                                ProcId to);
+  /// Schedules the deliveries of staged `payload` in one push: copy i goes
+  /// to copies[i].to, copies[i].delay (>= 0) nanoseconds from now, and is
+  /// dispatched to the deliver sink when it fires. Requires a sink by
+  /// dispatch time. A negative delay is a contract violation that
+  /// schedules nothing (see EventQueue::push_fanout). Returns the first
+  /// copy's insertion sequence; copy i's is that plus i (assigned
+  /// unconditionally, so observing them is free of side effects on the
+  /// run).
+  std::uint64_t schedule_fanout(std::uint32_t payload,
+                                std::span<const FanoutCopy> copies) {
+    return queue_.push_fanout(now_, payload, copies);
+  }
 
   /// Drops stage()'s pin on `payload`.
   void unpin(std::uint32_t payload) { queue_.unpin(payload); }
 
-  /// One delivery on a payload of its own: stage, schedule_staged and
+  /// One delivery on a payload of its own: stage, a fan-out of one and
   /// unpin in one call. Returns the event's insertion sequence.
   std::uint64_t schedule_deliver(SimTime delay, ProcId from, ProcId to,
                                  const Message& m);

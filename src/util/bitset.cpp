@@ -10,9 +10,10 @@ namespace hyco {
 DynamicBitset::DynamicBitset(std::size_t universe_size)
     : size_(universe_size), words_((universe_size + kBits - 1) / kBits, 0) {}
 
-void DynamicBitset::check_pos(std::size_t pos) const {
-  HYCO_CHECK_MSG(pos < size_, "bit index " << pos << " out of range (size "
-                                           << size_ << ")");
+void DynamicBitset::out_of_range(std::size_t pos) const {
+  std::ostringstream os;
+  os << "bit index " << pos << " out of range (size " << size_ << ")";
+  detail::contract_failed("pos < size_", __FILE__, __LINE__, os.str());
 }
 
 void DynamicBitset::check_same_universe(const DynamicBitset& other) const {
@@ -36,11 +37,6 @@ void DynamicBitset::assign(std::size_t pos, bool value) {
   } else {
     reset(pos);
   }
-}
-
-bool DynamicBitset::test(std::size_t pos) const {
-  check_pos(pos);
-  return (words_[pos / kBits] >> (pos % kBits)) & 1U;
 }
 
 void DynamicBitset::set_all() {

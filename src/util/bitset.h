@@ -23,7 +23,11 @@ class DynamicBitset {
   void set(std::size_t pos);
   void reset(std::size_t pos);
   void assign(std::size_t pos, bool value);
-  [[nodiscard]] bool test(std::size_t pos) const;
+  /// Inline: the network tests a receiver's crash bit on every delivery.
+  [[nodiscard]] bool test(std::size_t pos) const {
+    check_pos(pos);
+    return (words_[pos / kBits] >> (pos % kBits)) & 1U;
+  }
 
   /// Sets or clears every bit.
   void set_all();
@@ -67,7 +71,10 @@ class DynamicBitset {
 
  private:
   static constexpr std::size_t kBits = 64;
-  void check_pos(std::size_t pos) const;
+  void check_pos(std::size_t pos) const {
+    if (pos >= size_) out_of_range(pos);
+  }
+  [[noreturn]] void out_of_range(std::size_t pos) const;
   void check_same_universe(const DynamicBitset& other) const;
 
   std::size_t size_ = 0;

@@ -64,10 +64,15 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
+  /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi. The span
+  /// and the sum are computed in unsigned arithmetic, so every range is
+  /// defined: the full range [INT64_MIN, INT64_MAX] (span 2^64, which
+  /// wraps to 0) adds one whole next_u64() to lo.
   std::int64_t uniform(std::int64_t lo, std::int64_t hi) {
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(bounded(span));
+    const auto base = static_cast<std::uint64_t>(lo);
+    const std::uint64_t span = static_cast<std::uint64_t>(hi) - base + 1;
+    return static_cast<std::int64_t>(
+        base + (span == 0 ? next_u64() : bounded(span)));
   }
 
   /// Uniform integer in [0, bound); bound == 0 yields 0.
@@ -127,6 +132,51 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
   std::array<std::uint64_t, 4> s_{};
+};
+
+/// Rng::uniform(lo, hi) with the range fixed up front, for a bound that is
+/// constant for a whole run (a delay model's, a channel's jitter). The
+/// constructor computes the rejection threshold 2^64 mod span and the
+/// 128-bit magic number ceil(2^128 / span) of Lemire, Kaser & Kurz,
+/// "Faster remainder by direct computation" (2019), so a draw takes its
+/// remainder with multiplications instead of a division. A draw
+/// accepts and rejects the same next_u64() values as Rng::uniform(lo, hi)
+/// and returns the same value, so the two are interchangeable in any
+/// stream.
+class UniformDraw {
+ public:
+  /// Requires lo <= hi.
+  UniformDraw(std::int64_t lo, std::int64_t hi);
+
+  std::int64_t operator()(Rng& rng) const {
+    if (span_ <= 1) {
+      // A single value takes no draw; the full range (span 0) takes one.
+      return static_cast<std::int64_t>(span_ == 0 ? base_ + rng.next_u64()
+                                                  : base_);
+    }
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold_) return static_cast<std::int64_t>(base_ + mod(r));
+    }
+  }
+
+ private:
+  /// r mod span_: the low 128 bits of magic_ * r, times span_, keep the
+  /// top 64 bits of the 192-bit product. Exact for every 64-bit r and
+  /// span_ >= 2, because the magic number carries 128 bits.
+  [[nodiscard]] std::uint64_t mod(std::uint64_t r) const {
+    const unsigned __int128 low = magic_ * r;
+    const unsigned __int128 bottom =
+        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(low)) *
+         span_) >> 64;
+    const unsigned __int128 top = (low >> 64) * span_;
+    return static_cast<std::uint64_t>((bottom + top) >> 64);
+  }
+
+  std::uint64_t base_;       ///< lo, as unsigned
+  std::uint64_t span_;       ///< hi - lo + 1 mod 2^64; 0 = the full range
+  std::uint64_t threshold_;  ///< draws below it are rejected
+  unsigned __int128 magic_;  ///< ceil(2^128 / span_)
 };
 
 }  // namespace hyco

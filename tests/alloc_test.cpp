@@ -2,8 +2,9 @@
 // global operator new and operator delete with counting versions, so a test
 // can assert that a steady-state loop allocates nothing: the event queue's
 // push_deliver → pop_tick cycle once its blocks, slab slots and tick buffer
-// are warm, the simulator's tick loop over broadcast bursts, msg_exchange's
-// crediting, quorum test and rec set, and the cluster memory's proposals.
+// are warm, the simulator's tick loop over broadcast bursts, a warm n = 128
+// all-to-all wave, msg_exchange's crediting, quorum test and rec set, and
+// the cluster memory's proposals.
 // The counters also sum the bytes requested, which bounds what one cold
 // all-to-all wave costs.
 #include <gtest/gtest.h>
@@ -214,6 +215,34 @@ TEST(AllocFree, OneColdAllToAllWaveAllocatesUnderHalfAMegabyte) {
   const std::uint64_t bytes = bytes_allocated() - before;
   EXPECT_EQ(delivered, static_cast<std::uint64_t>(kN) * kN);
   EXPECT_LE(bytes, kBound) << bytes / 1024 << " KB for one wave";
+}
+
+TEST(AllocFree, WarmAllToAllWaveAllocatesNothing) {
+  // After one warm-up wave at n = 128 (every process broadcasts once, then
+  // run()), a second wave allocates nothing: each broadcast plans its 128
+  // copies in the network's reusable buffer, draws their delays in one
+  // call and files them in one push onto blocks, payload slots and tick
+  // buffers the first wave left warm.
+  constexpr ProcId kN = 128;
+  Simulator sim(7);
+  sim.reserve_all_to_all(kN);
+  const std::unique_ptr<DelayModel> delays =
+      make_delay_model(DelayConfig::uniform(50, 150));
+  CrashTracker crashes(static_cast<std::size_t>(kN));
+  SimNetwork net(sim, *delays, crashes, kN);
+  std::uint64_t delivered = 0;
+  net.set_deliver([&delivered](ProcId, ProcId, const Message&) {
+    ++delivered;
+  });
+  const Message m = Message::phase_msg(1, Phase::One, Estimate::One);
+  for (ProcId p = 0; p < kN; ++p) net.broadcast(p, m);
+  EXPECT_EQ(sim.run(), StopReason::Quiescent);
+  const std::uint64_t before = allocations();
+  for (ProcId p = 0; p < kN; ++p) net.broadcast(p, m);
+  EXPECT_EQ(sim.run(), StopReason::Quiescent);
+  const std::uint64_t allocated = allocations() - before;
+  EXPECT_EQ(delivered, 2 * static_cast<std::uint64_t>(kN) * kN);
+  EXPECT_EQ(allocated, 0u);
 }
 
 TEST(AllocFree, MsgExchangeCreditAndQuorumTestAllocateNothing) {

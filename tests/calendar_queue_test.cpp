@@ -3,7 +3,7 @@
 // window doubling — paths the default 2048-bucket window never hits in
 // unit-sized tests. pop_tick() spans are checked against a stable-sort
 // reference model, including caps, pushes made during a tick and staged
-// payloads shared by several entries. Pushes are monotone (never before the
+// payloads shared by the several entries of one fan-out push. Pushes are monotone (never before the
 // last popped time), as the simulator's are. The generic (at, seq) ordering
 // and slab-reuse properties live in event_queue_test.cpp.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "net/message.h"
 #include "sim/event_queue.h"
+#include "util/assert.h"
 #include "util/rng.h"
 
 namespace hyco {
@@ -39,8 +40,8 @@ bool model_less(const Expected& a, const Expected& b) {
 }
 
 /// Drains `q` one whole tick at a time, checking every span against the
-/// model: each span is the complete run of the model's next time. A
-/// drained queue holds no payload.
+/// model: each span is the complete run of the model's next time, and each
+/// event's seq is its push order. A drained queue holds no payload.
 void drain_and_check(EventQueue& q, std::vector<Expected> pending) {
   std::sort(pending.begin(), pending.end(), model_less);
   std::size_t next = 0;
@@ -51,6 +52,7 @@ void drain_and_check(EventQueue& q, std::vector<Expected> pending) {
     for (std::size_t i = 0; i < span.count; ++i, ++next) {
       ASSERT_LT(next, pending.size());
       EXPECT_EQ(pending[next].at, span.at);
+      EXPECT_EQ(span.items[i].seq, pending[next].order);
       ASSERT_EQ(span.items[i].kind, TickItem::Kind::Deliver);
       EXPECT_EQ(span.items[i].msg->value, pending[next].tag);
       EXPECT_EQ(span.items[i].from, pending[next].from);
@@ -163,13 +165,15 @@ TEST(CalendarQueue, EmptyQueueSlidesItsWindowToTheCursor) {
 }
 
 /// One fuzz input: how far past the last popped time pushes reach, the
-/// share of operations that push, operations per round, and the largest
-/// pop_tick cap drawn (0 = whole ticks).
+/// share of operations that push, operations per round, the largest
+/// pop_tick cap drawn (0 = whole ticks), and the bound on a fan-out's
+/// copies (each push files 0 … fan_out_bound - 1 of them).
 struct FuzzInput {
   std::uint64_t time_range;
   std::uint64_t push_pct;
   int ops;
   std::uint64_t max_cap;
+  std::uint64_t fan_out_bound = 4;
 };
 
 /// What a fuzz run made the queue do, per geometry.
@@ -182,9 +186,11 @@ struct FuzzCoverage {
 
 /// Random monotone pushes and (capped) pop_tick spans against the
 /// stable-sort reference, over every fuzz geometry. Each push stages one
-/// payload from a random sender and gives it a fan-out of 0-3 entries, each
-/// with its own time and receiver; the payload count in use is checked
-/// after every operation.
+/// payload from a random sender and files a fan-out of it in one
+/// push_fanout() at the last popped time: each copy has its own delay, from
+/// 0 (the day a capped pop left open) to far past the window, and its own
+/// receiver. Seqs, (from, to, message) and pop order are checked against
+/// the model, and the payload count in use after every operation.
 FuzzCoverage fuzz(const FuzzInput& in) {
   FuzzCoverage cov;
   for (const EventQueue::Tuning& t : fuzz_geometries()) {
@@ -195,6 +201,7 @@ FuzzCoverage fuzz(const FuzzInput& in) {
     for (int round = 0; round < 20; ++round) {
       EventQueue q(t);
       std::vector<Expected> pending;
+      std::vector<FanoutCopy> copies;
       std::vector<std::uint64_t> entries_left;  ///< per payload tag
       std::size_t live_payloads = 0;
       SimTime now = 0;  // the last popped time
@@ -207,14 +214,16 @@ FuzzCoverage fuzz(const FuzzInput& in) {
           const std::uint64_t tag = entries_left.size();
           const auto from = static_cast<ProcId>(rng.bounded(8));
           const std::uint32_t payload = q.stage(from, tagged(tag));
-          const std::uint64_t fan_out = rng.bounded(4);
+          const std::uint64_t fan_out = rng.bounded(in.fan_out_bound);
+          copies.clear();
           for (std::uint64_t e = 0; e < fan_out; ++e) {
-            const SimTime at =
-                now + static_cast<SimTime>(rng.bounded(in.time_range));
+            const auto delay = static_cast<SimTime>(rng.bounded(in.time_range));
             const auto to = static_cast<ProcId>(rng.bounded(8));
-            q.push_staged(at, payload, to);
-            pending.push_back({at, order++, tag, from, to});
+            copies.push_back({delay, to});
+            pending.push_back({now + delay, order + e, tag, from, to});
           }
+          EXPECT_EQ(q.push_fanout(now, payload, copies), order);
+          order += fan_out;
           q.unpin(payload);
           entries_left.push_back(fan_out);
           if (fan_out > 0) ++live_payloads;
@@ -238,6 +247,7 @@ FuzzCoverage fuzz(const FuzzInput& in) {
         EXPECT_EQ(span.count, want);
         if (span.at != pending[0].at || span.count != want) return cov;
         for (std::size_t i = 0; i < span.count; ++i) {
+          EXPECT_EQ(span.items[i].seq, pending[i].order);
           EXPECT_EQ(span.items[i].msg->value, pending[i].tag);
           EXPECT_EQ(span.items[i].from, pending[i].from);
           EXPECT_EQ(span.items[i].to, pending[i].to);
@@ -274,6 +284,48 @@ TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
   EXPECT_EQ(wide.doubled, (std::vector<bool>{true, true, false, false}));
   fuzz(FuzzInput{8, 75, 1000, 0});
   fuzz(FuzzInput{5000, 60, 500, 0});
+}
+
+TEST(CalendarQueueProperty, FuzzWideFanOutsMatchModel) {
+  // Fan-outs of up to 24 copies, each filed in one push: copies of one
+  // push land on the day the last pop left open, on later days of the
+  // window, and past it in the overflow heap, whose pushes widen the ring.
+  // The default window holds the 300-day range; the far input's copies
+  // pass it too. The capped input splits days, so a fan-out's delay-0
+  // copies join a day whose earlier entries are half popped.
+  const FuzzCoverage wide = fuzz(FuzzInput{300, 50, 300, 0, 25});
+  EXPECT_EQ(wide.overflowed, (std::vector<bool>{true, true, true, false}));
+  EXPECT_EQ(wide.doubled, (std::vector<bool>{true, true, false, false}));
+  const FuzzCoverage capped = fuzz(FuzzInput{8, 60, 300, 40, 25});
+  EXPECT_EQ(capped.staged_mid_tick,
+            (std::vector<bool>{true, true, true, true}));
+  const FuzzCoverage far = fuzz(FuzzInput{5000, 40, 200, 4, 25});
+  EXPECT_EQ(far.overflowed, (std::vector<bool>{true, true, true, true}));
+}
+
+TEST(CalendarQueue, RejectedFanOutFilesNothing) {
+  // One negative delay rejects the whole fan-out before any copy is filed
+  // or counted on the payload; so does a push time before the last popped
+  // time. The queue and its payloads are as they were.
+  EventQueue q;
+  q.push_deliver(5, 0, 1, tagged(0));
+  ASSERT_EQ(q.pop_tick(kWholeTick).count, 1u);  // the cursor is at 5
+  q.push_deliver(9, 0, 1, tagged(1));
+  const std::uint32_t payload = q.stage(2, tagged(2));
+  const std::vector<FanoutCopy> bad_delay = {{3, 0}, {0, 1}, {-1, 2}, {7, 3}};
+  const std::vector<FanoutCopy> good = {{3, 0}, {0, 1}};
+  const std::size_t size = q.size();
+  const std::size_t in_use = q.deliver_pool_in_use();
+  EXPECT_THROW(q.push_fanout(5, payload, bad_delay), ContractViolation);
+  EXPECT_EQ(q.size(), size);
+  EXPECT_EQ(q.deliver_pool_in_use(), in_use);
+  EXPECT_THROW(q.push_fanout(4, payload, good), ContractViolation);
+  EXPECT_EQ(q.size(), size);
+  EXPECT_EQ(q.deliver_pool_in_use(), in_use);
+  // The rejected fan-outs took no seq: the good one's copies get 2 and 3.
+  EXPECT_EQ(q.push_fanout(5, payload, good), 2u);
+  q.unpin(payload);
+  drain_and_check(q, {{8, 2, 2, 2, 0}, {5, 3, 2, 2, 1}, {9, 1, 1}});
 }
 
 // --- pop_tick span contract -------------------------------------------------

@@ -3,6 +3,8 @@
 // under sender crash (arbitrary subset), no steps after a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -213,7 +215,9 @@ TEST(SimNetwork, MidBroadcastCrashToNoReceiverDeliversNothing) {
 /// One side of the broadcast-vs-sends comparison: a network at n = 9 under
 /// loss, duplication, reordering and a cut from the first cluster that
 /// heals at 20,000, far past the default 2,048-day calendar window, so
-/// held copies wait in the overflow heap. Every event is traced.
+/// held copies wait in the overflow heap — or, with `faults` off, the
+/// same network over the bare uniform delay and no scenario. Every event
+/// is traced.
 struct ScenarioTwin {
   static constexpr ProcId kN = 9;
   static constexpr SimTime kHeal = 20'000;
@@ -232,15 +236,17 @@ struct ScenarioTwin {
     return cfg;
   }
 
-  ScenarioTwin()
+  explicit ScenarioTwin(bool faults = true)
       : sim(11),
         engine(scenario(), ClusterLayout::even(kN, 3),
                make_delay_model(DelayConfig::uniform(50, 150))),
+        plain(50, 150),
         tracker(static_cast<std::size_t>(kN)),
         trace(1 << 14),
-        net(sim, engine.channel(), tracker, kN, nullptr, &trace) {
+        net(sim, faults ? engine.channel() : plain, tracker, kN, nullptr,
+            &trace) {
     trace.enable(true);
-    net.set_scenario(&engine);
+    if (faults) net.set_scenario(&engine);
     net.set_deliver([this](ProcId to, ProcId from, const Message& m) {
       log.push_back({sim.now(), from, to, m});
     });
@@ -267,21 +273,20 @@ struct ScenarioTwin {
 
   Simulator sim;
   ScenarioEngine engine;
+  UniformDelay plain;  ///< the delay model when faults are off
   CrashTracker tracker;
   Trace trace;
   SimNetwork net;
   std::vector<Delivery> log;
 };
 
-TEST(SimNetwork, BroadcastMatchesSendsUnderScenarioFaults) {
-  // A broadcast stages one payload for all of its copies; n sends stage
-  // one each. Under per-copy loss, duplication, reordering and a healing
-  // cut, both must draw, schedule, hold and deliver the same copies: the
-  // same delivery log, the same Send/Deliver/Drop records and message ids,
-  // and the same stats but for the broadcast count. A second wave goes out
-  // mid-cut from a timer, behind the first wave's held copies.
-  ScenarioTwin bcast;
-  ScenarioTwin sends;
+/// Sends two waves, at 0 and 5,000, from timers: every process of `bcast`
+/// broadcasts its wave message, and every process of `sends` sends it to
+/// each receiver in turn. Then runs both to quiescence and checks that
+/// they delivered and traced the same traffic: the same delivery log, the
+/// same trace records with their message ids, and the same stats but for
+/// the broadcast count.
+void expect_broadcasts_match_sends(ScenarioTwin& bcast, ScenarioTwin& sends) {
   constexpr ProcId n = ScenarioTwin::kN;
   for (int w = 0; w < 2; ++w) {
     const SimTime at = w == 0 ? 0 : 5'000;
@@ -316,6 +321,17 @@ TEST(SimNetwork, BroadcastMatchesSendsUnderScenarioFaults) {
   EXPECT_EQ(a.dropped_lost, b.dropped_lost);
   EXPECT_EQ(a.duplicated, b.duplicated);
   EXPECT_EQ(a.held_partitioned, b.held_partitioned);
+}
+
+TEST(SimNetwork, BroadcastMatchesSendsUnderScenarioFaults) {
+  // A broadcast stages one payload for all of its copies; n sends stage
+  // one each. Under per-copy loss, duplication, reordering and a healing
+  // cut, both must draw, schedule, hold and deliver the same copies. The
+  // second wave goes out mid-cut, behind the first wave's held copies.
+  ScenarioTwin bcast;
+  ScenarioTwin sends;
+  expect_broadcasts_match_sends(bcast, sends);
+  const NetStats& a = bcast.net.stats();
   // The scenario did each kind of work, and held copies arrived after the
   // heal.
   EXPECT_GT(a.dropped_lost, 0u);
@@ -323,6 +339,30 @@ TEST(SimNetwork, BroadcastMatchesSendsUnderScenarioFaults) {
   EXPECT_GT(a.held_partitioned, 0u);
   ASSERT_FALSE(bcast.log.empty());
   EXPECT_GE(bcast.log.back().at, ScenarioTwin::kHeal);
+}
+
+TEST(SimNetwork, BroadcastMatchesSendsFaultFreeTraced) {
+  // Without a scenario, a traced broadcast still draws all of its delays in
+  // one DelayModel::draw() call and files all of its copies in one push,
+  // then records its Sends; each send draws, files and records one copy.
+  // Both must give the same delays, seqs, deliveries and records, and each
+  // Send record's message id must name the delivery it became.
+  ScenarioTwin bcast(false);
+  ScenarioTwin sends(false);
+  expect_broadcasts_match_sends(bcast, sends);
+  constexpr auto kCopies = std::size_t{2} * ScenarioTwin::kN * ScenarioTwin::kN;
+  EXPECT_EQ(bcast.log.size(), kCopies);
+  EXPECT_EQ(bcast.net.stats().unicasts_sent, kCopies);
+  std::vector<std::uint64_t> sent;
+  std::vector<std::uint64_t> delivered;
+  for (const TraceRecord& r : bcast.records()) {
+    if (r.kind == TraceKind::Send) sent.push_back(r.mid);
+    if (r.kind == TraceKind::Deliver) delivered.push_back(r.mid);
+  }
+  EXPECT_EQ(sent.size(), kCopies);
+  std::sort(sent.begin(), sent.end());
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_EQ(sent, delivered);
 }
 
 TEST(SimNetwork, OutOfRangeIdsThrow) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -77,6 +79,72 @@ TEST(Rng, UniformRespectsBothBounds) {
 TEST(Rng, UniformDegenerateRange) {
   Rng r(5);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(r.uniform(4, 4), 4);
+}
+
+TEST(Rng, UniformOverWideRangesIsDefined) {
+  // Spans past INT64_MAX: the span and the sum are unsigned, so neither
+  // overflows. The full range adds one next_u64() to lo, wrapping;
+  // [-5, INT64_MAX] spans 2^63 + 5 values.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng r(21);
+  Rng twin(21);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(r.uniform(kMin, kMax),
+              static_cast<std::int64_t>(static_cast<std::uint64_t>(kMin) +
+                                        twin.next_u64()));
+  }
+  const std::uint64_t span = (std::uint64_t{1} << 63) + 5;
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t v = r.uniform(-5, kMax);
+    ASSERT_GE(v, -5);
+    ASSERT_EQ(v, static_cast<std::int64_t>(twin.bounded(span) - 5));
+  }
+  EXPECT_EQ(r.next_u64(), twin.next_u64());
+}
+
+TEST(UniformDraw, MatchesRngUniformDrawForDraw) {
+  // For every span, the precomputed draw must return what Rng::uniform
+  // returns and consume the same next_u64() values: at 2^63 + 1 about half
+  // of all draws are rejected, and the full 2^64 range draws once.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  struct Range {
+    std::int64_t lo;
+    std::int64_t hi;
+  };
+  const std::int64_t two32 = std::int64_t{1} << 32;
+  const Range ranges[] = {
+      {50, 50},                     // span 1
+      {0, 1},                       // 2
+      {-1, 1},                      // 3
+      {-3, 3},                      // 7
+      {50, 150},                    // 101
+      {7, 7 + two32 - 2},           // 2^32 - 1
+      {-two32 / 2, two32 / 2},      // 2^32 + 1
+      {-1, kMax},                   // 2^63 + 1
+      {kMin, kMax},                 // 2^64
+  };
+  constexpr int kDraws = 1'000'000;
+  for (const Range& range : ranges) {
+    const UniformDraw draw(range.lo, range.hi);
+    Rng a(0xD1CE);
+    Rng b(0xD1CE);
+    for (int i = 0; i < kDraws; ++i) {
+      const std::int64_t want = a.uniform(range.lo, range.hi);
+      const std::int64_t got = draw(b);
+      if (got != want) {
+        FAIL() << "[" << range.lo << ", " << range.hi << "] draw " << i
+               << ": " << got << " != " << want;
+      }
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64())
+        << "[" << range.lo << ", " << range.hi << "] consumed differently";
+  }
+}
+
+TEST(UniformDraw, RejectsAnEmptyRange) {
+  EXPECT_THROW(UniformDraw(5, 4), ContractViolation);
 }
 
 TEST(Rng, BoundedIsRoughlyUniform) {

@@ -4,12 +4,72 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "baseline/mm_domain.h"
+#include "coin/coin.h"
 #include "core/runner.h"
+#include "core/world.h"
+#include "scenario/scenario.h"
+#include "shm/cluster_memory.h"
 #include "util/assert.h"
 
 namespace hyco {
 namespace {
+
+/// What one delivery reported, and what decided() read around it.
+struct DeliveryReport {
+  ProcId to;
+  MsgKind kind;
+  bool before;    ///< decided() before on_message
+  bool returned;  ///< on_message's report
+  bool after;     ///< decided() after on_message
+};
+
+/// Runs `alg` on `layout` (m&m on `domain`) at `seed` under `scenario`,
+/// with scenario assist on when there is one, and reads decided() around
+/// every on_message. Returns each delivery's report; `decided` receives
+/// 1 for every process that decided in a delivery, 2 for one that decided
+/// inside start() (a late starter's backlog can hold its whole decision),
+/// and 0 for one that never decided.
+std::vector<DeliveryReport> report_deliveries(
+    Algorithm alg, const ClusterLayout& layout, const MmDomain* domain,
+    const ScenarioConfig& scenario, std::uint64_t seed,
+    std::vector<int>& decided) {
+  const ProcId n = layout.n();
+  World world(n, seed, CrashPlan{},
+              make_delay_model(DelayConfig::uniform(50, 150)), nullptr,
+              scenario, &layout);
+  const auto memories = make_cluster_memories(alg, layout);
+  const std::unique_ptr<ICommonCoin> coin = make_common_coin(seed, 0.0);
+  std::vector<std::unique_ptr<IConsensusProcess>> procs;
+  for (ProcId p = 0; p < n; ++p) {
+    procs.push_back(make_consensus_process(alg, p, layout, world.net(),
+                                           memories, domain, coin.get(), seed,
+                                           nullptr, 60));
+    procs.back()->set_scenario_assist(!scenario.empty());
+  }
+  std::vector<DeliveryReport> reports;
+  world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
+    IConsensusProcess& proc = *procs[static_cast<std::size_t>(to)];
+    const bool before = proc.decided();
+    const bool returned = proc.on_message(from, m);
+    reports.push_back({to, m.kind, before, returned, proc.decided()});
+  });
+  const std::vector<Estimate> inputs = split_inputs(n);
+  decided.assign(static_cast<std::size_t>(n), 0);
+  world.schedule_starts(200, [&](ProcId p) {
+    const auto idx = static_cast<std::size_t>(p);
+    procs[idx]->start(inputs[idx]);
+    if (procs[idx]->decided()) decided[idx] = 2;
+  });
+  world.sim().run();
+  for (std::size_t p = 0; p < procs.size(); ++p) {
+    if (decided[p] == 0 && procs[p]->decided()) decided[p] = 1;
+  }
+  return reports;
+}
 
 TEST(Runner, SameSeedBitIdenticalResults) {
   RunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
@@ -134,6 +194,68 @@ TEST(Runner, DelayFactoryOverrideIsUsed) {
   const auto r = run_consensus(cfg);
   ASSERT_TRUE(r.success());
   EXPECT_GE(r.end_time, 1'000'000);
+}
+
+TEST(Runner, OnMessageReportsTheDecidingDelivery) {
+  // on_message returns true exactly when its message takes the process
+  // from undecided to decided — a DECIDE to an undecided process, or the
+  // PHASE message that completes its deciding quorum — so once for each
+  // process that decides, and false for every message to a process that
+  // already decided, including the stale traffic scenario assist answers
+  // with a DECIDE. A process that decides inside start(), from its
+  // backlog, gets no report. Algorithms 2 and 3, Ben-Or and m&m, with and
+  // without faults, over 10 seeds each.
+  ScenarioConfig lossy;
+  lossy.link.loss = 0.05;
+  lossy.link.dup = 0.1;
+  lossy.link.reorder_max = 100;
+  const MmDomain fig2 = MmDomain::fig2();
+  struct Case {
+    Algorithm alg;
+    ClusterLayout layout;
+    const MmDomain* domain;
+  };
+  const Case cases[] = {
+      {Algorithm::HybridLocalCoin, ClusterLayout::even(8, 3), nullptr},
+      {Algorithm::HybridCommonCoin, ClusterLayout::even(8, 3), nullptr},
+      {Algorithm::BenOr, ClusterLayout::singletons(7), nullptr},
+      {Algorithm::Mm, ClusterLayout::singletons(fig2.n()), &fig2},
+  };
+  for (const Case& c : cases) {
+    for (const bool faults : {false, true}) {
+      SCOPED_TRACE(std::string(to_cstring(c.alg)) +
+                   (faults ? " with faults" : " fault-free"));
+      int by_decide = 0;
+      int by_phase = 0;
+      int stale = 0;     // non-DECIDE messages to decided processes
+      int in_start = 0;  // processes that decided inside start()
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        std::vector<int> decided;
+        const std::vector<DeliveryReport> reports = report_deliveries(
+            c.alg, c.layout, c.domain, faults ? lossy : ScenarioConfig{},
+            seed, decided);
+        std::vector<int> reported(decided.size(), 0);
+        for (const DeliveryReport& r : reports) {
+          ASSERT_EQ(r.returned, !r.before && r.after)
+              << "seed " << seed << ", delivery to p" << r.to;
+          if (r.returned) {
+            ++reported[static_cast<std::size_t>(r.to)];
+            ++(r.kind == MsgKind::Decide ? by_decide : by_phase);
+          }
+          if (r.before && r.kind != MsgKind::Decide) ++stale;
+        }
+        for (std::size_t p = 0; p < decided.size(); ++p) {
+          EXPECT_EQ(reported[p], decided[p] == 1 ? 1 : 0)
+              << "seed " << seed << ", p" << p;
+          in_start += decided[p] == 2 ? 1 : 0;
+        }
+      }
+      EXPECT_GT(by_decide, 0);
+      EXPECT_GT(by_phase, 0);
+      EXPECT_GT(stale, 0);
+      EXPECT_LT(in_start, by_decide + by_phase);
+    }
+  }
 }
 
 TEST(Runner, AlgorithmNames) {

@@ -190,10 +190,13 @@ TEST(FaultyChannel, ReorderJitterIsBounded) {
   link.reorder_max = 40;
   FaultyChannel ch(inner, link, CoinAttackConfig{});
   Rng rng(9);
+  Rng twin(9);
   const Message m = Message::phase_msg(1, Phase::One, Estimate::Zero);
   SimTime lo = 1'000'000, hi = -1;
   for (int i = 0; i < 2'000; ++i) {
     const SimTime d = ch.delay(0, 1, m, 0, rng);
+    // The jitter is exactly Rng::uniform(0, reorder_max), draw for draw.
+    ASSERT_EQ(d, 100 + twin.uniform(0, 40)) << "draw " << i;
     lo = std::min(lo, d);
     hi = std::max(hi, d);
   }
