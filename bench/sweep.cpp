@@ -370,11 +370,6 @@ int main(int argc, char** argv) {
       HYCO_CHECK_MSG(!opts.has("phase-metrics"),
                      "--phase-metrics cannot combine with --service (service"
                      " runs do not instrument consensus phases)");
-      for (const auto& c : opts.get_string_list("crash", {"none"})) {
-        HYCO_CHECK_MSG(c != "mid-broadcast",
-                       "--crash=mid-broadcast cannot combine with --service"
-                       " (service runs support timed crash specs only)");
-      }
       spec.algorithms = {Algorithm::HybridCommonCoin};
 
       const auto clients = opts.get_int("clients", 100'000);

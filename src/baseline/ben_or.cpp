@@ -29,6 +29,13 @@ BenOrProcess::Tally& BenOrProcess::tally(Round r, Phase ph) {
 
 Estimate BenOrProcess::propose_to_domain(Phase ph, Estimate v) {
   if (domain_ == nullptr) return v;
+  // A process that crashed inside its last broadcast takes no further
+  // step: it halts instead of writing to its neighbours' memories (the
+  // broadcast its caller makes next is dropped as the sender's).
+  if (net_.crashed(self_)) {
+    parked_ = true;
+    return v;
+  }
   ++stats_.cons_invocations;
   const Estimate own =
       memories_[static_cast<std::size_t>(self_)]->cons(round_, ph).propose(
@@ -40,13 +47,15 @@ Estimate BenOrProcess::propose_to_domain(Phase ph, Estimate v) {
   return own;
 }
 
-void BenOrProcess::start(Estimate proposal) {
+bool BenOrProcess::start(Estimate proposal) {
   HYCO_CHECK_MSG(!started_, "start() called twice");
   HYCO_CHECK_MSG(is_binary(proposal), "proposals must be binary");
   started_ = true;
   est1_ = proposal;
+  const bool was_decided = decided();
   enter_round();
   progress();
+  return !was_decided && decided();
 }
 
 void BenOrProcess::enter_round() {

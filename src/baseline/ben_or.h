@@ -51,7 +51,7 @@ class BenOrProcess final : public IConsensusProcess {
                Round max_rounds, const MmDomain* domain = nullptr,
                std::span<const std::unique_ptr<ClusterMemory>> memories = {});
 
-  void start(Estimate proposal) override;
+  bool start(Estimate proposal) override;
   bool on_message(ProcId from, const Message& m) override;
 
   /// Crash-recovery rejoin: retransmits the current (round, phase) message

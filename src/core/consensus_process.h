@@ -31,7 +31,10 @@ class IConsensusProcess {
   virtual ~IConsensusProcess() = default;
 
   /// The paper's propose(v): records the proposal and enters round 1.
-  virtual void start(Estimate proposal) = 0;
+  /// Returns true exactly when this call took the process from undecided
+  /// to decided (its backlog already held a deciding quorum), so a host
+  /// stamps decision times from it as from on_message.
+  virtual bool start(Estimate proposal) = 0;
 
   /// Delivery hook for every message addressed to this process. Returns
   /// true exactly when this message took the process from undecided to

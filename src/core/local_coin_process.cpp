@@ -43,6 +43,9 @@ void LocalCoinProcess::on_exchange_progress() {
 }
 
 void LocalCoinProcess::complete_phase1() {
+  // A crash inside this round's phase-1 broadcast halts the process before
+  // its phase-2 proposal.
+  if (halt_if_crashed()) return;
   // Lines 6-7: champion a majority-supported value, or ⊥.
   est2_ = Estimate::Bot;
   for (const Estimate v : {Estimate::Zero, Estimate::One}) {

@@ -9,6 +9,13 @@
 //  1. Every process uniform-reliably broadcasts its proposal (VALUE
 //     messages; URB = re-broadcast on first delivery, so any value
 //     delivered anywhere is eventually delivered by every correct process).
+//     The guarantee relies on a crashed process taking no further step: a
+//     process that crashes inside its VALUE broadcast or relay may have
+//     reached nobody, so it must not go on to use the value — its bit
+//     proposal to its cluster's CONS object would be adopted by live
+//     cluster-mates, and the decided index could then name a value no live
+//     process will ever deliver. The embedded instances park such a process
+//     (INetwork::crashed, ProcessBase::maybe_park).
 //  2. The winning origin's index is decided MSB-first by B = max(1,
 //     bit_width(n - 1)) sequential instances of the hybrid common-coin
 //     binary consensus (Algorithm 3), multiplexed via per-message instance
@@ -57,6 +64,9 @@ class InstanceNetwork final : public INetwork {
     inner_.broadcast(from, stamped);
   }
   [[nodiscard]] ProcId n() const override { return inner_.n(); }
+  [[nodiscard]] bool crashed(ProcId p) const override {
+    return inner_.crashed(p);
+  }
 
  private:
   INetwork& inner_;

@@ -19,15 +19,19 @@ ProcessBase::ProcessBase(ProcId self, const ClusterLayout& layout,
   HYCO_CHECK_MSG(max_rounds >= 1, "max_rounds must be >= 1");
 }
 
-void ProcessBase::start(Estimate proposal) {
+bool ProcessBase::start(Estimate proposal) {
   HYCO_CHECK_MSG(!started_, "start() called twice on p" << self_);
   HYCO_CHECK_MSG(is_binary(proposal), "proposals must be 0 or 1");
   started_ = true;
   proposal_ = proposal;
   round_ = 0;
+  // A DECIDE delivered before start() already decided this process.
+  const bool was_decided = decided();
   enter_round();
-  // Early messages may already satisfy the first wait (e.g. n == 1).
+  // Early messages may already satisfy the first wait (e.g. n == 1), and
+  // a skewed start may find its whole deciding quorum in the backlog.
   on_exchange_progress();
+  return !was_decided && decided();
 }
 
 bool ProcessBase::on_message(ProcId from, const Message& m) {
@@ -153,7 +157,15 @@ bool ProcessBase::maybe_park() {
     HYCO_DEBUG("p" << self_ << " parked at round cap " << max_rounds_);
     return true;
   }
-  return false;
+  return halt_if_crashed();
+}
+
+bool ProcessBase::halt_if_crashed() {
+  if (!net_.crashed(self_)) return false;
+  parked_ = true;
+  HYCO_DEBUG("p" << self_ << " crashed mid-broadcast; halts at round "
+                 << round_);
+  return true;
 }
 
 }  // namespace hyco

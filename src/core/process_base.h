@@ -36,7 +36,8 @@ class ProcessBase : public IConsensusProcess {
   ProcessBase& operator=(const ProcessBase&) = delete;
 
   /// The paper's propose(v): records the proposal and enters round 1.
-  void start(Estimate proposal) override;
+  /// Returns whether this call made the process decide.
+  bool start(Estimate proposal) override;
 
   /// Runtime delivery hook for every message addressed to this process.
   /// Returns whether this message made the process decide.
@@ -89,8 +90,14 @@ class ProcessBase : public IConsensusProcess {
   /// Algorithm 2), and marks this process decided.
   void decide(Estimate v);
 
-  /// Returns true (and parks) if the next round would exceed max_rounds.
+  /// Returns true (and parks) if the next round would exceed max_rounds,
+  /// or if this process crashed (halt_if_crashed).
   bool maybe_park();
+
+  /// A process that crashed inside one of its own broadcasts takes no
+  /// further step: returns true (and parks) when the network reports this
+  /// process down. Call it before any proposal to a shared object.
+  bool halt_if_crashed();
 
   ProcId self_;
   const ClusterLayout& layout_;

@@ -156,7 +156,9 @@ bool ConsensusRun::start_once(ProcId p) {
   const auto idx = static_cast<std::size_t>(p);
   if (started_[idx] != 0) return false;
   started_[idx] = 1;
-  procs_[idx]->start(inputs_[idx]);
+  if (procs_[idx]->start(inputs_[idx])) {
+    result_.last_decision_time = world_.sim().now();
+  }
   return true;
 }
 

@@ -181,7 +181,8 @@ class ConsensusRun {
   RunResult finish();
 
  private:
-  /// Starts p unless it already started; returns whether it did.
+  /// Starts p unless it already started; returns whether it did. A start
+  /// that decides stamps last_decision_time, as a deciding delivery does.
   bool start_once(ProcId p);
 
   RunConfig cfg_;

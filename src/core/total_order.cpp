@@ -62,9 +62,8 @@ void TobProcess::poll_slot() {
     const std::uint64_t decided = *current_->decision();
     current_.reset();
     if (deliver_hook_) deliver_hook_(slot_, decided);
-    if (decided != kNoop && delivered_set_.count(decided) == 0) {
+    if (decided != kNoop) {
       delivered_set_.insert(decided);
-      log_.push_back(decided);
       HYCO_DEBUG("p" << self_ << " TOB-delivers " << decided << " at slot "
                      << slot_);
     }
@@ -80,10 +79,6 @@ void TobProcess::on_message(ProcId from, const Message& m) {
     gossip(m.origin, m.value);
     maybe_start_slot(/*saw_traffic=*/false);
     return;
-  }
-  if (m.kind == MsgKind::RegQuery || m.kind == MsgKind::RegStore ||
-      m.kind == MsgKind::RegAck) {
-    return;  // not ours
   }
 
   const int slot = slot_of_instance(m.instance);

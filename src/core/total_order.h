@@ -13,13 +13,15 @@
 //    nothing pending join in with a NOOP proposal as soon as they see slot
 //    traffic (so the one-for-all quorum machinery always has its
 //    participants);
-//  * a decided payload is appended to the log (NOOPs are skipped) and
-//    removed from pending everywhere.
+//  * every decided slot goes to the deliver hook, in slot order (NOOPs
+//    included), and a decided payload is removed from pending everywhere.
 //
 // Guarantees (inherited from consensus agreement per slot): all processes
 // deliver the same log prefix, every payload submitted by a correct
 // process is eventually delivered, and fault tolerance is again the
-// paper's covering-cluster-set condition.
+// paper's covering-cluster-set condition — also when processes crash
+// inside their own broadcasts. The replicated service (run_service in
+// src/service/) is the driver that hosts it.
 #pragma once
 
 #include <cstdint>
@@ -74,11 +76,6 @@ class TobProcess {
     slot_start_hook_ = std::move(hook);
   }
 
-  /// The totally ordered log delivered so far (NOOPs skipped).
-  [[nodiscard]] const std::vector<std::uint64_t>& delivered() const {
-    return log_;
-  }
-
  private:
   [[nodiscard]] InstanceId slot_base(int slot) const {
     return static_cast<InstanceId>(slot) * stride_;
@@ -104,8 +101,7 @@ class TobProcess {
 
   std::set<std::uint64_t> known_;      ///< every payload ever gossiped
   std::set<std::uint64_t> pending_;    ///< known but not delivered
-  std::set<std::uint64_t> delivered_set_;
-  std::vector<std::uint64_t> log_;
+  std::set<std::uint64_t> delivered_set_;  ///< decided: gossip re-pends none
 
   int slot_ = 0;
   std::unique_ptr<MultiValuedProcess> current_;

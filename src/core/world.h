@@ -6,7 +6,7 @@
 // and start events the drivers share.
 //
 // Each driver (run_consensus, which also runs m&m, run_multivalued,
-// run_tob, run_register_workload, run_service) is a thin adapter: build a
+// run_register_workload, run_service) is a thin adapter: build a
 // World, build the processes on its network, schedule through it, run its
 // simulator, harvest the result. The order in which a driver schedules
 // crashes, rejoins, starts and submissions fixes the events' sequence

@@ -51,6 +51,12 @@ class INetwork {
 
   /// Number of processes n.
   [[nodiscard]] virtual ProcId n() const = 0;
+
+  /// Whether p is down. A process that crashes inside one of its own
+  /// broadcasts takes no further step: it asks this before every step
+  /// that other processes can see without a message (a proposal to a
+  /// shared consensus object), since the network drops only its sends.
+  [[nodiscard]] virtual bool crashed(ProcId p) const = 0;
 };
 
 /// Discrete-event network: delays from a DelayModel, crash semantics from a
@@ -95,6 +101,9 @@ class SimNetwork final : public INetwork, private DeliverSink {
   void send(ProcId from, ProcId to, const Message& m) override;
   void broadcast(ProcId from, const Message& m) override;
   [[nodiscard]] ProcId n() const override { return n_; }
+  [[nodiscard]] bool crashed(ProcId p) const override {
+    return crashes_.is_crashed(p);
+  }
 
   [[nodiscard]] const NetStats& stats() const { return stats_; }
 

@@ -39,7 +39,7 @@ class ThreadNetwork final : public INetwork {
 
   /// Whether p's scripted crash fired. Read it from p's own thread, or
   /// after the process threads joined.
-  [[nodiscard]] bool crashed(ProcId p) const {
+  [[nodiscard]] bool crashed(ProcId p) const override {
     return senders_[static_cast<std::size_t>(p)].crashed;
   }
 

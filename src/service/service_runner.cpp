@@ -17,10 +17,10 @@ namespace hyco {
 ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   HYCO_CHECK_MSG(cfg.clients >= 1, "service runs need at least one client");
+  HYCO_CHECK_MSG(!cfg.enable_trace || cfg.trace_sink != nullptr,
+                 "a traced service run needs a trace_sink to record into");
 
-  Trace* trace =
-      (cfg.enable_trace && cfg.trace_sink != nullptr) ? cfg.trace_sink
-                                                      : nullptr;
+  Trace* trace = cfg.enable_trace ? cfg.trace_sink : nullptr;
   World world(n, cfg.seed, cfg.crashes,
               cfg.delay_factory ? cfg.delay_factory()
                                 : make_delay_model(cfg.delays),
@@ -132,10 +132,6 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
     tobs[static_cast<std::size_t>(to)]->on_message(from, m);
   });
 
-  for (const CrashSpec& spec : cfg.crashes.specs) {
-    HYCO_CHECK_MSG(spec.kind != CrashSpec::Kind::OnBroadcast,
-                   "service runs support AtTime crash specs only");
-  }
   world.schedule_crashes();
   // Scenario crash-recovery cycles: the replica's state survives (crash-
   // recovery with stable storage); messages sent into the down window are

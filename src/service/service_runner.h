@@ -3,8 +3,10 @@
 // (TobProcess) and batcher, and the closed-loop traffic engine for a
 // configuration; runs to quiescence (or a limit); and returns the decided
 // slot logs plus throughput/latency instrumentation.
-// The service analogue of run_consensus() — every service test and the
-// experiment engine's service cells go through run_service().
+// The service analogue of run_consensus(), and the one host of TobProcess:
+// every service and total-order test and the experiment engine's service
+// cells go through run_service(), under timed and mid-broadcast crashes
+// alike.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,7 @@ struct ServiceRunConfig {
   DelayConfig delays = DelayConfig::uniform(50, 150);
   /// Optional override: build a custom delay model; `delays` is then ignored.
   std::function<std::unique_ptr<DelayModel>()> delay_factory;
-  CrashPlan crashes;  ///< empty specs = nobody crashes (AtTime kinds only)
+  CrashPlan crashes;  ///< empty specs = nobody crashes
   /// Adversarial scenario (partitions, link faults, crash-recovery, skew).
   /// Safety must hold under any of them; termination only when the fault
   /// heals (indulgence, as for single-instance consensus).
@@ -56,10 +58,12 @@ struct ServiceRunConfig {
   SimTime batch_delay = 50'000;  ///< ns; 0 = flush every op (batching off)
   double load = 0.0;  ///< offered load, ops/sec; 0 = no think time
 
-  /// Event tracing, as in RunConfig: with enable_trace and a caller-owned
-  /// sink, the network records Send/Deliver/Drop with causal ids and the
-  /// service layer records SvcOp/SvcFlush/SvcSlot/SvcDeliver milestones.
-  /// Strictly out of band — traced runs are byte-identical to untraced.
+  /// Event tracing: with enable_trace, the network records
+  /// Send/Deliver/Drop with causal ids into the caller-owned trace_sink and
+  /// the service layer records SvcOp/SvcFlush/SvcSlot/SvcDeliver
+  /// milestones. enable_trace without a sink is a ContractViolation (a
+  /// service run keeps no run-local ring). Strictly out of band — traced
+  /// runs are byte-identical to untraced.
   bool enable_trace = false;
   Trace* trace_sink = nullptr;
 };

@@ -122,6 +122,7 @@ class NullNetwork final : public INetwork {
   void send(ProcId, ProcId, const Message&) override {}
   void broadcast(ProcId, const Message&) override {}
   [[nodiscard]] ProcId n() const override { return n_; }
+  [[nodiscard]] bool crashed(ProcId /*p*/) const override { return false; }
 
  private:
   ProcId n_;

@@ -22,6 +22,7 @@ class RecordingNetwork final : public INetwork {
     broadcasts.push_back({from, m});
   }
   [[nodiscard]] ProcId n() const override { return n_; }
+  [[nodiscard]] bool crashed(ProcId /*p*/) const override { return false; }
 
   struct Send {
     ProcId from, to;

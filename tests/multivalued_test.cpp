@@ -25,6 +25,7 @@ class RecordingNetwork final : public INetwork {
     broadcasts.push_back(m);
   }
   [[nodiscard]] ProcId n() const override { return n_; }
+  [[nodiscard]] bool crashed(ProcId /*p*/) const override { return false; }
 
   std::vector<Message> broadcasts;
 
@@ -234,6 +235,28 @@ TEST(MultiValued, MidBroadcastCrashesStaySafe) {
       EXPECT_TRUE(r.all_correct_decided) << "seed " << seed;
     }
   }
+}
+
+/// p8 crashes inside its VALUE broadcast and reaches nobody. A crashed
+/// process takes no further step, so it must not go on to propose its own
+/// index bit to the CONS object of {6, 7, 8}: the live p6 would adopt it,
+/// bit 0 would decide 1, only origin 8 would match that prefix, and every
+/// live process would wait forever for VALUE(8) — although P[0] and P[1]
+/// cover 6 > 4.5 processes.
+TEST(MultiValued, ProcessCrashedInItsValueBroadcastProposesNoBit) {
+  const auto layout = ClusterLayout::from_sizes({3, 3, 3});
+  Rng rng(mix64(179, 0x70C));
+  const auto scenario = failure_patterns::mid_broadcast(layout, 4, 0, rng);
+  ASSERT_TRUE(scenario.hybrid_should_terminate);
+  ASSERT_EQ(scenario.plan.specs[8].kind, CrashSpec::Kind::OnBroadcast);
+  ASSERT_EQ(scenario.plan.specs[8].deliver_count, 0);
+  MultiRunConfig cfg(layout);
+  cfg.crashes = scenario.plan;
+  cfg.seed = 179;
+  const auto r = run_multivalued(cfg);
+  EXPECT_TRUE(r.agreement_ok && r.validity_ok);
+  EXPECT_TRUE(r.all_correct_decided);
+  EXPECT_EQ(r.stop, StopReason::Quiescent);
 }
 
 TEST(MultiValued, RejectsCrashPlanOfTheWrongSize) {

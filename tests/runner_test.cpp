@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/world.h"
 #include "scenario/scenario.h"
 #include "shm/cluster_memory.h"
+#include "sim/trace.h"
 #include "util/assert.h"
 
 namespace hyco {
@@ -29,8 +31,9 @@ struct DeliveryReport {
 
 /// Runs `alg` on `layout` (m&m on `domain`) at `seed` under `scenario`,
 /// with scenario assist on when there is one, and reads decided() around
-/// every on_message. Returns each delivery's report; `decided` receives
-/// 1 for every process that decided in a delivery, 2 for one that decided
+/// every on_message and start(); start() must report a decision exactly as
+/// on_message does. Returns each delivery's report; `decided` receives 1
+/// for every process that decided in a delivery, 2 for one that decided
 /// inside start() (a late starter's backlog can hold its whole decision),
 /// and 0 for one that never decided.
 std::vector<DeliveryReport> report_deliveries(
@@ -61,8 +64,10 @@ std::vector<DeliveryReport> report_deliveries(
   decided.assign(static_cast<std::size_t>(n), 0);
   world.schedule_starts(200, [&](ProcId p) {
     const auto idx = static_cast<std::size_t>(p);
-    procs[idx]->start(inputs[idx]);
-    if (procs[idx]->decided()) decided[idx] = 2;
+    const bool before = procs[idx]->decided();
+    const bool returned = procs[idx]->start(inputs[idx]);
+    EXPECT_EQ(returned, !before && procs[idx]->decided()) << "p" << p;
+    if (returned) decided[idx] = 2;
   });
   world.sim().run();
   for (std::size_t p = 0; p < procs.size(); ++p) {
@@ -203,8 +208,8 @@ TEST(Runner, OnMessageReportsTheDecidingDelivery) {
   // process that decides, and false for every message to a process that
   // already decided, including the stale traffic scenario assist answers
   // with a DECIDE. A process that decides inside start(), from its
-  // backlog, gets no report. Algorithms 2 and 3, Ben-Or and m&m, with and
-  // without faults, over 10 seeds each.
+  // backlog, is reported by start() instead. Algorithms 2 and 3, Ben-Or
+  // and m&m, with and without faults, over 10 seeds each.
   ScenarioConfig lossy;
   lossy.link.loss = 0.05;
   lossy.link.dup = 0.1;
@@ -256,6 +261,36 @@ TEST(Runner, OnMessageReportsTheDecidingDelivery) {
       EXPECT_LT(in_start, by_decide + by_phase);
     }
   }
+}
+
+TEST(Runner, DecisionInsideStartIsStamped) {
+  // p7 runs 4x slow over fast links, so it may start after its backlog
+  // already holds a deciding quorum and decide inside start(). The run's
+  // last_decision_time must still be its latest decision: the latest
+  // Decide record. A Decide made inside start() runs under no delivery
+  // (parent 0); some seeds end on one.
+  int last_in_start = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    RunConfig cfg(ClusterLayout::even(8, 3));
+    cfg.alg = Algorithm::HybridCommonCoin;
+    cfg.seed = seed;
+    cfg.delays = DelayConfig::uniform(10, 40);
+    cfg.scenario.skews.push_back(parse_skew_spec("proc:7:x4"));
+    Trace trace(1 << 16);
+    cfg.enable_trace = true;
+    cfg.trace_sink = &trace;
+    const RunResult r = run_consensus(cfg);
+    ASSERT_TRUE(r.success()) << "seed " << seed;
+    ASSERT_EQ(trace.recorded(), trace.size()) << "seed " << seed;
+    std::optional<TraceRecord> last;
+    trace.for_each([&](const TraceRecord& rec) {
+      if (rec.kind == TraceKind::Decide) last = rec;
+    });
+    ASSERT_TRUE(last.has_value()) << "seed " << seed;
+    EXPECT_EQ(r.last_decision_time, last->at) << "seed " << seed;
+    last_in_start += last->parent == 0 ? 1 : 0;
+  }
+  EXPECT_GT(last_in_start, 0);
 }
 
 TEST(Runner, AlgorithmNames) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/total_order.h"
@@ -14,6 +15,7 @@
 #include "service/service_runner.h"
 #include "sim/trace.h"
 #include "util/assert.h"
+#include "workload/failure_patterns.h"
 
 namespace hyco {
 namespace {
@@ -198,13 +200,58 @@ TEST(ServiceE2E, CrashedProcessProposesNoBatch) {
   EXPECT_TRUE(check_service_logs(r.slot_logs).ok);
 }
 
-TEST(ServiceE2E, RejectsOnBroadcastCrashSpecs) {
+TEST(ServiceE2E, RejectsTraceWithoutSink) {
   ServiceRunConfig cfg(ClusterLayout::even(4, 2));
   cfg.clients = 10;
-  cfg.crashes = CrashPlan::none(4);
-  cfg.crashes.specs[0] = CrashSpec::on_broadcast(1, 1);
+  cfg.enable_trace = true;
   EXPECT_THROW(run_service(cfg), ContractViolation);
 }
+
+/// ⌊(n−1)/2⌋ replicas crash inside their broadcast 0, 1 or 2, each reaching
+/// a random strict subset: 100 seeds per (layout, index). Every run must be
+/// safe, and every run whose plan keeps a covering cluster set alive must
+/// drain its closed loop. Index 0 on {3,3,3} (four crashes) is the shape
+/// where a replica that crashed inside its VALUE broadcast would stall
+/// every live replica if it went on to propose its own index bit.
+class ServiceMidBroadcast : public ::testing::TestWithParam<ClusterLayout> {};
+
+TEST_P(ServiceMidBroadcast, SafeAndLiveWhenCovered) {
+  const ClusterLayout& layout = GetParam();
+  const ProcId crashes = (layout.n() - 1) / 2;
+  int covered = 0;
+  for (const std::int32_t index : {0, 1, 2}) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      Rng rng(mix64(seed, 0x3B0 + static_cast<std::uint64_t>(index)));
+      const auto scenario =
+          failure_patterns::mid_broadcast(layout, crashes, index, rng);
+      ServiceRunConfig cfg(layout);
+      cfg.seed = seed;
+      cfg.clients = 3 * static_cast<std::uint64_t>(layout.n());
+      cfg.ops_per_client = 2;
+      cfg.batch_delay = 0;
+      cfg.crashes = scenario.plan;
+      const ServiceRunResult r = run_service(cfg);
+      const std::string at = layout.to_string() + " index " +
+                             std::to_string(index) + " seed " +
+                             std::to_string(seed);
+      ASSERT_TRUE(r.safe_ok)
+          << at << ": " << (r.violations.empty() ? "" : r.violations[0]);
+      if (scenario.hybrid_should_terminate) {
+        ++covered;
+        ASSERT_TRUE(r.terminated) << at << ": " << r.ops_completed << " of "
+                                  << r.ops_submitted << " ops completed";
+      }
+    }
+  }
+  EXPECT_GT(covered, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, ServiceMidBroadcast,
+    ::testing::Values(ClusterLayout::from_sizes({3, 3, 3}),
+                      ClusterLayout::from_sizes({2, 3, 2}),
+                      ClusterLayout::fig1_right(), ClusterLayout::even(8, 2),
+                      ClusterLayout::singletons(5)));
 
 }  // namespace
 }  // namespace hyco

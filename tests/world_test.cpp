@@ -1,10 +1,11 @@
 // Output pins for every simulation driver: each test runs one driver at a
 // fixed seed and folds everything its result exposes into a 64-bit digest,
 // compared against a recorded constant. The cases cover scripted crashes
-// (down from the start and mid-run), every scenario fault (loss,
-// duplication, reordering, a healing cut, crash-recovery rejoins, clock
-// skew), trace records of every kind the writers emit, and all five
-// drivers (m&m runs through run_consensus). Any change to how a run is
+// (down from the start, mid-run and inside a broadcast), every scenario
+// fault (loss, duplication, reordering, a healing cut, crash-recovery
+// rejoins, clock skew), trace records of every kind the writers emit, and
+// all four drivers (m&m runs through run_consensus, total-order broadcast
+// through run_service). Any change to how a run is
 // wired — event order, seed streams, crash or rejoin scheduling, start
 // times — moves a digest.
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 
 #include "core/multivalued_runner.h"
 #include "core/runner.h"
-#include "core/total_order_runner.h"
 #include "scenario/scenario.h"
 #include "service/service_runner.h"
 #include "sim/trace.h"
@@ -156,22 +156,6 @@ std::uint64_t digest(const MultiRunResult& r) {
   d.add(r.events);
   d.add_signed(r.end_time);
   d.add(static_cast<std::uint64_t>(r.stop));
-  d.add(r.crashed);
-  return d.value();
-}
-
-std::uint64_t digest(const TobRunResult& r) {
-  Digest d;
-  for (const auto& log : r.logs) {
-    d.add(static_cast<std::uint64_t>(log.size()));
-    for (const std::uint64_t x : log) d.add(x);
-  }
-  d.add(std::uint64_t{r.prefix_agreement});
-  d.add(std::uint64_t{r.all_delivered});
-  for (const std::string& v : r.violations) d.add(v);
-  fold(d, r.net);
-  d.add(r.events);
-  d.add_signed(r.end_time);
   d.add(r.crashed);
   return d.value();
 }
@@ -342,17 +326,20 @@ TEST(WorldPin, Multivalued) {
   expect_digest(digest(r), 0x70b76db1de5529e2ULL);
 }
 
+/// Total-order broadcast through its host, the service, with batching
+/// off: p2 is down from the start, p5 crashes inside its third broadcast.
 TEST(WorldPin, TotalOrder) {
-  TobRunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
+  ServiceRunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
   cfg.seed = 0x70B;
-  cfg.submissions = {{0, 0, 11}, {3, 0, 22}, {6, 40, 33},
-                     {1, 900, 44}, {4, 2500, 55}};
+  cfg.clients = 5;
+  cfg.batch_delay = 0;
   cfg.crashes = CrashPlan::none(7);
   cfg.crashes.specs[2] = CrashSpec::at_time(0);
-  cfg.crashes.specs[5] = CrashSpec::at_time(700);
-  const TobRunResult r = run_tob(cfg);
-  EXPECT_TRUE(r.prefix_agreement);
-  expect_digest(digest(r), 0x80cf5b5eeee3a727ULL);
+  cfg.crashes.specs[5] = CrashSpec::on_broadcast(2, 3);
+  const ServiceRunResult r = run_service(cfg);
+  EXPECT_TRUE(r.success());
+  EXPECT_EQ(r.crashed, 2u);
+  expect_digest(digest(r), 0x67537b4e225e9240ULL);
 }
 
 TEST(WorldPin, Register) {
