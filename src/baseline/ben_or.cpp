@@ -52,10 +52,11 @@ bool BenOrProcess::start(Estimate proposal) {
   HYCO_CHECK_MSG(is_binary(proposal), "proposals must be binary");
   started_ = true;
   est1_ = proposal;
-  const bool was_decided = decided();
+  // Decided by an early DECIDE: propose() has returned, so no round.
+  if (decided()) return false;
   enter_round();
   progress();
-  return !was_decided && decided();
+  return decided();
 }
 
 void BenOrProcess::enter_round() {

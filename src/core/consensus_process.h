@@ -30,7 +30,9 @@ class IConsensusProcess {
  public:
   virtual ~IConsensusProcess() = default;
 
-  /// The paper's propose(v): records the proposal and enters round 1.
+  /// The paper's propose(v): records the proposal and enters round 1 —
+  /// unless a DECIDE delivered before the start already decided the
+  /// process, which has then returned from propose() and enters no round.
   /// Returns true exactly when this call took the process from undecided
   /// to decided (its backlog already held a deciding quorum), so a host
   /// stamps decision times from it as from on_message.

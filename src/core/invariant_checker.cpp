@@ -25,19 +25,38 @@ void InvariantChecker::violate(const std::string& what) {
   violations_.push_back(what);
 }
 
-void InvariantChecker::check_cluster_consistent(
-    const char* tag, ProcId p, Round r, Estimate v,
-    std::map<std::pair<Round, ClusterId>, Estimate>& seen) {
-  const ClusterId x = layout_.cluster_of(p);
-  const auto key = std::make_pair(r, x);
-  const auto it = seen.find(key);
-  if (it == seen.end()) {
-    seen.emplace(key, v);
-  } else if (it->second != v) {
+InvariantChecker::ClusterRound& InvariantChecker::cluster_round(ProcId p,
+                                                                Round r) {
+  HYCO_CHECK_MSG(r >= 1, "rounds start at 1, got " << r);
+  const auto m = static_cast<std::size_t>(layout_.m());
+  const auto row = static_cast<std::size_t>(r - 1) * m;
+  if (row >= by_cluster_.size()) {
+    if (by_cluster_.capacity() == 0) by_cluster_.reserve(kFirstRounds * m);
+    by_cluster_.resize(row + m);
+  }
+  return by_cluster_[row + static_cast<std::size_t>(layout_.cluster_of(p))];
+}
+
+InvariantChecker::RoundRecord& InvariantChecker::round_record(Round r) {
+  HYCO_CHECK_MSG(r >= 1, "rounds start at 1, got " << r);
+  const auto i = static_cast<std::size_t>(r - 1);
+  if (i >= by_round_.size()) {
+    if (by_round_.capacity() == 0) by_round_.reserve(kFirstRounds);
+    by_round_.resize(i + 1);
+  }
+  return by_round_[i];
+}
+
+void InvariantChecker::check_cluster_consistent(const char* tag, ProcId p,
+                                                Round r, Estimate v,
+                                                Estimate& agreed) {
+  if (agreed == kUnset) {
+    agreed = v;
+  } else if (agreed != v) {
     std::ostringstream os;
-    os << tag << " cluster-inconsistency: p" << p << " in P[" << x
-       << "] has " << v << " but cluster already agreed " << it->second
-       << " at round " << r;
+    os << tag << " cluster-inconsistency: p" << p << " in P["
+       << layout_.cluster_of(p) << "] has " << v
+       << " but cluster already agreed " << agreed << " at round " << r;
     violate(os.str());
   }
 }
@@ -48,19 +67,19 @@ void InvariantChecker::on_est1(ProcId p, Round r, Estimate v) {
     os << "est1 of p" << p << " at round " << r << " is ⊥";
     violate(os.str());
   }
-  check_cluster_consistent("est1", p, r, v, est1_by_cluster_);
+  check_cluster_consistent("est1", p, r, v, cluster_round(p, r).est1);
 }
 
 void InvariantChecker::on_est2(ProcId p, Round r, Estimate v) {
-  check_cluster_consistent("est2", p, r, v, est2_by_cluster_);
+  check_cluster_consistent("est2", p, r, v, cluster_round(p, r).est2);
   if (!is_binary(v)) return;
   // WA1: all non-⊥ est2 values of a round are equal.
-  const auto it = est2_nonbot_.find(r);
-  if (it == est2_nonbot_.end()) {
-    est2_nonbot_.emplace(r, v);
-  } else if (it->second != v) {
+  Estimate& witness = round_record(r).est2_nonbot;
+  if (witness == kUnset) {
+    witness = v;
+  } else if (witness != v) {
     std::ostringstream os;
-    os << "WA1 violated at round " << r << ": est2 values " << it->second
+    os << "WA1 violated at round " << r << ": est2 values " << witness
        << " and " << v << " (p" << p << ')';
     violate(os.str());
   }
@@ -85,22 +104,21 @@ void InvariantChecker::on_rec(ProcId p, Round r, EstimateSet rec) {
   const bool singleton_bot = hasb && !has0 && !has1;
   // WA2: {v} and {⊥} mutually exclusive within a round. Report once, at the
   // moment the conflicting singleton appears.
-  if (singleton_value && rec_singleton_bot_.count(r) > 0) {
+  RoundRecord& rr = round_record(r);
+  if (singleton_value && rr.rec_bot != kNoProc) {
     std::ostringstream os;
     os << "WA2 violated at round " << r << ": p" << p
-       << " has rec={v} while p" << rec_singleton_bot_.at(r)
-       << " has rec={⊥}";
+       << " has rec={v} while p" << rr.rec_bot << " has rec={⊥}";
     violate(os.str());
   }
-  if (singleton_bot && rec_singleton_value_.count(r) > 0) {
+  if (singleton_bot && rr.rec_value != kNoProc) {
     std::ostringstream os;
-    os << "WA2 violated at round " << r << ": p"
-       << rec_singleton_value_.at(r) << " has rec={v} while p" << p
-       << " has rec={⊥}";
+    os << "WA2 violated at round " << r << ": p" << rr.rec_value
+       << " has rec={v} while p" << p << " has rec={⊥}";
     violate(os.str());
   }
-  if (singleton_value) rec_singleton_value_.emplace(r, p);
-  if (singleton_bot) rec_singleton_bot_.emplace(r, p);
+  if (singleton_value && rr.rec_value == kNoProc) rr.rec_value = p;
+  if (singleton_bot && rr.rec_bot == kNoProc) rr.rec_bot = p;
 }
 
 void InvariantChecker::on_decide(ProcId p, Round r, Estimate v) {

@@ -12,7 +12,7 @@
 // only "correct" if the checker ends with zero violations.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,19 +54,41 @@ class InvariantChecker {
   }
 
  private:
+  /// "Nothing reported yet" in the records below (⊥ is a reportable est2).
+  static constexpr auto kUnset = static_cast<Estimate>(0xFF);
+  static constexpr ProcId kNoProc = -1;
+  /// Rounds the first growth of a record vector makes room for; later
+  /// growth doubles.
+  static constexpr std::size_t kFirstRounds = 8;
+
+  /// What one cluster agreed in one round: est1 after CONS_x[r,1], est2
+  /// after CONS_x[r,2].
+  struct ClusterRound {
+    Estimate est1 = kUnset;
+    Estimate est2 = kUnset;
+  };
+  /// One round's WA1 witness (its first non-⊥ est2) and WA2 witnesses
+  /// (the first processes whose rec was {v}, resp. {⊥}).
+  struct RoundRecord {
+    Estimate est2_nonbot = kUnset;
+    ProcId rec_value = kNoProc;
+    ProcId rec_bot = kNoProc;
+  };
+
   void violate(const std::string& what);
   void check_cluster_consistent(const char* tag, ProcId p, Round r,
-                                Estimate v,
-                                std::map<std::pair<Round, ClusterId>, Estimate>& seen);
+                                Estimate v, Estimate& agreed);
+  /// The record of p's cluster in round r, growing the vector on a new
+  /// round.
+  ClusterRound& cluster_round(ProcId p, Round r);
+  /// The record of round r, growing the vector on a new round.
+  RoundRecord& round_record(Round r);
 
   const ClusterLayout& layout_;
   std::vector<Estimate> inputs_;
 
-  std::map<std::pair<Round, ClusterId>, Estimate> est1_by_cluster_;
-  std::map<std::pair<Round, ClusterId>, Estimate> est2_by_cluster_;
-  std::map<Round, Estimate> est2_nonbot_;       // WA1 witness per round
-  std::map<Round, ProcId> rec_singleton_value_;  // some p with rec={v}
-  std::map<Round, ProcId> rec_singleton_bot_;    // some p with rec={⊥}
+  std::vector<ClusterRound> by_cluster_;  ///< cluster x, round r at (r−1)·m + x
+  std::vector<RoundRecord> by_round_;     ///< round r at r − 1
   std::optional<Estimate> decided_;
   std::vector<std::string> violations_;
 };

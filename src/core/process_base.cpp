@@ -1,5 +1,7 @@
 #include "core/process_base.h"
 
+#include <utility>
+
 #include "obs/observer.h"
 #include "util/assert.h"
 #include "util/log.h"
@@ -24,14 +26,14 @@ bool ProcessBase::start(Estimate proposal) {
   HYCO_CHECK_MSG(is_binary(proposal), "proposals must be 0 or 1");
   started_ = true;
   proposal_ = proposal;
-  round_ = 0;
-  // A DECIDE delivered before start() already decided this process.
-  const bool was_decided = decided();
+  // A DECIDE delivered before start() already decided this process: it
+  // has returned from propose(), so it enters no round.
+  if (decided()) return false;
   enter_round();
   // Early messages may already satisfy the first wait (e.g. n == 1), and
   // a skewed start may find its whole deciding quorum in the backlog.
   on_exchange_progress();
-  return !was_decided && decided();
+  return decided();
 }
 
 bool ProcessBase::on_message(ProcId from, const Message& m) {
@@ -61,11 +63,11 @@ bool ProcessBase::on_message(ProcId from, const Message& m) {
   // swallow it; deciding broadcasts DECIDE anyway). A message for an
   // (r, ph) this process has already begun is never replayed: each (r, ph)
   // begins at most once.
-  const BacklogKey key{m.round, static_cast<int>(m.phase)};
-  if (!started_ ||
-      (exch_.active() &&
-       key > BacklogKey{exch_.round(), static_cast<int>(exch_.phase())})) {
-    backlog_[key].emplace_back(from, m.est);
+  const bool ahead =
+      exch_.active() && std::pair{m.round, m.phase} >
+                            std::pair{exch_.round(), exch_.phase()};
+  if (!started_ || ahead) {
+    backlog_.push_back({m.round, from, m.phase, m.est});
   }
   if (assist_ && !parked_ && started_) maybe_catchup_reply(from, m);
   if (!parked_ && started_ && exch_.active() && m.round == exch_.round() &&
@@ -87,22 +89,25 @@ void ProcessBase::maybe_catchup_reply(ProcId from, const Message& m) {
   // broadcast of that phase. Retransmit it to the sender (crediting is
   // idempotent). The once-per-(peer, round, phase) guard bounds the extra
   // traffic to one unicast per peer per phase and keeps two processes from
-  // bouncing replies forever.
-  const auto key = std::make_pair(m.round, static_cast<int>(m.phase));
-  const auto it = sent_history_.find(key);
-  if (it == sent_history_.end()) return;
-  if (!catchup_sent_.emplace(from, m.round, static_cast<int>(m.phase))
-           .second) {
-    return;
-  }
-  net_.send(self_, from, Message::phase_msg(m.round, m.phase, it->second));
+  // bouncing replies forever. A slot not begun here has no message to
+  // resend, however far ahead its round.
+  const std::size_t s = slot_of(m.round, m.phase);
+  if (s >= sent_.size() || sent_[s] == kNotSent) return;
+  const auto q = static_cast<std::size_t>(from);
+  std::uint64_t& word = answered_[s * peer_words() + q / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (q % 64);
+  if ((word & bit) != 0) return;
+  word |= bit;
+  net_.send(self_, from, Message::phase_msg(m.round, m.phase, sent_[s]));
 }
 
 void ProcessBase::on_peer_recover(ProcId peer) {
-  // std::tuple orders lexicographically, peer first: erase its whole range.
-  const auto lo = catchup_sent_.lower_bound({peer, 0, 0});
-  const auto hi = catchup_sent_.lower_bound({peer + 1, 0, 0});
-  catchup_sent_.erase(lo, hi);
+  const std::size_t words = peer_words();
+  const auto q = static_cast<std::size_t>(peer);
+  const std::uint64_t keep = ~(std::uint64_t{1} << (q % 64));
+  for (std::size_t w = q / 64; w < answered_.size(); w += words) {
+    answered_[w] &= keep;
+  }
 }
 
 void ProcessBase::on_recover() {
@@ -123,20 +128,40 @@ void ProcessBase::on_recover() {
 
 void ProcessBase::begin_exchange(Round r, Phase ph, Estimate est) {
   if (obs_ != nullptr) obs_->on_phase_begin(self_, r, ph);
-  if (assist_) sent_history_[{r, static_cast<int>(ph)}] = est;
+  if (assist_) {
+    // Slots grow only here, for the rounds this process enters: a
+    // received round sizes nothing.
+    const std::size_t s = slot_of(r, ph);
+    if (s >= sent_.size()) {
+      if (sent_.capacity() == 0) {
+        sent_.reserve(kFirstSlots);
+        answered_.reserve(kFirstSlots * peer_words());
+      }
+      sent_.resize(s + 1, kNotSent);
+      answered_.resize((s + 1) * peer_words(), 0);
+    }
+    sent_[s] = est;
+  }
   exch_.begin(r, ph, est);
-  const auto it = backlog_.find({r, static_cast<int>(ph)});
-  if (it != backlog_.end()) {
-    for (const auto& [from, v] : it->second) {
+  // Replay (r, ph)'s early messages in arrival order, keeping the rest in
+  // place and in order.
+  bool replayed = false;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < backlog_.size(); ++i) {
+    const EarlyPhase e = backlog_[i];
+    if (e.round == r && e.phase == ph) {
       ++stats_.phase_msgs_handled;
-      exch_.credit(from, v);
+      exch_.credit(e.from, e.est);
+      replayed = true;
+    } else {
+      backlog_[kept++] = e;
     }
-    backlog_.erase(it);
-    // Backlogged credits may satisfy the quorum before any live message
-    // arrives; report the milestone exactly once, here.
-    if (obs_ != nullptr && exch_.satisfied()) {
-      obs_->on_quorum_satisfied(self_, r, ph);
-    }
+  }
+  backlog_.resize(kept);
+  // Backlogged credits may satisfy the quorum before any live message
+  // arrives; report the milestone exactly once, here.
+  if (replayed && obs_ != nullptr && exch_.satisfied()) {
+    obs_->on_quorum_satisfied(self_, r, ph);
   }
 }
 

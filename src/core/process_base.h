@@ -5,12 +5,9 @@
 // bounded).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "core/cluster_layout.h"
@@ -52,7 +49,8 @@ class ProcessBase : public IConsensusProcess {
   /// Forgets the once-per-(peer, round, phase) reply bookkeeping for a
   /// rejoined peer — its copies may have been dropped while it was down,
   /// so catch-up replies to it must be allowed again. Each recovery resets
-  /// the guard once, keeping total reply traffic bounded.
+  /// the guard once, keeping total reply traffic bounded. Clears the
+  /// peer's bit in every slot; allocates nothing.
   void on_peer_recover(ProcId peer) override;
 
   void set_scenario_assist(bool on) override { assist_ = on; }
@@ -83,7 +81,8 @@ class ProcessBase : public IConsensusProcess {
   virtual void on_exchange_progress() = 0;
 
   /// Starts msg_exchange(r, ph, est) and replays buffered messages for
-  /// (r, ph).
+  /// (r, ph). Under scenario assist it first records est in the exchange
+  /// slot of (r, ph), growing the slots when this is a new round.
   void begin_exchange(Round r, Phase ph, Estimate est);
 
   /// Decides v: notifies the checker, broadcasts DECIDE(v) (lines 12/17 of
@@ -111,23 +110,53 @@ class ProcessBase : public IConsensusProcess {
   obs::RunObserver* obs_ = nullptr;  ///< optional, not owned
 
  private:
+  /// A PHASE message for an (r, ph) this process has not begun.
+  struct EarlyPhase {
+    Round round;
+    ProcId from;
+    Phase phase;
+    Estimate est;
+  };
+
+  /// sent_'s "no message in this slot" mark (⊥ is a valid estimate).
+  static constexpr auto kNotSent = static_cast<Estimate>(0xFF);
+  /// Slots the first growth makes room for: rounds 1–8, as in the
+  /// cluster memory's first chunk. Later growth doubles.
+  static constexpr std::size_t kFirstSlots = 16;
+
+  /// The exchange slot of (r, ph): 2(r − 1) + (ph − 1). Any round maps
+  /// to a slot; r < 1 maps past every slot that can exist.
+  static std::size_t slot_of(Round r, Phase ph) {
+    return 2 * static_cast<std::size_t>(static_cast<std::int64_t>(r) - 1) +
+           (ph == Phase::Two ? 1 : 0);
+  }
+
   /// Scenario assist: answer a PHASE message from `from` by retransmitting
   /// this process's own message of that (round, phase), if it ever sent
   /// one — at most once per (peer, round, phase), so the extra traffic is
   /// bounded and two processes can never bounce replies forever.
   void maybe_catchup_reply(ProcId from, const Message& m);
 
-  using BacklogKey = std::pair<Round, int>;
-  std::map<BacklogKey, std::vector<std::pair<ProcId, Estimate>>> backlog_;
+  /// Words of answered_ per slot: one bit per process.
+  [[nodiscard]] std::size_t peer_words() const {
+    return (static_cast<std::size_t>(layout_.n()) + 63) / 64;
+  }
+
+  /// Early PHASE messages in arrival order; begin_exchange replays and
+  /// erases those of the (r, ph) it begins.
+  std::vector<EarlyPhase> backlog_;
   std::optional<Estimate> decision_;
   Round decision_round_ = 0;
   bool parked_ = false;
   bool started_ = false;
   bool assist_ = false;
-  /// What this process broadcast per (round, phase); recorded only when
-  /// scenario assist is on (feeds catch-up replies).
-  std::map<BacklogKey, Estimate> sent_history_;
-  std::set<std::tuple<ProcId, Round, int>> catchup_sent_;
+  /// Scenario assist's catch-up record, indexed by exchange slot (only
+  /// begin_exchange grows it, and only while assist is on): sent_[s] is
+  /// what this process broadcast in slot s (kNotSent until it begins
+  /// there), and bit q of answered_'s peer_words() words for slot s marks
+  /// peer q as answered.
+  std::vector<Estimate> sent_;
+  std::vector<std::uint64_t> answered_;
 };
 
 }  // namespace hyco

@@ -3,8 +3,11 @@
 // can assert that a steady-state loop allocates nothing: the event queue's
 // push_deliver → pop_tick cycle once its blocks, slab slots and tick buffer
 // are warm, the simulator's tick loop over broadcast bursts, a warm n = 128
-// all-to-all wave, msg_exchange's crediting, quorum test and rec set, and
-// the cluster memory's proposals.
+// all-to-all wave, msg_exchange's crediting, quorum test and rec set, the
+// cluster memory's proposals, and a process's catch-up replies, duplicate
+// PHASE messages and backlog replays. Per-round records (the cluster
+// memory's cells, a process's exchange slots, the invariant checker's
+// records) may allocate only when the rounds they hold double.
 // The counters also sum the bytes requested, which bounds what one cold
 // all-to-all wave costs.
 #include <gtest/gtest.h>
@@ -12,10 +15,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 
 #include "core/cluster_layout.h"
+#include "core/invariant_checker.h"
+#include "core/local_coin_process.h"
 #include "core/msg_exchange.h"
 #include "net/delay_model.h"
 #include "net/message.h"
@@ -127,6 +133,130 @@ class NullNetwork final : public INetwork {
  private:
   ProcId n_;
 };
+
+/// INetwork that counts what a process sends without allocating.
+class CountingNetwork final : public INetwork {
+ public:
+  void send(ProcId, ProcId, const Message& m) override {
+    if (m.kind == MsgKind::Phase) ++phase_replies;
+  }
+  void broadcast(ProcId, const Message&) override { ++broadcasts; }
+  [[nodiscard]] ProcId n() const override { return 16; }
+  [[nodiscard]] bool crashed(ProcId /*p*/) const override { return false; }
+
+  std::uint64_t phase_replies = 0;
+  std::uint64_t broadcasts = 0;
+};
+
+/// PHASE(r, ph, ·) to `proc` from p4, p8 and p12 of even(16, 4), carrying
+/// `a`, `b`, `c`: one member of each cluster but p0's, a quorum.
+void quorum(IConsensusProcess& proc, Round r, Phase ph, Estimate a,
+            Estimate b, Estimate c) {
+  proc.on_message(4, Message::phase_msg(r, ph, a));
+  proc.on_message(8, Message::phase_msg(r, ph, b));
+  proc.on_message(12, Message::phase_msg(r, ph, c));
+}
+
+/// Runs round r of p0 (Algorithm 2 at even(16, 4), in (r, ph1)) with
+/// early arrivals: PHASE(r, ph2) from p5 and p9 and PHASE(r + 1, ph1) from
+/// p6 come first and wait in the backlog. A split phase 1 makes est2 = ⊥,
+/// its start replays p5's and p9's ⊥, p12's 1 completes phase 2 with
+/// rec = {1, ⊥}, and round r + 1 starts by replaying p6's message.
+void round_with_early_arrivals(IConsensusProcess& proc, Round r) {
+  proc.on_message(5, Message::phase_msg(r, Phase::Two, Estimate::Bot));
+  proc.on_message(9, Message::phase_msg(r, Phase::Two, Estimate::Bot));
+  proc.on_message(6, Message::phase_msg(r + 1, Phase::One, Estimate::One));
+  quorum(proc, r, Phase::One, Estimate::One, Estimate::Zero, Estimate::One);
+  proc.on_message(12, Message::phase_msg(r, Phase::Two, Estimate::One));
+}
+
+TEST(AllocFree, CatchUpRepliesDuplicatesAndBacklogReplaysAllocateNothing) {
+  // An Algorithm 2 process at n = 16, m = 4 under scenario assist runs
+  // rounds 1-3 with early arrivals, which grows its exchange slots and its
+  // backlog. Then every peer asks for every slot of rounds 1-3 twice (one
+  // catch-up reply per peer and slot, then duplicates), every peer
+  // rejoins and asks again (each reply is allowed once more), a PHASE
+  // for round 2^31 - 1 arrives (no reply, no slot), and rounds 4 and 5
+  // replay their early arrivals. None of that allocates.
+  const auto layout = ClusterLayout::even(16, 4);
+  CountingNetwork net;
+  ClusterMemory memory(0, 16);
+  LocalCoinProcess proc(0, layout, net, memory, 1, nullptr, 100);
+  proc.set_scenario_assist(true);
+  proc.start(Estimate::One);
+  for (Round r = 1; r <= 3; ++r) round_with_early_arrivals(proc, r);
+  ASSERT_EQ(proc.current_round(), 4);
+
+  const auto ask_all = [&] {
+    const std::uint64_t before = net.phase_replies;
+    for (ProcId q = 1; q < 16; ++q) {
+      for (Round r = 1; r <= 3; ++r) {
+        for (const Phase ph : {Phase::One, Phase::Two}) {
+          proc.on_message(q, Message::phase_msg(r, ph, Estimate::One));
+        }
+      }
+    }
+    return net.phase_replies - before;
+  };
+  const std::uint64_t start = allocations();
+  const std::uint64_t first = ask_all();
+  const std::uint64_t duplicates = ask_all();
+  for (ProcId q = 1; q < 16; ++q) proc.on_peer_recover(q);
+  const std::uint64_t rejoined = ask_all();
+  const std::uint64_t replies = net.phase_replies;
+  proc.on_message(7, Message::phase_msg(std::numeric_limits<Round>::max(),
+                                        Phase::One, Estimate::One));
+  const std::uint64_t far_ahead = net.phase_replies - replies;
+  round_with_early_arrivals(proc, 4);
+  round_with_early_arrivals(proc, 5);
+  const std::uint64_t allocated = allocations() - start;
+
+  // Rounds 1-3 already answered p4, p8 and p12 in phase 1 and p12 in
+  // phase 2.
+  EXPECT_EQ(first, 15u * 3 * 2 - 3 * 4);
+  EXPECT_EQ(duplicates, 0u);
+  EXPECT_EQ(rejoined, 15u * 3 * 2);
+  EXPECT_EQ(far_ahead, 0u);
+  EXPECT_EQ(proc.current_round(), 6);
+  // Per round: three quorum credits, two replayed, p12's, and p6's replayed.
+  EXPECT_EQ(proc.stats().phase_msgs_handled, 5u * 7);
+  EXPECT_EQ(allocated, 0u);
+}
+
+TEST(AllocFree, RoundRecordsAllocateOncePerDoubling) {
+  // An Algorithm 2 process under scenario assist reports rounds 1..1000 to
+  // an invariant checker. Its exchange slots (two vectors) and the
+  // checker's records (two vectors) may each allocate for their first
+  // growth, which holds 8 rounds, and once each time the rounds they hold
+  // double. The cluster memory is grown beforehand: its cells are its own
+  // test's. No round allocates on its own account.
+  constexpr Round kRounds = 1000;
+  int doublings = 0;
+  for (Round held = 8; held < kRounds; held *= 2) ++doublings;
+  const auto layout = ClusterLayout::even(16, 4);
+  CountingNetwork net;
+  ClusterMemory memory(0, 16);
+  for (Round r = 1; r <= kRounds; ++r) {
+    memory.cons(r, Phase::One).propose(1, Estimate::One);
+    memory.cons(r, Phase::Two).propose(1, Estimate::Bot);
+  }
+  InvariantChecker checker(layout);
+  LocalCoinProcess proc(0, layout, net, memory, 1, &checker, kRounds);
+  proc.set_scenario_assist(true);
+  const std::uint64_t before = allocations();
+  proc.start(Estimate::One);
+  for (Round r = 1; r <= kRounds; ++r) {
+    quorum(proc, r, Phase::One, Estimate::One, Estimate::Zero, Estimate::One);
+    quorum(proc, r, Phase::Two, Estimate::One, Estimate::Bot, Estimate::Bot);
+  }
+  const std::uint64_t allocated = allocations() - before;
+  EXPECT_TRUE(proc.parked());
+  EXPECT_EQ(proc.current_round(), kRounds);
+  EXPECT_EQ(net.broadcasts, 2u * kRounds);
+  EXPECT_TRUE(checker.ok());
+  EXPECT_EQ(doublings, 7);
+  EXPECT_LE(allocated, 4u * static_cast<std::uint64_t>(1 + doublings));
+}
 
 TEST(AllocFree, EventQueueDaysRecycleBlocksWithoutAllocating) {
   // Each day pushes a 40-delivery burst 100 days ahead and consumes the

@@ -3,6 +3,9 @@
 // silent on clean traces.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/invariant_checker.h"
 #include "util/assert.h"
 
@@ -130,6 +133,46 @@ TEST(InvariantChecker, CatchesBotDecision) {
   InvariantChecker c(l);
   c.on_decide(0, 1, Estimate::Bot);
   EXPECT_FALSE(c.ok());
+}
+
+TEST(InvariantChecker, LateRoundsAndRoundsPastTheFirstGrowthAreChecked) {
+  // Records are indexed by round: a round reported after others reached
+  // round 20, and rounds past the first growths, meet their own records
+  // and no other round's.
+  const auto l = layout();
+  InvariantChecker c(l);
+  for (Round r = 2; r <= 20; ++r) {
+    for (ProcId p = 0; p < 7; ++p) {
+      c.on_est1(p, r, estimate_from_bit(r % 2));
+      c.on_est2(p, r, p >= 5 ? Estimate::Bot : estimate_from_bit(r % 2));
+      c.on_rec(p, r, estimate_set({Estimate::One, Estimate::Bot}));
+    }
+  }
+  c.on_rec(0, 20, estimate_set({Estimate::One}));
+  ASSERT_TRUE(c.ok()) << c.violations()[0];
+
+  c.on_est1(2, 1, Estimate::Zero);  // p2 and p3 share P[1]
+  c.on_est1(3, 1, Estimate::One);
+  c.on_est2(0, 1, Estimate::Zero);
+  c.on_est2(5, 1, Estimate::One);
+  c.on_rec(4, 1, estimate_set({Estimate::Bot}));
+  c.on_rec(1, 1, estimate_set({Estimate::Zero}));
+  c.on_est1(6, 100, Estimate::One);
+  c.on_est1(5, 100, Estimate::Zero);  // P[2] is p5 and p6
+  c.on_rec(3, 333, estimate_set({Estimate::One}));
+  c.on_rec(2, 333, estimate_set({Estimate::Bot}));
+  c.on_rec(6, 20, estimate_set({Estimate::Bot}));
+  const std::vector<std::string> want = {
+      "est1 cluster-inconsistency: p3 in P[1] has 1 but cluster already "
+      "agreed 0 at round 1",
+      "WA1 violated at round 1: est2 values 0 and 1 (p5)",
+      "WA2 violated at round 1: p1 has rec={v} while p4 has rec={⊥}",
+      "est1 cluster-inconsistency: p5 in P[2] has 0 but cluster already "
+      "agreed 1 at round 100",
+      "WA2 violated at round 333: p3 has rec={v} while p2 has rec={⊥}",
+      "WA2 violated at round 20: p0 has rec={v} while p6 has rec={⊥}",
+  };
+  EXPECT_EQ(c.violations(), want);
 }
 
 TEST(InvariantChecker, InputSizeValidated) {

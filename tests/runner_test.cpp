@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/mm_domain.h"
@@ -291,6 +292,53 @@ TEST(Runner, DecisionInsideStartIsStamped) {
     last_in_start += last->parent == 0 ? 1 : 0;
   }
   EXPECT_GT(last_in_start, 0);
+}
+
+TEST(Runner, DecidedBeforeStartEntersNoRound) {
+  // A 20x slow p7 over fast links often delivers a DECIDE before its
+  // start time: it decides in round 0, having returned from propose()
+  // before it was called. Its start() must then enter no round: no
+  // proposal to a consensus object (or to the m&m domain) and no PHASE
+  // broadcast. Every algorithm sees such a start in these seeds.
+  std::vector<std::pair<ProcId, ProcId>> ring;
+  for (ProcId p = 0; p < 8; ++p) ring.emplace_back(p, (p + 1) % 8);
+  for (const Algorithm alg :
+       {Algorithm::HybridLocalCoin, Algorithm::HybridCommonCoin,
+        Algorithm::BenOr, Algorithm::Mm}) {
+    int early = 0;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      RunConfig cfg = alg == Algorithm::Mm
+                          ? RunConfig(MmDomain(8, ring))
+                          : RunConfig(ClusterLayout::even(8, 3));
+      cfg.alg = alg;
+      cfg.seed = seed;
+      cfg.delays = DelayConfig::uniform(10, 40);
+      cfg.scenario.skews.push_back(parse_skew_spec("proc:7:x20"));
+      Trace trace(1 << 16);
+      cfg.enable_trace = true;
+      cfg.trace_sink = &trace;
+      const RunResult r = run_consensus(cfg);
+      ASSERT_TRUE(r.success()) << to_cstring(alg) << " seed " << seed;
+      ASSERT_EQ(trace.recorded(), trace.size()) << "seed " << seed;
+      for (ProcId p = 0; p < 8; ++p) {
+        const auto idx = static_cast<std::size_t>(p);
+        if (!r.decisions[idx] || r.decision_rounds[idx] != 0) continue;
+        ++early;
+        const ProcessStats& st = r.proc_stats[idx];
+        EXPECT_EQ(st.rounds_entered, 0) << to_cstring(alg) << " p" << p;
+        EXPECT_EQ(st.cons_invocations, 0u) << to_cstring(alg) << " p" << p;
+        int phase_sends = 0;
+        trace.for_each([&](const TraceRecord& rec) {
+          if (rec.kind == TraceKind::Send && rec.proc == p &&
+              rec.msg.kind == MsgKind::Phase) {
+            ++phase_sends;
+          }
+        });
+        EXPECT_EQ(phase_sends, 0) << to_cstring(alg) << " p" << p;
+      }
+    }
+    EXPECT_GT(early, 0) << to_cstring(alg);
+  }
 }
 
 TEST(Runner, AlgorithmNames) {
