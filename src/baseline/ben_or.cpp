@@ -1,5 +1,7 @@
 #include "baseline/ben_or.h"
 
+#include <algorithm>
+
 #include "baseline/mm_domain.h"
 #include "shm/cluster_memory.h"
 #include "util/assert.h"
@@ -20,11 +22,19 @@ BenOrProcess::BenOrProcess(
                  "an m&m domain needs n = " << n << " processes and memories");
 }
 
-BenOrProcess::Tally& BenOrProcess::tally(Round r, Phase ph) {
-  const auto key = std::make_pair(r, static_cast<int>(ph));
-  auto it = tallies_.find(key);
-  if (it == tallies_.end()) it = tallies_.emplace(key, Tally(n_)).first;
-  return it->second;
+std::size_t BenOrProcess::slot(Round r, Phase ph) {
+  HYCO_CHECK_MSG(r >= 1 && r <= max_rounds_,
+                 "p" << self_ << " got a PHASE message of round " << r
+                     << ", outside [1, " << max_rounds_ << "]");
+  const std::size_t s = exchange_slot(r, ph);
+  if (s >= counts_.size()) {
+    std::size_t size = counts_.empty() ? kFirstExchangeSlots : counts_.size();
+    while (size <= s) size *= 2;
+    size = std::min(size, exchange_slot(max_rounds_, Phase::Two) + 1);
+    counts_.resize(size, Counts{0, 0, 0});
+    senders_.resize(size * sender_words(), 0);
+  }
+  return s;
 }
 
 Estimate BenOrProcess::propose_to_domain(Phase ph, Estimate v) {
@@ -83,11 +93,13 @@ bool BenOrProcess::on_message(ProcId from, const Message& m) {
     decide(m.est);
     return true;
   }
-  Tally& t = tally(m.round, m.phase);
-  const auto idx = static_cast<std::size_t>(from);
-  if (t.senders.test(idx)) return false;  // defensive: count each sender once
-  t.senders.set(idx);
-  ++t.counts[estimate_index(m.est)];
+  const std::size_t s = slot(m.round, m.phase);
+  const auto q = static_cast<std::size_t>(from);
+  std::uint64_t& word = senders_[s * sender_words() + q / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (q % 64);
+  if ((word & bit) != 0) return false;  // defensive: count each sender once
+  word |= bit;
+  ++counts_[s][estimate_index(m.est)];
   ++stats_.phase_msgs_handled;
   progress();
   return decided();
@@ -106,9 +118,12 @@ void BenOrProcess::on_recover() {
 }
 
 void BenOrProcess::progress() {
+  // Before start() no round is open: messages only wait in their slots.
+  if (!started_) return;
   while (!decided() && !parked_) {
-    const Tally& t = tally(round_, phase_);
-    if (!majority(t.distinct())) return;  // wait for > n/2 senders
+    if (!majority(distinct(slot(round_, phase_)))) {
+      return;  // wait for > n/2 senders
+    }
     if (phase_ == Phase::One) {
       complete_phase1();
     } else {
@@ -118,10 +133,10 @@ void BenOrProcess::progress() {
 }
 
 void BenOrProcess::complete_phase1() {
-  const Tally& t = tally(round_, Phase::One);
+  const Counts& c = counts_[slot(round_, Phase::One)];
   est2_ = Estimate::Bot;
   for (const Estimate v : {Estimate::Zero, Estimate::One}) {
-    if (majority(t.counts[estimate_index(v)])) {
+    if (majority(c[estimate_index(v)])) {
       est2_ = v;
       break;
     }
@@ -132,10 +147,10 @@ void BenOrProcess::complete_phase1() {
 }
 
 void BenOrProcess::complete_phase2() {
-  const Tally& t = tally(round_, Phase::Two);
-  const bool has0 = t.counts[estimate_index(Estimate::Zero)] > 0;
-  const bool has1 = t.counts[estimate_index(Estimate::One)] > 0;
-  const bool has_bot = t.counts[estimate_index(Estimate::Bot)] > 0;
+  const Counts& c = counts_[slot(round_, Phase::Two)];
+  const bool has0 = c[estimate_index(Estimate::Zero)] > 0;
+  const bool has1 = c[estimate_index(Estimate::One)] > 0;
+  const bool has_bot = c[estimate_index(Estimate::Bot)] > 0;
   // Two distinct phase-2 values are impossible (each comes from a majority
   // of phase-1 senders, and majorities intersect; an m&m memory's winner is
   // one of the values proposed to it, so m&m's est2 is that value or ⊥

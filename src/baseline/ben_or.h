@@ -23,17 +23,17 @@
 #pragma once
 
 #include <array>
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
+#include <vector>
 
 #include "coin/coin.h"
 #include "core/consensus_process.h"
 #include "core/types.h"
 #include "net/network.h"
-#include "util/bitset.h"
 
 namespace hyco {
 
@@ -52,6 +52,9 @@ class BenOrProcess final : public IConsensusProcess {
                std::span<const std::unique_ptr<ClusterMemory>> memories = {});
 
   bool start(Estimate proposal) override;
+  /// A PHASE message's round must lie in [1, max_rounds] — a live peer
+  /// parks at max_rounds and never sends a later one; any other round is
+  /// a ContractViolation.
   bool on_message(ProcId from, const Message& m) override;
 
   /// Crash-recovery rejoin: retransmits the current (round, phase) message
@@ -78,17 +81,25 @@ class BenOrProcess final : public IConsensusProcess {
   [[nodiscard]] Estimate est1() const { return est1_; }
 
  private:
-  /// Tally of one (round, phase): which senders were heard, per-value counts.
-  struct Tally {
-    explicit Tally(ProcId n) : senders(static_cast<std::size_t>(n)) {}
-    DynamicBitset senders;
-    std::array<ProcId, 3> counts{0, 0, 0};
-    [[nodiscard]] ProcId distinct() const {
-      return static_cast<ProcId>(senders.count());
-    }
-  };
+  /// Per-value counts of one (round, phase), indexed by estimate_index.
+  using Counts = std::array<ProcId, 3>;
 
-  Tally& tally(Round r, Phase ph);
+  /// The slot of (r, ph) for r in [1, max_rounds], grown into the storage
+  /// when it is new: a received round sizes the slots too, since peers run
+  /// ahead. The storage never grows past max_rounds' last slot.
+  std::size_t slot(Round r, Phase ph);
+
+  /// Words of senders_ per slot: one bit per process.
+  [[nodiscard]] std::size_t sender_words() const {
+    return (static_cast<std::size_t>(n_) + 63) / 64;
+  }
+
+  /// Distinct senders heard in slot s: each is counted under one value.
+  [[nodiscard]] ProcId distinct(std::size_t s) const {
+    const Counts& c = counts_[s];
+    return c[0] + c[1] + c[2];
+  }
+
   /// m&m: proposes `v` to the α_i + 1 reachable memories' CONS[round, ph],
   /// own memory first, and returns the own memory's winner. Plain Ben-Or
   /// returns `v`.
@@ -119,7 +130,11 @@ class BenOrProcess final : public IConsensusProcess {
   Round decision_round_ = 0;
   ProcessStats stats_;
 
-  std::map<std::pair<Round, int>, Tally> tallies_;
+  /// Per (round, phase) tallies, indexed by exchange slot: counts_[s] and
+  /// the sender_words() words of senders_ from s · sender_words(), bit q
+  /// marking p_q as heard.
+  std::vector<Counts> counts_;
+  std::vector<std::uint64_t> senders_;
 };
 
 }  // namespace hyco

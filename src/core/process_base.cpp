@@ -36,7 +36,7 @@ bool ProcessBase::start(Estimate proposal) {
   return decided();
 }
 
-bool ProcessBase::on_message(ProcId from, const Message& m) {
+bool ProcessBase::handle_message(ProcId from, const Message& m) {
   if (decided()) {
     // A decided process has returned from propose(). Under scenarios
     // (recovery, loss) the sender may have missed the DECIDE broadcast;
@@ -91,7 +91,7 @@ void ProcessBase::maybe_catchup_reply(ProcId from, const Message& m) {
   // traffic to one unicast per peer per phase and keeps two processes from
   // bouncing replies forever. A slot not begun here has no message to
   // resend, however far ahead its round.
-  const std::size_t s = slot_of(m.round, m.phase);
+  const std::size_t s = exchange_slot(m.round, m.phase);
   if (s >= sent_.size() || sent_[s] == kNotSent) return;
   const auto q = static_cast<std::size_t>(from);
   std::uint64_t& word = answered_[s * peer_words() + q / 64];
@@ -131,11 +131,11 @@ void ProcessBase::begin_exchange(Round r, Phase ph, Estimate est) {
   if (assist_) {
     // Slots grow only here, for the rounds this process enters: a
     // received round sizes nothing.
-    const std::size_t s = slot_of(r, ph);
+    const std::size_t s = exchange_slot(r, ph);
     if (s >= sent_.size()) {
       if (sent_.capacity() == 0) {
-        sent_.reserve(kFirstSlots);
-        answered_.reserve(kFirstSlots * peer_words());
+        sent_.reserve(kFirstExchangeSlots);
+        answered_.reserve(kFirstExchangeSlots * peer_words());
       }
       sent_.resize(s + 1, kNotSent);
       answered_.resize((s + 1) * peer_words(), 0);

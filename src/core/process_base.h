@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/cluster_layout.h"
@@ -37,8 +38,27 @@ class ProcessBase : public IConsensusProcess {
   bool start(Estimate proposal) override;
 
   /// Runtime delivery hook for every message addressed to this process.
-  /// Returns whether this message made the process decide.
-  bool on_message(ProcId from, const Message& m) override;
+  /// Returns whether this message made the process decide. Most of an
+  /// all-to-all wave changes nothing here — it reaches a process that has
+  /// decided, or one whose exchange has moved past the message's (round,
+  /// phase) — so those early-outs are checked inline, and a host that
+  /// calls through the concrete type pays no call for them; the rest is
+  /// handle_message().
+  bool on_message(ProcId from, const Message& m) final {
+    if (decided()) {
+      // A decided process has returned from propose(); only scenario
+      // assist answers stale traffic (handle_message).
+      if (!assist_ || m.kind == MsgKind::Decide) return false;
+    } else if (m.kind != MsgKind::Decide && !assist_ && started_ &&
+               exch_.active() &&
+               std::pair{m.round, m.phase} <
+                   std::pair{exch_.round(), exch_.phase()}) {
+      // A PHASE message of an exchange this process has passed: never
+      // buffered, never credited.
+      return false;
+    }
+    return handle_message(from, m);
+  }
 
   /// Crash-recovery rejoin: retransmits the active exchange's PHASE message
   /// (or re-gossips DECIDE when already decided). Peers answer with decide
@@ -120,16 +140,9 @@ class ProcessBase : public IConsensusProcess {
 
   /// sent_'s "no message in this slot" mark (⊥ is a valid estimate).
   static constexpr auto kNotSent = static_cast<Estimate>(0xFF);
-  /// Slots the first growth makes room for: rounds 1–8, as in the
-  /// cluster memory's first chunk. Later growth doubles.
-  static constexpr std::size_t kFirstSlots = 16;
 
-  /// The exchange slot of (r, ph): 2(r − 1) + (ph − 1). Any round maps
-  /// to a slot; r < 1 maps past every slot that can exist.
-  static std::size_t slot_of(Round r, Phase ph) {
-    return 2 * static_cast<std::size_t>(static_cast<std::int64_t>(r) - 1) +
-           (ph == Phase::Two ? 1 : 0);
-  }
+  /// on_message past its inline early-outs.
+  bool handle_message(ProcId from, const Message& m);
 
   /// Scenario assist: answer a PHASE message from `from` by retransmitting
   /// this process's own message of that (round, phase), if it ever sent

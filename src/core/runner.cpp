@@ -8,6 +8,7 @@
 #include "core/common_coin_process.h"
 #include "core/invariant_checker.h"
 #include "core/local_coin_process.h"
+#include "core/process_base.h"
 #include "obs/observer.h"
 #include "obs/phase_timings.h"
 #include "shm/cluster_memory.h"
@@ -19,18 +20,6 @@ namespace hyco {
 namespace {
 /// Event budget of one run: a backstop far above any terminating run.
 constexpr std::uint64_t kMaxEvents = 200'000'000;
-
-/// Hands each message to its process and stamps r.last_decision_time when
-/// the delivery makes that process decide.
-SimNetwork::DeliverFn decision_timing_deliver(
-    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
-    const Simulator& sim, RunResult& r) {
-  return [&procs, &sim, &r](ProcId to, ProcId from, const Message& m) {
-    if (procs[static_cast<std::size_t>(to)]->on_message(from, m)) {
-      r.last_decision_time = sim.now();
-    }
-  };
-}
 
 /// Whether `layout` is the singletons of n, cluster p holding process p.
 bool is_singletons(const ClusterLayout& layout, ProcId n) {
@@ -127,7 +116,7 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
     for (auto& proc : procs_) proc->set_observer(observer_.get());
   }
 
-  net.set_deliver(decision_timing_deliver(procs_, world_.sim(), result_));
+  net.set_receiver(*this);
 
   world_.schedule_crashes();
 
@@ -160,6 +149,28 @@ bool ConsensusRun::start_once(ProcId p) {
     result_.last_decision_time = world_.sim().now();
   }
   return true;
+}
+
+void ConsensusRun::receive(const TickItem* items, std::size_t count) {
+  // make_consensus_process builds a BenOrProcess for Ben-Or and m&m and a
+  // ProcessBase for Algorithms 2 and 3.
+  if (cfg_.alg == Algorithm::BenOr || cfg_.alg == Algorithm::Mm) {
+    deliver_as<BenOrProcess>(items, count);
+  } else {
+    deliver_as<ProcessBase>(items, count);
+  }
+}
+
+template <class Proc>
+void ConsensusRun::deliver_as(const TickItem* items, std::size_t count) {
+  bool decided = false;
+  world_.net().for_each_live(
+      items, count, [&](ProcId to, ProcId from, const Message& m) {
+        decided |= static_cast<Proc&>(*procs_[static_cast<std::size_t>(to)])
+                       .on_message(from, m);
+      });
+  // The whole run shares one tick.
+  if (decided) result_.last_decision_time = world_.sim().now();
 }
 
 ConsensusRun::~ConsensusRun() = default;

@@ -164,8 +164,12 @@ class InvariantChecker;
 /// loop and the harvest apart (hyco_bench's traced mode reports them as
 /// core.setup, sim.run and core.finish).
 ///
+/// The run is its network's receiver: each same-tick run of deliveries
+/// goes straight into its processes through their concrete types
+/// (ProcessBase for Algorithms 2 and 3, BenOrProcess for Ben-Or and m&m).
+///
 /// Not copyable or movable: scheduled closures capture `this`.
-class ConsensusRun {
+class ConsensusRun final : private SimNetwork::Receiver {
  public:
   explicit ConsensusRun(RunConfig cfg);
   ~ConsensusRun();
@@ -184,6 +188,13 @@ class ConsensusRun {
   /// Starts p unless it already started; returns whether it did. A start
   /// that decides stamps last_decision_time, as a deciding delivery does.
   bool start_once(ProcId p);
+
+  /// SimNetwork::Receiver: hands a run's live deliveries to the processes
+  /// as `Proc` (deliver_as), and stamps last_decision_time when one of
+  /// them made its process decide.
+  void receive(const TickItem* items, std::size_t count) override;
+  template <class Proc>
+  void deliver_as(const TickItem* items, std::size_t count);
 
   RunConfig cfg_;
   std::vector<Estimate> inputs_;

@@ -5,6 +5,7 @@
 // p_1 … p_n. Documentation and printed tables use the internal 0-based ids.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <ostream>
@@ -28,6 +29,18 @@ enum class Phase : std::uint8_t { One = 1, Two = 2 };
 inline std::ostream& operator<<(std::ostream& os, Phase ph) {
   return os << (ph == Phase::One ? "ph1" : "ph2");
 }
+
+/// The exchange slot of (r, ph): 2(r − 1) + (ph − 1), the index under which
+/// a process keeps per-(round, phase) state. Any round maps to a slot; a
+/// round < 1 maps past every slot that can exist.
+constexpr std::size_t exchange_slot(Round r, Phase ph) {
+  return 2 * static_cast<std::size_t>(static_cast<std::int64_t>(r) - 1) +
+         (ph == Phase::Two ? 1 : 0);
+}
+
+/// Exchange slots a process's first growth makes room for: rounds 1–8, as
+/// in the cluster memory's first chunk. Later growth doubles.
+inline constexpr std::size_t kFirstExchangeSlots = 16;
 
 /// A value in the estimate domain {0, 1, ⊥}. ⊥ (Bot) is the paper's "no
 /// championed value". The underlying values are chosen so that an Estimate

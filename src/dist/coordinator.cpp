@@ -159,7 +159,10 @@ bool Coordinator::handle_frame(Conn& conn, const Frame& frame,
     }
     conn.welcomed = true;
     conn.reconnects = hello.reconnect;
-    if (hello.reconnect > 0) ++worker_reconnects_;
+    if (hello.reconnect > 0) {
+      ++worker_reconnects_;
+      --lost_sessions_;
+    }
     return send_frame(conn.fd, MsgType::kWelcome, "");
   }
 
@@ -242,8 +245,26 @@ void Coordinator::serve(CollectingSink& sink) {
   const auto started = WorkLedger::Clock::now();
   std::vector<pollfd> pfds;
   std::vector<char> rdbuf(1 << 16);
-  while (!ledger_.all_folded()) {
-    if (opts_.max_wait.count() > 0) {
+  std::optional<WorkLedger::Clock::time_point> linger_end;
+  for (;;) {
+    if (ledger_.all_folded()) {
+      // Linger: a session that lost its link (to this coordinator, or after
+      // a resume to its predecessor) may still be redialing, and must find
+      // a listener that answers Done rather than a closed port, or its
+      // worker reports the grid incomplete. While one may exist, keep the
+      // loop running for one lease-TTL window: a Hello is welcomed and its
+      // LeaseReq answered with Done.
+      if (resumed_runs_ == 0 && lost_sessions_ <= 0) break;
+      const auto now = WorkLedger::Clock::now();
+      if (!linger_end.has_value()) {
+        linger_end = now + opts_.lease_ttl;
+        // Workers parked on a Wait learn of the completion now.
+        for (const auto& c : conns_) {
+          (void)send_frame(c->fd, MsgType::kDone, "");
+        }
+      }
+      if (now >= *linger_end) break;
+    } else if (opts_.max_wait.count() > 0) {
       HYCO_CHECK_MSG(WorkLedger::Clock::now() - started < opts_.max_wait,
                      "coordinator: grid incomplete after "
                          << opts_.max_wait.count() << " ms ("
@@ -317,6 +338,7 @@ void Coordinator::serve(CollectingSink& sink) {
     }
     for (auto it = dead.rbegin(); it != dead.rend(); ++it) {
       Conn& conn = *conns_[*it];
+      if (conn.welcomed && !ledger_.all_folded()) ++lost_sessions_;
       requeued_chunks_ += ledger_.release_owner(conn.owner);
       ::close(conn.fd);
       conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(*it));

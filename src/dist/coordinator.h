@@ -47,6 +47,8 @@ struct CoordinatorOptions {
   /// Never changes output bytes. Set equal to lease_grain to disable.
   std::uint64_t lease_floor = 32;
   /// A lease not folded within this window is re-queued for other workers.
+  /// It is also how long a completed grid keeps answering workers that may
+  /// still be redialing (see serve()).
   std::chrono::milliseconds lease_ttl{60'000};
   /// Poll-loop tick (lease expiry + progress cadence), and the retry hint
   /// sent with Wait replies.
@@ -101,7 +103,11 @@ class Coordinator {
 
   /// Runs the accept/lease/fold loop until every span has folded (or
   /// max_wait expires → ContractViolation), handing each accepted chunk to
-  /// `sink`. Call bind() first.
+  /// `sink`. Call bind() first. When a worker session may still be
+  /// redialing once the grid completes — this coordinator resumed from a
+  /// checkpoint, or lost a welcomed connection that has not re-helloed —
+  /// the loop then lingers for one lease_ttl window, answering every
+  /// LeaseReq with Done, before it closes the listener.
   void serve(CollectingSink& sink);
 
  private:
@@ -135,6 +141,10 @@ class Coordinator {
   std::uint64_t requeued_chunks_ = 0;
   std::uint64_t worker_reconnects_ = 0;
   std::uint64_t accepted_folds_ = 0;
+  /// Welcomed connections lost before the grid completed, less the
+  /// re-hellos since: positive while a session this coordinator lost may
+  /// still be redialing (serve's linger).
+  std::int64_t lost_sessions_ = 0;
   /// Last time a checkpointing sink returned from a fold (i.e. the
   /// checkpoint writer flushed); unset until the first flush.
   std::optional<WorkLedger::Clock::time_point> last_flush_;

@@ -110,49 +110,20 @@ void SimNetwork::file_plan(ProcId from, const Message& m,
   drops_.clear();
 }
 
+void SimNetwork::FnReceiver::receive(const TickItem* items,
+                                     std::size_t count) {
+  net.for_each_live(items, count, fn);
+}
+
 void SimNetwork::deliver_event(ProcId from, ProcId to, const Message& m,
                                std::uint64_t seq) {
-  if (crashes_.is_crashed(to)) {
-    ++stats_.dropped_receiver_crashed;
-    if (trace_ != nullptr) {
-      trace_message(TraceKind::Drop, to, from, m, seq + 1,
-                    DropCause::ReceiverCrashed);
-    }
-    return;
-  }
-  ++stats_.delivered;
-  if (trace_ != nullptr) {
-    trace_message(TraceKind::Deliver, to, from, m, seq + 1, DropCause::None);
-    // Causal context window: everything the handler records — the Sends it
-    // emits, phase starts, decides — is a consequence of this delivery.
-    trace_->set_context(seq + 1);
-  }
-  HYCO_CHECK_MSG(static_cast<bool>(deliver_), "network deliver fn not set");
-  deliver_(to, from, m);
-  if (trace_ != nullptr) trace_->clear_context();
+  const TickItem item{&m, seq, from, to, 0, TickItem::Kind::Deliver};
+  deliver_batch(&item, 1);
 }
 
 void SimNetwork::deliver_batch(const TickItem* items, std::size_t count) {
-  if (trace_ != nullptr) {
-    // Tracing wants a record per message; the cold per-event path already
-    // does exactly that.
-    DeliverSink::deliver_batch(items, count);
-    return;
-  }
-  HYCO_CHECK_MSG(static_cast<bool>(deliver_), "network deliver fn not set");
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const TickItem& it = items[i];
-    if (crashes_.is_crashed(it.to)) {
-      ++dropped;
-    } else {
-      ++delivered;
-      deliver_(it.to, it.from, *it.msg);
-    }
-  }
-  stats_.delivered += delivered;
-  stats_.dropped_receiver_crashed += dropped;
+  HYCO_CHECK_MSG(receiver_ != nullptr, "network receiver not set");
+  receiver_->receive(items, count);
 }
 
 void SimNetwork::send(ProcId from, ProcId to, const Message& m) {

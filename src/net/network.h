@@ -72,11 +72,27 @@ class INetwork {
 /// and the plan's delays come from one DelayModel::draw() call; a scenario
 /// plans each receiver in turn (release time, copy count, then each copy's
 /// delay), which is the draw order of sending copy by copy. Trace records
-/// follow the push, in plan order. The message comes straight back through
-/// deliver_batch() when a copy fires.
+/// follow the push, in plan order.
+///
+/// Copies come back one same-tick run at a time (deliver_batch), and the
+/// whole run goes to the network's Receiver in one call. The receiver walks
+/// it with for_each_live(), which it instantiates on its own concrete
+/// processes: the per-item crash test, the delivered/dropped counts and the
+/// traced path stay here, while the handler call inlines into the loop, so
+/// a delivery pays no indirect call.
 class SimNetwork final : public INetwork, private DeliverSink {
  public:
-  /// Called for each delivery to a live process.
+  /// Takes each same-tick run of deliveries; an implementation passes it to
+  /// for_each_live() with a handler of its concrete processes.
+  class Receiver {
+   public:
+    virtual void receive(const TickItem* items, std::size_t count) = 0;
+
+   protected:
+    ~Receiver() = default;  // never deleted through this interface
+  };
+
+  /// Called for each delivery to a live process (set_deliver).
   using DeliverFn = std::function<void(ProcId to, ProcId from, const Message&)>;
 
   /// All references must outlive the network. `plan` may be nullptr (no
@@ -86,9 +102,51 @@ class SimNetwork final : public INetwork, private DeliverSink {
              Trace* trace = nullptr);
   ~SimNetwork() override;
 
+  /// Installs the receiver of every delivery; it must outlive the traffic.
   /// Must be called before any traffic flows (the runner wires processes in
   /// after constructing the network).
-  void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
+  void set_receiver(Receiver& r) { receiver_ = &r; }
+
+  /// set_receiver() for a handler that is not typed: `fn` runs per live
+  /// delivery, through the same loop (for_each_live) as a typed receiver.
+  void set_deliver(DeliverFn fn) {
+    fn_receiver_.fn = std::move(fn);
+    receiver_ = &fn_receiver_;
+  }
+
+  /// The one delivery loop. Hands each delivery of a same-tick run whose
+  /// receiver is live to `fn(to, from, m)`, in run order, and counts it;
+  /// a copy to a crashed receiver is dropped and counted. The crash test
+  /// stays per item: a mid-broadcast crash fired from a handler can down
+  /// a receiver midway through the run. When tracing, every delivery and
+  /// drop is recorded, and a delivery's message id (seq + 1) is the
+  /// trace's causal context while `fn` runs, so the records its handler
+  /// makes (Sends, phase starts, decides) chain back to it.
+  template <class Fn>
+  void for_each_live(const TickItem* items, std::size_t count, Fn&& fn) {
+    Trace* const trace = trace_;
+    std::uint64_t delivered = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const TickItem& it = items[i];
+      if (crashes_.is_crashed(it.to)) {
+        if (trace != nullptr) {
+          trace_message(TraceKind::Drop, it.to, it.from, *it.msg, it.seq + 1,
+                        DropCause::ReceiverCrashed);
+        }
+        continue;
+      }
+      ++delivered;
+      if (trace != nullptr) {
+        trace_message(TraceKind::Deliver, it.to, it.from, *it.msg,
+                      it.seq + 1, DropCause::None);
+        trace->set_context(it.seq + 1);
+      }
+      fn(it.to, it.from, *it.msg);
+      if (trace != nullptr) trace->clear_context();
+    }
+    stats_.delivered += delivered;
+    stats_.dropped_receiver_crashed += count - delivered;
+  }
 
   /// Installs the run's fault-injection engine (nullptr = none). When set,
   /// every receiver's copies consult the engine: partitioned messages are
@@ -132,20 +190,20 @@ class SimNetwork final : public INetwork, private DeliverSink {
   void trace_message(TraceKind kind, ProcId proc, ProcId peer,
                      const Message& m, std::uint64_t mid, DropCause cause);
 
-  /// DeliverSink: a Deliver event fired — apply receiver-crash semantics and
-  /// hand the message to the wired-in deliver function. When tracing, the
-  /// message id (seq + 1) is recorded and set as the trace's causal context
-  /// for the duration of the handler, so records the handler makes (Sends,
-  /// phase starts, decides) chain back to this delivery.
+  /// set_deliver's receiver: for_each_live over the DeliverFn.
+  struct FnReceiver final : Receiver {
+    explicit FnReceiver(SimNetwork& n) : net(n) {}
+    void receive(const TickItem* items, std::size_t count) override;
+    SimNetwork& net;
+    DeliverFn fn;
+  };
+
+  /// DeliverSink: one Deliver event, as a run of one (deliver_batch).
   void deliver_event(ProcId from, ProcId to, const Message& m,
                      std::uint64_t seq) override;
 
-  /// DeliverSink: a same-tick run of deliveries in one call. Semantically
-  /// identical to deliver_event per item — the crash check, an inline
-  /// bitset test, stays per item (a mid-broadcast crash fired from a
-  /// handler can down a receiver midway through the run) — but hoists the
-  /// trace branch and the deliver-fn load out of the n² loop. Falls back to
-  /// the per-event path when tracing.
+  /// DeliverSink: a same-tick run of deliveries, handed whole to the
+  /// receiver.
   void deliver_batch(const TickItem* items, std::size_t count) override;
 
   Simulator& sim_;
@@ -155,7 +213,8 @@ class SimNetwork final : public INetwork, private DeliverSink {
   const CrashPlan* plan_;
   Trace* trace_;
   ScenarioEngine* scenario_ = nullptr;
-  DeliverFn deliver_;
+  Receiver* receiver_ = nullptr;
+  FnReceiver fn_receiver_{*this};
   std::vector<std::int32_t> broadcast_counts_;
   std::vector<ProcId> everyone_;  ///< 0 … n-1: a broadcast's receivers
   std::vector<ProcId> scratch_;   ///< reusable mid-broadcast target buffer

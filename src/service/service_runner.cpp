@@ -128,9 +128,22 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
           }
         }));
   }
-  net.set_deliver([&tobs](ProcId to, ProcId from, const Message& m) {
-    tobs[static_cast<std::size_t>(to)]->on_message(from, m);
-  });
+  // Typed delivery: each same-tick run goes straight into the replicas'
+  // total-order broadcast processes.
+  struct TobReceiver final : SimNetwork::Receiver {
+    TobReceiver(SimNetwork& n, std::vector<std::unique_ptr<TobProcess>>& t)
+        : net(n), tobs(t) {}
+    void receive(const TickItem* items, std::size_t count) override {
+      net.for_each_live(items, count,
+                        [this](ProcId to, ProcId from, const Message& m) {
+                          tobs[static_cast<std::size_t>(to)]->on_message(
+                              from, m);
+                        });
+    }
+    SimNetwork& net;
+    std::vector<std::unique_ptr<TobProcess>>& tobs;
+  } receiver(net, tobs);
+  net.set_receiver(receiver);
 
   world.schedule_crashes();
   // Scenario crash-recovery cycles: the replica's state survives (crash-

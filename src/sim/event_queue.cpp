@@ -127,6 +127,7 @@ void EventQueue::migrate_from_heap() {
     const Target target = refs_.front();
     heap_pop_top();
     append_to_bucket(buckets_[d & mask_], Entry{key_seq(k), target});
+    ++cal_count_;
   }
   overflow_pushes_ = 0;
 }
@@ -142,6 +143,13 @@ void EventQueue::maybe_widen() {
   nb_ <<= 1;
   mask_ = nb_ - 1;
   buckets_.resize(nb_);
+}
+
+void EventQueue::push_overflow(SimTime at, std::uint64_t seq, Target target) {
+  heap_.push_back(make_key(at, seq));
+  refs_.push_back(target);
+  sift_up(heap_.size() - 1);
+  ++overflow_pushes_;
 }
 
 void EventQueue::heap_pop_top() {

@@ -147,7 +147,9 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(pool_.size());
       pool_.push_back(std::move(fn));
     }
-    const std::uint64_t seq = route_new(at, Target{slot, -1});
+    RouteState r = route_state();
+    const std::uint64_t seq = route(r, at, Target{slot, -1});
+    store(r);
     note_size();
     return seq;
   }
@@ -190,10 +192,13 @@ class EventQueue {
     }
     HYCO_CHECK_MSG(min_delay >= 0, "negative delay " << min_delay);
     payload(idx).refs += static_cast<std::uint32_t>(copies.size());
-    const std::uint64_t first = next_seq_;
+    RouteState r = route_state();
+    const std::uint64_t first = r.seq;
+    const std::uint32_t ref = idx | kDeliverBit;
     for (const FanoutCopy& c : copies) {
-      route_new(at + c.delay, Target{idx | kDeliverBit, c.to});
+      route(r, at + c.delay, Target{ref, c.to});
     }
+    store(r);
     note_size();  // the size only grew during the fan-out
     return first;
   }
@@ -370,22 +375,49 @@ class EventQueue {
     return slab_[idx >> kChunkBits][idx & (kChunkSize - 1)].p;
   }
 
+  /// What routing a push reads and writes, copied out of the members for
+  /// the length of one push (route_state) and written back once (store).
+  /// An entry store may alias any of these 64-bit members, so a fan-out
+  /// that routed through the members would reload and re-store each of
+  /// them per copy; no entry store can touch a local copy.
+  struct RouteState {
+    std::uint64_t seq;         ///< next_seq_
+    std::size_t cal_count;     ///< cal_count_
+    std::uint64_t base_day;    ///< base_day_
+    std::uint64_t cursor_day;  ///< cursor_day_ (read only)
+    std::uint64_t nb;          ///< nb_ (read only)
+    std::uint64_t mask;        ///< mask_ (read only)
+    Bucket* buckets;           ///< buckets_.data() (read only)
+  };
+
+  RouteState route_state() {
+    return {next_seq_, cal_count_, base_day_, cursor_day_,
+            nb_,       mask_,      buckets_.data()};
+  }
+  void store(const RouteState& r) {
+    next_seq_ = r.seq;
+    cal_count_ = r.cal_count;
+    base_day_ = r.base_day;
+  }
+
   /// Files a freshly pushed event (checked: at or after the cursor) into
-  /// the calendar window or the overflow heap. Returns the assigned
-  /// insertion sequence. The caller updates the peak size (note_size).
-  std::uint64_t route_new(SimTime at, Target target) {
-    const std::uint64_t seq = next_seq_++;
+  /// the calendar window or the overflow heap, under `r`. Returns the
+  /// assigned insertion sequence. The caller stores `r` back and updates
+  /// the peak size (note_size).
+  std::uint64_t route(RouteState& r, SimTime at, Target target) {
+    const std::uint64_t seq = r.seq++;
     const std::uint64_t d = day(at);
-    const Entry e{seq, target};
-    if (d - base_day_ < nb_) {
-      append_to_bucket(buckets_[d & mask_], e);
-    } else if (empty() && d - cursor_day_ < nb_) {
-      base_day_ = cursor_day_;  // empty queue: slide the window to the cursor
-      append_to_bucket(buckets_[d & mask_], e);
-    } else {
-      heap_push(make_key(at, seq), e.target);
-      ++overflow_pushes_;
+    if (d - r.base_day >= r.nb) {
+      if (r.cal_count == 0 && heap_.empty() && d - r.cursor_day < r.nb) {
+        // Empty queue: slide the window to the cursor.
+        r.base_day = r.cursor_day;
+      } else {
+        push_overflow(at, seq, target);
+        return seq;
+      }
     }
+    append_to_bucket(r.buckets[d & r.mask], Entry{seq, target});
+    ++r.cal_count;
     return seq;
   }
 
@@ -394,6 +426,7 @@ class EventQueue {
     if (sz > peak_) peak_ = sz;
   }
 
+  /// Appends `e` to day `b`; the caller counts it in cal_count.
   void append_to_bucket(Bucket& b, const Entry& e) {
     if (b.first == nullptr) {
       b.first = b.last = take_block();
@@ -404,7 +437,6 @@ class EventQueue {
       b.fill = 0;
     }
     b.last->items[b.fill++] = e;
-    ++cal_count_;
   }
 
   Block* take_block() {
@@ -441,11 +473,10 @@ class EventQueue {
     pending_frees_.clear();
   }
 
-  void heap_push(Key k, Target t) {
-    heap_.push_back(k);
-    refs_.push_back(t);
-    sift_up(heap_.size() - 1);
-  }
+  /// route()'s cold path: files an event past the window into the
+  /// overflow heap. Out of line, so that a fan-out's per-copy loop keeps
+  /// its routing state in registers instead of spilling it to the stack.
+  void push_overflow(SimTime at, std::uint64_t seq, Target target);
 
   /// Removes the heap minimum (caller has already read front()).
   void heap_pop_top();

@@ -19,6 +19,7 @@
 #include <memory>
 #include <new>
 
+#include "baseline/ben_or.h"
 #include "core/cluster_layout.h"
 #include "core/invariant_checker.h"
 #include "core/local_coin_process.h"
@@ -256,6 +257,44 @@ TEST(AllocFree, RoundRecordsAllocateOncePerDoubling) {
   EXPECT_TRUE(checker.ok());
   EXPECT_EQ(doublings, 7);
   EXPECT_LE(allocated, 4u * static_cast<std::uint64_t>(1 + doublings));
+}
+
+TEST(AllocFree, BenOrTalliesAllocateOncePerDoubling) {
+  // A Ben-Or process at n = 16 runs rounds 1..1000: nine senders close
+  // each phase (majority 9 > 8), and phase 2's {1, ⊥} moves it on with
+  // est1 = 1, no coin. Each round also brings round r + 1's phase 1 early,
+  // so received rounds size the storage ahead of the process's own. Its
+  // two tally vectors may each allocate for their first growth, which
+  // holds 8 rounds, and once each per doubling, capped at max_rounds'
+  // slots. No round allocates on its own account.
+  constexpr Round kRounds = 1000;
+  int growths = 1;
+  for (Round held = 8; held < kRounds; held *= 2) ++growths;
+  CountingNetwork net;
+  BenOrProcess proc(0, 16, net, 1, kRounds);
+  const std::uint64_t before = allocations();
+  proc.start(Estimate::One);
+  for (Round r = 1; r <= kRounds; ++r) {
+    if (r < kRounds) {
+      proc.on_message(15, Message::phase_msg(r + 1, Phase::One, Estimate::One));
+    }
+    for (ProcId q = 1; q <= 9; ++q) {
+      proc.on_message(q, Message::phase_msg(r, Phase::One, Estimate::One));
+    }
+    for (ProcId q = 1; q <= 9; ++q) {
+      proc.on_message(q, Message::phase_msg(r, Phase::Two,
+                                            q == 1 ? Estimate::One
+                                                   : Estimate::Bot));
+    }
+  }
+  const std::uint64_t allocated = allocations() - before;
+  EXPECT_TRUE(proc.parked());
+  EXPECT_FALSE(proc.decided());
+  EXPECT_EQ(proc.current_round(), kRounds);
+  EXPECT_EQ(proc.stats().coin_flips, 0u);
+  EXPECT_EQ(net.broadcasts, 2u * kRounds);
+  EXPECT_EQ(growths, 8);
+  EXPECT_LE(allocated, 2u * static_cast<std::uint64_t>(growths));
 }
 
 TEST(AllocFree, EventQueueDaysRecycleBlocksWithoutAllocating) {

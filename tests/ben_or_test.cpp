@@ -3,7 +3,9 @@
 // safety across seeds.
 #include <gtest/gtest.h>
 
+#include "baseline/ben_or.h"
 #include "core/runner.h"
+#include "util/assert.h"
 #include "workload/failure_patterns.h"
 
 namespace hyco {
@@ -23,6 +25,28 @@ TEST(BenOr, UnanimousOneRound) {
   ASSERT_TRUE(r.success());
   EXPECT_EQ(r.decided_value, Estimate::One);
   EXPECT_EQ(r.max_decision_round, 1);
+}
+
+TEST(BenOr, PhaseRoundOutsideMaxRoundsIsRejected) {
+  // A live peer parks at max_rounds and never sends a later round, so the
+  // tallies never grow past it; a round outside [1, max_rounds] is a bug.
+  class Silent final : public INetwork {
+   public:
+    void send(ProcId, ProcId, const Message&) override {}
+    void broadcast(ProcId, const Message&) override {}
+    [[nodiscard]] ProcId n() const override { return 4; }
+    [[nodiscard]] bool crashed(ProcId) const override { return false; }
+  } net;
+  BenOrProcess proc(0, 4, net, 1, 10);
+  proc.start(Estimate::One);
+  EXPECT_FALSE(
+      proc.on_message(1, Message::phase_msg(10, Phase::Two, Estimate::One)));
+  EXPECT_THROW(
+      proc.on_message(1, Message::phase_msg(11, Phase::One, Estimate::One)),
+      ContractViolation);
+  EXPECT_THROW(
+      proc.on_message(1, Message::phase_msg(0, Phase::One, Estimate::One)),
+      ContractViolation);
 }
 
 TEST(BenOr, MajorityInputUsuallyWins) {

@@ -552,6 +552,10 @@ TEST(DistributedSweep, TwoWorkersMatchLocalByteForByte) {
   std::uint64_t folded = 0;
   std::size_t connections = 0;
   CoordinatorOptions opts = test_coordinator_options();
+  // The held session is dropped and never re-hellos, so the completed
+  // coordinator lingers one lease TTL for it: keep the window short (it
+  // still far outlasts the moments the held lease must stay leased).
+  opts.lease_ttl = std::chrono::seconds(2);
   opts.progress = [&](std::uint64_t runs, std::uint64_t, std::size_t conns) {
     {
       const std::lock_guard<std::mutex> lock(mu);
@@ -613,8 +617,12 @@ TEST(DistributedSweep, WorkerKilledMidChunkLeavesOutputIdentical) {
   const auto cells = spec.expand();
   const std::uint64_t fp = grid_fingerprint(cells);
 
+  // The killed session never re-hellos, so the completed coordinator
+  // lingers one lease TTL for it: keep the window short.
+  CoordinatorOptions opts = test_coordinator_options();
+  opts.lease_ttl = std::chrono::seconds(2);
   const std::string distributed =
-      serve_grid(spec, test_coordinator_options(), [&](std::uint16_t port) {
+      serve_grid(spec, std::move(opts), [&](std::uint16_t port) {
         // The "killed" worker: completes the handshake, takes a lease, and
         // vanishes without folding it. Its chunk must re-queue.
         const int fd = take_one_lease(port, fp, cells.size());
@@ -742,19 +750,22 @@ TEST(DistributedSweep, WorkerRidesOutSeveredConnections) {
   EXPECT_EQ(distributed, reference_artifacts(spec));
 }
 
-TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
-  // Full failover drill: the coordinator checkpoint-appends every fold,
-  // dies abruptly after three (every socket torn down, no Done — the
-  // injected SIGKILL), and a second coordinator resumes from the
-  // checkpoint on the *same port*. The workers, started before the crash,
-  // ride it out with backoff + re-hello. Checkpointed chunks merge under
-  // the restarted run's results; the combined artifacts must be
-  // byte-identical to a never-crashed run.
-  //
-  // Both workers rejoin by construction, not by timing: a raw session
-  // holds one of the resumed grid's chunks, so the grid cannot finish
-  // (and close the port) before both workers are back, and it lets go
-  // once all three connections are up.
+/// Full failover drill: the coordinator checkpoint-appends every fold,
+/// dies abruptly after three (every socket torn down, no Done — the
+/// injected SIGKILL), and a second coordinator resumes from the checkpoint
+/// on the *same port*. Two workers, started before the crash, ride it out
+/// with backoff + re-hello. Checkpointed chunks merge under the restarted
+/// run's results; the combined artifacts must be byte-identical to a
+/// never-crashed run, and both workers must report the grid complete.
+///
+/// With `hold_lease`, both workers rejoin by construction, not by timing:
+/// a raw session holds one of the resumed grid's chunks, so the grid
+/// cannot finish before both workers are back, and it lets go once all
+/// three connections are up. Without it, the second worker redials
+/// slower than the first drains the resumed grid, so it comes back to a
+/// completed grid: the resumed coordinator's linger must answer it with
+/// Done, or it redials until its budget runs out.
+void crash_and_resume(bool hold_lease) {
   const ExperimentSpec spec = dist_spec();
   const auto cells = spec.expand();
   const std::uint64_t fp = grid_fingerprint(cells);
@@ -780,9 +791,16 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   wopts.reconnect_attempts = 200;
   wopts.reconnect_base = std::chrono::milliseconds(10);
   wopts.reconnect_cap = std::chrono::milliseconds(100);
+  dist::WorkerOptions slow = wopts;
+  if (!hold_lease) {
+    // First redial 150–450 ms after the crash; ~12 s of budget in all.
+    slow.reconnect_attempts = 40;
+    slow.reconnect_base = std::chrono::milliseconds(300);
+    slow.reconnect_cap = std::chrono::milliseconds(300);
+  }
   dist::WorkerReport r1, r2;
   std::thread w1([&] { r1 = dist::run_worker(cells, fp, wopts); });
-  std::thread w2([&] { r2 = dist::run_worker(cells, fp, wopts); });
+  std::thread w2([&] { r2 = dist::run_worker(cells, fp, slow); });
 
   bool crashed = false;
   try {
@@ -806,6 +824,9 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   int held = -1;
   CoordinatorOptions opts2 = test_coordinator_options();
   opts2.port = port;  // the endpoint the workers keep redialing
+  // The resumed coordinator lingers one lease TTL after the grid
+  // completes; the workers redial every 450 ms at most.
+  opts2.lease_ttl = std::chrono::seconds(2);
   opts2.progress = [&](std::uint64_t, std::uint64_t, std::size_t conns) {
     if (conns == 3 && held >= 0) {
       ::close(held);
@@ -814,11 +835,14 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   };
   Coordinator second(cells, plan.spans, fp, std::move(opts2));
   second.bind();
-  // Sent before serve() starts: the coordinator reads the LeaseReq with
-  // the Hello, while a worker needs a Welcome round trip per lease, so
-  // the raw session's lease comes before the workers could drain the grid.
-  held = request_one_lease(port, fp, cells.size());
-  ASSERT_GE(held, 0);
+  if (hold_lease) {
+    // Sent before serve() starts: the coordinator reads the LeaseReq with
+    // the Hello, while a worker needs a Welcome round trip per lease, so
+    // the raw session's lease comes before the workers could drain the
+    // grid.
+    held = request_one_lease(port, fp, cells.size());
+    ASSERT_GE(held, 0);
+  }
   CollectingSink sink(cells, {});
   sink.resume(std::move(plan.checkpoint));
   second.serve(sink);
@@ -829,6 +853,14 @@ TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
   EXPECT_GE(r1.reconnects + r2.reconnects, 1u);
   EXPECT_EQ(render_artifacts(spec.name, sink.take_results()),
             reference_artifacts(spec));
+}
+
+TEST(DistributedSweep, CoordinatorCrashAndResumeMatchesByteForByte) {
+  crash_and_resume(/*hold_lease=*/true);
+}
+
+TEST(DistributedSweep, ResumedCoordinatorAnswersWorkersStillRedialing) {
+  crash_and_resume(/*hold_lease=*/false);
 }
 
 // ---- health endpoint + distributed obs metrics ------------------------------
@@ -876,6 +908,9 @@ TEST(DistributedSweep, HealthEndpointServesMonotonicProgress) {
   CoordinatorOptions opts = test_coordinator_options();
   opts.health_port = 0;  // ephemeral
   opts.lease_grain = 16;
+  // The manual worker below vanishes and never re-hellos, so the completed
+  // coordinator lingers one lease TTL for it: keep the window short.
+  opts.lease_ttl = std::chrono::seconds(2);
   Coordinator coordinator(cells, full_spans(cells), fp, std::move(opts));
   coordinator.bind();
   const std::uint16_t hport = coordinator.health_port();

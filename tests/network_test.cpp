@@ -365,6 +365,103 @@ TEST(SimNetwork, BroadcastMatchesSendsFaultFreeTraced) {
   EXPECT_EQ(sent, delivered);
 }
 
+/// A network at n = 6 whose p1 crashes inside its first broadcast after
+/// reaching two receivers, with every delivery logged (as in NetFixture)
+/// through a typed SimNetwork::Receiver or, with `typed` off, through the
+/// set_deliver adapter. Each process that receives a wave-0 message
+/// broadcasts a wave-1 reply from its handler.
+struct HandlerCrashTwin final : SimNetwork::Receiver {
+  static constexpr ProcId kN = 6;
+
+  static CrashPlan plan() {
+    CrashPlan p = CrashPlan::none(kN);
+    p.specs[1] = CrashSpec::on_broadcast(0, 2);
+    return p;
+  }
+
+  explicit HandlerCrashTwin(bool typed)
+      : sim(5), delay(10), tracker(kN), crashes(plan()),
+        net(sim, delay, tracker, kN, &crashes) {
+    if (typed) {
+      net.set_receiver(*this);
+    } else {
+      net.set_deliver([this](ProcId to, ProcId from, const Message& m) {
+        handle(to, from, m);
+      });
+    }
+  }
+
+  void receive(const TickItem* items, std::size_t count) override {
+    net.for_each_live(items, count,
+                      [this](ProcId to, ProcId from, const Message& m) {
+                        handle(to, from, m);
+                      });
+  }
+
+  void handle(ProcId to, ProcId from, const Message& m) {
+    log.push_back({sim.now(), to, from, m});
+    if (m.value == 0) net.broadcast(to, Message::value_msg(to, 1));
+  }
+
+  struct Delivery {
+    SimTime at;
+    ProcId to;
+    ProcId from;
+    Message m;
+    bool operator==(const Delivery&) const = default;
+  };
+
+  Simulator sim;
+  ConstantDelay delay;
+  CrashTracker tracker;
+  CrashPlan crashes;
+  SimNetwork net;
+  std::vector<Delivery> log;
+};
+
+TEST(SimNetwork, HandlerCrashDropsTheRestOfItsTickRun) {
+  // p0 and p2 broadcast at 0, so all twelve copies land in one tick run at
+  // 10, p0's first. p1's handler of p0's message is its first broadcast,
+  // a scripted mid-broadcast crash: p2's copy to p1, later in the same run,
+  // must be dropped and counted, and the typed receiver must see exactly
+  // what the set_deliver adapter sees.
+  const auto run = [](bool typed) {
+    auto twin = std::make_unique<HandlerCrashTwin>(typed);
+    twin->net.broadcast(0, Message::value_msg(0, 0));
+    twin->net.broadcast(2, Message::value_msg(2, 0));
+    twin->sim.run();
+    return twin;
+  };
+  const auto typed = run(true);
+  const auto adapter = run(false);
+  EXPECT_EQ(typed->log, adapter->log);
+  const NetStats& a = typed->net.stats();
+  const NetStats& b = adapter->net.stats();
+  EXPECT_EQ(a.unicasts_sent, b.unicasts_sent);
+  EXPECT_EQ(a.broadcasts, b.broadcasts);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.dropped_sender_crashed, b.dropped_sender_crashed);
+  EXPECT_EQ(a.dropped_receiver_crashed, b.dropped_receiver_crashed);
+
+  ASSERT_TRUE(typed->tracker.is_crashed(1));
+  const auto wave0 = [&](ProcId to, ProcId from) {
+    return std::count_if(typed->log.begin(), typed->log.end(),
+                         [&](const HandlerCrashTwin::Delivery& d) {
+                           return d.at == 10 && d.to == to && d.from == from;
+                         });
+  };
+  EXPECT_EQ(wave0(1, 0), 1);  // delivered: it fired the crash
+  EXPECT_EQ(wave0(1, 2), 0);  // dropped later in the same run
+  EXPECT_EQ(wave0(3, 2), 1);  // the rest of the run still flows
+  // p1's second wave-0 copy and any of its own two crash copies to itself
+  // are dropped at p1; everything else scheduled is delivered.
+  EXPECT_GE(a.dropped_receiver_crashed, 1u);
+  EXPECT_EQ(a.delivered + a.dropped_receiver_crashed, a.unicasts_sent);
+  // Two wave-0 broadcasts of 6 copies; then two wave-1 replies of 6 from
+  // each of the five processes that stay up, and crashed p1's 2 copies.
+  EXPECT_EQ(a.unicasts_sent, 12u + 5u * 2 * 6 + 2);
+}
+
 TEST(SimNetwork, OutOfRangeIdsThrow) {
   NetFixture f(2);
   EXPECT_THROW(f.net.send(0, 5, msg()), ContractViolation);

@@ -3,6 +3,7 @@
 // algorithms (the Section III-C hybrid-side counts).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -338,6 +339,110 @@ TEST(Runner, DecidedBeforeStartEntersNoRound) {
       }
     }
     EXPECT_GT(early, 0) << to_cstring(alg);
+  }
+}
+
+/// The config of `alg` on eight processes (m&m on a ring domain, the
+/// others on even(8, 3)) at `seed`.
+RunConfig eight_process_config(Algorithm alg, std::uint64_t seed) {
+  std::vector<std::pair<ProcId, ProcId>> ring;
+  for (ProcId p = 0; p < 8; ++p) ring.emplace_back(p, (p + 1) % 8);
+  RunConfig cfg = alg == Algorithm::Mm ? RunConfig(MmDomain(8, ring))
+                                       : RunConfig(ClusterLayout::even(8, 3));
+  cfg.alg = alg;
+  cfg.seed = seed;
+  return cfg;
+}
+
+constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::HybridLocalCoin, Algorithm::HybridCommonCoin,
+    Algorithm::BenOr, Algorithm::Mm};
+
+TEST(Runner, DecisionsInOneTickRunStampThatTick) {
+  // Over constant delays the first decider's DECIDE reaches every process
+  // in one tick run, and each process still undecided decides inside it.
+  // last_decision_time must be that tick's time, for both of the typed
+  // receiver's process types. A process decides where it sends its DECIDE
+  // (Ben-Or and m&m record no Decide), under the delivery that decided it.
+  for (const Algorithm alg : kAllAlgorithms) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      RunConfig cfg = eight_process_config(alg, seed);
+      cfg.delays = DelayConfig::constant_of(100);
+      Trace trace(1 << 16);
+      cfg.enable_trace = true;
+      cfg.trace_sink = &trace;
+      const RunResult r = run_consensus(cfg);
+      ASSERT_TRUE(r.success()) << to_cstring(alg) << " seed " << seed;
+      ASSERT_EQ(trace.recorded(), trace.size());
+      std::vector<std::optional<TraceRecord>> first_decide(8);
+      trace.for_each([&](const TraceRecord& rec) {
+        auto& first = first_decide[static_cast<std::size_t>(rec.proc)];
+        if (rec.kind == TraceKind::Send && rec.msg.kind == MsgKind::Decide &&
+            !first) {
+          first = rec;
+        }
+      });
+      SimTime last = -1;
+      for (const auto& rec : first_decide) {
+        ASSERT_TRUE(rec.has_value()) << to_cstring(alg) << " seed " << seed;
+        last = std::max(last, rec->at);
+      }
+      int in_last_run = 0;
+      for (const auto& rec : first_decide) {
+        in_last_run += rec->at == last && rec->parent != 0 ? 1 : 0;
+      }
+      EXPECT_GE(in_last_run, 2) << to_cstring(alg) << " seed " << seed;
+      EXPECT_EQ(r.last_decision_time, last)
+          << to_cstring(alg) << " seed " << seed;
+    }
+  }
+}
+
+TEST(Runner, TracedAndUntracedRunsAgree) {
+  // Tracing takes the same delivery loop with a record and a causal
+  // context around each handler; it must not change what any process
+  // does. Every algorithm, with a mid-broadcast crash and a timed one.
+  for (const Algorithm alg : kAllAlgorithms) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      RunConfig cfg = eight_process_config(alg, seed);
+      cfg.crashes = CrashPlan::none(8);
+      cfg.crashes.specs[2] = CrashSpec::on_broadcast(1, 3);
+      cfg.crashes.specs[5] = CrashSpec::at_time(120);
+      const RunResult plain = run_consensus(cfg);
+      Trace trace(1 << 16);
+      cfg.enable_trace = true;
+      cfg.trace_sink = &trace;
+      const RunResult traced = run_consensus(cfg);
+      const std::string what =
+          std::string(to_cstring(alg)) + " seed " + std::to_string(seed);
+      EXPECT_GT(trace.recorded(), 0u) << what;
+      EXPECT_EQ(plain.decisions, traced.decisions) << what;
+      EXPECT_EQ(plain.decision_rounds, traced.decision_rounds) << what;
+      EXPECT_EQ(plain.max_round, traced.max_round) << what;
+      EXPECT_EQ(plain.last_decision_time, traced.last_decision_time) << what;
+      EXPECT_EQ(plain.end_time, traced.end_time) << what;
+      EXPECT_EQ(plain.events, traced.events) << what;
+      EXPECT_EQ(plain.crashed, traced.crashed) << what;
+      ASSERT_EQ(plain.proc_stats.size(), traced.proc_stats.size()) << what;
+      for (std::size_t p = 0; p < plain.proc_stats.size(); ++p) {
+        const ProcessStats& a = plain.proc_stats[p];
+        const ProcessStats& b = traced.proc_stats[p];
+        EXPECT_EQ(a.cons_invocations, b.cons_invocations) << what << " p" << p;
+        EXPECT_EQ(a.coin_flips, b.coin_flips) << what << " p" << p;
+        EXPECT_EQ(a.phase_msgs_handled, b.phase_msgs_handled)
+            << what << " p" << p;
+        EXPECT_EQ(a.rounds_entered, b.rounds_entered) << what << " p" << p;
+      }
+      const NetStats& a = plain.net;
+      const NetStats& b = traced.net;
+      EXPECT_EQ(a.unicasts_sent, b.unicasts_sent) << what;
+      EXPECT_EQ(a.broadcasts, b.broadcasts) << what;
+      EXPECT_EQ(a.delivered, b.delivered) << what;
+      EXPECT_EQ(a.dropped_sender_crashed, b.dropped_sender_crashed) << what;
+      EXPECT_EQ(a.dropped_receiver_crashed, b.dropped_receiver_crashed)
+          << what;
+      EXPECT_GT(a.dropped_receiver_crashed, 0u) << what;
+    }
   }
 }
 
