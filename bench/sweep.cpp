@@ -33,7 +33,6 @@
 #include "obs/trace_export.h"
 #include "scenario/engine.h"
 #include "scenario/scenario.h"
-#include "service/service_runner.h"
 #include "sim/trace.h"
 #include "util/assert.h"
 #include "util/log.h"
@@ -455,9 +454,8 @@ int main(int argc, char** argv) {
     const bool want_trace = opts.has("trace-out");
     std::string trace_path;
     std::uint64_t trace_cell = 0;
-    std::uint64_t trace_run = 0;
+    std::uint64_t traced_run = 0;
     bool trace_binary = false;
-    std::size_t trace_cap = 1 << 16;
     if (want_trace) {
       trace_path = opts.get_string("trace-out");
       HYCO_CHECK_MSG(!trace_path.empty(), "--trace-out needs a path (or -)");
@@ -473,24 +471,28 @@ int main(int argc, char** argv) {
                          static_cast<std::uint64_t>(run_flag) < cell_runs,
                      "--trace-run must be in [0, " << cell_runs << "), got "
                          << run_flag);
-      trace_run = static_cast<std::uint64_t>(run_flag);
+      traced_run = static_cast<std::uint64_t>(run_flag);
       const std::string fmt = opts.get_string("trace-format", "jsonl");
       HYCO_CHECK_MSG(fmt == "jsonl" || fmt == "binary",
                      "--trace-format: unknown format \"" << fmt
                          << "\" (want jsonl | binary)");
       trace_binary = fmt == "binary";
-      const auto cap_flag = opts.get_int("trace-cap", 1 << 16);
-      HYCO_CHECK_MSG(cap_flag >= 1 && cap_flag <= 100'000'000,
-                     "--trace-cap must be in [1, 100000000] records, got "
-                         << cap_flag);
-      trace_cap = static_cast<std::size_t>(cap_flag);
     } else {
-      for (const char* orphan :
-           {"trace-cell", "trace-run", "trace-format", "trace-cap"}) {
+      for (const char* orphan : {"trace-cell", "trace-run", "trace-format"}) {
         HYCO_CHECK_MSG(!opts.has(orphan), "--" << orphan
                            << " needs --trace-out=PATH to apply to");
       }
     }
+    // One ring capacity for both traced re-runs, --trace-out's and
+    // --replay's.
+    const auto cap_flag = opts.get_int("trace-cap", 1 << 16);
+    HYCO_CHECK_MSG(want_trace || replay_flag > 0 || !opts.has("trace-cap"),
+                   "--trace-cap needs --trace-out=PATH or --replay=N to"
+                   " apply to");
+    HYCO_CHECK_MSG(cap_flag >= 1 && cap_flag <= 100'000'000,
+                   "--trace-cap must be in [1, 100000000] records, got "
+                       << cap_flag);
+    const auto trace_cap = static_cast<std::size_t>(cap_flag);
 
     // Worker mode: lease chunks from the coordinator and ship accumulators
     // back; the grid definition stays local (fingerprint-checked).
@@ -744,32 +746,17 @@ int main(int argc, char** argv) {
     }
 
     // Structured trace export: re-run the selected (cell, run) bit-exactly
-    // — seeds are pure functions of the spec — with tracing into a caller-
-    // owned ring, then export the structured records.
+    // — seeds are pure functions of the spec — into a ring of --trace-cap
+    // records, then export the structured records.
     if (want_trace) {
-      const ExperimentCell& cell = cells[trace_cell];
       Trace trace(trace_cap);
-      if (cell.service.enabled) {
-        ServiceRunConfig cfg = cell.service_run_config(trace_run);
-        cfg.enable_trace = true;
-        cfg.trace_sink = &trace;
-        (void)run_service(cfg);
-      } else {
-        RunConfig cfg = cell.run_config(trace_run);
-        cfg.enable_trace = true;
-        cfg.trace_sink = &trace;
-        (void)run_consensus(cfg);
-      }
-      if (trace.recorded() > trace.size()) {
+      const obs::TraceMeta meta =
+          trace_run(cells[trace_cell], traced_run, trace).meta;
+      if (meta.truncated) {
         HYCO_WARN("trace ring wrapped: recorded "
-                  << trace.recorded() << " events, kept the trailing "
+                  << meta.recorded << " events, kept the trailing "
                   << trace.size() << " (raise --trace-cap for the full run)");
       }
-      obs::TraceMeta meta;
-      meta.cell = trace_cell;
-      meta.run = trace_run;
-      meta.seed = cell.seed_for(trace_run);
-      meta.label = cell.label();
       const auto emit = [&](std::ostream& out) {
         if (trace_binary) {
           obs::write_trace_binary(out, meta, trace);
@@ -787,16 +774,15 @@ int main(int argc, char** argv) {
                                        << "\" for writing");
         emit(out);
       }
-      std::cerr << "sweep: traced cell " << trace_cell << " run " << trace_run
-                << " (seed " << meta.seed << ", " << trace.recorded()
+      std::cerr << "sweep: traced cell " << trace_cell << " run " << traced_run
+                << " (seed " << meta.seed << ", " << meta.recorded
                 << " events) -> " << trace_path << "\n";
     }
 
     if (replay_flag > 0) {
-      const auto reports = replay_failures(
-          results, static_cast<std::size_t>(replay_flag));
-      std::cout << "replayed " << reports.size() << " failing run(s)\n";
-      dump_replays(std::cout, reports);
+      Trace ring(trace_cap);
+      replay_failures(std::cout, results,
+                      static_cast<std::size_t>(replay_flag), ring);
     }
   } catch (const ContractViolation& e) {
     std::cerr << "sweep: " << e.what() << '\n';

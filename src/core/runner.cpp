@@ -58,16 +58,9 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
     : cfg_(std::move(cfg)),
       inputs_(cfg_.inputs.empty() ? split_inputs(cfg_.layout.n())
                                   : cfg_.inputs),
-      // Record into the caller's ring when one is supplied (structured
-      // export keeps the records); otherwise a run-local ring backs
-      // trace_dump. With tracing off the network gets no trace at all, so
-      // call sites skip even building the records.
-      local_trace_(cfg_.enable_trace && cfg_.trace_sink == nullptr
-                       ? std::make_unique<Trace>()
-                       : nullptr),
-      trace_(!cfg_.enable_trace           ? nullptr
-             : cfg_.trace_sink != nullptr ? cfg_.trace_sink
-                                          : local_trace_.get()),
+      // With tracing off the network gets no trace at all, so call sites
+      // skip even building the records.
+      trace_(trace_ring(cfg_.enable_trace, cfg_.trace_sink)),
       world_(cfg_.layout.n(), cfg_.seed, cfg_.crashes,
              cfg_.delay_factory ? cfg_.delay_factory()
                                 : make_delay_model(cfg_.delays),
@@ -226,12 +219,6 @@ RunResult ConsensusRun::finish() {
   result_.obs[obs::ObsId::kRounds] =
       static_cast<std::uint64_t>(result_.max_decision_round);
   if (timings_ != nullptr) timings_->fill(result_.obs);
-
-  if (local_trace_ != nullptr) {
-    std::ostringstream os;
-    local_trace_->dump(os);
-    result_.trace_dump = os.str();
-  }
   return std::move(result_);
 }
 

@@ -88,12 +88,11 @@ struct RunConfig {
   /// coin.
   double coin_epsilon = 0.0;
 
+  /// Event tracing: with enable_trace, the run records into the caller-
+  /// owned trace_sink, which keeps the records for export
+  /// (src/obs/trace_export.h). enable_trace without a sink is a
+  /// ContractViolation (a run keeps no ring of its own).
   bool enable_trace = false;
-
-  /// When set (with enable_trace), events are recorded into this caller-
-  /// owned ring instead of a run-local one — the caller keeps the structured
-  /// records for export (src/obs/trace_export.h), and trace_dump stays
-  /// empty.
   Trace* trace_sink = nullptr;
 
   /// Collect per-phase latency timings via an observer on each process.
@@ -128,8 +127,6 @@ struct RunResult {
   StopReason stop = StopReason::Quiescent;
   std::size_t crashed = 0;    ///< processes down at the end of the run
   std::size_t recovered = 0;  ///< crash-recovery rejoins executed
-  /// The run-local ring rendered as text (enable_trace without trace_sink).
-  std::string trace_dump;
 
   /// Observability sample: message-class counters always; phase timings
   /// only when cfg.collect_obs (zero otherwise).
@@ -198,9 +195,7 @@ class ConsensusRun final : private SimNetwork::Receiver {
 
   RunConfig cfg_;
   std::vector<Estimate> inputs_;
-  /// Backs trace_dump when tracing is on without a caller's trace_sink.
-  std::unique_ptr<Trace> local_trace_;
-  Trace* trace_;  ///< the ring being recorded into; null when untraced
+  Trace* trace_;  ///< the caller's ring being recorded into; null untraced
   World world_;
   std::unique_ptr<InvariantChecker> checker_;
   std::vector<std::unique_ptr<ClusterMemory>> memories_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "scenario/engine.h"
-#include "sim/trace.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -37,7 +36,6 @@ World::World(ProcId n, std::uint64_t seed, const CrashPlan& crashes,
       net_(sim_, scenario_ != nullptr ? scenario_->channel() : *delays_,
            tracker_, n, &plan_, trace) {
   sim_.reserve_all_to_all(n);
-  if (trace != nullptr) trace->enable(true);
   if (scenario_ != nullptr) net_.set_scenario(scenario_.get());
 }
 

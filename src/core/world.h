@@ -38,8 +38,8 @@ class World {
   /// means nobody crashes; otherwise it needs one spec per process (the
   /// network throws ContractViolation on a size mismatch). A non-empty
   /// `scenario` takes over `delays` and is resolved against `layout`,
-  /// which must then be given. `trace`, when set, is enabled and records
-  /// the network's sends, deliveries and drops.
+  /// which must then be given. `trace`, when set, records the network's
+  /// sends, deliveries and drops.
   World(ProcId n, std::uint64_t seed, const CrashPlan& crashes,
         std::unique_ptr<DelayModel> delays, Trace* trace = nullptr,
         const ScenarioConfig& scenario = {},

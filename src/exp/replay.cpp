@@ -1,46 +1,68 @@
 #include "exp/replay.h"
 
+#include <utility>
+
+#include "service/service_runner.h"
+#include "sim/trace.h"
+
 namespace hyco {
 
-std::vector<ReplayReport> replay_failures(
-    const std::vector<CellResult>& results, std::size_t max_replays) {
-  std::vector<ReplayReport> reports;
-  for (const auto& res : results) {
-    // Service runs have no consensus trace to replay; their failure
-    // diagnostics live in the safety-checker violations already recorded.
-    if (res.cell.service.enabled) continue;
-    for (const auto& fail : res.failures()) {
-      if (reports.size() >= max_replays) return reports;
-      RunConfig cfg = res.cell.run_config(fail.run);
-      cfg.enable_trace = true;
-      const RunResult r = run_consensus(cfg);
-
-      ReplayReport rep;
-      rep.cell_index = res.cell.index;
-      rep.cell_label = res.cell.label();
-      rep.run = fail.run;
-      rep.seed = cfg.seed;
-      rep.terminated = r.all_correct_decided;
-      rep.safe_ok = r.safe();
-      rep.violations = r.violations;
-      rep.trace = r.trace_dump;
-      reports.push_back(std::move(rep));
-    }
+TracedRun trace_run(const ExperimentCell& cell, std::uint64_t run,
+                    Trace& ring) {
+  ring.clear();
+  TracedRun out;
+  if (cell.service.enabled) {
+    ServiceRunConfig cfg = cell.service_run_config(run);
+    cfg.enable_trace = true;
+    cfg.trace_sink = &ring;
+    ServiceRunResult r = run_service(cfg);
+    out.terminated = r.terminated;
+    out.safe_ok = r.safe_ok;
+    out.violations = std::move(r.violations);
+  } else {
+    RunConfig cfg = cell.run_config(run);
+    cfg.enable_trace = true;
+    cfg.trace_sink = &ring;
+    RunResult r = run_consensus(cfg);
+    out.terminated = r.all_correct_decided;
+    out.safe_ok = r.safe();
+    out.violations = std::move(r.violations);
   }
-  return reports;
+  out.meta.cell = cell.index;
+  out.meta.run = run;
+  out.meta.seed = cell.seed_for(run);
+  out.meta.label = cell.label();
+  out.meta.recorded = ring.recorded();
+  out.meta.truncated = ring.recorded() > ring.size();
+  return out;
 }
 
-void dump_replays(std::ostream& out,
-                  const std::vector<ReplayReport>& reports) {
-  for (const auto& rep : reports) {
-    out << "=== replay: cell " << rep.cell_index << " [" << rep.cell_label
-        << "] run " << rep.run << " seed " << rep.seed << " ===\n"
-        << "terminated=" << (rep.terminated ? "yes" : "no")
-        << " safe=" << (rep.safe_ok ? "yes" : "no") << '\n';
-    for (const auto& v : rep.violations) out << "violation: " << v << '\n';
-    out << rep.trace;
-    if (!rep.trace.empty() && rep.trace.back() != '\n') out << '\n';
+std::size_t replay_failures(std::ostream& out,
+                            const std::vector<CellResult>& results,
+                            std::size_t max_replays, Trace& ring) {
+  std::vector<std::pair<const ExperimentCell*, std::uint64_t>> todo;
+  for (const CellResult& res : results) {
+    for (const RunScalars& fail : res.failures()) {
+      if (todo.size() == max_replays) break;
+      todo.emplace_back(&res.cell, fail.run);
+    }
   }
+  out << "replayed " << todo.size() << " failing run(s)\n";
+  for (const auto& [cell, run] : todo) {
+    const TracedRun t = trace_run(*cell, run, ring);
+    out << "=== replay: cell " << t.meta.cell << " [" << t.meta.label
+        << "] run " << t.meta.run << " seed " << t.meta.seed << " ===\n"
+        << "terminated=" << (t.terminated ? "yes" : "no")
+        << " safe=" << (t.safe_ok ? "yes" : "no") << '\n';
+    for (const auto& v : t.violations) out << "violation: " << v << '\n';
+    if (t.meta.truncated) {
+      out << "trace ring wrapped: the last " << ring.size() << " of "
+          << t.meta.recorded
+          << " records follow (raise --trace-cap for the full run)\n";
+    }
+    ring.dump(out);
+  }
+  return todo.size();
 }
 
 }  // namespace hyco

@@ -1,40 +1,49 @@
-// Failing-seed replay: any run that did not reach success() can be re-run
-// bit-exactly from its (cell, run) coordinates — seeds are pure functions
-// of the spec — this time with tracing enabled, so a failed cell in a
-// thousand-run sweep turns into a readable event trace without re-running
-// the sweep.
+// Traced re-runs: any run of a grid can be re-run bit-exactly from its
+// (cell, run) coordinates — seeds are pure functions of the spec — this
+// time tracing into a caller's ring. `sweep --trace-out` exports one such
+// re-run; `sweep --replay` re-runs the failures a sweep captured and prints
+// their traces, so a failed cell in a thousand-run sweep turns into a
+// readable event trace without re-running the sweep.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "exp/sink.h"
+#include "obs/trace_export.h"
 
 namespace hyco {
 
-/// One replayed failure with its full event trace.
-struct ReplayReport {
-  std::size_t cell_index = 0;
-  std::string cell_label;
-  std::uint64_t run = 0;
-  std::uint64_t seed = 0;
-  bool terminated = false;
+class Trace;
+
+/// What a traced re-run reports besides its records.
+struct TracedRun {
+  /// The run's identity, as a trace export stamps it, with the ring's
+  /// recorded count and whether it wrapped.
+  obs::TraceMeta meta;
+  bool terminated = false;  ///< every correct process decided / op completed
   bool safe_ok = true;
   std::vector<std::string> violations;
-  std::string trace;  ///< RunResult::trace_dump of the traced re-run
 };
 
-/// Re-runs every failure captured in each cell's bounded worst-seed ring
-/// with enable_trace = true, up to `max_replays` total (traces are large;
-/// sweeps with expected non-termination — e.g. dead covering sets — can
-/// fail thousands of runs). Works under streaming execution: the ring
-/// survives without any retained per-run records.
-[[nodiscard]] std::vector<ReplayReport> replay_failures(
-    const std::vector<CellResult>& results, std::size_t max_replays = 8);
+/// Re-runs run `run` of `cell` — run_service() on a service cell,
+/// run_consensus() otherwise — tracing into `ring`, which is cleared first.
+TracedRun trace_run(const ExperimentCell& cell, std::uint64_t run,
+                    Trace& ring);
 
-/// Human-readable dump: one header + trace block per report.
-void dump_replays(std::ostream& out, const std::vector<ReplayReport>& reports);
+/// Re-runs the failures captured in each cell's bounded worst-seed ring,
+/// service cells included, up to `max_replays` in all, each through
+/// trace_run into `ring`. Writes a "replayed N failing run(s)" line, then
+/// per run a header naming its cell, run and seed, its verdicts and
+/// violations, and the ring's Trace::dump text; a run that recorded more
+/// than the ring holds gets a notice naming both counts before its dump.
+/// Returns N. Works under streaming execution: the failure rings survive
+/// without any retained per-run records.
+std::size_t replay_failures(std::ostream& out,
+                            const std::vector<CellResult>& results,
+                            std::size_t max_replays, Trace& ring);
 
 }  // namespace hyco

@@ -21,7 +21,7 @@ const std::vector<SweepFlag>& sweep_flag_registry() {
       {"json", "write the JSON report to PATH (- for stdout)"},
       {"csv", "write the CSV report to PATH (- for stdout)"},
       {"csv-shard", "shard the CSV into PATH.000, PATH.001, ... N cells each"},
-      {"replay", "re-run up to N failing seeds with tracing on"},
+      {"replay", "re-run up to N failing runs traced and print their traces"},
       {"quiet", "suppress the ASCII table"},
       // Streaming pipeline.
       {"chunk", "max runs per local work unit"},
@@ -54,7 +54,8 @@ const std::vector<SweepFlag>& sweep_flag_registry() {
       {"trace-cell", "cell index to trace"},
       {"trace-run", "run index within the cell to trace"},
       {"trace-format", "trace export format: jsonl | binary"},
-      {"trace-cap", "trace ring capacity in records (default 65536)"},
+      {"trace-cap",
+       "ring capacity in records for --trace-out and --replay (default 65536)"},
       // Replicated service workload.
       {"service", "run the replicated-state-machine workload over the"
                   " sequenced consensus core"},

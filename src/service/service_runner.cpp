@@ -17,10 +17,7 @@ namespace hyco {
 ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   HYCO_CHECK_MSG(cfg.clients >= 1, "service runs need at least one client");
-  HYCO_CHECK_MSG(!cfg.enable_trace || cfg.trace_sink != nullptr,
-                 "a traced service run needs a trace_sink to record into");
-
-  Trace* trace = cfg.enable_trace ? cfg.trace_sink : nullptr;
+  Trace* trace = trace_ring(cfg.enable_trace, cfg.trace_sink);
   World world(n, cfg.seed, cfg.crashes,
               cfg.delay_factory ? cfg.delay_factory()
                                 : make_delay_model(cfg.delays),

@@ -62,8 +62,8 @@ struct ServiceRunConfig {
   /// Send/Deliver/Drop with causal ids into the caller-owned trace_sink and
   /// the service layer records SvcOp/SvcFlush/SvcSlot/SvcDeliver
   /// milestones. enable_trace without a sink is a ContractViolation (a
-  /// service run keeps no run-local ring). Strictly out of band — traced
-  /// runs are byte-identical to untraced.
+  /// run keeps no ring of its own). Strictly out of band — traced runs are
+  /// byte-identical to untraced.
   bool enable_trace = false;
   Trace* trace_sink = nullptr;
 };

@@ -2,18 +2,10 @@
 
 namespace hyco {
 
-EventQueue::EventQueue(const Tuning& t)
-    : bucket_bits_(t.bucket_bits),
-      max_bucket_bits_(t.max_bucket_bits),
-      widen_threshold_mult_(t.widen_threshold_mult) {
-  HYCO_CHECK_MSG(t.bucket_bits >= 1 && t.bucket_bits <= 24,
-                 "bucket_bits out of range: " << t.bucket_bits);
-  HYCO_CHECK_MSG(t.max_bucket_bits >= t.bucket_bits &&
-                     t.max_bucket_bits <= 24,
-                 "max_bucket_bits out of range: " << t.max_bucket_bits);
-  HYCO_CHECK_MSG(t.widen_threshold_mult >= 1,
-                 "widen_threshold_mult must be >= 1");
-  nb_ = std::uint64_t{1} << bucket_bits_;
+EventQueue::EventQueue(unsigned bucket_bits) {
+  HYCO_CHECK_MSG(bucket_bits >= 1 && bucket_bits <= 24,
+                 "bucket_bits out of range: " << bucket_bits);
+  nb_ = std::uint64_t{1} << bucket_bits;
   mask_ = nb_ - 1;
   buckets_.resize(nb_);
 }
@@ -113,7 +105,6 @@ void EventQueue::grow_blocks() {
 
 void EventQueue::migrate_from_heap() {
   HYCO_CHECK_MSG(!heap_.empty(), "migrate with an empty overflow heap");
-  maybe_widen();
   base_day_ = day(key_at(heap_.front()));
   cursor_day_ = base_day_;
   const std::uint64_t end_day = base_day_ + nb_;
@@ -129,27 +120,12 @@ void EventQueue::migrate_from_heap() {
     append_to_bucket(buckets_[d & mask_], Entry{key_seq(k), target});
     ++cal_count_;
   }
-  overflow_pushes_ = 0;
-}
-
-void EventQueue::maybe_widen() {
-  if (bucket_bits_ == max_bucket_bits_ ||
-      overflow_pushes_ < widen_threshold_mult_ * nb_) {
-    return;
-  }
-  // The calendar is empty here (we only widen at migration time), so the
-  // ring can double freely: no entry needs remapping.
-  ++bucket_bits_;
-  nb_ <<= 1;
-  mask_ = nb_ - 1;
-  buckets_.resize(nb_);
 }
 
 void EventQueue::push_overflow(SimTime at, std::uint64_t seq, Target target) {
   heap_.push_back(make_key(at, seq));
   refs_.push_back(target);
   sift_up(heap_.size() - 1);
-  ++overflow_pushes_;
 }
 
 void EventQueue::heap_pop_top() {

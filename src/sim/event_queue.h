@@ -33,8 +33,9 @@
 //    minimum and near events migrate into buckets; an empty queue rebases
 //    it onto the cursor instead. Every heap time is strictly later than
 //    every calendar time, so the merged pop order is exactly the global
-//    (at, seq) order. If overflow pushes dominate between migrations the
-//    window doubles its bucket count.
+//    (at, seq) order. The window's size is fixed: on the simulator's
+//    workloads the heap takes no event at all (dense all-to-all grids) or
+//    a minority of them (fault scenarios, the service).
 //
 // Ticks: pop_tick() removes the whole run of events sharing the minimum
 // time in one step and returns it as one contiguous span, in seq order, so
@@ -115,19 +116,10 @@ struct TickSpan {
 /// thread-safe (the simulator is single-threaded).
 class EventQueue {
  public:
-  /// Calendar geometry. The defaults suit the simulator's workloads (dense
-  /// near-future times); tests pin tiny windows to force the overflow heap,
-  /// migration, and widening paths.
-  struct Tuning {
-    unsigned bucket_bits = 11;      ///< initial ring size = 2^bucket_bits
-    unsigned max_bucket_bits = 14;  ///< widen by doubling up to this
-    /// Widen when overflow pushes since the last migration exceed
-    /// `widen_threshold_mult * bucket_count`.
-    std::size_t widen_threshold_mult = 2;
-  };
-
-  EventQueue() : EventQueue(Tuning{}) {}
-  explicit EventQueue(const Tuning& t);
+  /// A calendar window of 2^bucket_bits days. The default suits the
+  /// simulator's workloads (dense near-future times); tests pin tiny
+  /// windows to force the overflow heap and migration paths.
+  explicit EventQueue(unsigned bucket_bits = 11);
 
   /// Pre-sizes the payload slab's index space for `payloads` concurrently
   /// staged payloads, and the closure pool for `callbacks` concurrent
@@ -264,9 +256,8 @@ class EventQueue {
     return slab_used_ - free_payloads_.size() - pending_frees_.size();
   }
 
-  // Calendar introspection for tests: current ring size (it doubles when
-  // the window widens) and how many events sit in the overflow heap now.
-  [[nodiscard]] std::size_t bucket_count() const { return nb_; }
+  /// Calendar introspection for tests: how many events sit in the overflow
+  /// heap now.
   [[nodiscard]] std::size_t overflow_size() const { return heap_.size(); }
 
  private:
@@ -459,7 +450,6 @@ class EventQueue {
   /// drained.
   Bucket& activate();
   void migrate_from_heap();
-  void maybe_widen();
   void grow_blocks();
 
   /// Drops the first `k` pending entries of `b`, releasing every block
@@ -506,10 +496,6 @@ class EventQueue {
   std::uint64_t base_day_ = 0;   ///< first day of the window
   std::uint64_t cursor_day_ = 0; ///< the last popped day; >= base_day_
   std::size_t cal_count_ = 0;    ///< pending entries in the calendar
-  unsigned bucket_bits_;
-  unsigned max_bucket_bits_;
-  std::size_t widen_threshold_mult_;
-  std::uint64_t overflow_pushes_ = 0;  ///< heap pushes since last migration
 
   // Overflow heap (times strictly beyond the window).
   std::vector<Key> heap_;      ///< (at, seq) sort keys

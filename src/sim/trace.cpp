@@ -1,5 +1,7 @@
 #include "sim/trace.h"
 
+#include "util/assert.h"
+
 namespace hyco {
 
 const char* to_cstring(TraceKind k) {
@@ -63,7 +65,6 @@ void write_detail(std::ostream& os, const TraceRecord& r) {
 }
 
 void Trace::record(const TraceRecord& r) {
-  if (!enabled_) return;
   std::size_t idx;
   if (size_ < slots_.size()) {
     idx = (head_ + size_) % slots_.size();
@@ -92,6 +93,12 @@ void Trace::clear() {
   size_ = 0;
   recorded_ = 0;
   context_ = 0;
+}
+
+Trace* trace_ring(bool enable_trace, Trace* trace_sink) {
+  HYCO_CHECK_MSG(!enable_trace || trace_sink != nullptr,
+                 "a traced run needs a trace_sink to record into");
+  return enable_trace ? trace_sink : nullptr;
 }
 
 }  // namespace hyco

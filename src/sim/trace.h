@@ -1,6 +1,6 @@
-// Optional execution tracing: a bounded ring of timestamped records that the
-// runner can dump when a run misbehaves (safety violation, unexpected
-// timeout). Tracing costs nothing when disabled.
+// Execution tracing: a bounded ring of timestamped records. A run is traced
+// exactly when its config names a caller's ring (trace_ring); an untraced
+// run has no ring, and its call sites skip building records at all.
 //
 // Causal identity: every record carries a message id (`mid`) and a parent
 // event id (`parent`). A mid is derived from the event queue's insertion
@@ -100,19 +100,16 @@ static_assert(std::is_trivially_copyable_v<TraceRecord>);
 /// (e.g. "PHASE(r=2,ph1,est=0) -> p5", "r=3 ph=2", "slot=4 batch=7 ops=12").
 void write_detail(std::ostream& os, const TraceRecord& r);
 
-/// Bounded in-memory trace. Disabled by default.
+/// Bounded in-memory trace.
 ///
 /// Storage is a preallocated ring of fixed-size records, so recording is a
-/// copy into a slot — enabling tracing does not distort the timings it
-/// measures with allocations.
+/// copy into a slot — tracing does not distort the timings it measures
+/// with allocations.
 class Trace {
  public:
   /// `capacity` bounds memory; older records are discarded first.
   explicit Trace(std::size_t capacity = 4096)
       : slots_(capacity == 0 ? 1 : capacity) {}
-
-  void enable(bool on) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Stores `r` with its parent set to the current context.
   void record(const TraceRecord& r);
@@ -150,7 +147,12 @@ class Trace {
   std::size_t size_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t context_ = 0;  ///< mid of the delivery being dispatched
-  bool enabled_ = false;
 };
+
+/// The ring a run records into, from its config's pair: `trace_sink` when
+/// `enable_trace`, else none. Tracing without a sink is a ContractViolation
+/// — a run keeps no ring of its own. run_consensus and run_service both
+/// resolve their pair here.
+Trace* trace_ring(bool enable_trace, Trace* trace_sink);
 
 }  // namespace hyco

@@ -1,7 +1,6 @@
 // Calendar-specific tests for the event core (sim/event_queue.h): tiny
-// Tuning geometries force the overflow heap, heap→calendar migration and
-// window doubling — paths the default 2048-bucket window never hits in
-// unit-sized tests. pop_tick() spans are checked against a stable-sort
+// windows force the overflow heap and heap→calendar migration — paths the
+// default 2048-bucket window never hits in unit-sized tests. pop_tick() spans are checked against a stable-sort
 // reference model, including caps, pushes made during a tick and staged
 // payloads shared by the several entries of one fan-out push. Pushes are monotone (never before the
 // last popped time), as the simulator's are. The generic (at, seq) ordering
@@ -66,25 +65,13 @@ void drain_and_check(EventQueue& q, std::vector<Expected> pending) {
   EXPECT_EQ(q.deliver_pool_in_use(), 0u);
 }
 
-/// The geometries the fuzzers run over: three tiny windows that force the
-/// overflow heap, migration and doubling, and the default one.
-std::vector<EventQueue::Tuning> fuzz_geometries() {
-  return {
-      // 2-bucket window, doubles fast.
-      {.bucket_bits = 1, .max_bucket_bits = 2, .widen_threshold_mult = 1},
-      // 4-bucket window, doubles once, at a higher threshold.
-      {.bucket_bits = 2, .max_bucket_bits = 3, .widen_threshold_mult = 2},
-      // Cannot double: migration only.
-      {.bucket_bits = 1, .max_bucket_bits = 1, .widen_threshold_mult = 1},
-      EventQueue::Tuning{},
-  };
-}
+/// The window sizes (bucket_bits) the fuzzers run over: three tiny windows
+/// of 2, 4 and 8 days that force the overflow heap and migration, and the
+/// default one.
+constexpr unsigned kFuzzBucketBits[] = {1, 2, 3, 11};
 
 TEST(CalendarQueue, OverflowHeapPreservesGlobalOrder) {
-  EventQueue::Tuning t;
-  t.bucket_bits = 1;  // window of 2 one-tick days: nearly everything spills
-  t.max_bucket_bits = 1;
-  EventQueue q(t);
+  EventQueue q(1);  // window of 2 one-tick days: nearly everything spills
   std::vector<Expected> pending;
   // Interleaved far/near times, with equal-time collisions at both ends.
   const SimTime times[] = {500, 2, 900, 2, 500, 0, 901, 900, 3, 0};
@@ -98,39 +85,8 @@ TEST(CalendarQueue, OverflowHeapPreservesGlobalOrder) {
   drain_and_check(q, std::move(pending));
 }
 
-TEST(CalendarQueue, WideningDoublesBucketsUpToTheMaximum) {
-  EventQueue::Tuning t;
-  t.bucket_bits = 1;
-  t.max_bucket_bits = 3;
-  t.widen_threshold_mult = 1;
-  EventQueue q(t);
-  ASSERT_EQ(q.bucket_count(), 2u);
-  // Each round pushes a burst far beyond the live window (all overflow,
-  // tripping the widen threshold) and drains it, which migrates — and
-  // widening only happens at migration. Rounds are model-checked, so the
-  // geometry changes are also shown not to disturb ordering.
-  SimTime base = 0;
-  std::uint64_t tag = 0;
-  for (int round = 0; round < 12; ++round) {
-    std::vector<Expected> pending;
-    for (int j = 0; j < 8; ++j) {
-      const SimTime at = base + 1000 * (j + 1);
-      q.push_deliver(at, 0, 1, tagged(tag));
-      pending.push_back({at, tag, tag});
-      ++tag;
-    }
-    base += 9000;
-    drain_and_check(q, std::move(pending));
-    if (round == 0) EXPECT_EQ(q.bucket_count(), 4u);
-  }
-  EXPECT_EQ(q.bucket_count(), 8u);  // max_bucket_bits caps the doubling
-}
-
 TEST(CalendarQueue, FallingPushesIntoAnEmptyQueueKeepTheWindowAtTheCursor) {
-  EventQueue::Tuning t;
-  t.bucket_bits = 1;
-  t.max_bucket_bits = 1;
-  EventQueue q(t);
+  EventQueue q(1);
   std::vector<Expected> pending;
   // Pushes in falling time order before the first pop. The window stays at
   // the cursor (time 0) instead of following the first push, so none of
@@ -147,10 +103,7 @@ TEST(CalendarQueue, FallingPushesIntoAnEmptyQueueKeepTheWindowAtTheCursor) {
 }
 
 TEST(CalendarQueue, EmptyQueueSlidesItsWindowToTheCursor) {
-  EventQueue::Tuning t;
-  t.bucket_bits = 1;  // window of 2 days
-  t.max_bucket_bits = 1;
-  EventQueue q(t);
+  EventQueue q(1);  // window of 2 days
   q.push_deliver(100, 0, 1, tagged(0));  // beyond [0, 2): overflow
   EXPECT_EQ(q.pop_tick(kWholeTick).at, 100);  // migrates: window [100, 102)
   q.push_deliver(101, 0, 1, tagged(1));
@@ -176,16 +129,15 @@ struct FuzzInput {
   std::uint64_t fan_out_bound = 4;
 };
 
-/// What a fuzz run made the queue do, per geometry.
+/// What a fuzz run made the queue do, per window size.
 struct FuzzCoverage {
   std::vector<bool> overflowed;
-  std::vector<bool> doubled;
   /// A payload was staged after a capped pop left part of its day queued.
   std::vector<bool> staged_mid_tick;
 };
 
 /// Random monotone pushes and (capped) pop_tick spans against the
-/// stable-sort reference, over every fuzz geometry. Each push stages one
+/// stable-sort reference, over every fuzz window size. Each push stages one
 /// payload from a random sender and files a fan-out of it in one
 /// push_fanout() at the last popped time: each copy has its own delay, from
 /// 0 (the day a capped pop left open) to far past the window, and its own
@@ -193,13 +145,12 @@ struct FuzzCoverage {
 /// the model, and the payload count in use after every operation.
 FuzzCoverage fuzz(const FuzzInput& in) {
   FuzzCoverage cov;
-  for (const EventQueue::Tuning& t : fuzz_geometries()) {
+  for (const unsigned bucket_bits : kFuzzBucketBits) {
     Rng rng(0xCA1E);
     bool overflowed = false;
-    bool doubled = false;
     bool staged_mid_tick = false;
     for (int round = 0; round < 20; ++round) {
-      EventQueue q(t);
+      EventQueue q(bucket_bits);
       std::vector<Expected> pending;
       std::vector<FanoutCopy> copies;
       std::vector<std::uint64_t> entries_left;  ///< per payload tag
@@ -259,11 +210,9 @@ FuzzCoverage fuzz(const FuzzInput& in) {
         pending.erase(pending.begin(),
                       pending.begin() + static_cast<std::ptrdiff_t>(want));
       }
-      doubled = doubled || q.bucket_count() > (std::size_t{1} << t.bucket_bits);
       drain_and_check(q, std::move(pending));
     }
     cov.overflowed.push_back(overflowed);
-    cov.doubled.push_back(doubled);
     cov.staged_mid_tick.push_back(staged_mid_tick);
   }
   return cov;
@@ -271,8 +220,8 @@ FuzzCoverage fuzz(const FuzzInput& in) {
 
 TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
   // The wide range (relative to the tiny windows) keeps events flowing
-  // calendar → heap → migrated calendar, across repeated doublings, while
-  // every whole-tick span must still match the stable-sort reference. Even
+  // calendar → heap → migrated calendar, while every whole-tick span must
+  // still match the stable-sort reference. Even
   // the default window overflows: it stays put while the queue holds
   // events, and the cursor drifts towards its end (800 operations, since
   // fan-outs keep more entries pending, which slows the drift). The dense
@@ -281,7 +230,6 @@ TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
   // windows.
   const FuzzCoverage wide = fuzz(FuzzInput{300, 60, 800, 0});
   EXPECT_EQ(wide.overflowed, (std::vector<bool>{true, true, true, true}));
-  EXPECT_EQ(wide.doubled, (std::vector<bool>{true, true, false, false}));
   fuzz(FuzzInput{8, 75, 1000, 0});
   fuzz(FuzzInput{5000, 60, 500, 0});
 }
@@ -289,13 +237,12 @@ TEST(CalendarQueueProperty, FuzzMatchesModelAcrossGeometries) {
 TEST(CalendarQueueProperty, FuzzWideFanOutsMatchModel) {
   // Fan-outs of up to 24 copies, each filed in one push: copies of one
   // push land on the day the last pop left open, on later days of the
-  // window, and past it in the overflow heap, whose pushes widen the ring.
+  // window, and past it in the overflow heap.
   // The default window holds the 300-day range; the far input's copies
   // pass it too. The capped input splits days, so a fan-out's delay-0
   // copies join a day whose earlier entries are half popped.
   const FuzzCoverage wide = fuzz(FuzzInput{300, 50, 300, 0, 25});
   EXPECT_EQ(wide.overflowed, (std::vector<bool>{true, true, true, false}));
-  EXPECT_EQ(wide.doubled, (std::vector<bool>{true, true, false, false}));
   const FuzzCoverage capped = fuzz(FuzzInput{8, 60, 300, 40, 25});
   EXPECT_EQ(capped.staged_mid_tick,
             (std::vector<bool>{true, true, true, true}));

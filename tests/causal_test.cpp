@@ -197,7 +197,6 @@ TEST(TraceReaders, RejectVersionTwoInput) {
 
 TEST(TraceReaders, RejectOutOfRangeEnumsInEitherFormat) {
   Trace t(1);
-  t.enable(true);
   TraceRecord drop = msg_rec(TraceKind::Drop, 1, 2, 5, 0,
                              phase(1, Phase::One));
   drop.cause = DropCause::Lost;
@@ -263,7 +262,6 @@ TEST(TraceReaderFuzz, JsonlRejectsHostileInputsWithoutCrashing) {
   // A valid file, then every cut of it short of its final newline must
   // fail cleanly.
   Trace t(1);
-  t.enable(true);
   t.record(msg_rec(TraceKind::Send, 1, 2, 5, 3, phase(1, Phase::One)));
   const std::string good = jsonl_of(t);
   ASSERT_TRUE(read_jsonl(good, records));
@@ -287,7 +285,6 @@ TEST(TraceReaderFuzz, BinaryRejectsHostileInputsWithoutCrashing) {
 
   // A valid stream, then every truncation of it must fail cleanly.
   Trace t(8);
-  t.enable(true);
   t.record(msg_rec(TraceKind::Send, 1, 2, 5, 3, phase(1, Phase::One)));
   t.record(msg_rec(TraceKind::Deliver, 2, 1, 9, 3, phase(1, Phase::One)));
   const std::string good = binary_of(t);

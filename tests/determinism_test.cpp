@@ -6,12 +6,14 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/runner.h"
 #include "exp/executor.h"
 #include "exp/report.h"
 #include "exp/spec.h"
 #include "scenario/scenario.h"
+#include "sim/trace.h"
 #include "workload/failure_patterns.h"
 
 namespace hyco {
@@ -61,6 +63,13 @@ std::string run_grid(std::int64_t threads) {
   return render(exec.run(small_grid()));
 }
 
+/// The records `trace` holds, oldest first.
+std::vector<TraceRecord> records_of(const Trace& trace) {
+  std::vector<TraceRecord> out;
+  trace.for_each([&out](const TraceRecord& r) { out.push_back(r); });
+  return out;
+}
+
 TEST(Determinism, GridTwiceIsByteIdentical) {
   const std::string first = run_grid(2);
   const std::string second = run_grid(2);
@@ -77,11 +86,16 @@ TEST(Determinism, SingleRunReplaysBitForBit) {
   RunConfig cfg(ClusterLayout::even(8, 4));
   cfg.alg = Algorithm::HybridCommonCoin;
   cfg.seed = 0xFEED;
+  Trace ta(1 << 16);
+  Trace tb(1 << 16);
   cfg.enable_trace = true;
+  cfg.trace_sink = &ta;
   const RunResult a = run_consensus(cfg);
+  cfg.trace_sink = &tb;
   const RunResult b = run_consensus(cfg);
-  ASSERT_FALSE(a.trace_dump.empty());
-  EXPECT_EQ(a.trace_dump, b.trace_dump);
+  ASSERT_GT(ta.size(), 0u);
+  EXPECT_EQ(ta.recorded(), ta.size());  // the whole run, not a tail
+  EXPECT_EQ(records_of(ta), records_of(tb));
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.decisions, b.decisions);
@@ -99,10 +113,15 @@ TEST(Determinism, ScriptedMidBroadcastCrashReplaysBitForBit) {
   cfg.alg = Algorithm::HybridLocalCoin;
   cfg.seed = 0xAB;
   cfg.crashes = plan;
+  Trace ta(1 << 16);
+  Trace tb(1 << 16);
   cfg.enable_trace = true;
+  cfg.trace_sink = &ta;
   const RunResult a = run_consensus(cfg);
+  cfg.trace_sink = &tb;
   const RunResult b = run_consensus(cfg);
-  EXPECT_EQ(a.trace_dump, b.trace_dump);
+  EXPECT_EQ(ta.recorded(), ta.size());
+  EXPECT_EQ(records_of(ta), records_of(tb));
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.crashed, b.crashed);
   EXPECT_TRUE(a.safe());

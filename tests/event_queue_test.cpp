@@ -3,7 +3,7 @@
 // model under random interleavings of monotone pushes and pops (including
 // heavy equal-time contention), and both free-list slabs are checked for
 // steady-state reuse (no growth under churn). The calendar-specific
-// geometries (tiny windows, forced migration/widening, pop_tick spans)
+// geometries (tiny windows, forced migration, pop_tick spans)
 // live in calendar_queue_test.cpp.
 #include <gtest/gtest.h>
 

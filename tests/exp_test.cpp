@@ -1,8 +1,8 @@
 // Unit tests for the experiment engine (src/exp/): grid expansion,
 // thread-count-independent execution, the streaming sink pipeline (byte
 // equivalence with and without record retention, bounded failure rings,
-// checkpoint save/load/resume, older checkpoints), report emission, and
-// failure replay.
+// checkpoint save/load/resume, older checkpoints), report emission, traced
+// re-runs and failure replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,9 @@
 #include "exp/executor.h"
 #include "exp/replay.h"
 #include "exp/report.h"
+#include "scenario/scenario.h"
+#include "service/service_runner.h"
+#include "sim/trace.h"
 #include "util/assert.h"
 #include "workload/failure_patterns.h"
 
@@ -777,9 +780,32 @@ TEST(Checkpoint, ResumedCompleteTrailListsFailuresInRunOrder) {
   EXPECT_EQ(render_artifacts(spec.name, results), reference);
 }
 
-// ---- replay ----------------------------------------------------------------
+// ---- traced re-runs and replay ---------------------------------------------
 
-TEST(Replay, ReproducesFailingSeedsWithTraces) {
+/// The records `trace` holds, oldest first.
+std::vector<TraceRecord> records_of(const Trace& trace) {
+  std::vector<TraceRecord> out;
+  trace.for_each([&out](const TraceRecord& r) { out.push_back(r); });
+  return out;
+}
+
+/// Lines of `text` that are Trace::dump records ("<at>ns\t<kind>\t...").
+std::size_t dumped_records(const std::string& text) {
+  std::istringstream in(text);
+  std::size_t records = 0;
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t ns = line.find("ns\t");
+    if (ns != std::string::npos && ns > 0 &&
+        line.find_first_not_of("0123456789") == ns) {
+      ++records;
+    }
+  }
+  return records;
+}
+
+/// A grid of one Algorithm 2 cell whose covering set is dead from the
+/// start: every run blocks (safely) until max_rounds.
+ExperimentSpec covering_dead_spec() {
   ExperimentSpec spec;
   spec.name = "replay-test";
   spec.algorithms = {Algorithm::HybridLocalCoin};
@@ -790,23 +816,139 @@ TEST(Replay, ReproducesFailingSeedsWithTraces) {
   })};
   spec.runs_per_cell = 3;
   spec.max_rounds = 50;
+  return spec;
+}
 
+/// A service grid of one cell whose cluster 0 is cut off from the start
+/// and never heals: no op can complete, and every run fails.
+ExperimentSpec severed_service_spec() {
+  ExperimentSpec spec;
+  spec.name = "replay-svc";
+  spec.algorithms = {Algorithm::HybridCommonCoin};
+  spec.layouts = {ClusterLayout::even(8, 2)};
+  ScenarioConfig scn;
+  scn.partitions.push_back(parse_partition_spec("cluster:0@0..never"));
+  spec.scenarios = {ScenarioAxis::of(scn)};
+  spec.services = {ServiceAxis::of(20, 1, 64, 50'000, 0.0)};
+  spec.runs_per_cell = 2;
+  return spec;
+}
+
+TEST(TraceRun, ConsensusCellRecordsWhatADirectTracedRunRecords) {
+  const auto cells = covering_dead_spec().expand();
+  const ExperimentCell& cell = cells.at(0);
+  Trace shared(1 << 16);
+  const TracedRun t = trace_run(cell, 2, shared);
+
+  Trace direct(1 << 16);
+  RunConfig cfg = cell.run_config(2);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &direct;
+  const RunResult r = run_consensus(cfg);
+
+  ASSERT_GT(direct.size(), 0u);
+  EXPECT_EQ(records_of(shared), records_of(direct));
+  EXPECT_EQ(t.meta.cell, cell.index);
+  EXPECT_EQ(t.meta.run, 2u);
+  EXPECT_EQ(t.meta.seed, cfg.seed);
+  EXPECT_EQ(t.meta.label, cell.label());
+  EXPECT_EQ(t.meta.recorded, direct.recorded());
+  EXPECT_FALSE(t.meta.truncated);
+  EXPECT_EQ(t.terminated, r.all_correct_decided);
+  EXPECT_EQ(t.safe_ok, r.safe());
+  EXPECT_EQ(t.violations, r.violations);
+
+  // The ring is cleared first: a second re-run into it records the same.
+  EXPECT_EQ(trace_run(cell, 2, shared).meta.recorded, direct.recorded());
+  EXPECT_EQ(records_of(shared), records_of(direct));
+}
+
+TEST(TraceRun, ServiceCellRecordsWhatADirectTracedRunRecords) {
+  const auto cells = severed_service_spec().expand();
+  const ExperimentCell& cell = cells.at(0);
+  Trace shared(1 << 16);
+  const TracedRun t = trace_run(cell, 1, shared);
+
+  Trace direct(1 << 16);
+  ServiceRunConfig cfg = cell.service_run_config(1);
+  cfg.enable_trace = true;
+  cfg.trace_sink = &direct;
+  const ServiceRunResult r = run_service(cfg);
+
+  ASSERT_GT(direct.size(), 0u);
+  EXPECT_EQ(records_of(shared), records_of(direct));
+  EXPECT_EQ(t.meta.seed, cfg.seed);
+  EXPECT_EQ(t.meta.label, cell.label());
+  EXPECT_EQ(t.meta.recorded, direct.recorded());
+  EXPECT_EQ(t.terminated, r.terminated);
+  EXPECT_EQ(t.safe_ok, r.safe_ok);
+  EXPECT_EQ(t.violations, r.violations);
+}
+
+TEST(Replay, ReproducesFailingSeedsWithTraces) {
+  const ExperimentSpec spec = covering_dead_spec();
   const auto results = ParallelExecutor().run(spec);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].terminated(), 0u);  // covering set dead => blocked
   ASSERT_EQ(results[0].failures().size(), 3u);
 
-  const auto reports = replay_failures(results, 2);
-  ASSERT_EQ(reports.size(), 2u);  // capped
-  for (const auto& rep : reports) {
-    EXPECT_FALSE(rep.terminated);
-    EXPECT_TRUE(rep.safe_ok);  // indulgence: blocked but safe
-    EXPECT_FALSE(rep.trace.empty());
-    EXPECT_EQ(rep.seed, results[0].cell.seed_for(rep.run));
-  }
+  Trace ring(1 << 16);
   std::ostringstream os;
-  dump_replays(os, reports);
-  EXPECT_NE(os.str().find("=== replay: cell 0"), std::string::npos);
+  ASSERT_EQ(replay_failures(os, results, 2, ring), 2u);  // capped
+  const std::string out = os.str();
+  EXPECT_EQ(out.rfind("replayed 2 failing run(s)\n", 0), 0u);
+  std::size_t records = 0;
+  for (std::uint64_t run = 0; run < 2; ++run) {
+    const std::string header =
+        "=== replay: cell 0 [" + results[0].cell.label() + "] run " +
+        std::to_string(run) + " seed " +
+        std::to_string(results[0].cell.seed_for(run)) + " ===\n" +
+        "terminated=no safe=yes\n";  // indulgence: blocked but safe
+    EXPECT_NE(out.find(header), std::string::npos) << header;
+    Trace direct(1 << 16);
+    records += trace_run(results[0].cell, run, direct).meta.recorded;
+  }
+  EXPECT_EQ(dumped_records(out), records);  // every record of both runs
+  EXPECT_EQ(out.find("trace ring wrapped"), std::string::npos);
+}
+
+TEST(Replay, CoversAServiceCellWithACutThatNeverHeals) {
+  const auto results = ParallelExecutor().run(severed_service_spec());
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].failures().size(), 2u);
+
+  Trace ring(1 << 16);
+  std::ostringstream os;
+  ASSERT_EQ(replay_failures(os, results, 8, ring), 2u);
+  const std::string out = os.str();
+  EXPECT_EQ(out.rfind("replayed 2 failing run(s)\n", 0), 0u);
+  EXPECT_NE(out.find("=== replay: cell 0 [" + results[0].cell.label() +
+                     "] run 1 seed "),
+            std::string::npos);
+  EXPECT_NE(out.find("terminated=no safe=yes\n"), std::string::npos);
+  for (const char* kind : {"\tsend\t", "\tdeliver\t", "\tdrop\t",
+                           "\tsvc_op\t", "\tsvc_flush\t", "\tsvc_slot\t"}) {
+    EXPECT_NE(out.find(kind), std::string::npos) << kind;
+  }
+}
+
+TEST(Replay, WrappedRingReportsBothCounts) {
+  const auto results = ParallelExecutor().run(covering_dead_spec());
+  Trace full(1 << 16);
+  const std::uint64_t recorded =
+      trace_run(results.at(0).cell, 0, full).meta.recorded;
+  ASSERT_GE(recorded, 2u);
+
+  const std::size_t cap = static_cast<std::size_t>(recorded / 2);
+  Trace ring(cap);
+  std::ostringstream os;
+  ASSERT_EQ(replay_failures(os, results, 1, ring), 1u);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("trace ring wrapped: the last " + std::to_string(cap) +
+                     " of " + std::to_string(recorded) + " records follow"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(dumped_records(out), cap);
 }
 
 TEST(Report, FormatsNumbers) {

@@ -31,15 +31,8 @@ TEST(Message, StreamOperatorMentionsContents) {
   EXPECT_EQ(d.str(), "DECIDE(1)");
 }
 
-TEST(Trace, DisabledRecordsNothing) {
+TEST(Trace, RecordsAndDumps) {
   Trace t;
-  t.record({.at = 1, .kind = TraceKind::Send, .proc = 0});
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(Trace, EnabledRecordsAndDumps) {
-  Trace t;
-  t.enable(true);
   t.record({.at = 5, .kind = TraceKind::Decide, .proc = 2, .round = 4});
   t.record({.at = 9, .kind = TraceKind::Crash, .proc = 3, .args = {2, 8}});
   EXPECT_EQ(t.size(), 2u);
@@ -52,7 +45,6 @@ TEST(Trace, EnabledRecordsAndDumps) {
 
 TEST(Trace, CapacityBoundsMemory) {
   Trace t(3);
-  t.enable(true);
   for (int i = 0; i < 10; ++i) {
     t.record({.at = i, .kind = TraceKind::Decide, .proc = 0});
   }

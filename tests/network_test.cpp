@@ -245,7 +245,6 @@ struct ScenarioTwin {
         trace(1 << 14),
         net(sim, faults ? engine.channel() : plain, tracker, kN, nullptr,
             &trace) {
-    trace.enable(true);
     if (faults) net.set_scenario(&engine);
     net.set_deliver([this](ProcId to, ProcId from, const Message& m) {
       log.push_back({sim.now(), from, to, m});

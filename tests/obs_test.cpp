@@ -219,7 +219,6 @@ TEST(PhaseTimings, OpenPhaseAtEndOfRunIsDiscarded) {
 
 Trace sample_trace() {
   Trace t(16);
-  t.enable(true);
   t.record({.at = 5,
             .kind = TraceKind::Send,
             .proc = 1,
@@ -288,7 +287,6 @@ TEST(TraceExport, BinaryRoundTripsExactly) {
 
 TEST(TraceExport, RingWrapExportsTrailingWindowOldestFirst) {
   Trace t(4);
-  t.enable(true);
   for (int i = 0; i < 10; ++i) {
     t.record({.at = i, .kind = TraceKind::Decide, .proc = 0});
   }

@@ -170,11 +170,28 @@ TEST(Runner, TraceCapturesDecisions) {
   RunConfig cfg(ClusterLayout::from_sizes({2, 2}));
   cfg.alg = Algorithm::HybridLocalCoin;
   cfg.inputs = uniform_inputs(4, Estimate::One);
+  Trace trace(1 << 16);
   cfg.enable_trace = true;
+  cfg.trace_sink = &trace;
   cfg.seed = 10;
   const auto r = run_consensus(cfg);
   ASSERT_TRUE(r.success());
-  EXPECT_NE(r.trace_dump.find("deliver"), std::string::npos);
+  std::size_t delivers = 0;
+  std::vector<ProcId> deciders;
+  trace.for_each([&](const TraceRecord& rec) {
+    if (rec.kind == TraceKind::Deliver) ++delivers;
+    if (rec.kind == TraceKind::Decide) deciders.push_back(rec.proc);
+  });
+  EXPECT_GT(delivers, 0u);
+  std::sort(deciders.begin(), deciders.end());
+  EXPECT_EQ(deciders, (std::vector<ProcId>{0, 1, 2, 3}));
+}
+
+TEST(Runner, TraceWithoutASinkIsRejected) {
+  // A run is traced only into its caller's ring; it keeps none of its own.
+  RunConfig cfg(ClusterLayout::from_sizes({2, 2}));
+  cfg.enable_trace = true;
+  EXPECT_THROW(run_consensus(cfg), ContractViolation);
 }
 
 TEST(Runner, LastDecisionTimeIsWithinRun) {

@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/runner.h"
 #include "exp/executor.h"
@@ -19,6 +20,7 @@
 #include "scenario/partition.h"
 #include "scenario/scenario.h"
 #include "sim/crash.h"
+#include "sim/trace.h"
 #include "util/assert.h"
 
 namespace hyco {
@@ -625,11 +627,23 @@ TEST(ScenarioEndToEnd, EmptyScenarioIsByteIdenticalToLegacyPath) {
   RunConfig cfg(ClusterLayout::even(8, 4));
   cfg.alg = Algorithm::HybridCommonCoin;
   cfg.seed = 0xFEED;
+  Trace legacy_trace(1 << 16);
+  Trace again_trace(1 << 16);
   cfg.enable_trace = true;
+  cfg.trace_sink = &legacy_trace;
   const RunResult legacy = run_consensus(cfg);
   cfg.scenario = ScenarioConfig{};  // still empty — same path
+  cfg.trace_sink = &again_trace;
   const RunResult again = run_consensus(cfg);
-  EXPECT_EQ(legacy.trace_dump, again.trace_dump);
+  ASSERT_GT(legacy_trace.size(), 0u);
+  EXPECT_EQ(legacy_trace.recorded(), legacy_trace.size());
+  std::vector<TraceRecord> legacy_records;
+  std::vector<TraceRecord> again_records;
+  legacy_trace.for_each(
+      [&](const TraceRecord& r) { legacy_records.push_back(r); });
+  again_trace.for_each(
+      [&](const TraceRecord& r) { again_records.push_back(r); });
+  EXPECT_EQ(legacy_records, again_records);
   EXPECT_EQ(legacy.events, again.events);
   EXPECT_EQ(legacy.net.unicasts_sent, again.net.unicasts_sent);
   EXPECT_EQ(legacy.net.dropped_lost, 0u);
